@@ -122,8 +122,10 @@ void report() {
                     static_cast<double>(stats.steps_accepted));
   }
   benchutil::footnote(
-      "hysteretic devices converge in a handful of iterations per step "
-      "because the companion model linearises around the committed state.");
+      "the hysteretic decks need an order of magnitude more Newton "
+      "iterations per step than the linear RC ladder: the JA companion "
+      "model is a central difference across the discontinuous dhmax event "
+      "threshold, so Newton chatters and steps get rejected.");
 }
 
 void bm_ja_inductor_cycle(benchmark::State& state) {

@@ -1,6 +1,5 @@
 // Shared helpers for the bench binaries: every bench prints the table rows
-// of the paper artefact it regenerates (see DESIGN.md experiment index),
-// then runs google-benchmark timings. The JSON context of every run carries
+// of the paper artefact it regenerates, then runs google-benchmark timings. The JSON context of every run carries
 // the build/host metadata (git SHA, compiler, CPU feature flags, selected
 // SIMD width) so BENCH_*.json artifacts from different commits and runners
 // stay comparable.

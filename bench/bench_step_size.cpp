@@ -1,4 +1,4 @@
-// ABL1 + ABL2 — ablations of the discretisation choices DESIGN.md calls out:
+// ABL1 + ABL2 — ablations of the timeless scheme's discretisation choices:
 //
 //   ABL1: the event threshold dhmax trades accuracy against work (events
 //         taken); the paper fixes it implicitly via its `dhmax` constant.

@@ -1,5 +1,6 @@
 // Adaptive implicit transient engine — the stand-in for the VHDL-AMS
-// analogue solver of the paper's comparison (see DESIGN.md substitutions).
+// analogue solver of the paper's comparison (README "Frontend packing"
+// describes the kAms frontend built on it).
 //
 // Per step it solves the implicit formula with damped Newton, estimates the
 // local truncation error against an embedded lower-order solution, and

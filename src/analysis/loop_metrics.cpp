@@ -5,33 +5,47 @@
 
 namespace ferro::analysis {
 
+double LoopAccumulator::twice_signed_area() const {
+  if (points_ < 3) return 0.0;
+  return twice_area_ + shoelace_term(last_h_, last_b_, first_h_, first_b_);
+}
+
+LoopMetrics LoopAccumulator::metrics() const {
+  LoopMetrics metrics;
+  if (points_ == 0) return metrics;
+  metrics.h_peak = h_peak_;
+  metrics.b_peak = b_peak_;
+  metrics.points = points_;
+  metrics.area = std::fabs(0.5 * twice_signed_area());
+
+  // An exact zero at the last point has no following segment to report it.
+  AbsMean remanence = remanence_;
+  AbsMean coercivity = coercivity_;
+  if (last_h_ == 0.0) remanence(last_b_);
+  if (last_b_ == 0.0) coercivity(last_h_);
+  if (remanence.count != 0) {
+    metrics.remanence = remanence.sum / static_cast<double>(remanence.count);
+  }
+  if (coercivity.count != 0) {
+    metrics.coercivity = coercivity.sum / static_cast<double>(coercivity.count);
+  }
+  return metrics;
+}
+
 double enclosed_area(std::span<const double> h, std::span<const double> b) {
   assert(h.size() == b.size());
-  if (h.size() < 3) return 0.0;
-  // Shoelace over the closed polygon (h_i, b_i), implicitly closing the
-  // last point back to the first.
-  double twice_area = 0.0;
-  const std::size_t n = h.size();
-  for (std::size_t i = 0; i < n; ++i) {
-    const std::size_t j = (i + 1) % n;
-    twice_area += h[i] * b[j] - h[j] * b[i];
-  }
-  return 0.5 * twice_area;
+  LoopAccumulator loop;
+  for (std::size_t i = 0; i < h.size(); ++i) loop.add(h[i], b[i]);
+  return 0.5 * loop.twice_signed_area();
 }
 
 std::vector<double> values_at_zero_of(std::span<const double> x,
                                       std::span<const double> y) {
   assert(x.size() == y.size());
   std::vector<double> out;
+  const auto emit = [&out](double value) { out.push_back(value); };
   for (std::size_t i = 1; i < x.size(); ++i) {
-    if (x[i - 1] == 0.0) {
-      out.push_back(y[i - 1]);
-      continue;
-    }
-    if ((x[i - 1] < 0.0 && x[i] > 0.0) || (x[i - 1] > 0.0 && x[i] < 0.0)) {
-      const double t = -x[i - 1] / (x[i] - x[i - 1]);
-      out.push_back(y[i - 1] + t * (y[i] - y[i - 1]));
-    }
+    detail::zero_crossing(x[i - 1], y[i - 1], x[i], y[i], emit);
   }
   if (!x.empty() && x.back() == 0.0) out.push_back(y.back());
   return out;
@@ -39,36 +53,11 @@ std::vector<double> values_at_zero_of(std::span<const double> x,
 
 LoopMetrics analyze_loop(const mag::BhCurve& curve, std::size_t begin,
                          std::size_t end) {
-  LoopMetrics metrics;
-  if (curve.empty() || end >= curve.size() || begin > end) return metrics;
-
+  if (curve.empty() || end >= curve.size() || begin > end) return {};
   const auto& pts = curve.points();
-  std::vector<double> h, b;
-  h.reserve(end - begin + 1);
-  b.reserve(end - begin + 1);
-  for (std::size_t i = begin; i <= end; ++i) {
-    h.push_back(pts[i].h);
-    b.push_back(pts[i].b);
-    metrics.h_peak = std::max(metrics.h_peak, std::fabs(pts[i].h));
-    metrics.b_peak = std::max(metrics.b_peak, std::fabs(pts[i].b));
-  }
-  metrics.points = h.size();
-  metrics.area = std::fabs(enclosed_area(h, b));
-
-  double acc = 0.0;
-  const std::vector<double> remanences = values_at_zero_of(h, b);
-  for (const double r : remanences) acc += std::fabs(r);
-  if (!remanences.empty()) {
-    metrics.remanence = acc / static_cast<double>(remanences.size());
-  }
-
-  acc = 0.0;
-  const std::vector<double> coercivities = values_at_zero_of(b, h);
-  for (const double hc : coercivities) acc += std::fabs(hc);
-  if (!coercivities.empty()) {
-    metrics.coercivity = acc / static_cast<double>(coercivities.size());
-  }
-  return metrics;
+  LoopAccumulator loop;
+  for (std::size_t i = begin; i <= end; ++i) loop.add(pts[i]);
+  return loop.metrics();
 }
 
 LoopMetrics analyze_loop(const mag::BhCurve& curve) {

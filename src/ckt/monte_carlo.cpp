@@ -547,9 +547,11 @@ McStreamSummary MonteCarlo::run(const MonteCarloOptions& options,
     // One consumer drains the queue for the whole sweep, so the sink sees
     // a single-threaded, serialised call sequence.
     std::thread consumer([&] {
-      core::BasicStreamItem<CornerResult> item;
-      while (queue.pop(item)) {
-        driver.deliver(item.index, std::move(item.result));
+      core::BasicResultQueue<CornerResult>::Batch batch;
+      while (queue.drain(batch)) {
+        for (auto& item : batch) {
+          driver.deliver(item.index, std::move(item.result));
+        }
       }
     });
 

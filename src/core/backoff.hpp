@@ -1,10 +1,6 @@
-// core::Backoff — the shared retry policy of the fault-tolerance layers.
-//
-// Two retry machines grew independently: PR 7's packed-lane quarantine
-// (retry a NaN lane once through the scalar exact path, immediately) and the
-// shard executor's crash recovery (retry a crashed shard on a fresh worker
-// after a capped, jittered delay). Both are the same decision — "may this
-// unit try again, and after how long?" — so both now ask one policy object.
+// core::Backoff — the retry schedule of the shard executor's crash recovery
+// (retry a crashed shard on a fresh worker after a capped, jittered delay):
+// "may this unit try again, and after how long?".
 //
 // The delay schedule is capped exponential backoff with *decorrelated
 // jitter* (each delay is drawn uniformly from [base, 3 * previous], clamped
@@ -24,7 +20,7 @@ namespace ferro::core {
 struct BackoffPolicy {
   /// Retries allowed after the first attempt; 0 disables retrying.
   int max_retries = 1;
-  /// First retry delay [ms]; 0 retries immediately (the quarantine policy).
+  /// First retry delay [ms]; 0 retries immediately.
   double base_ms = 0.0;
   /// Upper clamp of any delay [ms].
   double cap_ms = 1000.0;
@@ -35,13 +31,6 @@ struct BackoffPolicy {
   /// taking the envelope itself. Off = deterministic exponential schedule.
   bool decorrelated_jitter = true;
 };
-
-/// The packed-lane quarantine schedule: one immediate retry through the
-/// scalar exact path (PR 7 semantics, now expressed as a policy).
-[[nodiscard]] constexpr BackoffPolicy quarantine_retry_policy() {
-  return BackoffPolicy{/*max_retries=*/1, /*base_ms=*/0.0, /*cap_ms=*/0.0,
-                       /*multiplier=*/1.0, /*decorrelated_jitter=*/false};
-}
 
 /// One retry course for one unit of work. Ask next_delay_ms() after each
 /// failure: a value is the delay to wait before retrying, nullopt means the

@@ -328,8 +328,9 @@ void BatchRunner::dispatch_packed(const std::vector<Scenario>& scenarios,
     emit_block_error(lanes, begin, end, gate.stop_error());
   };
 
-  /// The non-finite quarantine (shared by both block kinds): a lane whose
-  /// curve carries NaN/Inf is retried once through the scalar exact path
+  /// Finishes a lane through finish_result, as run_scenario does, plus the
+  /// non-finite quarantine (shared by every block kind): a lane whose curve
+  /// carries NaN/Inf is retried once through the scalar exact path
   /// (run_scenario — no recursion, no kernel), which either reproduces the
   /// garbage as a diagnosed kNonFinite error or, for FastMath-only
   /// blow-ups, recovers a clean exact result. Either way the lane's verdict
@@ -351,19 +352,11 @@ void BatchRunner::dispatch_packed(const std::vector<Scenario>& scenarios,
       pts[0].m = std::numeric_limits<double>::quiet_NaN();
       r.curve = mag::BhCurve(std::move(pts));
     }
-    if (r.ok() && first_non_finite(r.curve) != r.curve.size()) {
-      // The quarantine schedule is the shared retry policy object
-      // (core/backoff.hpp): one immediate scalar retry. run_scenario
-      // diagnoses a persistent blow-up as kNonFinite itself, which ends
-      // the course through the r.ok() guard.
-      Backoff retry(quarantine_retry_policy());
-      while (r.ok() && first_non_finite(r.curve) != r.curve.size() &&
-             retry.next_delay_ms().has_value()) {
-        gate.count_quarantined();
-        r = run_scenario(scenarios[i]);
-      }
-    } else if (r.ok()) {
-      fill_metrics(r, scenarios[i].metrics_window);
+    if (r.ok() && !finish_result(r, scenarios[i].metrics_window)) {
+      // One immediate scalar retry; run_scenario diagnoses a persistent
+      // blow-up as kNonFinite itself.
+      gate.count_quarantined();
+      r = run_scenario(scenarios[i]);
     }
     if (!r.ok()) gate.count_failure();
     emit(i, std::move(r));
@@ -688,13 +681,15 @@ StreamSummary BatchRunner::stream_shell(
   Error first_lost;
 
   // One consumer drains the queue for the whole batch, so the sink sees a
-  // single-threaded, serialised call sequence. It keeps popping even after
+  // single-threaded, serialised call sequence. It keeps draining even after
   // a sink error (deliver() then counts that delivery as discarded) —
   // otherwise workers blocked on a full queue would deadlock the pool.
   std::thread consumer([&] {
-    StreamItem item;
-    while (queue.pop(item)) {
-      driver.deliver(item.index, std::move(item.result));
+    ResultQueue::Batch batch;
+    while (queue.drain(batch)) {
+      for (StreamItem& item : batch) {
+        driver.deliver(item.index, std::move(item.result));
+      }
     }
   });
 

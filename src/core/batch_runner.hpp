@@ -25,7 +25,8 @@
 //
 // The streaming path decouples production from consumption with a bounded
 // MPSC queue (core/result_queue.hpp): workers push results as they finish,
-// one consumer thread drives the sink serially, and a slow sink
+// one consumer thread drains every pending result at once and drives the
+// sink serially, and a slow sink
 // backpressures the workers instead of buffering unboundedly. Results ARRIVE
 // in scheduling order but each carries its scenario index; wrap the sink in
 // OrderedSink (core/result_sink.hpp) to recover exactly run()'s order. A
@@ -92,7 +93,8 @@ enum class Packing {
 }
 
 struct StreamOptions {
-  /// Bound of the worker→sink queue (results in flight). 0 picks a default
+  /// Bound of the worker→sink queue, in results; the consumer may hold one
+  /// more drained batch of at most this many. 0 picks a default
   /// of twice the worker count — enough that workers rarely stall on a
   /// prompt sink, small enough that a slow sink caps memory quickly.
   std::size_t queue_capacity = 0;

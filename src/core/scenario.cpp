@@ -200,13 +200,31 @@ Error validate(const Scenario& scenario) {
   return {};
 }
 
+namespace {
+
+bool finite(const mag::BhPoint& p) {
+  // Non-short-circuit: one branch per point instead of three.
+  return std::isfinite(p.h) & std::isfinite(p.m) & std::isfinite(p.b);
+}
+
+/// kOk when `window` fits a curve of `size` >= 2 points, else the per-job
+/// error. A window that does not fit is an error, not something to clamp
+/// silently: frontends like kAms place their own steps, so a window sized
+/// from the input sweep can miss the actual trajectory entirely.
+Error window_error(const MetricsWindow& window, std::size_t size) {
+  if (window.begin < window.end && window.end <= size - 1) return {};
+  return {ErrorCode::kInvalidScenario,
+          "metrics window [" + std::to_string(window.begin) + ", " +
+              std::to_string(window.end) + "] does not fit a curve of " +
+              std::to_string(size) + " points"};
+}
+
+}  // namespace
+
 std::size_t first_non_finite(const mag::BhCurve& curve) {
   const auto& points = curve.points();
   for (std::size_t j = 0; j < points.size(); ++j) {
-    if (!std::isfinite(points[j].h) || !std::isfinite(points[j].m) ||
-        !std::isfinite(points[j].b)) {
-      return j;
-    }
+    if (!finite(points[j])) return j;
   }
   return points.size();
 }
@@ -215,16 +233,9 @@ void fill_metrics(ScenarioResult& result,
                   const std::optional<MetricsWindow>& window) {
   if (result.curve.size() < 2) return;
   if (window) {
-    // A window that does not fit the curve is an error, not something to
-    // clamp silently: frontends like kAms place their own steps, so a window
-    // sized from the input sweep can miss the actual trajectory entirely.
-    const std::size_t last = result.curve.size() - 1;
-    if (window->begin >= window->end || window->end > last) {
-      result.error = {ErrorCode::kInvalidScenario,
-                      "metrics window [" + std::to_string(window->begin) +
-                          ", " + std::to_string(window->end) +
-                          "] does not fit a curve of " +
-                          std::to_string(result.curve.size()) + " points"};
+    Error misfit = window_error(*window, result.curve.size());
+    if (!misfit.ok()) {
+      result.error = std::move(misfit);
       return;
     }
     result.metrics = analysis::analyze_loop(result.curve, window->begin,
@@ -232,6 +243,44 @@ void fill_metrics(ScenarioResult& result,
   } else {
     result.metrics = analysis::analyze_loop(result.curve);
   }
+}
+
+bool finish_result(ScenarioResult& result,
+                   const std::optional<MetricsWindow>& window) {
+  const auto& points = result.curve.points();
+  const std::size_t n = points.size();
+  // The metrics cover points [begin, begin + count): none below two points
+  // or for a misfit window, whose error waits until the scan has passed so
+  // that a non-finite curve reports kNonFinite first.
+  std::size_t begin = 0;
+  std::size_t count = 0;
+  Error misfit;
+  if (n >= 2 && !window) {
+    count = n;
+  } else if (n >= 2) {
+    misfit = window_error(*window, n);
+    if (misfit.ok()) {
+      begin = window->begin;
+      count = window->end - window->begin + 1;
+    }
+  }
+
+  analysis::LoopAccumulator loop;
+  for (std::size_t j = 0; j < n; ++j) {
+    if (!finite(points[j])) {
+      result.error = {ErrorCode::kNonFinite,
+                      "non-finite value in simulated curve at point " +
+                          std::to_string(j)};
+      return false;
+    }
+    if (j - begin < count) loop.add(points[j]);  // wraps for j < begin
+  }
+  if (!misfit.ok()) {
+    result.error = std::move(misfit);
+  } else if (count != 0) {
+    result.metrics = loop.metrics();
+  }
+  return true;
 }
 
 ScenarioResult run_scenario(const Scenario& scenario) {
@@ -283,17 +332,9 @@ ScenarioResult run_scenario(const Scenario& scenario) {
 
   // Post-run guardrail: a frontend that silently produced NaN/Inf (e.g. a
   // pathological waveform fed through the kernel) is a kNonFinite error,
-  // never a "successful" garbage curve. Shared verdict with the packed
-  // lane quarantine, so run() and packed runs agree.
-  const std::size_t bad = first_non_finite(result.curve);
-  if (bad != result.curve.size()) {
-    result.error = {ErrorCode::kNonFinite,
-                    "non-finite value in simulated curve at point " +
-                        std::to_string(bad)};
-    return result;
-  }
-
-  fill_metrics(result, scenario.metrics_window);
+  // never a "successful" garbage curve. The packed lane quarantine finishes
+  // through the same call, so run() and packed runs agree.
+  finish_result(result, scenario.metrics_window);
   return result;
 }
 

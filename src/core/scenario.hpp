@@ -120,8 +120,7 @@ struct ScenarioResult {
 [[nodiscard]] Error validate(const Scenario& scenario);
 
 /// Index of the first curve point whose h/m/b is not finite, or
-/// curve.size() when the whole curve is finite. The non-finite guardrail
-/// shared by run_scenario's post-run sweep and the packed lane quarantine.
+/// curve.size() when the whole curve is finite.
 [[nodiscard]] std::size_t first_non_finite(const mag::BhCurve& curve);
 
 /// Runs one scenario in the calling thread — the unit of work BatchRunner
@@ -130,10 +129,20 @@ struct ScenarioResult {
 
 /// Computes the loop metrics of `result.curve` over `window` (or the whole
 /// curve when absent) into `result.metrics`; a window that does not fit the
-/// curve becomes a per-job error. Shared by the per-scenario path and the
-/// SoA lane blocks so both report windows identically.
+/// curve becomes a per-job error. No non-finite check: that is
+/// finish_result's job.
 void fill_metrics(ScenarioResult& result,
                   const std::optional<MetricsWindow>& window);
+
+/// Finishes a computed result in one walk over its curve: the non-finite
+/// guardrail and fill_metrics together, with the verdicts of running them
+/// in that order. A curve holding NaN/Inf becomes a kNonFinite error naming
+/// its first such point, and the call returns false; otherwise it returns
+/// true with the metrics filled or the window error set. run_scenario and
+/// the packed lane blocks both finish through it, so the two paths cannot
+/// drift apart.
+bool finish_result(ScenarioResult& result,
+                   const std::optional<MetricsWindow>& window);
 
 /// Maps candidate parameter sets onto a homogeneous kDirect batch sharing
 /// one discretisation and one excitation — the shape the packed path turns into

@@ -31,7 +31,6 @@
 #include <algorithm>
 #include <condition_variable>
 #include <cstddef>
-#include <deque>
 #include <functional>
 #include <map>
 #include <mutex>
@@ -207,20 +206,27 @@ struct BasicStreamItem {
 /// single consumer thread that drives a sink.
 ///
 /// Many producers (pool workers) push finished results; exactly one consumer
-/// pops them. The queue is bounded: push() blocks while the queue is full,
-/// so a slow sink applies backpressure to the workers instead of letting
-/// results buffer unboundedly — peak memory in flight is capacity() results,
-/// whatever the batch size. Condition-variable based on purpose: the
-/// producers are coarse-grained simulation jobs, so a blocking queue costs
-/// nothing measurable and keeps the code obviously correct under TSan.
+/// takes them, normally with drain(): every pending item under one lock.
+/// The queue is bounded: push() blocks while capacity() results are
+/// queued, so a slow sink applies backpressure to the workers instead of
+/// letting results buffer unboundedly — in flight are at most capacity()
+/// queued results plus the drained batch the consumer is delivering (itself
+/// at most capacity()), whatever the batch size. Wake-ups are paid only
+/// when someone sleeps: a push signals only while the consumer is waiting,
+/// and the consumer wakes blocked producers once per drain. Condition-
+/// variable based on purpose: with wake-ups paid per drain rather than per
+/// result, a blocking queue keeps the code obviously correct under TSan
+/// without a lock-free structure.
 ///
-/// Shutdown: close() marks the stream finished. Pops drain whatever is still
-/// queued and then return false; pushes after close() are refused (returns
-/// false, item dropped) — that only happens if a producer outlives the
-/// batch, which the drivers' structure prevents.
+/// Shutdown: close() marks the stream finished. Drains and pops return
+/// whatever is still queued and then false; pushes after close() are
+/// refused (returns false, item dropped) — that only happens if a producer
+/// outlives the batch, which the drivers' structure prevents.
 template <typename R>
 class BasicResultQueue {
  public:
+  using Batch = std::vector<BasicStreamItem<R>>;
+
   /// `capacity` is clamped to at least 1 (a zero-capacity queue could never
   /// transfer anything).
   explicit BasicResultQueue(std::size_t capacity)
@@ -236,25 +242,48 @@ class BasicResultQueue {
     // producer dying in the hand-off, never a producer unwinding mid-queue.
     (void)FERRO_FAULT_HIT(FaultSite::kQueuePush);
     std::unique_lock<std::mutex> lk(mutex_);
-    can_push_.wait(lk, [this] { return closed_ || items_.size() < capacity_; });
+    if (!closed_ && items_.size() >= capacity_) {
+      ++blocked_producers_;
+      can_push_.wait(lk,
+                     [this] { return closed_ || items_.size() < capacity_; });
+      --blocked_producers_;
+    }
     if (closed_) return false;
     items_.push_back(std::move(item));
     high_water_ = std::max(high_water_, items_.size());
+    const bool wake = consumer_waiting_;
     lk.unlock();
-    can_pop_.notify_one();
+    if (wake) can_pop_.notify_one();
     return true;
   }
 
-  /// Blocks while the queue is empty and not closed. Returns false once the
-  /// queue is closed *and* drained; true with `out` filled otherwise.
+  /// Replaces `out` with every pending item, in push order, taken under one
+  /// lock; blocks while the queue is empty and not closed. Returns false
+  /// (with `out` empty) once the queue is closed *and* drained. Reusing
+  /// one `out` across calls keeps the hand-off allocation-free.
+  bool drain(Batch& out) {
+    out.clear();
+    std::unique_lock<std::mutex> lk(mutex_);
+    wait_for_items(lk);
+    if (items_.empty()) return false;  // closed and drained
+    out.swap(items_);
+    const bool wake = blocked_producers_ != 0;
+    lk.unlock();
+    if (wake) can_push_.notify_all();
+    return true;
+  }
+
+  /// Takes the oldest pending item; blocks like drain(). Returns false once
+  /// the queue is closed *and* drained; true with `out` filled otherwise.
   bool pop(BasicStreamItem<R>& out) {
     std::unique_lock<std::mutex> lk(mutex_);
-    can_pop_.wait(lk, [this] { return closed_ || !items_.empty(); });
+    wait_for_items(lk);
     if (items_.empty()) return false;  // closed and drained
     out = std::move(items_.front());
-    items_.pop_front();
+    items_.erase(items_.begin());
+    const bool wake = blocked_producers_ != 0;
     lk.unlock();
-    can_push_.notify_one();
+    if (wake) can_push_.notify_one();
     return true;
   }
 
@@ -279,12 +308,21 @@ class BasicResultQueue {
   }
 
  private:
+  /// The consumer's wait; consumer_waiting_ tells producers to signal.
+  void wait_for_items(std::unique_lock<std::mutex>& lk) {
+    consumer_waiting_ = true;
+    can_pop_.wait(lk, [this] { return closed_ || !items_.empty(); });
+    consumer_waiting_ = false;
+  }
+
   mutable std::mutex mutex_;
   std::condition_variable can_push_;
   std::condition_variable can_pop_;
-  std::deque<BasicStreamItem<R>> items_;
+  Batch items_;
   std::size_t capacity_;
   std::size_t high_water_ = 0;
+  std::size_t blocked_producers_ = 0;
+  bool consumer_waiting_ = false;
   bool closed_ = false;
 };
 

@@ -2,8 +2,7 @@
 // kernel: core() / monitorH() / Integral() communicating through signals
 // with delta-cycle semantics.
 //
-// Two deliberate adaptations of the published listing, both documented in
-// DESIGN.md:
+// Two deliberate adaptations of the published listing:
 //   * `trig` is an event counter instead of the constant 1 (writing 1 twice
 //     to a change-triggered signal would only fire once);
 //   * Integral() toggles a `refresh` signal that core() is sensitive to, so

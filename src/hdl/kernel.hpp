@@ -1,7 +1,7 @@
 // Event-driven simulation kernel with SystemC-style delta cycles.
 //
-// The substitution for the paper's OSCI SystemC 2.0.1 runtime (DESIGN.md):
-// it implements exactly the semantics the published model relies on —
+// The substitution for the paper's OSCI SystemC 2.0.1 runtime: it
+// implements exactly the semantics the published model relies on —
 //   * Signal<T>: write() stores a next-value; the value becomes visible at
 //     the following delta cycle; a genuine value change wakes the processes
 //     registered as sensitive to the signal;

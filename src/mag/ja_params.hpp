@@ -11,8 +11,8 @@ namespace ferro::mag {
 ///
 /// The 2006 paper's listing uses the *modified Langevin* of Wilson et al.
 /// (DATE 2004): Man/Ms = (2/pi)*atan(He/a). Its parameter list also carries
-/// `a2`; the dual-scale blend is our documented reconstruction of how a
-/// second shape parameter enters (see DESIGN.md, substitution table).
+/// `a2`; the dual-scale blend is this library's reconstruction of how a
+/// second shape parameter enters.
 enum class AnhystereticKind {
   kClassicLangevin,  ///< L(x) = coth(x) - 1/x with x = He/a (Jiles-Atherton 1984)
   kAtan,             ///< (2/pi)*atan(He/a) (Wilson et al.; the paper's Lang_mod)

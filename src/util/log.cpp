@@ -1,11 +1,13 @@
 #include "util/log.hpp"
 
+#include <atomic>
 #include <cstdio>
+#include <string>
 
 namespace ferro::util {
 
 namespace {
-LogLevel g_level = LogLevel::kWarning;
+std::atomic<LogLevel> g_level{LogLevel::kWarning};
 
 const char* level_name(LogLevel level) {
   switch (level) {
@@ -19,15 +21,22 @@ const char* level_name(LogLevel level) {
 }
 }  // namespace
 
-void set_log_level(LogLevel level) { g_level = level; }
+void set_log_level(LogLevel level) { g_level.store(level); }
 
-LogLevel log_level() { return g_level; }
+LogLevel log_level() { return g_level.load(); }
 
 void log(LogLevel level, std::string_view component, std::string_view message) {
-  if (level < g_level) return;
-  std::fprintf(stderr, "[%s] %.*s: %.*s\n", level_name(level),
-               static_cast<int>(component.size()), component.data(),
-               static_cast<int>(message.size()), message.data());
+  if (level < g_level.load()) return;
+  // The whole line goes out in one write, so lines from concurrent callers
+  // never interleave.
+  std::string line = "[";
+  line += level_name(level);
+  line += "] ";
+  line += component;
+  line += ": ";
+  line += message;
+  line += '\n';
+  std::fwrite(line.data(), 1, line.size(), stderr);
 }
 
 void log_debug(std::string_view c, std::string_view m) { log(LogLevel::kDebug, c, m); }

@@ -1,9 +1,10 @@
 // Lightweight leveled logger.
 //
 // Defaults to Warning so simulations stay quiet; tests and examples raise
-// the level when they want progress output. Not thread-safe by design —
-// the simulators here are single-threaded (like the SystemC kernel the
-// paper targets).
+// the level when they want progress output. Thread-safe: the level is
+// atomic, and each line reaches stderr in a single write, so pool workers
+// (the circuit engine logs from them) may log concurrently without racing
+// set_log_level or interleaving lines.
 #pragma once
 
 #include <string_view>

@@ -1,16 +1,27 @@
 // Tests for the analysis module on synthetic curves with known answers.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <initializer_list>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "analysis/curve_compare.hpp"
 #include "analysis/loop_metrics.hpp"
 #include "analysis/stability.hpp"
 #include "mag/bh.hpp"
+#include "support/fixtures.hpp"
 #include "util/constants.hpp"
+#include "util/csv.hpp"
 
 namespace fa = ferro::analysis;
 namespace fm = ferro::mag;
+namespace fu = ferro::util;
+namespace ts = ferro::testsupport;
 
 namespace {
 
@@ -23,6 +34,90 @@ fm::BhCurve ellipse(double h0, double b0, std::size_t n = 720,
     const double theta = 2.0 * ferro::util::kPi * static_cast<double>(i) /
                          static_cast<double>(n) * (clockwise ? -1.0 : 1.0);
     curve.append(h0 * std::cos(theta), 0.0, b0 * std::sin(theta));
+  }
+  return curve;
+}
+
+/// The textbook composition analyze_loop must reproduce bit for bit, kept
+/// here independently of the library: copy the window out, shoelace with a
+/// wrapped index, collect every zero crossing, then average the magnitudes.
+fa::LoopMetrics reference_metrics(const fm::BhCurve& curve, std::size_t begin,
+                                  std::size_t end) {
+  fa::LoopMetrics metrics;
+  if (curve.empty() || end >= curve.size() || begin > end) return metrics;
+  std::vector<double> h, b;
+  for (std::size_t i = begin; i <= end; ++i) {
+    h.push_back(curve.points()[i].h);
+    b.push_back(curve.points()[i].b);
+    metrics.h_peak = std::max(metrics.h_peak, std::fabs(h.back()));
+    metrics.b_peak = std::max(metrics.b_peak, std::fabs(b.back()));
+  }
+  const std::size_t n = h.size();
+  metrics.points = n;
+  if (n >= 3) {
+    double twice_area = 0.0;
+    for (std::size_t i = 0; i < n; ++i) {
+      const std::size_t j = (i + 1) % n;
+      twice_area += h[i] * b[j] - h[j] * b[i];
+    }
+    metrics.area = std::fabs(0.5 * twice_area);
+  }
+  const auto mean_abs_at_zero = [n](const std::vector<double>& x,
+                                    const std::vector<double>& y) {
+    std::vector<double> values;
+    for (std::size_t i = 1; i < n; ++i) {
+      if (x[i - 1] == 0.0) {
+        values.push_back(y[i - 1]);
+      } else if ((x[i - 1] < 0.0 && x[i] > 0.0) ||
+                 (x[i - 1] > 0.0 && x[i] < 0.0)) {
+        const double t = -x[i - 1] / (x[i] - x[i - 1]);
+        values.push_back(y[i - 1] + t * (y[i] - y[i - 1]));
+      }
+    }
+    if (x.back() == 0.0) values.push_back(y.back());
+    double acc = 0.0;
+    for (const double v : values) acc += std::fabs(v);
+    return values.empty() ? 0.0 : acc / static_cast<double>(values.size());
+  };
+  metrics.remanence = mean_abs_at_zero(h, b);
+  metrics.coercivity = mean_abs_at_zero(b, h);
+  return metrics;
+}
+
+void expect_bitwise(const fa::LoopMetrics& got, const fa::LoopMetrics& want) {
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(got.h_peak),
+            std::bit_cast<std::uint64_t>(want.h_peak));
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(got.b_peak),
+            std::bit_cast<std::uint64_t>(want.b_peak));
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(got.remanence),
+            std::bit_cast<std::uint64_t>(want.remanence));
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(got.coercivity),
+            std::bit_cast<std::uint64_t>(want.coercivity));
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(got.area),
+            std::bit_cast<std::uint64_t>(want.area));
+  EXPECT_EQ(got.points, want.points);
+}
+
+void expect_matches_reference(const fm::BhCurve& curve, std::size_t begin,
+                              std::size_t end) {
+  SCOPED_TRACE("window [" + std::to_string(begin) + ", " +
+               std::to_string(end) + "] of " + std::to_string(curve.size()));
+  expect_bitwise(fa::analyze_loop(curve, begin, end),
+                 reference_metrics(curve, begin, end));
+}
+
+fm::BhCurve load_fig1_golden() {
+  const fu::CsvTable table =
+      fu::read_csv(ts::data_path("fig1_major_loop.csv"));
+  fm::BhCurve curve;
+  const int ih = table.column_index("h");
+  const int im = table.column_index("m");
+  const int ib = table.column_index("b");
+  if (ih < 0 || im < 0 || ib < 0) return curve;
+  for (const auto& row : table.rows) {
+    curve.append(row[static_cast<std::size_t>(ih)],
+                 row[static_cast<std::size_t>(im)],
+                 row[static_cast<std::size_t>(ib)]);
   }
   return curve;
 }
@@ -94,6 +189,67 @@ TEST(AnalyzeLoop, SubrangeAndDegenerate) {
   EXPECT_EQ(none.points, 0u);
   const fa::LoopMetrics oob = fa::analyze_loop(curve, 0, curve.size());
   EXPECT_EQ(oob.points, 0u);
+}
+
+TEST(AnalyzeLoop, BitwiseEqualToReferenceOnFig1Golden) {
+  const fm::BhCurve golden = load_fig1_golden();
+  ASSERT_GT(golden.size(), 1000u);
+  const std::size_t n = golden.size();
+  expect_matches_reference(golden, 0, n - 1);
+  expect_matches_reference(golden, n / 2, n - 1);  // the converged cycle
+  expect_matches_reference(golden, n / 3, 2 * n / 3 + 7);
+  expect_bitwise(fa::analyze_loop(golden), reference_metrics(golden, 0, n - 1));
+}
+
+TEST(AnalyzeLoop, BitwiseEqualToReferenceOnExactZeros) {
+  // Samples lying exactly on H = 0 and B = 0 — mid-curve and as the last
+  // point of the window — take the rule's exact-zero branch, not the
+  // interpolation.
+  const auto polygon = [](std::initializer_list<std::pair<double, double>> hb) {
+    fm::BhCurve curve;
+    for (const auto& [h, b] : hb) curve.append(h, 0.0, b);
+    return curve;
+  };
+  const fm::BhCurve curve =
+      polygon({{0.0, -1.0}, {3.0, 0.0}, {0.0, 1.25}, {-2.0, 0.0}, {-1.0, 0.5},
+               {0.0, -0.75}, {1.5, 0.0}, {4.0, 2.0}, {0.0, 0.0}});
+  for (std::size_t begin = 0; begin < curve.size(); ++begin) {
+    for (std::size_t end = begin; end < curve.size(); ++end) {
+      expect_matches_reference(curve, begin, end);
+    }
+  }
+  // Last point on H = 0 only, and on B = 0 only.
+  expect_matches_reference(polygon({{1.0, 1.0}, {-1.0, 2.0}, {0.0, 3.0}}), 0, 2);
+  expect_matches_reference(polygon({{1.0, 1.0}, {2.0, -1.0}, {3.0, 0.0}}), 0, 2);
+}
+
+TEST(AnalyzeLoop, ShortAndEmptyWindows) {
+  const fm::BhCurve curve = ellipse(2.0, 1.0, 12);
+  // n < 3: no area, but peaks and crossings still count.
+  for (std::size_t begin = 0; begin + 1 < curve.size(); ++begin) {
+    expect_matches_reference(curve, begin, begin);
+    expect_matches_reference(curve, begin, begin + 1);
+    EXPECT_EQ(fa::analyze_loop(curve, begin, begin + 1).area, 0.0);
+  }
+  // Empty windows: begin > end, end past the curve, an empty curve.
+  expect_bitwise(fa::analyze_loop(curve, 4, 3), fa::LoopMetrics{});
+  expect_bitwise(fa::analyze_loop(curve, 0, curve.size()), fa::LoopMetrics{});
+  expect_bitwise(fa::analyze_loop(fm::BhCurve{}), fa::LoopMetrics{});
+  expect_bitwise(fa::LoopAccumulator{}.metrics(), fa::LoopMetrics{});
+}
+
+TEST(AnalyzeLoop, SharedWalkKeepsAreaAndCrossingsConsistent) {
+  // enclosed_area and values_at_zero_of run on the accumulator's code, so
+  // their composition is the metrics analyze_loop reports.
+  const fm::BhCurve curve = ellipse(100.0, 2.0, 360);
+  const fa::LoopMetrics metrics = fa::analyze_loop(curve);
+  const std::vector<double> h = curve.h_values();
+  const std::vector<double> b = curve.b_values();
+  EXPECT_EQ(metrics.area, std::fabs(fa::enclosed_area(h, b)));
+  double acc = 0.0;
+  const std::vector<double> remanences = fa::values_at_zero_of(h, b);
+  for (const double r : remanences) acc += std::fabs(r);
+  EXPECT_EQ(metrics.remanence, acc / static_cast<double>(remanences.size()));
 }
 
 TEST(MonotoneBranches, TriangleSweep) {

@@ -1,5 +1,5 @@
-// core::Backoff — the shared retry policy object (packed-lane quarantine +
-// shard-executor crash recovery). Pins the contract the recovery machinery
+// core::Backoff — the shard executor's crash-recovery retry schedule.
+// Pins the contract the recovery machinery
 // leans on: retry budget exhaustion, cap clamping, jitter bounds, and
 // bit-exact determinism under a fixed seed.
 #include <gtest/gtest.h>
@@ -15,7 +15,6 @@ namespace {
 
 using ferro::core::Backoff;
 using ferro::core::BackoffPolicy;
-using ferro::core::quarantine_retry_policy;
 
 TEST(Backoff, GrantsExactlyMaxRetriesThenExhausts) {
   BackoffPolicy policy;
@@ -38,15 +37,6 @@ TEST(Backoff, ZeroMaxRetriesDeniesImmediately) {
   Backoff backoff(policy);
   EXPECT_FALSE(backoff.next_delay_ms().has_value());
   EXPECT_EQ(backoff.attempts(), 0);
-}
-
-TEST(Backoff, QuarantinePolicyIsOneImmediateRetry) {
-  Backoff backoff(quarantine_retry_policy());
-  const auto first = backoff.next_delay_ms();
-  ASSERT_TRUE(first.has_value());
-  EXPECT_EQ(*first, 0.0) << "quarantine retries immediately";
-  EXPECT_FALSE(backoff.next_delay_ms().has_value())
-      << "quarantine grants exactly one retry";
 }
 
 TEST(Backoff, PlainExponentialFollowsEnvelopeAndCap) {

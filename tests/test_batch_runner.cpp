@@ -687,6 +687,68 @@ TEST(BatchRunner, PackedNanScenarioQuarantinesWithoutPoisoningNeighbours) {
   }
 }
 
+TEST(BatchRunner, PackedLanesFinishExactlyLikeRun) {
+  // run_scenario and the packed lanes finish through one function: the
+  // non-finite scan and the loop metrics in a single walk. Packed kExact
+  // must reproduce run() bit for bit on every lane and verdict: windowed
+  // and whole-curve metrics, a poisoned lane retried through the
+  // quarantine, a window that does not fit, and a poisoned lane whose
+  // window does not fit either (the non-finite verdict comes first).
+  auto scenarios = material_workload(10);
+  const auto poison = [&](std::size_t i, std::string name) {
+    scenarios[i].name = std::move(name);
+    scenarios[i].drive =
+        fc::TimeDrive{std::make_shared<NanWaveform>(), 0.0, 0.04, 500};
+  };
+  poison(2, "nan-lane");
+  scenarios[2].metrics_window.reset();
+  poison(5, "nan-lane-misfit");
+  scenarios[5].metrics_window = fc::MetricsWindow{0, 1'000'000};
+  scenarios[7].name = "misfit";
+  scenarios[7].metrics_window = fc::MetricsWindow{10, 1'000'000};
+  scenarios[8].metrics_window.reset();
+
+  const auto reference = fc::BatchRunner({.threads = 1}).run(scenarios);
+  EXPECT_EQ(reference[2].error.code, fc::ErrorCode::kNonFinite);
+  EXPECT_EQ(reference[5].error.code, fc::ErrorCode::kNonFinite);
+  EXPECT_EQ(reference[7].error.code, fc::ErrorCode::kInvalidScenario);
+  EXPECT_NE(reference[7].error.detail.find("metrics window"),
+            std::string::npos);
+
+  for (const unsigned threads : {1u, 3u}) {
+    fc::BatchReport report;
+    const auto packed = fc::BatchRunner({.threads = threads})
+                            .run(scenarios, {.packing = fc::Packing::kExact},
+                                 &report);
+    ASSERT_EQ(packed.size(), reference.size());
+    for (std::size_t i = 0; i < packed.size(); ++i) {
+      EXPECT_EQ(reference[i].name, packed[i].name);
+      EXPECT_EQ(reference[i].error, packed[i].error) << packed[i].name;
+      // The poisoned curves carry NaN, which no equality would match.
+      ASSERT_EQ(reference[i].curve.size(), packed[i].curve.size());
+      if (reference[i].error.code == fc::ErrorCode::kNonFinite) continue;
+      for (std::size_t j = 0; j < packed[i].curve.size(); ++j) {
+        const auto& pa = reference[i].curve.points()[j];
+        const auto& pb = packed[i].curve.points()[j];
+        ASSERT_TRUE(pa.h == pb.h && pa.m == pb.m && pa.b == pb.b)
+            << packed[i].name << " point " << j;
+      }
+      const fa::LoopMetrics& a = reference[i].metrics;
+      const fa::LoopMetrics& b = packed[i].metrics;
+      EXPECT_EQ(a.area, b.area) << packed[i].name;
+      EXPECT_EQ(a.h_peak, b.h_peak) << packed[i].name;
+      EXPECT_EQ(a.b_peak, b.b_peak) << packed[i].name;
+      EXPECT_EQ(a.remanence, b.remanence) << packed[i].name;
+      EXPECT_EQ(a.coercivity, b.coercivity) << packed[i].name;
+      EXPECT_EQ(a.points, b.points) << packed[i].name;
+      EXPECT_EQ(reference[i].stats.field_events, packed[i].stats.field_events)
+          << packed[i].name;
+    }
+    EXPECT_EQ(report.quarantined, 2u) << threads;  // the two poisoned lanes
+    EXPECT_EQ(report.failed, 3u) << threads;
+  }
+}
+
 TEST(BatchRunner, FluxDriveScenarioRunsThroughInverseSolver) {
   fc::Scenario s;
   s.name = "flux-driven";

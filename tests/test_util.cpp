@@ -6,6 +6,10 @@
 #include <filesystem>
 #include <fstream>
 #include <limits>
+#include <sstream>
+#include <string>
+#include <thread>
+#include <vector>
 
 #include "util/constants.hpp"
 #include "util/csv.hpp"
@@ -232,6 +236,36 @@ TEST(Log, LevelFiltering) {
   fu::log_info("test", "hidden");
   fu::log_warning("test", "hidden");
   fu::set_log_level(saved);
+}
+
+TEST(Log, ConcurrentLinesStayWholeWhileTheLevelChanges) {
+  // The circuit engine logs from pool workers: reading the level must not
+  // race a set_log_level, and every line must reach stderr whole.
+  const fu::LogLevel saved = fu::log_level();
+  fu::set_log_level(fu::LogLevel::kWarning);
+  testing::internal::CaptureStderr();
+  std::vector<std::thread> loggers;
+  for (int t = 0; t < 4; ++t) {
+    loggers.emplace_back([t] {
+      const std::string message = "line from thread " + std::to_string(t);
+      for (int k = 0; k < 200; ++k) fu::log_warning("test", message);
+    });
+  }
+  // Both levels let warnings through, so the line count is fixed.
+  for (int k = 0; k < 200; ++k) {
+    fu::set_log_level(k % 2 ? fu::LogLevel::kWarning : fu::LogLevel::kDebug);
+  }
+  for (std::thread& t : loggers) t.join();
+  fu::set_log_level(saved);
+
+  std::istringstream lines(testing::internal::GetCapturedStderr());
+  const std::string prefix = "[warning] test: line from thread ";
+  std::size_t count = 0;
+  for (std::string line; std::getline(lines, line); ++count) {
+    EXPECT_EQ(line.rfind(prefix, 0), 0u) << line;
+    EXPECT_EQ(line.size(), prefix.size() + 1) << line;
+  }
+  EXPECT_EQ(count, 800u);
 }
 
 TEST(StreamWriter, CsvRowsAreOnDiskBeforeTheWriterCloses) {
