@@ -25,6 +25,9 @@ struct EvalContext {
   double t = 0.0;    ///< target time of the step [s]
   double dt = 0.0;   ///< step size [s]; 0 together with dc==true for DC
   bool dc = false;   ///< DC operating-point analysis
+  /// Newton iteration within the trial step. 0 is the seed iterate, which
+  /// is the last accepted solution bit for bit.
+  int iteration = 0;
   ams::IntegrationMethod method = ams::IntegrationMethod::kTrapezoidal;
   std::size_t node_count = 0;  ///< unknown layout: nodes first, then branches
   std::span<const double> x;  ///< present iterate: node voltages then branch currents

@@ -5,8 +5,6 @@
 #include <string>
 #include <utility>
 
-#include "util/log.hpp"
-
 namespace ferro::ckt {
 
 namespace {
@@ -28,58 +26,79 @@ std::size_t layout_unknowns(Circuit& circuit) {
   return false;
 }
 
-/// One Newton (successive-linearisation) solve at fixed (t, dt).
-/// `x` carries the initial iterate in and the solution out. Used whole for
-/// the DC analyses; the transient path runs the identical per-iteration body
-/// inside TransientMachine::advance() so corners can interleave.
-bool solve_point(Circuit& circuit, EvalContext ctx, const EngineOptions& options,
-                 std::vector<double>& x, CircuitStats* stats) {
-  const std::size_t n = x.size();
+enum class NewtonOutcome {
+  kSingular,  ///< the MNA matrix did not factor; the iterate is unchanged
+  kMoving,    ///< the iterate moved past the tolerances
+  kSettled,   ///< converged, and past the seed iterate if the circuit is nonlinear
+};
+
+/// One Newton (successive-linearisation) iteration at the iterate `x`, the
+/// single body behind the DC solve and TransientMachine::advance(): stamp
+/// every device at ctx.iteration, add gmin, LU-solve, test convergence, and
+/// move `x` to the new iterate.
+NewtonOutcome newton_iteration(Circuit& circuit, EvalContext& ctx,
+                               const EngineOptions& options, bool nonlinear,
+                               std::vector<double>& x,
+                               detail::NewtonScratch& scratch,
+                               CircuitStats& stats) {
+  auto& [a, z, x_new, lu] = scratch;
   const std::size_t nodes = circuit.node_count();
-  const bool needs_iteration = any_nonlinear(circuit);
+  a.fill(0.0);
+  std::fill(z.begin(), z.end(), 0.0);
+  ctx.x = x;
 
-  ams::Matrix a(n, n);
-  std::vector<double> z(n, 0.0);
-  std::vector<double> x_new(n, 0.0);
-  ams::LuSolver lu;
-
-  const int max_iters = needs_iteration ? options.max_newton_iterations : 1;
-  for (int iter = 0; iter < max_iters; ++iter) {
-    a.fill(0.0);
-    std::fill(z.begin(), z.end(), 0.0);
-    ctx.x = x;
-
-    Stamper stamper(a, z, x, nodes);
-    for (const auto& device : circuit.devices()) {
-      device->stamp(stamper, ctx);
-    }
-    // gmin from every node to ground.
-    for (std::size_t i = 0; i < nodes; ++i) {
-      a.at(i, i) += options.gmin;
-    }
-
-    if (!lu.factor(a)) {
-      util::log_warning("ckt.engine", "singular MNA matrix");
-      return false;
-    }
-    lu.solve(z, x_new);
-    if (stats) ++stats->newton_iterations;
-
-    // Convergence: voltages and currents checked against their own
-    // tolerances (SPICE reltol simplified to absolute tolerances here).
-    bool converged = true;
-    for (std::size_t i = 0; i < n; ++i) {
-      const double tol = i < nodes ? options.v_tolerance : options.i_tolerance;
-      const double scale = 1.0 + std::fabs(x_new[i]) * 1e-3 / tol;
-      if (std::fabs(x_new[i] - x[i]) > tol * scale) {
-        converged = false;
-        break;
-      }
-    }
-    x = x_new;
-    if (converged && (needs_iteration ? iter > 0 : true)) return true;
+  Stamper stamper(a, z, x, nodes);
+  for (const auto& device : circuit.devices()) {
+    device->stamp(stamper, ctx);
   }
-  return !needs_iteration;
+  // gmin from every node to ground.
+  for (std::size_t i = 0; i < nodes; ++i) {
+    a.at(i, i) += options.gmin;
+  }
+
+  if (!lu.factor(a)) {
+    ++stats.singular_matrices;
+    return NewtonOutcome::kSingular;
+  }
+  lu.solve(z, x_new);
+  ++stats.newton_iterations;
+
+  // Convergence: voltages and currents checked against their own
+  // tolerances (SPICE reltol simplified to absolute tolerances here).
+  bool converged = true;
+  for (std::size_t i = 0; i < x.size(); ++i) {
+    const double tol = i < nodes ? options.v_tolerance : options.i_tolerance;
+    const double scale = 1.0 + std::fabs(x_new[i]) * 1e-3 / tol;
+    if (std::fabs(x_new[i] - x[i]) > tol * scale) {
+      converged = false;
+      break;
+    }
+  }
+  std::copy(x_new.begin(), x_new.end(), x.begin());
+  return converged && (ctx.iteration > 0 || !nonlinear)
+             ? NewtonOutcome::kSettled
+             : NewtonOutcome::kMoving;
+}
+
+/// A whole Newton solve at fixed (t, dt) for the DC analyses. `x` carries
+/// the initial iterate in and the solution out.
+bool solve_point(Circuit& circuit, EvalContext ctx, const EngineOptions& options,
+                 std::vector<double>& x, CircuitStats& stats) {
+  detail::NewtonScratch scratch(x.size());
+  const bool nonlinear = any_nonlinear(circuit);
+  const int max_iters = nonlinear ? options.max_newton_iterations : 1;
+  for (ctx.iteration = 0; ctx.iteration < max_iters; ++ctx.iteration) {
+    switch (newton_iteration(circuit, ctx, options, nonlinear, x, scratch,
+                             stats)) {
+      case NewtonOutcome::kSingular:
+        return false;
+      case NewtonOutcome::kSettled:
+        return true;
+      case NewtonOutcome::kMoving:
+        break;
+    }
+  }
+  return !nonlinear;
 }
 
 [[nodiscard]] core::Error invalid(std::string detail) {
@@ -120,7 +139,8 @@ core::Error solve_dc(Circuit& circuit, std::vector<double>& x,
   ctx.t = 0.0;
   ctx.dt = 0.0;
   ctx.node_count = circuit.node_count();
-  if (!solve_point(circuit, ctx, options, x, stats)) {
+  CircuitStats local;
+  if (!solve_point(circuit, ctx, options, x, stats ? *stats : local)) {
     return core::make_error(core::ErrorCode::kSolverDiverged,
                             "DC operating point did not converge");
   }
@@ -140,9 +160,7 @@ TransientMachine::TransientMachine(Circuit& circuit,
   nodes_ = circuit_.node_count();
   x_.assign(n, 0.0);
   x_trial_.assign(n, 0.0);
-  x_new_.assign(n, 0.0);
-  z_.assign(n, 0.0);
-  a_.resize(n, n);
+  newton_ = detail::NewtonScratch(n);
 
   needs_iteration_ = any_nonlinear(circuit_);
   max_iters_ = needs_iteration_ ? options_.engine.max_newton_iterations : 1;
@@ -151,7 +169,7 @@ TransientMachine::TransientMachine(Circuit& circuit,
   EvalContext dc_ctx;
   dc_ctx.dc = true;
   dc_ctx.node_count = nodes_;
-  if (!solve_point(circuit_, dc_ctx, options_.engine, x_, stats_)) {
+  if (!solve_point(circuit_, dc_ctx, options_.engine, x_, *stats_)) {
     ++stats_->hard_failures;
     if (error_.ok()) {
       error_ = core::make_error(core::ErrorCode::kSolverDiverged,
@@ -202,7 +220,7 @@ void TransientMachine::prepare_step() {
   ctx_.node_count = nodes_;
 
   std::copy(x_.begin(), x_.end(), x_trial_.begin());  // iterate seed
-  iter_ = 0;
+  ctx_.iteration = 0;
 }
 
 void TransientMachine::accept_step() {
@@ -224,15 +242,15 @@ void TransientMachine::reject_step() {
   ++stats_->steps_rejected;
   if (dt_ <= options_.dt_min * 4.0) {
     ++stats_->hard_failures;
+    ++stats_->forced_accepts;
     if (error_.ok()) {
       error_ = core::make_error(
           core::ErrorCode::kSolverDiverged,
           "transient step failed to converge at dt_min (t = " +
               std::to_string(ctx_.t) + " s); forced acceptance");
     }
-    // Force-accept to make progress (after logging), as commercial
-    // solvers do following a convergence warning.
-    util::log_warning("ckt.engine", "forced acceptance at dt_min");
+    // Force-accept to make progress, as commercial solvers do following a
+    // convergence warning.
     accept_step();
   } else {
     dt_ *= 0.25;
@@ -243,49 +261,20 @@ void TransientMachine::reject_step() {
 void TransientMachine::advance() {
   if (done_) return;
 
-  // One Newton iteration at the pending iterate — the exact per-iteration
-  // body of solve_point() above (same operations, same order, so the
-  // machine-driven transient is bitwise identical to the one-shot solve).
-  a_.fill(0.0);
-  std::fill(z_.begin(), z_.end(), 0.0);
-  ctx_.x = x_trial_;
-
-  Stamper stamper(a_, z_, x_trial_, nodes_);
-  for (const auto& device : circuit_.devices()) {
-    device->stamp(stamper, ctx_);
-  }
-  for (std::size_t i = 0; i < nodes_; ++i) {
-    a_.at(i, i) += options_.engine.gmin;
-  }
-
-  if (!lu_.factor(a_)) {
-    util::log_warning("ckt.engine", "singular MNA matrix");
-    reject_step();
-    return;
-  }
-  lu_.solve(z_, x_new_);
-  ++stats_->newton_iterations;
-
-  bool converged = true;
-  for (std::size_t i = 0; i < x_new_.size(); ++i) {
-    const double tol = i < nodes_ ? options_.engine.v_tolerance
-                                  : options_.engine.i_tolerance;
-    const double scale = 1.0 + std::fabs(x_new_[i]) * 1e-3 / tol;
-    if (std::fabs(x_new_[i] - x_trial_[i]) > tol * scale) {
-      converged = false;
+  switch (newton_iteration(circuit_, ctx_, options_.engine, needs_iteration_,
+                           x_trial_, newton_, *stats_)) {
+    case NewtonOutcome::kSingular:
+      reject_step();
+      return;
+    case NewtonOutcome::kSettled:
+      accept_step();
+      return;
+    case NewtonOutcome::kMoving:
       break;
-    }
   }
-  std::copy(x_new_.begin(), x_new_.end(), x_trial_.begin());
-
-  if (converged && (needs_iteration_ ? iter_ > 0 : true)) {
-    accept_step();
-    return;
-  }
-  ++iter_;
-  if (iter_ >= max_iters_) {
+  if (++ctx_.iteration >= max_iters_) {
     // A linear circuit is accepted after its single solve either way
-    // (solve_point's `return !needs_iteration` fall-through).
+    // (solve_point's `return !nonlinear` fall-through).
     if (needs_iteration_) {
       reject_step();
     } else {
@@ -302,16 +291,6 @@ core::Error run_transient(Circuit& circuit, const TransientOptions& options,
   TransientMachine machine(circuit, options, on_accept, stats, &gate);
   while (!machine.done()) machine.advance();
   return machine.error();
-}
-
-bool dc_operating_point(Circuit& circuit, std::vector<double>& x,
-                        const EngineOptions& options, CircuitStats* stats) {
-  return solve_dc(circuit, x, options, stats).ok();
-}
-
-bool transient(Circuit& circuit, const TransientOptions& options,
-               const SolutionCallback& on_accept, CircuitStats* stats) {
-  return run_transient(circuit, options, on_accept, stats).ok();
 }
 
 }  // namespace ferro::ckt

@@ -3,14 +3,19 @@
 // Per trial step the engine runs SPICE-style successive linearisation
 // (rebuild companion stamps at the iterate, LU-solve, repeat until the
 // iterate settles). Non-convergence shrinks the step; devices only commit
-// state on acceptance.
+// state on acceptance. One Newton-iteration body (engine.cpp) serves both
+// analyses, and EvalContext::iteration tells devices which iterate of the
+// trial step they stamp at: the JA cores latch their field-event decision
+// at the seed iterate (ckt/core_companion.hpp), which is what makes their
+// steps converge in a few iterations.
 //
 // Two layers:
 //   * run_transient()/solve_dc() — the structured API: options validated up
 //     front (core::ErrorCode::kInvalidScenario), Newton non-convergence and
 //     dt-collapse latched as kSolverDiverged, RunLimits honoured as
-//     kCancelled/kDeadlineExceeded. The legacy bool entry points remain as
-//     deprecated shims.
+//     kCancelled/kDeadlineExceeded. What the engine had to do along the way
+//     (singular matrices, forced accepts) is counted in CircuitStats, not
+//     logged.
 //   * TransientMachine — the same transient loop decomposed into one Newton
 //     iteration per advance() call, bitwise identical to run_transient()
 //     (which is implemented on top of it). This is the seam the circuit
@@ -56,8 +61,26 @@ struct CircuitStats {
   std::uint64_t steps_accepted = 0;
   std::uint64_t steps_rejected = 0;
   std::uint64_t newton_iterations = 0;
-  std::uint64_t hard_failures = 0;
+  std::uint64_t hard_failures = 0;      ///< DC failures plus forced accepts
+  std::uint64_t singular_matrices = 0;  ///< iterations on a singular MNA matrix
+  std::uint64_t forced_accepts = 0;     ///< steps accepted unconverged at dt_min
 };
+
+namespace detail {
+
+/// Scratch of one Newton iteration: MNA matrix, right-hand side, next
+/// iterate and LU factorisation, sized for n unknowns.
+struct NewtonScratch {
+  explicit NewtonScratch(std::size_t n = 0)
+      : a(n, n), z(n, 0.0), x_new(n, 0.0) {}
+
+  ams::Matrix a;
+  std::vector<double> z;
+  std::vector<double> x_new;
+  ams::LuSolver lu;
+};
+
+}  // namespace detail
 
 /// Solution view passed to callbacks: node voltages then branch currents.
 struct Solution {
@@ -93,12 +116,13 @@ using SolutionCallback = std::function<void(const Solution&)>;
 /// The returned Error is the FIRST structured failure of the run:
 ///   * kInvalidScenario — options rejected by validate(); nothing ran;
 ///   * kSolverDiverged  — the DC point failed, or a trial step collapsed to
-///     dt_min and was force-accepted (the waveform still completes, exactly
-///     as before — the error reports that its accuracy is compromised);
+///     dt_min and was force-accepted (the waveform still completes — the
+///     error reports that its accuracy is compromised; stats->forced_accepts
+///     counts every such step);
 ///   * kCancelled / kDeadlineExceeded — `limits` stopped the run at a step
 ///     boundary; the waveform up to that point was delivered;
-///   * Error{} (ok) — clean run. stats->hard_failures mirrors the
-///     kSolverDiverged cases for callers migrating off the bool API.
+///   * Error{} (ok) — clean run. stats->hard_failures counts every
+///     kSolverDiverged case, not just the first.
 [[nodiscard]] core::Error run_transient(Circuit& circuit,
                                         const TransientOptions& options,
                                         const SolutionCallback& on_accept,
@@ -171,29 +195,13 @@ class TransientMachine {
 
   double t_ = 0.0;
   double dt_ = 0.0;
-  int iter_ = 0;
   bool done_ = false;
   core::Error error_;
 
   EvalContext ctx_;
   std::vector<double> x_;        ///< last accepted solution
   std::vector<double> x_trial_;  ///< current Newton iterate
-  std::vector<double> x_new_;
-  std::vector<double> z_;
-  ams::Matrix a_;
-  ams::LuSolver lu_;
+  detail::NewtonScratch newton_;
 };
-
-/// Deprecated bool shims (pre-PR-10 API). They now route through the
-/// structured entry points, so invalid options return false without running
-/// (previously they ran with silently clamped values).
-[[deprecated("use solve_dc(), which reports a structured core::Error")]]
-bool dc_operating_point(Circuit& circuit, std::vector<double>& x,
-                        const EngineOptions& options = {},
-                        CircuitStats* stats = nullptr);
-
-[[deprecated("use run_transient(), which reports a structured core::Error")]]
-bool transient(Circuit& circuit, const TransientOptions& options,
-               const SolutionCallback& on_accept, CircuitStats* stats = nullptr);
 
 }  // namespace ferro::ckt

@@ -1,6 +1,7 @@
 #include "ckt/ja_inductor.hpp"
 
-#include <cmath>
+#include <optional>
+#include <utility>
 
 namespace ferro::ckt {
 
@@ -12,22 +13,17 @@ JaInductor::JaInductor(std::string name, NodeId a, NodeId b,
       a_(a),
       b_(b),
       geometry_(geometry),
-      model_(params, config) {
-  lambda_prev_ = geometry_.linkage_from_b(model_.flux_density());
+      core_(params, config) {
+  lambda_prev_ = geometry_.linkage_from_b(model().flux_density());
 }
 
-double JaInductor::linkage_at(double i) const {
-  mag::TimelessJa trial = model_;  // copy of the committed magnetic state
-  trial.apply(geometry_.field_from_current(i));
-  return geometry_.linkage_from_b(trial.flux_density());
+double JaInductor::difference_di(double i_k, bool seed) const {
+  return geometry_.current_from_field(
+      core_.difference_step(geometry_.field_from_current(i_k), seed));
 }
 
 double JaInductor::trial_di(double i_k) const {
-  // Differential inductance perturbation: spans at least one event
-  // threshold so the irreversible branch is represented, not just the
-  // reversible slope.
-  return std::max(geometry_.current_from_field(1.5 * model_.config().dhmax),
-                  1e-9 + 1e-6 * std::fabs(i_k));
+  return difference_di(i_k, i_k == i_prev_);
 }
 
 void JaInductor::arm_trial(double b_at, double b_plus, double b_minus,
@@ -53,23 +49,24 @@ void JaInductor::stamp(Stamper& s, const EvalContext& ctx) {
   }
 
   const double i_k = s.i(br);
+  const bool seed = ctx.iteration == 0;
+  core_.latch(geometry_.field_from_current(i_k), seed);
+  const double di = difference_di(i_k, seed);
 
-  // Differential inductance by central difference across the committed
-  // state. Armed: the three trial flux densities were batch-evaluated by
-  // the Monte-Carlo packer (same expressions, SoA lanes); unarmed: three
-  // scalar model copies.
-  double lambda_k, l_eff;
-  if (armed_) {
-    armed_ = false;
-    lambda_k = geometry_.linkage_from_b(armed_b_at_);
-    l_eff = (geometry_.linkage_from_b(armed_b_plus_) -
-             geometry_.linkage_from_b(armed_b_minus_)) /
-            (2.0 * armed_di_);
-  } else {
-    lambda_k = linkage_at(i_k);
-    const double di = trial_di(i_k);
-    l_eff = (linkage_at(i_k + di) - linkage_at(i_k - di)) / (2.0 * di);
-  }
+  // Packer-armed values stand in for the evaluations they equal (see
+  // arm_trial); the slope pair only when it was taken at the same di.
+  const bool armed = std::exchange(armed_, false);
+  const bool armed_pair = armed && armed_di_ == di;
+  const auto lambda_at = [&](double i, bool natural, bool use_armed,
+                             double armed_b) {
+    return geometry_.linkage_from_b(
+        core_.b_at(geometry_.field_from_current(i), natural,
+                   use_armed ? std::optional<double>(armed_b) : std::nullopt));
+  };
+  const double lambda_k = lambda_at(i_k, false, armed, armed_b_at_);
+  const double l_eff = (lambda_at(i_k + di, seed, armed_pair, armed_b_plus_) -
+                        lambda_at(i_k - di, seed, armed_pair, armed_b_minus_)) /
+                       (2.0 * di);
 
   // Trapezoidal: v = (2/dt)(lambda - lambda_prev) - v_prev
   // Backward Euler: v = (lambda - lambda_prev)/dt
@@ -90,8 +87,8 @@ void JaInductor::commit(const EvalContext& ctx, std::span<const double> x) {
   const double vb = b_ == kGround ? 0.0 : x[static_cast<std::size_t>(b_)];
 
   armed_ = false;  // a pending arming must never outlive its iteration
-  model_.apply(geometry_.field_from_current(i));
-  lambda_prev_ = geometry_.linkage_from_b(model_.flux_density());
+  core_.commit(geometry_.field_from_current(i), ctx.dc);
+  lambda_prev_ = geometry_.linkage_from_b(model().flux_density());
   i_prev_ = i;
   v_prev_ = va - vb;
 }

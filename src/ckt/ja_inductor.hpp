@@ -5,11 +5,14 @@
 // Branch formulation: the winding equation is v = d(lambda)/dt with
 // lambda(i) = N * A * B(H), H = N*i/l, and B supplied by the hysteresis
 // model. Each Newton iteration linearises lambda around the present
-// current using the model's differential behaviour evaluated from the
-// *committed* magnetic state; the state advances only in commit(), so
-// rejected steps never pollute the hysteresis trajectory.
+// current on the branch the CoreCompanion latched for the trial step: an
+// event fires only when an iterate of the step crosses |H - anchor| >
+// dhmax, and the decision then holds for the rest of the solve and for
+// the commit. The state advances only in commit(), so rejected steps
+// never pollute the hysteresis trajectory.
 #pragma once
 
+#include "ckt/core_companion.hpp"
 #include "ckt/device.hpp"
 #include "mag/bh.hpp"
 #include "mag/ja_params.hpp"
@@ -28,34 +31,37 @@ class JaInductor final : public Device {
   [[nodiscard]] bool nonlinear() const override { return true; }
 
   /// Committed core observables (for probes and tests).
-  [[nodiscard]] double field() const { return model_.state().present_h; }
-  [[nodiscard]] double flux_density() const { return model_.flux_density(); }
+  [[nodiscard]] double field() const { return model().state().present_h; }
+  [[nodiscard]] double flux_density() const { return model().flux_density(); }
   [[nodiscard]] double current() const { return i_prev_; }
-  [[nodiscard]] const mag::TimelessJa& model() const { return model_; }
+  [[nodiscard]] const mag::TimelessJa& model() const { return core_.model(); }
   [[nodiscard]] const mag::CoreGeometry& geometry() const { return geometry_; }
 
   /// The central-difference current perturbation stamp() uses around the
-  /// iterate current `i_k` — exposed so the Monte-Carlo packer evaluates the
-  /// identical three trial points the scalar path would.
+  /// iterate current `i_k`: wide on a trial step's seed iterate, recognised
+  /// here as the committed current bit for bit, narrow afterwards. Exposed
+  /// so the Monte-Carlo packer evaluates the trial points the scalar path
+  /// would; where it guesses the iterate wrong, the stamp only loses the
+  /// armed slope pair.
   [[nodiscard]] double trial_di(double i_k) const;
 
   /// Pre-arms the next (non-DC) stamp() with externally evaluated trial
-  /// flux densities from the COMMITTED magnetic state: `b_at` at the iterate
+  /// flux densities from the COMMITTED magnetic state, each with the event
+  /// decision apply(h) takes at its own field: `b_at` at the iterate
   /// current i_k, `b_plus`/`b_minus` at i_k +/- `di` (di from trial_di(i_k)).
-  /// The armed stamp skips its three scalar model copies and consumes these
-  /// instead — arithmetically identical when the caller computed them with
-  /// the exact SoA lanes (TimelessJaBatch kExact is bitwise-equal to the
+  /// The stamp uses a value wherever it lies on the branch the stamp
+  /// evaluates and evaluates that branch itself otherwise, so arming never
+  /// changes a result (TimelessJaBatch kExact is bitwise-equal to the
   /// scalar model). One-shot: consumed by the next stamp(), so the packer
   /// re-arms before every Newton iteration.
   void arm_trial(double b_at, double b_plus, double b_minus, double di);
 
  private:
-  /// lambda(i) evaluated from the committed state (trial, non-committing).
-  [[nodiscard]] double linkage_at(double i) const;
+  [[nodiscard]] double difference_di(double i_k, bool seed) const;
 
   NodeId a_, b_;
   mag::CoreGeometry geometry_;
-  mag::TimelessJa model_;
+  CoreCompanion core_;
   double i_prev_ = 0.0;
   double v_prev_ = 0.0;
   double lambda_prev_;

@@ -24,9 +24,12 @@
 // group inside one chunk steps together — before every Newton iteration the
 // runner reads each machine's iterate, evaluates ALL their JaInductor trial
 // points (3 per core: at, +di, -di) as one mag::TimelessJaBatch block, and
-// arms the inductors so their stamps consume the batched flux densities.
-// With BatchMath::kExact the SoA lanes are bitwise-identical to the scalar
-// model, so kPackedExact equals kScalar equals a direct ckt::run_transient —
+// arms the inductors so their stamps consume the batched flux densities
+// wherever those lie on the event branch the core latched for the trial
+// step (the stamp evaluates the branch itself elsewhere, see
+// ckt/core_companion.hpp). With BatchMath::kExact the SoA lanes are
+// bitwise-identical to the scalar model, so kPackedExact equals kScalar
+// equals a direct ckt::run_transient —
 // verified down to the last waveform bit by the tests. Cores whose config
 // the batch kernel does not cover (and every non-JaInductor device) simply
 // keep their scalar stamp path inside the same lockstep loop.

@@ -1,6 +1,6 @@
 #include "ckt/transformer.hpp"
 
-#include <cmath>
+#include <utility>
 
 namespace ferro::ckt {
 
@@ -16,8 +16,8 @@ JaTransformer::JaTransformer(std::string name, NodeId pa, NodeId pb, NodeId sa,
       sb_(sb),
       geometry_(geometry),
       ns_(static_cast<double>(turns_secondary)),
-      model_(params, config) {
-  const double b0 = model_.flux_density();
+      core_(params, config) {
+  const double b0 = model().flux_density();
   lambda_p_prev_ = static_cast<double>(geometry_.turns) * geometry_.area * b0;
   lambda_s_prev_ = ns_ * geometry_.area * b0;
 }
@@ -25,12 +25,6 @@ JaTransformer::JaTransformer(std::string name, NodeId pa, NodeId pb, NodeId sa,
 double JaTransformer::field_at(double ip, double is) const {
   return (static_cast<double>(geometry_.turns) * ip + ns_ * is) /
          geometry_.path_length;
-}
-
-double JaTransformer::b_at(double h) const {
-  mag::TimelessJa trial = model_;
-  trial.apply(h);
-  return trial.flux_density();
 }
 
 void JaTransformer::stamp(Stamper& s, const EvalContext& ctx) {
@@ -58,15 +52,17 @@ void JaTransformer::stamp(Stamper& s, const EvalContext& ctx) {
   const double ip_k = s.i(brp);
   const double is_k = s.i(brs);
   const double h_k = field_at(ip_k, is_k);
-  const double b_k = b_at(h_k);
+  const bool seed = ctx.iteration == 0;
+  core_.latch(h_k, seed);
+  const double b_k = core_.b_at(h_k, false);
   const double lambda_p_k = np * geometry_.area * b_k;
   const double lambda_s_k = ns_ * geometry_.area * b_k;
 
-  // Differential permeability across the committed state (central diff,
-  // spanning the event threshold like JaInductor).
-  const double dh = std::max(1.5 * model_.config().dhmax,
-                             1e-6 * (1.0 + std::fabs(h_k)));
-  const double db_dh = (b_at(h_k + dh) - b_at(h_k - dh)) / (2.0 * dh);
+  // Differential permeability from the committed state (central difference,
+  // wide across the event threshold on the seed iterate, see CoreCompanion).
+  const double dh = core_.difference_step(h_k, seed);
+  const double db_dh =
+      (core_.b_at(h_k + dh, seed) - core_.b_at(h_k - dh, seed)) / (2.0 * dh);
 
   // d(lambda_w)/d(i_u) = N_w * A * dB/dH * N_u / l
   const double common = geometry_.area * db_dh / geometry_.path_length;
@@ -103,8 +99,8 @@ void JaTransformer::commit(const EvalContext& ctx, std::span<const double> x) {
   const double ip = x[ctx.node_count + brp];
   const double is = x[ctx.node_count + brp + 1];
 
-  model_.apply(field_at(ip, is));
-  const double b = model_.flux_density();
+  core_.commit(field_at(ip, is), ctx.dc);
+  const double b = model().flux_density();
   lambda_p_prev_ = static_cast<double>(geometry_.turns) * geometry_.area * b;
   lambda_s_prev_ = ns_ * geometry_.area * b;
 

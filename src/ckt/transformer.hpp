@@ -3,9 +3,13 @@
 // Both windings magnetise the same core: H = (Np*ip + Ns*is)/l. Winding
 // equations are vp = d(lambda_p)/dt, vs = d(lambda_s)/dt with
 // lambda_p = Np*A*B(H), lambda_s = Ns*A*B(H). The shared B(H) couples the
-// two branch rows through the core's differential permeability.
+// two branch rows through the core's differential permeability, taken on
+// the branch the CoreCompanion latched for the trial step (an event fires
+// only when an iterate crosses |H - anchor| > dhmax, and the decision then
+// holds for the rest of the solve and for the commit).
 #pragma once
 
+#include "ckt/core_companion.hpp"
 #include "ckt/device.hpp"
 #include "mag/bh.hpp"
 #include "mag/ja_params.hpp"
@@ -27,22 +31,20 @@ class JaTransformer final : public Device {
   void commit(const EvalContext& ctx, std::span<const double> x) override;
   [[nodiscard]] bool nonlinear() const override { return true; }
 
-  [[nodiscard]] double field() const { return model_.state().present_h; }
-  [[nodiscard]] double flux_density() const { return model_.flux_density(); }
+  [[nodiscard]] double field() const { return model().state().present_h; }
+  [[nodiscard]] double flux_density() const { return model().flux_density(); }
   [[nodiscard]] double primary_current() const { return ip_prev_; }
   [[nodiscard]] double secondary_current() const { return is_prev_; }
-  [[nodiscard]] const mag::TimelessJa& model() const { return model_; }
+  [[nodiscard]] const mag::TimelessJa& model() const { return core_.model(); }
 
  private:
   /// Core field for winding currents (ip, is).
   [[nodiscard]] double field_at(double ip, double is) const;
-  /// Flux density from the committed state at trial field h.
-  [[nodiscard]] double b_at(double h) const;
 
   NodeId pa_, pb_, sa_, sb_;
   mag::CoreGeometry geometry_;
   double ns_;  ///< secondary turns
-  mag::TimelessJa model_;
+  CoreCompanion core_;
   double ip_prev_ = 0.0, is_prev_ = 0.0;
   double vp_prev_ = 0.0, vs_prev_ = 0.0;
   double lambda_p_prev_, lambda_s_prev_;

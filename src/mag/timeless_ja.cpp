@@ -146,15 +146,16 @@ void TimelessJa::integrate_step(double h_target, double dh) {
   ++stats_.integration_steps;
 }
 
-double TimelessJa::apply(double h) {
+double TimelessJa::apply(double h, bool event) {
   ++stats_.samples;
 
   // core(): the algebraic part refreshes on every field sample.
   refresh_algebraic(h);
 
-  // monitorH(): fire an integration event only on sufficient field movement.
-  const double dh_total = h - state_.anchor_h;
-  if (std::fabs(dh_total) > config_.dhmax) {
+  // monitorH(): fire an integration event only on sufficient field movement
+  // (apply(h) decides |h - anchor| > dhmax).
+  if (event) {
+    const double dh_total = h - state_.anchor_h;
     ++stats_.field_events;
 
     if (config_.substep_max > 0.0 && std::fabs(dh_total) > config_.substep_max) {

@@ -20,6 +20,7 @@
 // field increments.
 #pragma once
 
+#include <cmath>
 #include <cstdint>
 
 #include "mag/anhysteretic.hpp"
@@ -94,7 +95,15 @@ class TimelessJa {
   /// Applies a new field sample H [A/m]: refreshes the algebraic part and,
   /// when |H - anchor| exceeds dhmax, integrates the slope. Returns the
   /// normalised total magnetisation after the update.
-  double apply(double h);
+  double apply(double h) {
+    return apply(h, std::fabs(h - state_.anchor_h) > config_.dhmax);
+  }
+
+  /// apply() with the field-event decision made by the caller: `event`
+  /// integrates the slope over H - anchor whatever its size, !event only
+  /// refreshes the algebraic part. The circuit devices hold one decision
+  /// for a whole Newton solve (ckt/core_companion.hpp).
+  double apply(double h, bool event);
 
   /// Magnetisation M [A/m] = Ms * m_total.
   [[nodiscard]] double magnetisation() const;

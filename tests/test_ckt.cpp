@@ -392,23 +392,62 @@ TEST(Transient, TinyDeadlineReportsDeadlineExceeded) {
   EXPECT_EQ(error.code, ferro::core::ErrorCode::kDeadlineExceeded);
 }
 
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-TEST(Transient, DeprecatedBoolShimsStillWork) {
-  // The bool API must keep returning the old true/false contract until its
-  // callers are gone; success here means the structured path succeeded too.
-  auto ckt = make_rc();
-  std::vector<double> x;
-  EXPECT_TRUE(fk::dc_operating_point(ckt, x));
-  EXPECT_FALSE(x.empty());
+// --- Engine counters ---------------------------------------------------------
 
-  auto ckt2 = make_rc();
+namespace {
+
+/// A conductance to ground whose transient companion alternates between two
+/// values from one Newton iteration to the next, so no trial step settles.
+/// At DC it is an ordinary 1 mS conductance.
+class ChatteringConductance final : public fk::Device {
+ public:
+  ChatteringConductance(std::string name, fk::NodeId node)
+      : Device(std::move(name)), node_(node) {}
+
+  void stamp(fk::Stamper& s, const fk::EvalContext& ctx) override {
+    s.conductance(node_, fk::kGround,
+                  ctx.dc || ctx.iteration % 2 == 0 ? 1e-3 : 2e-3);
+  }
+  [[nodiscard]] bool nonlinear() const override { return true; }
+
+ private:
+  fk::NodeId node_;
+};
+
+}  // namespace
+
+TEST(Transient, ForcedAcceptsAreCounted) {
+  fk::Circuit ckt;
+  const auto in = ckt.node("in");
+  const auto out = ckt.node("out");
+  ckt.add<fk::VoltageSource>("V", in, fk::kGround, 1.0);
+  ckt.add<fk::Resistor>("R", in, out, 1000.0);
+  ckt.add<ChatteringConductance>("G", out);
+
   fk::TransientOptions options;
-  options.t_end = 1e-3;
-  EXPECT_TRUE(fk::transient(ckt2, options, {}));
-
-  auto ckt3 = make_rc();
-  options.dt_max = options.dt_initial / 10.0;  // invalid → false, not throw
-  EXPECT_FALSE(fk::transient(ckt3, options, {}));
+  options.t_end = 1e-5;
+  options.dt_initial = 1e-6;
+  options.dt_min = 1e-7;
+  options.engine.max_newton_iterations = 4;
+  fk::CircuitStats stats;
+  const auto error = fk::run_transient(ckt, options, {}, &stats);
+  EXPECT_EQ(error.code, ferro::core::ErrorCode::kSolverDiverged);
+  EXPECT_GT(stats.forced_accepts, 0u);
+  EXPECT_EQ(stats.forced_accepts, stats.hard_failures);  // DC converged
+  EXPECT_EQ(stats.forced_accepts, stats.steps_accepted);
+  EXPECT_EQ(stats.singular_matrices, 0u);
 }
-#pragma GCC diagnostic pop
+
+TEST(Dc, SingularMatrixIsCounted) {
+  // Two ideal sources fixing one node: the two branch rows coincide.
+  fk::Circuit ckt;
+  const auto n = ckt.node("n");
+  ckt.add<fk::VoltageSource>("V1", n, fk::kGround, 1.0);
+  ckt.add<fk::VoltageSource>("V2", n, fk::kGround, 2.0);
+  std::vector<double> x;
+  fk::CircuitStats stats;
+  EXPECT_EQ(fk::solve_dc(ckt, x, {}, &stats).code,
+            ferro::core::ErrorCode::kSolverDiverged);
+  EXPECT_EQ(stats.singular_matrices, 1u);
+  EXPECT_EQ(stats.newton_iterations, 0u);
+}

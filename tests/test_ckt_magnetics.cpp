@@ -1,11 +1,14 @@
 // Tests for the hysteretic circuit devices: JA-core inductor and
-// transformer inside the MNA transient engine.
+// transformer inside the MNA transient engine, and the latched event
+// decision of their shared core companion.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <memory>
 #include <vector>
 
+#include "ckt/core_companion.hpp"
 #include "ckt/engine.hpp"
 #include "ckt/ja_inductor.hpp"
 #include "ckt/netlist.hpp"
@@ -85,9 +88,17 @@ TEST(JaInductor, SineDriveMagnetisesCore) {
   EXPECT_EQ(stats.hard_failures, 0u);
 }
 
-TEST(JaInductor, VoltSecondBalance) {
-  // Faraday consistency: integral of the winding voltage equals the flux
-  // linkage swing of the committed model.
+namespace {
+
+struct VoltSeconds {
+  double integral = 0.0;      ///< trapezoidal integral of the winding voltage
+  double lambda_start = 0.0;  ///< committed flux linkage at t_start
+  double lambda_end = 0.0;    ///< committed flux linkage at t_end
+};
+
+/// One mains cycle of a 20 V drive through 2 Ohm into the core: deep into
+/// saturation on both half cycles.
+VoltSeconds volt_second_run(double dt_max) {
   fk::Circuit ckt;
   const auto in = ckt.node("in");
   const auto out = ckt.node("out");
@@ -100,27 +111,45 @@ TEST(JaInductor, VoltSecondBalance) {
   fk::TransientOptions options;
   options.t_end = 0.02;
   options.dt_initial = 1e-6;
-  options.dt_max = 2e-5;
+  options.dt_max = dt_max;
 
   const fm::CoreGeometry geom = small_core();
-  double volt_seconds = 0.0;
+  VoltSeconds run;
   double prev_t = 0.0, prev_v = 0.0;
   bool first = true;
-  double lambda_start = 0.0;
-  ASSERT_TRUE(fk::run_transient(ckt, options, [&](const fk::Solution& sol) {
+  EXPECT_TRUE(fk::run_transient(ckt, options, [&](const fk::Solution& sol) {
     const double v = sol.v(out);
     if (first) {
-      lambda_start = geom.linkage_from_b(core.flux_density());
+      run.lambda_start = geom.linkage_from_b(core.flux_density());
       first = false;
     } else {
-      volt_seconds += 0.5 * (v + prev_v) * (sol.t - prev_t);
+      run.integral += 0.5 * (v + prev_v) * (sol.t - prev_t);
     }
     prev_t = sol.t;
     prev_v = v;
   }).ok());
-  const double lambda_end = geom.linkage_from_b(core.flux_density());
-  const double swing = lambda_end - lambda_start;
-  EXPECT_NEAR(volt_seconds, swing, 0.05 * std::max(1e-3, std::fabs(swing)));
+  run.lambda_end = geom.linkage_from_b(core.flux_density());
+  return run;
+}
+
+}  // namespace
+
+TEST(JaInductor, VoltSecondBalance) {
+  // Faraday consistency: integral of the winding voltage equals the flux
+  // linkage swing of the committed model.
+  const VoltSeconds run = volt_second_run(2e-5);
+  const double swing = run.lambda_end - run.lambda_start;
+  EXPECT_NEAR(run.integral, swing, 0.005 * std::max(1e-3, std::fabs(swing)));
+}
+
+TEST(JaInductor, CoarseStepsEndOnTheSameBranch) {
+  // A 1e-4 s step moves the field across many event thresholds. The seed
+  // iterate's wide slope keeps Newton on the near root; a narrow one jumps
+  // to a far root on the other side of the loop (+0.009 Wb instead of
+  // -0.0157 Wb).
+  const double fine = volt_second_run(2e-5).lambda_end;
+  const double coarse = volt_second_run(1e-4).lambda_end;
+  EXPECT_NEAR(coarse, fine, 0.03 * std::fabs(fine));
 }
 
 TEST(JaInductor, CoreSaturationClampsFluxNotCurrent) {
@@ -288,4 +317,107 @@ TEST(Transformer, CoreStateExposed) {
   EXPECT_NE(xfmr.flux_density(), 0.0);
   EXPECT_NE(xfmr.field(), 0.0);
   EXPECT_NE(xfmr.primary_current(), 0.0);
+}
+
+// --- Latched event decision (CoreCompanion) ---------------------------------
+
+TEST(CoreCompanion, DecisionSwitchesOnlyFromNoEventToEvent) {
+  const fm::TimelessConfig config = core_config();  // dhmax 5, anchor at 0
+  fk::CoreCompanion core(fm::paper_parameters(), config);
+  const double far = 2.0 * config.dhmax;
+  const double near = 0.5 * config.dhmax;
+  const auto natural = [&](double h) { return core.b_at(h, true); };
+
+  core.latch(near, /*seed=*/true);  // seed inside the threshold: no event
+  EXPECT_NE(core.b_at(far, false), natural(far));
+  core.latch(far, false);  // a later iterate crosses: event from now on
+  EXPECT_EQ(core.b_at(far, false), natural(far));
+  core.latch(near, false);  // ... and an iterate back inside keeps it
+  EXPECT_NE(core.b_at(near, false), natural(near));
+  core.latch(near, true);  // the next trial step's seed decides afresh
+  EXPECT_EQ(core.b_at(near, false), natural(near));
+
+  // commit() takes the latched branch: an event inside the threshold.
+  core.latch(far, false);
+  core.commit(near, /*natural=*/false);
+  EXPECT_EQ(core.model().stats().field_events, 1u);
+  EXPECT_EQ(core.model().state().anchor_h, near);
+}
+
+namespace {
+
+struct DeckRun {
+  double peak = 0.0;  ///< |i| peak of the probed winding [A]
+  fk::CircuitStats stats;
+};
+
+/// One mains cycle of `ckt` at step bound dt_max, recording the |i| peak of
+/// branch 1 (the winding after the source's branch).
+DeckRun run_deck(fk::Circuit& ckt, double dt_max) {
+  fk::TransientOptions options;
+  options.t_end = 0.02;
+  options.dt_initial = std::min(1e-6, dt_max);
+  options.dt_max = dt_max;
+  DeckRun run;
+  EXPECT_TRUE(fk::run_transient(
+                  ckt, options,
+                  [&](const fk::Solution& sol) {
+                    run.peak =
+                        std::max(run.peak, std::fabs(sol.branch_current(1)));
+                  },
+                  &run.stats)
+                  .ok());
+  return run;
+}
+
+/// The nominal corner of the repository benchmark's inrush deck.
+DeckRun inrush_deck(double dt_max) {
+  fk::Circuit ckt;
+  const auto in = ckt.node("in");
+  const auto out = ckt.node("out");
+  ckt.add<fk::VoltageSource>("V", in, fk::kGround,
+                             std::make_shared<fw::Sine>(8.0, 50.0));
+  ckt.add<fk::Resistor>("R", in, out, 0.8);
+  ckt.add<fk::JaInductor>("Lcore", out, fk::kGround, small_core(),
+                          fm::paper_parameters(), core_config());
+  return run_deck(ckt, dt_max);
+}
+
+/// The nominal corner of the repository benchmark's transformer deck,
+/// probing the primary current.
+DeckRun transformer_deck(double dt_max) {
+  fk::Circuit ckt;
+  const auto p = ckt.node("p");
+  const auto s = ckt.node("s");
+  ckt.add<fk::VoltageSource>("V", p, fk::kGround,
+                             std::make_shared<fw::Sine>(1.5, 50.0));
+  ckt.add<fk::JaTransformer>("T", p, fk::kGround, s, fk::kGround,
+                             small_core(), 50, soft_params(), soft_config());
+  ckt.add<fk::Resistor>("Rload", s, fk::kGround, 100.0);
+  return run_deck(ckt, dt_max);
+}
+
+}  // namespace
+
+TEST(CoreCompanion, BenchmarkDecksConvergeInFewIterations) {
+  for (const DeckRun& run : {inrush_deck(2e-5), transformer_deck(2e-5)}) {
+    const fk::CircuitStats& st = run.stats;
+    EXPECT_EQ(st.hard_failures, 0u);
+    EXPECT_LE(static_cast<double>(st.newton_iterations),
+              5.0 * static_cast<double>(st.steps_accepted));
+    EXPECT_LT(static_cast<double>(st.steps_rejected),
+              0.02 * static_cast<double>(st.steps_accepted + st.steps_rejected));
+  }
+}
+
+TEST(CoreCompanion, PeaksConvergeInTheStepBound) {
+  // Fewer iterations must not mean a different answer: the peaks at the
+  // benchmark's dt_max match a run with a 100x finer step bound.
+  const double dt_max = 2e-5;
+  const double inrush = inrush_deck(dt_max).peak;
+  const double inrush_ref = inrush_deck(dt_max / 100.0).peak;
+  EXPECT_NEAR(inrush, inrush_ref, 0.01 * inrush_ref);
+  const double primary = transformer_deck(dt_max).peak;
+  const double primary_ref = transformer_deck(dt_max / 100.0).peak;
+  EXPECT_NEAR(primary, primary_ref, 0.02 * primary_ref);
 }

@@ -105,7 +105,8 @@ ckt::Probe parse_probe(const std::string& spec) {
   std::exit(2);
 }
 
-/// Streams one JSONL record per corner: index, verdict, stats, and one
+/// Streams one JSONL record per corner: index, verdict, stats (including
+/// what the engine had to do: singular matrices, forced accepts), and one
 /// min/max/abs-peak/final block per probe.
 class JsonlCornerSink final : public ckt::CornerSink {
  public:
@@ -130,6 +131,11 @@ class JsonlCornerSink final : public ckt::CornerSink {
     fields.push_back({"newton_iterations",
                       static_cast<std::uint64_t>(
                           result.stats.newton_iterations)});
+    fields.push_back({"singular_matrices",
+                      static_cast<std::uint64_t>(
+                          result.stats.singular_matrices)});
+    fields.push_back({"forced_accepts", static_cast<std::uint64_t>(
+                                            result.stats.forced_accepts)});
     for (std::size_t p = 0; p < result.probes.size(); ++p) {
       const ckt::ProbeSummary& s = result.probes[p];
       const std::string& base = probe_names_[p];
