@@ -4,9 +4,10 @@
 //
 // The workload is the identification inner loop isolated: N candidate
 // parameter sets (one optimizer generation) simulated over the same
-// measured excitation. BM_GenerationPacked drives them through
-// BatchRunner::run with Packing::kExact exactly like fit_ja_parameters
-// does;
+// measured excitation. BM_GenerationPacked drives them through one
+// BatchRunner::run with Packing::kExact on a hardware-sized runner (the
+// fitter instead gives each instance group a serial runner and runs the
+// groups concurrently, which only BM_FitSynthetic exercises);
 // BM_GenerationSerial runs the same candidates through run_scenario one at
 // a time in the calling thread — the way a fitter without the batch layer
 // would. BM_FitSynthetic times a complete (budget-capped) fit.

@@ -36,15 +36,8 @@ struct AmsJaResult {
   mag::BhCurve curve;            ///< (H, M, B) at accepted solver steps
   ams::TransientStats solver_stats;
   /// Discretisation counters of the timeless model replayed over the
-  /// solver-placed trajectory. Model-neutral name; `ja_stats` is the
-  /// deprecated pre-redesign alias.
+  /// solver-placed trajectory.
   mag::TimelessStats stats;
-  /// Deprecated alias of `stats` (the field was called `ja_stats` before
-  /// the model contract made the seam model-neutral).
-  [[deprecated("use AmsJaResult::stats")]]
-  [[nodiscard]] const mag::TimelessStats& ja_stats() const {
-    return stats;
-  }
   bool completed = false;
 };
 
@@ -74,7 +67,7 @@ struct AmsTrajectory {
 [[nodiscard]] mag::TimelessConfig ams_effective_timeless(
     const mag::TimelessConfig& timeless);
 
-/// The excitation JaFacade synthesises for a timeless sweep handed to the
+/// The excitation core::Facade synthesises for a timeless sweep handed to the
 /// kAms frontend: a 1 s piecewise-linear traversal of the sweep samples,
 /// with the corners as solver breakpoints. One definition so the facade and
 /// the packed planner cannot drift. `sweep` must be non-empty.

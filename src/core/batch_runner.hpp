@@ -2,9 +2,7 @@
 // across a persistent work-stealing thread pool, either collecting BH
 // curves plus loop metrics in deterministic job order or streaming them to
 // a ResultSink while workers are still computing. One entry-point family:
-// run(scenarios[, sink], RunOptions{packing, limits, stream}); the
-// pre-redesign run_packed/run_streaming/run_packed_streaming overloads
-// survive as deprecated shims.
+// run(scenarios[, sink], RunOptions{packing, limits, stream}).
 //
 // Each scenario is an independent simulation (the frontends share no mutable
 // state): result index i always corresponds to scenarios[i] and the payload
@@ -86,8 +84,7 @@ enum class Packing {
   kFast,
 };
 
-/// The packing a mag::BatchMath selection maps onto (the pre-RunOptions
-/// run_packed overloads took the kernel enum directly).
+/// The packing a mag::BatchMath selection maps onto.
 [[nodiscard]] constexpr Packing packing_for(mag::BatchMath math) {
   return math == mag::BatchMath::kFast ? Packing::kFast : Packing::kExact;
 }
@@ -125,10 +122,8 @@ struct StreamSummary {
   [[nodiscard]] bool ok() const { return sink_error.ok(); }
 };
 
-/// Everything one batch execution can be configured with. The pre-redesign
-/// overload sprawl (run/run_packed/run_streaming/run_packed_streaming, each
-/// times a limits variant) collapsed into this: pick a Packing, attach
-/// RunLimits, and — for the streaming overload — size the queue.
+/// Everything one batch execution can be configured with: pick a Packing,
+/// attach RunLimits, and — for the streaming overload — size the queue.
 struct RunOptions {
   Packing packing = Packing::kNone;
   /// Fault-tolerance limits: shared CancelToken, wall-clock deadline, error
@@ -187,46 +182,7 @@ class BatchRunner {
   StreamSummary run(const std::vector<Scenario>& scenarios, ResultSink& sink,
                     const RunOptions& options = {}) const;
 
-  // -- Deprecated pre-RunOptions entry points (thin shims) -----------------
-
-  [[deprecated("use run(scenarios, RunOptions{.limits = ...}, report)")]]
-  [[nodiscard]] std::vector<ScenarioResult> run(
-      const std::vector<Scenario>& scenarios, const RunLimits& limits,
-      BatchReport* report = nullptr) const {
-    return run(scenarios, RunOptions{Packing::kNone, limits, {}}, report);
-  }
-
-  [[deprecated("use run(scenarios, RunOptions{.packing = ...})")]]
-  [[nodiscard]] std::vector<ScenarioResult> run_packed(
-      const std::vector<Scenario>& scenarios,
-      mag::BatchMath math = mag::BatchMath::kExact) const {
-    return run(scenarios, RunOptions{packing_for(math), {}, {}}, nullptr);
-  }
-
-  [[deprecated("use run(scenarios, RunOptions{.packing = ..., .limits = ...})")]]
-  [[nodiscard]] std::vector<ScenarioResult> run_packed(
-      const std::vector<Scenario>& scenarios, mag::BatchMath math,
-      const RunLimits& limits, BatchReport* report = nullptr) const {
-    return run(scenarios, RunOptions{packing_for(math), limits, {}}, report);
-  }
-
-  [[deprecated("use run(scenarios, sink, RunOptions{...})")]]
-  StreamSummary run_streaming(const std::vector<Scenario>& scenarios,
-                              ResultSink& sink,
-                              const StreamOptions& stream = {},
-                              const RunLimits& limits = {}) const {
-    return run(scenarios, sink, RunOptions{Packing::kNone, limits, stream});
-  }
-
-  [[deprecated("use run(scenarios, sink, RunOptions{.packing = ...})")]]
-  StreamSummary run_packed_streaming(
-      const std::vector<Scenario>& scenarios, ResultSink& sink,
-      mag::BatchMath math = mag::BatchMath::kExact,
-      const StreamOptions& stream = {}, const RunLimits& limits = {}) const {
-    return run(scenarios, sink, RunOptions{packing_for(math), limits, stream});
-  }
-
-  /// True when run_packed() would route `scenario` through the SoA kernel.
+  /// True when a packed run() would route `scenario` through the SoA kernel.
   [[nodiscard]] static bool packable(const Scenario& scenario);
 
   /// The worker count `run` would use for `n_jobs` jobs (never more threads
@@ -241,14 +197,14 @@ class BatchRunner {
   /// once; callers on the parallel path must tolerate concurrent invocation.
   using EmitFn = std::function<void(std::size_t, ScenarioResult&&)>;
 
-  /// Per-scenario dispatch (the run()/run_streaming work distribution).
+  /// Per-scenario dispatch (the Packing::kNone work distribution).
   /// `gate` is polled per scenario; once it stops, remaining scenarios are
   /// emitted with its verdict instead of computed.
   void dispatch(const std::vector<Scenario>& scenarios, const EmitFn& emit,
                 RunGate& gate) const;
 
   /// Packed dispatch: SoA lane blocks fused with per-scenario fallback jobs
-  /// (the run_packed()/run_packed_streaming work distribution). `gate` is
+  /// (the Packing::kExact/kFast work distribution). `gate` is
   /// polled per work unit (fallback job / lane block / trajectory solve).
   void dispatch_packed(const std::vector<Scenario>& scenarios,
                        mag::BatchMath math, const EmitFn& emit,

@@ -1,10 +1,8 @@
 // Facade — the one-call public API: a model spec + frontend choice in,
 // BH curve out. This is what the quickstart example uses.
 //
-// Historically this was `JaFacade`, hard-wired to the Jiles-Atherton
-// backend; the model contract (mag/model.hpp) made the seam model-neutral,
-// so the type is now `Facade` over a core::ModelSpec and `JaFacade` is a
-// deprecated alias.
+// The type is model-neutral (mag/model.hpp): a `Facade` runs any
+// core::ModelSpec.
 #pragma once
 
 #include <string_view>
@@ -67,7 +65,5 @@ class Facade {
  private:
   ModelSpec spec_;
 };
-
-using JaFacade [[deprecated("use core::Facade")]] = Facade;
 
 }  // namespace ferro::core

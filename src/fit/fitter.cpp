@@ -1,14 +1,19 @@
 #include "fit/fitter.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
+#include <exception>
 #include <limits>
 #include <random>
+#include <span>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include "core/batch_runner.hpp"
 #include "core/scenario.hpp"
+#include "core/thread_pool.hpp"
 #include "fit/optimizer.hpp"
 
 namespace ferro::fit {
@@ -83,6 +88,103 @@ struct Instance {
   bool converged_once = false;
 };
 
+/// What one group of instances hands back to the fit.
+struct GroupOutcome {
+  std::size_t generations = 0;
+  std::size_t evaluations = 0;
+  bool stopped = false;  ///< the gate ended this group's search early
+  std::exception_ptr error;
+};
+
+/// The generation loop over one group of instances: gather every live
+/// instance's pending points, evaluate them as one packed batch through a
+/// serial runner, and tell each instance its slice of the values. Ends at a
+/// generation boundary once `gate` stops (a generation it interrupted is
+/// not told) or another group has `failed`.
+GroupOutcome run_group(std::span<Instance> group, const FitObjective& objective,
+                       const FitOptions& options, const Encoding& enc,
+                       const core::RunGate& gate,
+                       const std::atomic<bool>& failed) {
+  GroupOutcome out;
+  const core::BatchRunner runner(core::BatchOptions{1});
+  for (int gen = 0; gen < options.max_generations; ++gen) {
+    if (failed.load(std::memory_order_relaxed)) break;
+    if (gate.stopped()) {
+      out.stopped = true;
+      break;
+    }
+    // Gather every live instance's pending points; converged instances
+    // spend a restart or retire.
+    std::vector<std::size_t> owner;           // flat point -> instance
+    std::vector<std::vector<double>> points;  // flat normalised coordinates
+    for (std::size_t i = 0; i < group.size(); ++i) {
+      Instance& inst = group[i];
+      if (inst.done) continue;
+      if (inst.nm.converged()) {
+        inst.converged_once = true;
+        if (inst.restarts_left == 0) {
+          inst.done = true;
+          continue;
+        }
+        --inst.restarts_left;
+        inst.scale *= 0.5;
+        inst.nm.restart(inst.scale);
+      }
+      for (auto& p : inst.nm.ask()) {
+        owner.push_back(i);
+        points.push_back(std::move(p));
+      }
+    }
+    if (points.empty()) break;
+
+    // Decode and evaluate the whole generation as one packed batch.
+    std::vector<mag::JaParameters> params;
+    params.reserve(points.size());
+    for (const auto& x : points) params.push_back(enc.decode(x, options.start));
+    const auto scenarios = core::scenarios_for_parameters(
+        params, objective.config(), objective.sweep(), "fit/gen/");
+    core::RunLimits batch_limits;
+    batch_limits.cancel = options.limits.cancel;
+    if (options.limits.deadline_s > 0.0) {
+      batch_limits.deadline_s = gate.remaining_seconds();
+    }
+    const auto evaluated = runner.run(
+        scenarios,
+        core::RunOptions{core::packing_for(options.math), batch_limits, {}},
+        nullptr);
+    ++out.generations;
+    out.evaluations += evaluated.size();
+    if (gate.stopped()) {
+      // A generation interrupted mid-batch carries kCancelled results;
+      // telling those into the simplices would poison the incumbents, so
+      // the search ends at this boundary with the pre-generation state.
+      out.stopped = true;
+      break;
+    }
+
+    std::vector<double> values(points.size());
+    for (std::size_t j = 0; j < evaluated.size(); ++j) {
+      const double base = evaluated[j].ok()
+                              ? objective.residual(evaluated[j].curve)
+                              : std::numeric_limits<double>::infinity();
+      values[j] = base + Encoding::penalty(points[j]);
+    }
+
+    // Route each instance's slice of values back, in ask order.
+    std::size_t cursor = 0;
+    for (std::size_t i = 0; i < group.size(); ++i) {
+      std::vector<double> mine;
+      for (std::size_t j = cursor; j < owner.size() && owner[j] == i; ++j) {
+        mine.push_back(values[j]);
+      }
+      if (mine.empty()) continue;
+      cursor += mine.size();
+      group[i].nm.tell(mine);
+    }
+  }
+  return out;
+}
+
 }  // namespace
 
 FitResult fit_ja_parameters(const FitObjective& objective,
@@ -136,87 +238,46 @@ FitResult fit_ja_parameters(const FitObjective& objective,
         options.restarts, options.initial_scale, false, false});
   }
 
-  core::BatchRunner runner(core::BatchOptions{options.threads});
   // One gate for the whole fit: the deadline is anchored here, and every
   // generation's batch gets the same token plus whatever wall-clock is
   // left, so a deadline can interrupt even a single long generation.
   core::RunGate gate(options.limits);
+
+  // Instances share nothing until the winner is picked, so contiguous
+  // groups of ceil(M / threads) run as independent pool tasks with no
+  // barrier between them. An instance's trajectory does not depend on
+  // which others share its batches (packed lanes are partition-invariant),
+  // so the result is bitwise the same for every thread count.
+  unsigned threads = options.threads;
+  if (threads == 0) threads = std::max(std::thread::hardware_concurrency(), 1u);
+  const std::size_t per_group = (instances.size() + threads - 1) / threads;
+  const std::size_t n_groups = (instances.size() + per_group - 1) / per_group;
+  std::vector<GroupOutcome> outcomes(n_groups);
+  std::atomic<bool> failed{false};
+  core::ThreadPool pool(static_cast<unsigned>(n_groups));
+  pool.parallel_for(n_groups, 1, [&](std::size_t begin, std::size_t end) {
+    for (std::size_t g = begin; g < end; ++g) {
+      const std::size_t first = g * per_group;
+      const std::size_t count = std::min(per_group, instances.size() - first);
+      // An exception must not unwind into a pool worker (that terminates);
+      // it is rethrown to the caller once every group has returned.
+      try {
+        outcomes[g] = run_group({instances.data() + first, count}, objective,
+                                options, enc, gate, failed);
+      } catch (...) {
+        outcomes[g].error = std::current_exception();
+        failed.store(true, std::memory_order_relaxed);
+      }
+    }
+  });
+
   FitResult result;
   result.residual = std::numeric_limits<double>::infinity();
-
-  for (int gen = 0; gen < options.max_generations; ++gen) {
-    if (gate.stopped()) {
-      result.stop = gate.stop_error();
-      break;
-    }
-    // Gather every live instance's pending points; converged instances
-    // spend a restart or retire.
-    std::vector<std::size_t> owner;           // flat point -> instance
-    std::vector<std::vector<double>> points;  // flat normalised coordinates
-    for (std::size_t i = 0; i < instances.size(); ++i) {
-      Instance& inst = instances[i];
-      if (inst.done) continue;
-      if (inst.nm.converged()) {
-        inst.converged_once = true;
-        if (inst.restarts_left == 0) {
-          inst.done = true;
-          continue;
-        }
-        --inst.restarts_left;
-        inst.scale *= 0.5;
-        inst.nm.restart(inst.scale);
-      }
-      for (auto& p : inst.nm.ask()) {
-        owner.push_back(i);
-        points.push_back(std::move(p));
-      }
-    }
-    if (points.empty()) break;
-
-    // Decode and evaluate the whole generation as one packed batch.
-    std::vector<mag::JaParameters> params;
-    params.reserve(points.size());
-    for (const auto& x : points) params.push_back(enc.decode(x, options.start));
-    const auto scenarios = core::scenarios_for_parameters(
-        params, objective.config(), objective.sweep(), "fit/gen/");
-    core::RunLimits batch_limits;
-    batch_limits.cancel = options.limits.cancel;
-    if (options.limits.deadline_s > 0.0) {
-      batch_limits.deadline_s = gate.remaining_seconds();
-    }
-    const auto evaluated = runner.run(
-        scenarios,
-        core::RunOptions{core::packing_for(options.math), batch_limits, {}},
-        nullptr);
-    ++result.generations;
-    result.evaluations += evaluated.size();
-    if (gate.stopped()) {
-      // A generation interrupted mid-batch carries kCancelled results;
-      // telling those into the simplices would poison the incumbents, so
-      // the fit ends at this boundary with the pre-generation state.
-      result.stop = gate.stop_error();
-      break;
-    }
-
-    std::vector<double> values(points.size());
-    for (std::size_t j = 0; j < evaluated.size(); ++j) {
-      const double base = evaluated[j].ok()
-                              ? objective.residual(evaluated[j].curve)
-                              : std::numeric_limits<double>::infinity();
-      values[j] = base + Encoding::penalty(points[j]);
-    }
-
-    // Route each instance's slice of values back, in ask order.
-    std::size_t cursor = 0;
-    for (std::size_t i = 0; i < instances.size(); ++i) {
-      std::vector<double> mine;
-      for (std::size_t j = cursor; j < owner.size() && owner[j] == i; ++j) {
-        mine.push_back(values[j]);
-      }
-      if (mine.empty()) continue;
-      cursor += mine.size();
-      instances[i].nm.tell(mine);
-    }
+  for (const GroupOutcome& o : outcomes) {
+    if (o.error) std::rethrow_exception(o.error);
+    result.generations = std::max(result.generations, o.generations);
+    result.evaluations += o.evaluations;
+    if (o.stopped) result.stop = gate.stop_error();
   }
 
   // Winner: smallest incumbent across instances.

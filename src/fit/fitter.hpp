@@ -3,15 +3,19 @@
 // Forward problem: parameters -> BH loop (what the rest of the repo does).
 // This layer solves the inverse: given a measured loop, find (Ms, a, k, c,
 // alpha) whose simulated loop matches it. The search runs M independent
-// Nelder-Mead instances (multistart, deterministic seeding) in lockstep;
-// every generation gathers each instance's pending trial points, decodes
-// them into parameter sets, and evaluates the whole generation as ONE
-// homogeneous kDirect batch through one packed BatchRunner::run — the SoA
-// kernel treats an optimizer generation exactly like any other material
-// sweep. With BatchMath::kExact the evaluations are bitwise identical to
-// the serial model whatever the thread count, so a fit is reproducible
-// across machines and --threads settings; kFast trades bounded error for
-// speed.
+// Nelder-Mead instances (multistart, deterministic seeding). The instances
+// share nothing until the winner is picked, so they are split into
+// contiguous groups of ceil(M / T) (T = FitOptions::threads), and each group
+// runs as one core::ThreadPool task with no barrier between groups. Within a
+// group the instances advance in lockstep: every generation gathers each
+// live instance's pending trial points, decodes them into parameter sets,
+// and evaluates them as ONE homogeneous kDirect batch through a serial,
+// packed BatchRunner::run — the SoA kernel treats an optimizer generation
+// like any other material sweep. An instance's candidates score the same
+// whichever group they share a batch with, so the result does not depend
+// on the thread count. With BatchMath::kExact the evaluations are bitwise
+// identical to the serial model, so a fit is reproducible across machines
+// and --threads settings; kFast trades bounded error for speed.
 //
 // Search space: ms, a, k, alpha span decades, so they are encoded
 // log-uniformly over their bounds; c is bounded in [0, 1) and encoded
@@ -49,13 +53,18 @@ struct FitOptions {
   /// Simplex re-seeds around the incumbent after convergence, each at half
   /// the previous edge length (escapes collapsed simplices).
   int restarts = 2;
-  /// Generation cap across the whole fit (one generation = one packed
-  /// batch covering every live instance).
+  /// Generation cap of each group (one generation = one packed batch
+  /// covering every live instance of the group), so no instance is asked
+  /// for points more than this many times.
   int max_generations = 1500;
   double f_tol = 1e-14;         ///< simplex value-spread tolerance [T]
   double x_tol = 1e-10;         ///< simplex diameter tolerance (normalised)
   double initial_scale = 0.15;  ///< first simplex edge (normalised coords)
-  unsigned threads = 0;         ///< BatchRunner workers (0 = hardware)
+  /// Concurrent instance groups T (0 = hardware concurrency): the
+  /// instances split into contiguous groups of ceil(multistarts / T), each
+  /// searched by one pool worker with its own serial packed batches. Any T
+  /// gives the same result.
+  unsigned threads = 0;
   mag::BatchMath math = mag::BatchMath::kExact;
   std::uint32_t seed = 2006;    ///< multistart placement seed
   /// Template for the non-identified fields (anhysteretic kind, a2, blend)
@@ -74,8 +83,9 @@ struct FitOptions {
 struct FitResult {
   mag::JaParameters params;     ///< best parameter set found
   double residual = 0.0;        ///< objective at `params` [T RMS]
-  std::size_t generations = 0;  ///< packed batches executed
-  std::size_t evaluations = 0;  ///< forward curves simulated
+  /// The most generations any group ran (one packed batch each).
+  std::size_t generations = 0;
+  std::size_t evaluations = 0;  ///< forward curves simulated, all groups
   int winning_start = -1;       ///< which multistart produced `params`
   bool converged = false;       ///< the winner's simplex met the tolerances
   /// kOk when the search ran to its natural end; kCancelled /

@@ -9,6 +9,11 @@
 // onto those grids by linear interpolation, and scores the candidate as the
 // weighted RMS flux-density difference over all grid points.
 //
+// Every candidate is sampled at the same field points (sweep().h), so each
+// grid point's bracketing sample indices and interpolation weight are
+// fixed at construction. Scoring a candidate is then one allocation-free
+// pass that reads two flux samples per grid point.
+//
 // The excitation replayed into every candidate is the target's own H
 // sequence, so branch k of the candidate curve covers the same field span
 // as branch k of the target and the per-branch grids compare like with
@@ -64,8 +69,8 @@ class FitObjective {
   /// forward-model discretisation `config` is what every candidate runs
   /// with; its default (Forward Euler, no sub-stepping) keeps the whole
   /// generation inside the packed SoA subset. Throws std::invalid_argument
-  /// when the target has fewer than two samples or a non-monotone branch
-  /// that cannot be resampled.
+  /// when the target has fewer than two samples, a non-finite sample, or a
+  /// branch with fewer than two distinct field values.
   FitObjective(std::vector<double> h, std::vector<double> b,
                mag::TimelessConfig config = {}, FitObjectiveOptions options = {});
 
@@ -102,15 +107,16 @@ class FitObjective {
 
   /// Weighted RMS flux-density difference [T] between `candidate` (sampled
   /// at sweep()'s points, i.e. a result of scenario()) and the target.
-  /// Returns +infinity when the candidate cannot be compared (wrong sample
-  /// count or non-finite flux), so failed simulations lose to any valid fit.
+  /// Returns +infinity when the candidate cannot be compared (a field
+  /// column other than sweep().h, or non-finite flux), so failed
+  /// simulations lose to any valid fit.
   [[nodiscard]] double residual(const mag::BhCurve& candidate) const;
 
   /// residual() plus the per-branch breakdown.
   [[nodiscard]] ResidualReport report(const mag::BhCurve& candidate) const;
 
   /// Total resample grid points across all branches.
-  [[nodiscard]] std::size_t grid_size() const { return grid_h_.size(); }
+  [[nodiscard]] std::size_t grid_size() const { return grid_.size(); }
 
   /// Largest |H| of the target [A/m] (the region-weight reference).
   [[nodiscard]] double h_max() const { return h_max_; }
@@ -125,22 +131,40 @@ class FitObjective {
     std::size_t grid_end = 0;
   };
 
-  /// Resamples curve values `b` (sampled at sweep_.h) onto `segment`'s grid
-  /// slice, writing into out[grid_begin..grid_end).
-  void resample_segment(const Segment& segment, const std::vector<double>& h,
-                        const std::vector<double>& b,
-                        std::vector<double>& out) const;
+  /// One grid point's resampling rule, fixed by sweep_.h: the flux there
+  /// is b[lo] + t * (b[hi] - b[lo]), or b[lo] itself where the grid point
+  /// clamps onto a branch end (lo == hi).
+  struct GridSample {
+    std::size_t lo = 0;
+    std::size_t hi = 0;
+    double t = 0.0;
+  };
+
+  /// The GridSample of field `hq` on a branch whose ascending sample
+  /// indices are `branch` (util::lerp_at's bracket search over h alone).
+  [[nodiscard]] static GridSample bracket(const std::vector<double>& h,
+                                          const std::vector<std::size_t>& branch,
+                                          double hq);
+
+  /// True when `candidate` is sampled at exactly sweep_.h.
+  [[nodiscard]] bool on_sweep(const mag::BhCurve& candidate) const;
+
+  /// Candidate flux minus target flux at grid point g.
+  [[nodiscard]] double misfit(const mag::BhPoint* candidate,
+                              std::size_t g) const;
+
+  /// sqrt(acc / weight_sum_), or +infinity when that is not finite.
+  [[nodiscard]] double weighted_rms(double acc) const;
 
   wave::HSweep sweep_;
   core::ModelSpec model_;
   FitObjectiveOptions options_;
   std::vector<Segment> segments_;
-  std::vector<double> grid_h_;       ///< flat resample grid (all branches)
+  std::vector<GridSample> grid_;     ///< flat resample grid (all branches)
   std::vector<double> grid_weight_;  ///< per-grid-point region weight
-  std::vector<double> target_b_;     ///< target resampled onto grid_h_
+  std::vector<double> target_b_;     ///< target resampled onto grid_
   double h_max_ = 0.0;
   double weight_sum_ = 0.0;
-  bool uniform_weights_ = true;
 };
 
 }  // namespace ferro::fit

@@ -3,9 +3,9 @@
 // The classic Nelder-Mead update needs one or two objective values per
 // iteration (reflection, then possibly expansion/contraction) plus n values
 // after a shrink. Exposing the pending evaluations through ask()/tell()
-// instead of a callback lets the fitting layer run M independent instances
-// in lockstep and evaluate *all* their pending points as one packed batch
-// per generation — the optimizer never calls the model itself.
+// instead of a callback lets the fitting layer run independent instances
+// in lockstep groups and evaluate *all* of a group's pending points as one
+// packed batch per generation — the optimizer never calls the model itself.
 //
 // Usage:
 //   NelderMead nm(x0, 0.1);

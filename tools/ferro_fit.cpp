@@ -4,11 +4,11 @@
 // writes: an "h,m,b" header is understood out of the box; other layouts
 // select columns by name with --h-col/--b-col), searches for the
 // (Ms, a, k, c, alpha) set whose simulated loop matches, and prints the
-// fitted parameters plus a per-branch residual report. Every optimizer
-// generation is evaluated as one packed batch (BatchRunner::run with
-// Packing::kExact),
-// so the fit scales across cores while staying bitwise reproducible in the
-// default exact mode whatever --threads is.
+// fitted parameters plus a per-branch residual report. The multistart
+// searches run in concurrent groups (--threads of them), and each group
+// evaluates every generation as one packed batch (BatchRunner::run with
+// Packing::kExact), so the fit scales across cores while staying bitwise
+// reproducible whatever --threads is.
 //
 // Typical use:
 //   ferro_fit --input measured.csv
@@ -49,9 +49,9 @@ void usage(const char* argv0) {
       "search\n"
       "  --multistarts N     independent searches (default: 6)\n"
       "  --restarts N        simplex re-seeds per search (default: 2)\n"
-      "  --generations N     packed-batch budget (default: 1500)\n"
+      "  --generations N     packed-batch budget per search group (default: 1500)\n"
       "  --seed N            multistart placement seed (default: 2006)\n"
-      "  --threads N         batch workers, 0 = hardware (default: 0)\n"
+      "  --threads N         concurrent search groups, 0 = hardware (default: 0)\n"
       "  --fast              evaluate with the FastMath lane (bounded error)\n"
       "\n"
       "output\n"
