@@ -172,22 +172,25 @@ std::vector<ScenarioResult> BatchRunner::run(
   const EmitFn emit = [&](std::size_t i, ScenarioResult&& r) {
     results[i] = std::move(r);
   };
-  if (options.isolation == Isolation::kProcess) {
-    ShardExecutor executor(options.shard);
-    (void)executor.run(scenarios, emit, gate);
-  } else if (options.packing == Packing::kNone) {
-    dispatch(scenarios, emit, gate);
-  } else {
-    dispatch_packed(scenarios,
-                    options.packing == Packing::kFast ? mag::BatchMath::kFast
-                                                      : mag::BatchMath::kExact,
-                    emit, gate);
-  }
+  execute(scenarios, options.packing, emit, gate);
   if (report) {
     report->jobs = scenarios.size();
     gate.fill(*report);
   }
   return results;
+}
+
+void BatchRunner::execute(const std::vector<Scenario>& scenarios,
+                          Packing packing, const EmitFn& emit,
+                          RunGate& gate) const {
+  if (packing == Packing::kNone) {
+    dispatch(scenarios, emit, gate);
+  } else {
+    dispatch_packed(scenarios,
+                    packing == Packing::kFast ? mag::BatchMath::kFast
+                                              : mag::BatchMath::kExact,
+                    emit, gate);
+  }
 }
 
 bool BatchRunner::packable(const Scenario& scenario) {
@@ -623,18 +626,7 @@ StreamSummary BatchRunner::run(const std::vector<Scenario>& scenarios,
   RunGate gate(options.limits);
   return stream_shell(scenarios.size(), sink, options.stream, gate,
                       [&](const EmitFn& emit) {
-                        if (options.isolation == Isolation::kProcess) {
-                          ShardExecutor executor(options.shard);
-                          (void)executor.run(scenarios, emit, gate);
-                        } else if (options.packing == Packing::kNone) {
-                          dispatch(scenarios, emit, gate);
-                        } else {
-                          dispatch_packed(scenarios,
-                                          options.packing == Packing::kFast
-                                              ? mag::BatchMath::kFast
-                                              : mag::BatchMath::kExact,
-                                          emit, gate);
-                        }
+                        execute(scenarios, options.packing, emit, gate);
                       });
 }
 

@@ -59,7 +59,6 @@
 #include "core/error.hpp"
 #include "core/result_sink.hpp"
 #include "core/scenario.hpp"
-#include "core/shard_executor.hpp"
 #include "core/thread_pool.hpp"
 #include "mag/timeless_ja_batch.hpp"
 
@@ -131,15 +130,6 @@ struct RunOptions {
   RunLimits limits{};
   /// Streaming-only knobs; the collecting overload ignores them.
   StreamOptions stream{};
-  /// kProcess moves execution into forked worker processes supervised by
-  /// core::ShardExecutor (crash containment, heartbeats, shard retry with
-  /// backoff, poison bisection — see core/shard_executor.hpp). Healthy
-  /// scenarios produce bitwise identical results to kInProcess; `packing`
-  /// is ignored (workers run the per-scenario reference path, whose results
-  /// Packing::kExact matches bitwise anyway).
-  Isolation isolation = Isolation::kInProcess;
-  /// Supervision knobs, honoured only under Isolation::kProcess.
-  ShardOptions shard{};
 };
 
 class BatchRunner {
@@ -196,6 +186,11 @@ class BatchRunner {
   /// pushes for the streaming paths. Receives each scenario index exactly
   /// once; callers on the parallel path must tolerate concurrent invocation.
   using EmitFn = std::function<void(std::size_t, ScenarioResult&&)>;
+
+  /// The execution path both run() overloads share: dispatch() for
+  /// Packing::kNone, dispatch_packed() with the matching math otherwise.
+  void execute(const std::vector<Scenario>& scenarios, Packing packing,
+               const EmitFn& emit, RunGate& gate) const;
 
   /// Per-scenario dispatch (the Packing::kNone work distribution).
   /// `gate` is polled per scenario; once it stops, remaining scenarios are

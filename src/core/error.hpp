@@ -2,9 +2,9 @@
 //
 // Every failure that used to travel as a free-form `std::string error`
 // (ScenarioResult, TrajectoryJob, StreamSummary) now carries a machine-
-// branchable code plus the human-readable detail. Callers — and the future
-// ferro_serve daemon — switch on the code; the detail is for logs and
-// terminals only and is never part of any behavioural contract.
+// branchable code plus the human-readable detail. Callers switch on the
+// code; the detail is for logs and terminals only and is never part of any
+// behavioural contract.
 #pragma once
 
 #include <ostream>
@@ -23,8 +23,6 @@ enum class ErrorCode {
   kCancelled,         ///< CancelToken fired or the error budget tripped
   kDeadlineExceeded,  ///< the RunLimits deadline expired
   kInternal,          ///< engine-side failure (allocation, injected fault)
-  kWireError,         ///< a shard-transport frame was truncated/corrupt/alien
-  kWorkerCrashed,     ///< a poison scenario kept killing worker processes
 };
 
 [[nodiscard]] constexpr std::string_view to_string(ErrorCode code) {
@@ -38,8 +36,6 @@ enum class ErrorCode {
     case ErrorCode::kCancelled: return "cancelled";
     case ErrorCode::kDeadlineExceeded: return "deadline-exceeded";
     case ErrorCode::kInternal: return "internal";
-    case ErrorCode::kWireError: return "wire-error";
-    case ErrorCode::kWorkerCrashed: return "worker-crashed";
   }
   return "unknown";
 }

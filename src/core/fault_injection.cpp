@@ -3,7 +3,6 @@
 #include <array>
 #include <atomic>
 #include <chrono>
-#include <cstdlib>
 #include <mutex>
 #include <optional>
 #include <string>
@@ -34,9 +33,6 @@ constexpr const char* site_name(FaultSite site) {
     case FaultSite::kQueuePush: return "queue-push";
     case FaultSite::kLaneCompute: return "lane-compute";
     case FaultSite::kTrajectorySolve: return "trajectory-solve";
-    case FaultSite::kWorkerCrash: return "worker-crash";
-    case FaultSite::kWorkerStall: return "worker-stall";
-    case FaultSite::kWireCorrupt: return "wire-corrupt";
   }
   return "unknown";
 }
@@ -66,20 +62,12 @@ std::uint64_t FaultInjector::hits(FaultSite site) {
   return s.hits;
 }
 
-bool FaultInjector::fire(FaultSite site) { return fire(site, {}); }
-
-bool FaultInjector::fire(FaultSite site, std::string_view context) {
+bool FaultInjector::fire(FaultSite site) {
   SiteState& s = site_state(site);
   FaultAction action;
   int stall_ms = 0;
   {
     std::lock_guard<std::mutex> lk(s.mutex);
-    if (s.arm && !s.arm->match.empty() &&
-        context.find(s.arm->match) == std::string_view::npos) {
-      // A matched arming only counts matching hits, so `nth` means "the nth
-      // pass of the matching scenario" regardless of its neighbours.
-      return false;
-    }
     ++s.hits;
     if (!s.arm || s.fired >= s.arm->count || s.hits < s.arm->nth) return false;
     ++s.fired;
@@ -96,10 +84,6 @@ bool FaultInjector::fire(FaultSite site, std::string_view context) {
       return false;
     case FaultAction::kPoison:
       return true;
-    case FaultAction::kAbort:
-      // A genuine process death (SIGABRT), not an exception: this is how the
-      // shard-executor tests make a worker segfault-class failure on demand.
-      std::abort();
   }
   return false;
 }

@@ -27,33 +27,22 @@
 #include <cstddef>
 #include <cstdint>
 #include <stdexcept>
-#include <string>
-#include <string_view>
 
 namespace ferro::core {
 
-/// Instrumented sites, one per distinct engine failure path. The kWorker*
-/// sites live inside shard-executor worker *processes*: a forked worker
-/// inherits the parent's armings (and per-process hit counters), so every
-/// worker that reaches an armed site fires it — which is exactly what makes
-/// a poison scenario deterministically poisonous across retries, respawns,
-/// and bisection.
+/// Instrumented sites, one per distinct engine failure path.
 enum class FaultSite {
   kSinkDeliver,      ///< SinkDriver: around each ResultSink::on_result
   kQueuePush,        ///< ResultQueue::push (worker -> consumer hand-off)
   kLaneCompute,      ///< packed lane result assembly (per lane)
   kTrajectorySolve,  ///< FrontendPlanSet::solve_trajectory (per job)
-  kWorkerCrash,      ///< worker loop, before a scenario runs (arm kAbort)
-  kWorkerStall,      ///< worker loop, before a scenario runs (arm kStall)
-  kWireCorrupt,      ///< worker result-frame encode (arm kPoison to corrupt)
 };
-inline constexpr std::size_t kFaultSiteCount = 7;
+inline constexpr std::size_t kFaultSiteCount = 4;
 
 enum class FaultAction {
   kThrow,   ///< throw InjectedFault at the site
   kStall,   ///< sleep stall_ms at the site, then continue normally
   kPoison,  ///< hook returns true; the site corrupts its own data
-  kAbort,   ///< std::abort() at the site — a real SIGABRT process death
 };
 
 /// What injected throws raise — deliberately a std::runtime_error subclass
@@ -71,12 +60,6 @@ class FaultInjector {
     std::uint64_t nth = 1;
     std::uint64_t count = 1;
     int stall_ms = 25;  ///< kStall sleep per firing
-    /// When non-empty, only hits whose context string contains this
-    /// substring count (and can fire). This is how a shard-executor test
-    /// poisons one *scenario* rather than the nth evaluation: the worker
-    /// sites pass the scenario name as context, so the fault follows the
-    /// scenario through retries, fresh workers, and bisected shards.
-    std::string match;
   };
 
   /// Arms `site` (replacing any previous arming). Thread-safe.
@@ -93,20 +76,12 @@ class FaultInjector {
   /// builds compile the call out): counts a hit, performs the armed action
   /// if this hit fires, and returns true iff the action was kPoison.
   static bool fire(FaultSite site);
-
-  /// Contextual hook (use FERRO_FAULT_HIT_CTX): like fire(), but a site
-  /// armed with a non-empty `match` ignores hits whose `context` does not
-  /// contain it.
-  static bool fire(FaultSite site, std::string_view context);
 };
 
 }  // namespace ferro::core
 
 #ifdef FERRO_FAULT_INJECTION
 #define FERRO_FAULT_HIT(site) (::ferro::core::FaultInjector::fire(site))
-#define FERRO_FAULT_HIT_CTX(site, context) \
-  (::ferro::core::FaultInjector::fire(site, context))
 #else
 #define FERRO_FAULT_HIT(site) (false)
-#define FERRO_FAULT_HIT_CTX(site, context) (false)
 #endif

@@ -114,7 +114,9 @@ void ThreadPool::parallel_for(std::size_t n, std::size_t chunk,
     return;
   }
 
-  const std::size_t n_chunks = (n + chunk - 1) / chunk;
+  // No n + chunk sum here or in the chunk ends below: near SIZE_MAX it
+  // wraps, which queued zero chunks and skipped fn entirely.
+  const std::size_t n_chunks = n / chunk + (n % chunk != 0);
   {
     std::lock_guard<std::mutex> lk(coord_mutex_);
     active_fn_ = &fn;
@@ -127,7 +129,7 @@ void ThreadPool::parallel_for(std::size_t n, std::size_t chunk,
   }
   for (std::size_t ci = 0; ci < n_chunks; ++ci) {
     const std::size_t begin = ci * chunk;
-    const std::size_t end = std::min(n, begin + chunk);
+    const std::size_t end = begin + std::min(chunk, n - begin);
     WorkerDeque& d = *deques_[ci % w];
     std::lock_guard<std::mutex> lk(d.mutex);
     d.chunks.push_back({begin, end});

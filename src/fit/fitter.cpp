@@ -196,6 +196,12 @@ FitResult fit_ja_parameters(const FitObjective& objective,
   if (options.multistarts < 1) {
     throw std::invalid_argument("fit_ja_parameters: multistarts < 1");
   }
+  if (options.max_generations < 1) {
+    throw std::invalid_argument("fit_ja_parameters: max_generations < 1");
+  }
+  if (options.restarts < 0) {
+    throw std::invalid_argument("fit_ja_parameters: restarts < 0");
+  }
   // Model-contract gate: this entry point identifies JA parameters, so an
   // objective built over any other ModelSpec is a structured mismatch (the
   // candidates it would score cannot run on that spec), reported like every

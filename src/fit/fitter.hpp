@@ -94,7 +94,9 @@ struct FitResult {
   core::Error stop;
 };
 
-/// Runs the multistart Nelder-Mead search against `objective`.
+/// Runs the multistart Nelder-Mead search against `objective`. Throws
+/// std::invalid_argument for malformed bounds, multistarts < 1, restarts < 0
+/// or max_generations < 1.
 [[nodiscard]] FitResult fit_ja_parameters(const FitObjective& objective,
                                           const FitOptions& options = {});
 

@@ -3,9 +3,8 @@
 // splitmix64 (Steele/Lea/Flood): 64-bit state, one add + three xor-shift
 // multiplies per draw, identical bit stream on every platform and compiler —
 // unlike <random>'s distributions, whose draws are implementation-defined.
-// It first grew inside core::Backoff for jittered retry delays; the circuit
-// Monte-Carlo scatter sampler needs the same engine (per-corner draws must
-// reproduce from a seed alone), so it lives here and both share it.
+// The circuit Monte-Carlo scatter sampler draws from it, because per-corner
+// draws must reproduce from a seed alone.
 #pragma once
 
 #include <cstdint>

@@ -22,11 +22,6 @@ Sine::Sine(double amplitude, double frequency, double phase, double offset)
   assert(frequency > 0.0);
 }
 
-Sine Sine::from_omega(double amplitude, double omega, double phase,
-                      double offset) {
-  return Sine(FromOmega{}, amplitude, omega, phase, offset);
-}
-
 double Sine::value(double t) const {
   return offset_ + amplitude_ * std::sin(omega_ * t + phase_);
 }
@@ -42,11 +37,6 @@ DampedSine::DampedSine(double amplitude, double frequency, double tau, double ph
       phase_(phase) {
   assert(frequency > 0.0);
   assert(tau > 0.0);
-}
-
-DampedSine DampedSine::from_omega(double amplitude, double omega, double tau,
-                                  double phase) {
-  return DampedSine(FromOmega{}, amplitude, omega, tau, phase);
 }
 
 double DampedSine::value(double t) const {

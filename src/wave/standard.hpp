@@ -6,21 +6,12 @@
 
 namespace ferro::wave {
 
-// The state accessors on each class expose the *stored* members (e.g. the
-// sines' omega, not the frequency the constructor derived it from), and the
-// from_state/from_omega factories rebuild an instance from exactly those
-// members. Together they give the shard-transport wire codec
-// (core/wire.hpp) a bit-exact round trip: a reconstructed waveform produces
-// bitwise-identical value(t) on the far side of a pipe.
-
 /// value(t) = level.
 class Constant final : public Waveform {
  public:
   explicit Constant(double level) : level_(level) {}
   [[nodiscard]] double value(double) const override { return level_; }
   [[nodiscard]] double derivative(double) const override { return 0.0; }
-
-  [[nodiscard]] double level() const { return level_; }
 
  private:
   double level_;
@@ -32,9 +23,6 @@ class Ramp final : public Waveform {
   Ramp(double slope, double offset = 0.0) : slope_(slope), offset_(offset) {}
   [[nodiscard]] double value(double t) const override { return offset_ + slope_ * t; }
   [[nodiscard]] double derivative(double) const override { return slope_; }
-
-  [[nodiscard]] double slope() const { return slope_; }
-  [[nodiscard]] double offset() const { return offset_; }
 
  private:
   double slope_;
@@ -51,10 +39,6 @@ class Step final : public Waveform {
   }
   [[nodiscard]] double derivative(double) const override { return 0.0; }
 
-  [[nodiscard]] double before() const { return before_; }
-  [[nodiscard]] double after() const { return after_; }
-  [[nodiscard]] double t_step() const { return t_step_; }
-
  private:
   double before_;
   double after_;
@@ -65,24 +49,10 @@ class Step final : public Waveform {
 class Sine final : public Waveform {
  public:
   Sine(double amplitude, double frequency, double phase = 0.0, double offset = 0.0);
-  /// Rebuilds from stored state: `omega` is the angular frequency exactly as
-  /// omega() reported it, NOT re-derived from a frequency (2*pi*f would
-  /// round differently and break the wire codec's bitwise round trip).
-  [[nodiscard]] static Sine from_omega(double amplitude, double omega,
-                                       double phase, double offset);
   [[nodiscard]] double value(double t) const override;
   [[nodiscard]] double derivative(double t) const override;
 
-  [[nodiscard]] double amplitude() const { return amplitude_; }
-  [[nodiscard]] double omega() const { return omega_; }
-  [[nodiscard]] double phase() const { return phase_; }
-  [[nodiscard]] double offset() const { return offset_; }
-
  private:
-  struct FromOmega {};
-  Sine(FromOmega, double amplitude, double omega, double phase, double offset)
-      : amplitude_(amplitude), omega_(omega), phase_(phase), offset_(offset) {}
-
   double amplitude_;
   double omega_;
   double phase_;
@@ -94,23 +64,10 @@ class Sine final : public Waveform {
 class DampedSine final : public Waveform {
  public:
   DampedSine(double amplitude, double frequency, double tau, double phase = 0.0);
-  /// Stored-state factory; see Sine::from_omega.
-  [[nodiscard]] static DampedSine from_omega(double amplitude, double omega,
-                                             double tau, double phase);
   [[nodiscard]] double value(double t) const override;
   [[nodiscard]] double derivative(double t) const override;
 
-  [[nodiscard]] double amplitude() const { return amplitude_; }
-  [[nodiscard]] double omega() const { return omega_; }
-  [[nodiscard]] double tau() const { return tau_; }
-  [[nodiscard]] double phase() const { return phase_; }
-
  private:
-  struct FromOmega {};
-  DampedSine(FromOmega, double amplitude, double omega, double tau,
-             double phase)
-      : amplitude_(amplitude), omega_(omega), tau_(tau), phase_(phase) {}
-
   double amplitude_;
   double omega_;
   double tau_;
@@ -126,10 +83,6 @@ class Triangular final : public Waveform {
   [[nodiscard]] double value(double t) const override;
   [[nodiscard]] double derivative(double t) const override;
 
-  [[nodiscard]] double amplitude() const { return amplitude_; }
-  [[nodiscard]] double period() const { return period_; }
-  [[nodiscard]] double offset() const { return offset_; }
-
  private:
   double amplitude_;
   double period_;
@@ -142,10 +95,6 @@ class Sawtooth final : public Waveform {
   Sawtooth(double amplitude, double period, double offset = 0.0);
   [[nodiscard]] double value(double t) const override;
   [[nodiscard]] double derivative(double t) const override;
-
-  [[nodiscard]] double amplitude() const { return amplitude_; }
-  [[nodiscard]] double period() const { return period_; }
-  [[nodiscard]] double offset() const { return offset_; }
 
  private:
   double amplitude_;

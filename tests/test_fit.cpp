@@ -591,4 +591,15 @@ TEST(FitJaParameters, RejectsMalformedOptions) {
   no_starts.multistarts = 0;
   EXPECT_THROW((void)ff::fit_ja_parameters(objective, no_starts),
                std::invalid_argument);
+  // No generation would run: the fit used to return default parameters,
+  // an infinite residual and an ok stop.
+  ff::FitOptions no_generations;
+  no_generations.max_generations = 0;
+  EXPECT_THROW((void)ff::fit_ja_parameters(objective, no_generations),
+               std::invalid_argument);
+  // A negative budget used to mean unlimited restarts.
+  ff::FitOptions negative_restarts;
+  negative_restarts.restarts = -1;
+  EXPECT_THROW((void)ff::fit_ja_parameters(objective, negative_restarts),
+               std::invalid_argument);
 }

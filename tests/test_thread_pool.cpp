@@ -3,8 +3,12 @@
 // BatchRunner's determinism guarantees are built on.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <limits>
+#include <mutex>
 #include <numeric>
+#include <utility>
 #include <vector>
 
 #include "core/thread_pool.hpp"
@@ -39,6 +43,24 @@ TEST(ThreadPool, ZeroJobsIsANoOp) {
   bool called = false;
   pool.parallel_for(0, 1, [&](std::size_t, std::size_t) { called = true; });
   EXPECT_FALSE(called);
+}
+
+TEST(ThreadPool, ChunkCountDoesNotWrapNearSizeMax) {
+  // n + chunk - 1 wraps here, which counted zero chunks and returned without
+  // calling fn. fn only records its ranges; iterating them is not the point.
+  fc::ThreadPool pool(2);
+  constexpr std::size_t kMax = std::numeric_limits<std::size_t>::max();
+  constexpr std::size_t kHalf = kMax / 2 + 1;
+  std::mutex mutex;
+  std::vector<std::pair<std::size_t, std::size_t>> ranges;
+  pool.parallel_for(kMax, kHalf, [&](std::size_t begin, std::size_t end) {
+    const std::lock_guard<std::mutex> lk(mutex);
+    ranges.emplace_back(begin, end);
+  });
+  std::sort(ranges.begin(), ranges.end());
+  const std::vector<std::pair<std::size_t, std::size_t>> expected{
+      {0, kHalf}, {kHalf, kMax}};
+  EXPECT_EQ(ranges, expected);
 }
 
 TEST(ThreadPool, SingleWorkerSpawnsNoThreadsAndRunsInline) {

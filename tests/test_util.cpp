@@ -2,10 +2,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <limits>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -63,6 +65,52 @@ TEST(Strings, FormatDouble) {
 TEST(Strings, FormatEngineering) {
   EXPECT_EQ(fu::format_engineering(4000.0, "A/m"), "4.000 kA/m");
   EXPECT_EQ(fu::format_engineering(1.6e6, "A/m"), "1.600 MA/m");
+}
+
+TEST(Strings, ParseNumberAcceptsWholeTokens) {
+  EXPECT_EQ(fu::parse_number<unsigned>("42"), 42u);
+  EXPECT_EQ(fu::parse_number<int>("-7"), -7);
+  EXPECT_EQ(fu::parse_number<std::size_t>("18446744073709551615"),
+            std::numeric_limits<std::size_t>::max());
+  EXPECT_EQ(fu::parse_number<double>("2.5e-3"), 2.5e-3);
+  EXPECT_EQ(fu::parse_number<double>("-1e300"), -1e300);
+}
+
+TEST(Strings, ParseNumberRejectsSigns) {
+  // Unsigned counts take no sign at all; no type takes '+'.
+  EXPECT_EQ(fu::parse_number<std::size_t>("-1"), std::nullopt);
+  EXPECT_EQ(fu::parse_number<unsigned>("-0"), std::nullopt);
+  EXPECT_EQ(fu::parse_number<std::uint64_t>("+1"), std::nullopt);
+  EXPECT_EQ(fu::parse_number<int>("+1"), std::nullopt);
+}
+
+TEST(Strings, ParseNumberRejectsTrailingGarbage) {
+  EXPECT_EQ(fu::parse_number<int>("12abc"), std::nullopt);
+  EXPECT_EQ(fu::parse_number<int>("1.5"), std::nullopt);
+  EXPECT_EQ(fu::parse_number<unsigned>("3 "), std::nullopt);
+  EXPECT_EQ(fu::parse_number<unsigned>(" 3"), std::nullopt);
+  EXPECT_EQ(fu::parse_number<double>("1.0x"), std::nullopt);
+  EXPECT_EQ(fu::parse_number<int>("abc"), std::nullopt);
+}
+
+TEST(Strings, ParseNumberRejectsOverflowInsteadOfWrapping) {
+  EXPECT_EQ(fu::parse_number<std::uint32_t>("4294967296"), std::nullopt);
+  EXPECT_EQ(fu::parse_number<int>("2147483648"), std::nullopt);
+  EXPECT_EQ(fu::parse_number<int>("-2147483649"), std::nullopt);
+  EXPECT_EQ(fu::parse_number<std::size_t>("18446744073709551616"),
+            std::nullopt);
+  EXPECT_EQ(fu::parse_number<double>("1e400"), std::nullopt);
+}
+
+TEST(Strings, ParseNumberRejectsTheEmptyToken) {
+  EXPECT_EQ(fu::parse_number<unsigned>(""), std::nullopt);
+  EXPECT_EQ(fu::parse_number<double>(""), std::nullopt);
+}
+
+TEST(Strings, ParseNumberRejectsNonFiniteDoubles) {
+  for (const char* token : {"nan", "NaN", "-nan", "inf", "-inf", "infinity"}) {
+    EXPECT_EQ(fu::parse_number<double>(token), std::nullopt) << token;
+  }
 }
 
 TEST(Csv, RoundTrip) {

@@ -27,6 +27,7 @@
 #include "fit/objective.hpp"
 #include "mag/ja_params.hpp"
 #include "util/csv.hpp"
+#include "util/strings.hpp"
 #include "wave/sweep.hpp"
 
 namespace {
@@ -59,20 +60,23 @@ void usage(const char* argv0) {
       argv0);
 }
 
-double arg_value(int argc, char** argv, int& i) {
-  if (i + 1 >= argc) {
-    std::fprintf(stderr, "missing value after %s\n", argv[i]);
-    std::exit(2);
-  }
-  return std::atof(argv[++i]);
-}
-
 const char* arg_string(int argc, char** argv, int& i) {
   if (i + 1 >= argc) {
     std::fprintf(stderr, "missing value after %s\n", argv[i]);
     std::exit(2);
   }
   return argv[++i];
+}
+
+/// The value after flag argv[i] as a T (util::parse_number); exits 2 naming
+/// the flag when it is not one.
+template <typename T>
+T arg_number(int argc, char** argv, int& i) {
+  const char* flag = argv[i];
+  const char* text = arg_string(argc, argv, i);
+  if (const auto value = ferro::util::parse_number<T>(text)) return *value;
+  std::fprintf(stderr, "bad value '%s' for %s\n", text, flag);
+  std::exit(2);
 }
 
 }  // namespace
@@ -95,24 +99,23 @@ int main(int argc, char** argv) {
     } else if (std::strcmp(arg, "--b-col") == 0) {
       b_col = arg_string(argc, argv, i);
     } else if (std::strcmp(arg, "--dhmax") == 0) {
-      config.dhmax = arg_value(argc, argv, i);
+      config.dhmax = arg_number<double>(argc, argv, i);
     } else if (std::strcmp(arg, "--grid") == 0) {
-      obj_opts.grid_per_segment =
-          static_cast<std::size_t>(arg_value(argc, argv, i));
+      obj_opts.grid_per_segment = arg_number<std::size_t>(argc, argv, i);
     } else if (std::strcmp(arg, "--tip-weight") == 0) {
-      obj_opts.weights.tip = arg_value(argc, argv, i);
+      obj_opts.weights.tip = arg_number<double>(argc, argv, i);
     } else if (std::strcmp(arg, "--coercive-weight") == 0) {
-      obj_opts.weights.coercive = arg_value(argc, argv, i);
+      obj_opts.weights.coercive = arg_number<double>(argc, argv, i);
     } else if (std::strcmp(arg, "--multistarts") == 0) {
-      fit_opts.multistarts = static_cast<int>(arg_value(argc, argv, i));
+      fit_opts.multistarts = arg_number<int>(argc, argv, i);
     } else if (std::strcmp(arg, "--restarts") == 0) {
-      fit_opts.restarts = static_cast<int>(arg_value(argc, argv, i));
+      fit_opts.restarts = arg_number<int>(argc, argv, i);
     } else if (std::strcmp(arg, "--generations") == 0) {
-      fit_opts.max_generations = static_cast<int>(arg_value(argc, argv, i));
+      fit_opts.max_generations = arg_number<int>(argc, argv, i);
     } else if (std::strcmp(arg, "--seed") == 0) {
-      fit_opts.seed = static_cast<std::uint32_t>(arg_value(argc, argv, i));
+      fit_opts.seed = arg_number<std::uint32_t>(argc, argv, i);
     } else if (std::strcmp(arg, "--threads") == 0) {
-      fit_opts.threads = static_cast<unsigned>(arg_value(argc, argv, i));
+      fit_opts.threads = arg_number<unsigned>(argc, argv, i);
     } else if (std::strcmp(arg, "--fast") == 0) {
       fit_opts.math = mag::BatchMath::kFast;
     } else if (std::strcmp(arg, "--out") == 0) {

@@ -27,6 +27,7 @@
 #include "ckt/netlist_parser.hpp"
 #include "ckt/scatter.hpp"
 #include "util/stream_writer.hpp"
+#include "util/strings.hpp"
 
 namespace {
 
@@ -64,6 +65,17 @@ const char* arg_value(int argc, char** argv, int& i) {
     std::exit(2);
   }
   return argv[++i];
+}
+
+/// The value after flag argv[i] as a T (util::parse_number); exits 2 naming
+/// the flag when it is not one.
+template <typename T>
+T arg_number(int argc, char** argv, int& i) {
+  const char* flag = argv[i];
+  const char* text = arg_value(argc, argv, i);
+  if (const auto value = util::parse_number<T>(text)) return *value;
+  std::fprintf(stderr, "bad value '%s' for %s\n", text, flag);
+  std::exit(2);
 }
 
 std::string read_file(const std::string& path) {
@@ -186,16 +198,13 @@ int main(int argc, char** argv) {
     } else if (std::strcmp(arg, "--scatter") == 0) {
       scatter_path = arg_value(argc, argv, i);
     } else if (std::strcmp(arg, "--corners") == 0) {
-      options.corners =
-          static_cast<std::size_t>(std::atoll(arg_value(argc, argv, i)));
+      options.corners = arg_number<std::size_t>(argc, argv, i);
     } else if (std::strcmp(arg, "--seed") == 0) {
-      seed = static_cast<std::uint64_t>(std::atoll(arg_value(argc, argv, i)));
+      seed = arg_number<std::uint64_t>(argc, argv, i);
     } else if (std::strcmp(arg, "--threads") == 0) {
-      options.threads =
-          static_cast<unsigned>(std::atoi(arg_value(argc, argv, i)));
+      options.threads = arg_number<unsigned>(argc, argv, i);
     } else if (std::strcmp(arg, "--chunk") == 0) {
-      options.chunk =
-          static_cast<std::size_t>(std::atoll(arg_value(argc, argv, i)));
+      options.chunk = arg_number<std::size_t>(argc, argv, i);
     } else if (std::strcmp(arg, "--packing") == 0) {
       const std::string mode = arg_value(argc, argv, i);
       if (mode == "scalar") {
@@ -209,18 +218,17 @@ int main(int argc, char** argv) {
         return 2;
       }
     } else if (std::strcmp(arg, "--dt-initial") == 0) {
-      options.transient.dt_initial = std::atof(arg_value(argc, argv, i));
+      options.transient.dt_initial = arg_number<double>(argc, argv, i);
     } else if (std::strcmp(arg, "--t-end") == 0) {
-      t_end_override = std::atof(arg_value(argc, argv, i));
+      t_end_override = arg_number<double>(argc, argv, i);
     } else if (std::strcmp(arg, "--probe") == 0) {
       probe_specs.push_back(arg_value(argc, argv, i));
     } else if (std::strcmp(arg, "--out") == 0) {
       out_path = arg_value(argc, argv, i);
     } else if (std::strcmp(arg, "--deadline") == 0) {
-      options.limits.deadline_s = std::atof(arg_value(argc, argv, i));
+      options.limits.deadline_s = arg_number<double>(argc, argv, i);
     } else if (std::strcmp(arg, "--max-errors") == 0) {
-      options.limits.max_errors =
-          static_cast<std::size_t>(std::atoll(arg_value(argc, argv, i)));
+      options.limits.max_errors = arg_number<std::size_t>(argc, argv, i);
     } else if (arg[0] == '-') {
       std::fprintf(stderr, "unknown option %s\n", arg);
       usage(argv[0]);
