@@ -1,13 +1,10 @@
 #include "ckt/monte_carlo.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <cctype>
 #include <cmath>
 #include <exception>
 #include <memory>
-#include <mutex>
-#include <thread>
 #include <utility>
 
 #include "ckt/ja_inductor.hpp"
@@ -218,15 +215,7 @@ std::unique_ptr<CornerState> make_corner(const SweepContext& ctx,
 /// state; corner-layer failures never built a machine.
 void finalize_emit(const SweepContext& ctx, std::unique_ptr<CornerState> st) {
   if (st->machine) st->result.error = st->machine->error();
-  const Error& e = st->result.error;
-  if (!e.ok()) {
-    if (e.code == ErrorCode::kCancelled ||
-        e.code == ErrorCode::kDeadlineExceeded) {
-      ctx.gate.count_cancelled();
-    } else {
-      ctx.gate.count_failure();
-    }
-  }
+  ctx.gate.count_verdict(st->result.error);
   ctx.emit(st->result.index, std::move(st->result));
 }
 
@@ -274,9 +263,7 @@ void run_group(const SweepContext& ctx, std::size_t begin, std::size_t end) {
   // Lane assembly: one SoA batch for the whole group, one lane per
   // packable core. Cores outside the kernel's subset (and every other
   // device) keep their scalar stamp path inside the same lockstep loop.
-  mag::TimelessJaBatch batch(ctx.options.packing == McPacking::kPackedFast
-                                 ? mag::BatchMath::kFast
-                                 : mag::BatchMath::kExact);
+  mag::TimelessJaBatch batch(mag::BatchMath::kExact);
   for (auto& st : group) {
     for (const auto& device : st->circuit.devices()) {
       auto* core = dynamic_cast<JaInductor*>(device.get());
@@ -359,17 +346,6 @@ void run_group(const SweepContext& ctx, std::size_t begin, std::size_t end) {
   for (auto& st : group) finalize_emit(ctx, std::move(st));
 }
 
-unsigned resolve_threads(const MonteCarloOptions& options) {
-  unsigned threads =
-      options.threads != 0 ? options.threads : std::thread::hardware_concurrency();
-  if (threads == 0) threads = 1;
-  if (options.corners != 0 &&
-      static_cast<std::size_t>(threads) > options.corners) {
-    threads = static_cast<unsigned>(options.corners);
-  }
-  return threads;
-}
-
 /// The sweep body shared by the collect and streaming overloads: validate
 /// once, then fan the corner groups across the pool. Every index reaches
 /// `emit` exactly once.
@@ -391,7 +367,7 @@ void dispatch_sweep(const CornerSampler& sampler, const CornerBuilder& builder,
   }
 
   const SweepContext ctx{sampler, builder, options, gate, emit};
-  const unsigned threads = resolve_threads(options);
+  const unsigned threads = core::resolve_workers(options.threads, n);
   const std::size_t chunk =
       options.chunk != 0 ? options.chunk
                          : core::ThreadPool::default_chunk(n, threads);
@@ -409,67 +385,6 @@ void dispatch_sweep(const CornerSampler& sampler, const CornerBuilder& builder,
       [&] { return gate.stopped(); });
 }
 
-/// Serialises sink callbacks behind try/catch (the CornerResult twin of the
-/// scenario SinkDriver): an on_result that throws loses that delivery only;
-/// an on_start that throws withholds every delivery. Driven from exactly
-/// one thread.
-class CornerSinkDriver {
- public:
-  CornerSinkDriver(CornerSink& sink, McStreamSummary& summary)
-      : sink_(sink), summary_(summary) {}
-
-  void start(std::size_t total) {
-    try {
-      sink_.on_start(total);
-      started_ = true;
-    } catch (const std::exception& e) {
-      note(std::string("sink on_start threw: ") + e.what());
-    } catch (...) {
-      note("sink on_start threw");
-    }
-  }
-
-  void deliver(std::size_t index, CornerResult&& result) {
-    if (!started_) {
-      ++summary_.discarded_deliveries;
-      return;
-    }
-    try {
-      sink_.on_result(index, std::move(result));
-      ++summary_.delivered;
-    } catch (const std::exception& e) {
-      ++summary_.discarded_deliveries;
-      note(std::string("sink on_result threw: ") + e.what());
-    } catch (...) {
-      ++summary_.discarded_deliveries;
-      note("sink on_result threw");
-    }
-  }
-
-  void complete() {
-    if (!started_) return;
-    try {
-      sink_.on_complete();
-    } catch (const std::exception& e) {
-      note(std::string("sink on_complete threw: ") + e.what());
-    } catch (...) {
-      note("sink on_complete threw");
-    }
-  }
-
- private:
-  void note(std::string detail) {
-    ++summary_.sink_error_count;
-    if (summary_.sink_error.ok()) {
-      summary_.sink_error = {ErrorCode::kSinkError, std::move(detail)};
-    }
-  }
-
-  CornerSink& sink_;
-  McStreamSummary& summary_;
-  bool started_ = false;
-};
-
 }  // namespace
 
 std::string_view to_string(McPacking packing) {
@@ -478,8 +393,6 @@ std::string_view to_string(McPacking packing) {
       return "scalar";
     case McPacking::kPackedExact:
       return "packed-exact";
-    case McPacking::kPackedFast:
-      return "packed-fast";
   }
   return "?";
 }
@@ -517,88 +430,15 @@ std::vector<CornerResult> MonteCarlo::run(const MonteCarloOptions& options,
   return results;
 }
 
-McStreamSummary MonteCarlo::run(const MonteCarloOptions& options,
-                                CornerSink& sink) const {
+core::StreamSummary MonteCarlo::run(const MonteCarloOptions& options,
+                                    CornerSink& sink) const {
   core::RunGate gate(options.limits);
-  McStreamSummary summary;
-  CornerSinkDriver driver(sink, summary);
-  driver.start(options.corners);
-
-  if (resolve_threads(options) <= 1) {
-    // Serial sweep: the dispatch runs in this thread, so the sink can be
-    // driven inline — no queue, no consumer thread, same contract.
-    dispatch_sweep(sampler_, builder_, options, gate,
-                   [&](std::size_t i, CornerResult&& r) {
-                     driver.deliver(i, std::move(r));
-                   });
-  } else {
-    const std::size_t capacity =
-        options.queue_capacity != 0
-            ? options.queue_capacity
-            : static_cast<std::size_t>(resolve_threads(options)) * 2;
-    core::BasicResultQueue<CornerResult> queue(capacity);
-
-    // A failed hand-off loses that result but must not unwind a pool
-    // worker: count it so delivered + discarded still covers every corner.
-    std::atomic<std::size_t> lost_pushes{0};
-    std::mutex lost_mutex;
-    Error first_lost;
-
-    // One consumer drains the queue for the whole sweep, so the sink sees
-    // a single-threaded, serialised call sequence.
-    std::thread consumer([&] {
-      core::BasicResultQueue<CornerResult>::Batch batch;
-      while (queue.drain(batch)) {
-        for (auto& item : batch) {
-          driver.deliver(item.index, std::move(item.result));
-        }
-      }
-    });
-
-    // Closed-and-joined even if dispatch throws — letting a joinable
-    // std::thread unwind calls std::terminate.
-    try {
-      dispatch_sweep(sampler_, builder_, options, gate,
-                     [&](std::size_t i, CornerResult&& r) {
-                       try {
-                         queue.push(
-                             core::BasicStreamItem<CornerResult>{i, std::move(r)});
-                       } catch (const std::exception& e) {
-                         lost_pushes.fetch_add(1, std::memory_order_relaxed);
-                         std::lock_guard<std::mutex> lk(lost_mutex);
-                         if (first_lost.ok()) {
-                           first_lost = {
-                               ErrorCode::kInternal,
-                               std::string("result hand-off failed: ") +
-                                   e.what()};
-                         }
-                       } catch (...) {
-                         lost_pushes.fetch_add(1, std::memory_order_relaxed);
-                         std::lock_guard<std::mutex> lk(lost_mutex);
-                         if (first_lost.ok()) {
-                           first_lost = {ErrorCode::kInternal,
-                                         "result hand-off failed"};
-                         }
-                       }
-                     });
-    } catch (...) {
-      queue.close();
-      consumer.join();
-      throw;
-    }
-
-    queue.close();
-    consumer.join();
-    summary.discarded_deliveries += lost_pushes.load(std::memory_order_relaxed);
-    if (!first_lost.ok() && summary.sink_error.ok()) {
-      summary.sink_error = std::move(first_lost);
-    }
-  }
-
-  driver.complete();
-  gate.fill(summary.batch);
-  summary.batch.jobs = options.corners;
-  return summary;
+  return core::stream_to_sink(
+      sink, options.corners,
+      core::resolve_workers(options.threads, options.corners),
+      /*queue_capacity=*/0, gate, [&](const EmitFn& emit) {
+        dispatch_sweep(sampler_, builder_, options, gate, emit);
+      });
 }
 
 }  // namespace ferro::ckt

@@ -15,10 +15,11 @@
 //   * bounded: RunLimits (cancel token / deadline / error budget) stop the
 //     sweep at step boundaries; unfinished corners are emitted as
 //     kCancelled / kDeadlineExceeded markers, every index exactly once.
-//   * streaming: the sink overload delivers per-corner results through a
-//     bounded queue as they finish — a 10k-corner sweep never materialises
-//     all waveforms at once (leave record_waveforms off and each corner
-//     carries only its probe summaries and stats).
+//   * streaming: the sink overload delivers per-corner results as they
+//     finish through core::stream_to_sink, the streaming driver BatchRunner
+//     uses too, and returns its core::StreamSummary — a 10k-corner sweep
+//     never materialises all waveforms at once (leave record_waveforms off
+//     and each corner carries only its probe summaries and stats).
 //
 // Packing (the perf tentpole): corners share a topology, so the lockstep
 // group inside one chunk steps together — before every Newton iteration the
@@ -27,12 +28,12 @@
 // arms the inductors so their stamps consume the batched flux densities
 // wherever those lie on the event branch the core latched for the trial
 // step (the stamp evaluates the branch itself elsewhere, see
-// ckt/core_companion.hpp). With BatchMath::kExact the SoA lanes are
-// bitwise-identical to the scalar model, so kPackedExact equals kScalar
-// equals a direct ckt::run_transient —
-// verified down to the last waveform bit by the tests. Cores whose config
-// the batch kernel does not cover (and every non-JaInductor device) simply
-// keep their scalar stamp path inside the same lockstep loop.
+// ckt/core_companion.hpp). The SoA lanes run BatchMath::kExact, bitwise
+// identical to the scalar model, so kPackedExact equals kScalar equals a
+// direct ckt::run_transient — verified down to the last waveform bit by
+// the tests. Cores whose config the batch kernel does not cover (and every
+// non-JaInductor device) simply keep their scalar stamp path inside the
+// same lockstep loop.
 #pragma once
 
 #include <cstddef>
@@ -55,7 +56,6 @@ namespace ferro::ckt {
 enum class McPacking {
   kScalar,       ///< one plain run_transient per corner (the reference)
   kPackedExact,  ///< SoA TimelessJaBatch lanes, bitwise-equal to kScalar
-  kPackedFast,   ///< SoA lanes with FastMath arithmetic (bounded deviation)
 };
 
 [[nodiscard]] std::string_view to_string(McPacking packing);
@@ -106,9 +106,9 @@ struct CornerResult {
   [[nodiscard]] bool ok() const { return error.ok(); }
 };
 
-/// Streaming sink family over CornerResult (delivery contract as for
-/// scenario streaming: on_start once, every index exactly once in any
-/// order, on_complete always, single-threaded calls).
+/// Streaming sink family over CornerResult (the delivery contract of
+/// core/stream.hpp: on_start once, every index exactly once in any order,
+/// on_complete always, single-threaded calls).
 using CornerSink = core::BasicResultSink<CornerResult>;
 using CornerOrderedSink = core::BasicOrderedSink<CornerResult>;
 using CornerCollectingSink = core::BasicCollectingSink<CornerResult>;
@@ -121,7 +121,8 @@ using CornerBuilder = std::function<void(const CornerView& view, Circuit& circui
 
 struct MonteCarloOptions {
   std::size_t corners = 0;
-  unsigned threads = 1;  ///< total workers; 0 = hardware concurrency
+  /// Total workers (core::resolve_workers); 0 = hardware concurrency.
+  unsigned threads = 1;
   /// Corners per dispatch chunk — which is also the lockstep SoA group
   /// size. 0 = ThreadPool::default_chunk. Results never depend on it.
   std::size_t chunk = 0;
@@ -130,20 +131,6 @@ struct MonteCarloOptions {
   TransientOptions transient;
   std::vector<Probe> probes;
   core::RunLimits limits;
-  /// Streaming overload only: bounded hand-off queue depth (0 = 2x threads).
-  std::size_t queue_capacity = 0;
-};
-
-/// Outcome of a streaming sweep: the batch verdict plus sink accounting,
-/// mirroring core::StreamSummary. delivered + discarded covers every corner.
-struct McStreamSummary {
-  core::BatchReport batch;
-  std::size_t delivered = 0;
-  std::size_t discarded_deliveries = 0;
-  std::size_t sink_error_count = 0;
-  core::Error sink_error;  ///< first sink/hand-off failure; kOk when clean
-
-  [[nodiscard]] bool ok() const { return sink_error.ok(); }
 };
 
 class MonteCarlo {
@@ -158,9 +145,11 @@ class MonteCarlo {
       const MonteCarloOptions& options, core::BatchReport* report = nullptr) const;
 
   /// Streaming path: results are delivered to `sink` as corners finish
-  /// (bounded memory). Serial sweeps drive the sink inline; parallel sweeps
-  /// hand results to one consumer thread through a bounded queue.
-  McStreamSummary run(const MonteCarloOptions& options, CornerSink& sink) const;
+  /// (bounded memory), through core::stream_to_sink. Serial sweeps drive
+  /// the sink inline; parallel sweeps hand results to one consumer thread
+  /// through a queue of twice the worker count.
+  core::StreamSummary run(const MonteCarloOptions& options,
+                          CornerSink& sink) const;
 
  private:
   CornerSampler sampler_;

@@ -7,6 +7,7 @@
 #include <sstream>
 
 #include "util/rng.hpp"
+#include "util/strings.hpp"
 
 namespace ferro::ckt {
 namespace {
@@ -92,11 +93,9 @@ ScatterParseResult parse_scatter_spec(std::string_view text) {
       continue;
     }
 
-    try {
-      std::size_t used = 0;
-      param.tolerance = std::stod(tol_text, &used);
-      if (used != tol_text.size()) throw std::invalid_argument(tol_text);
-    } catch (const std::exception&) {
+    if (const auto tolerance = util::parse_number<double>(tol_text)) {
+      param.tolerance = *tolerance;
+    } else {
       fail(line_no, "bad tolerance '" + tol_text + "'");
       continue;
     }

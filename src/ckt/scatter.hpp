@@ -64,7 +64,8 @@ struct ScatterParseResult {
 ///     lcore.area   0.02  uniform
 ///
 /// '#' and '*' start comments; parsing is all-or-nothing like the netlist
-/// parser.
+/// parser. Tolerances use the CLI flags' number grammar
+/// (util::parse_number: no '+' sign, no hex floats, finite only).
 [[nodiscard]] ScatterParseResult parse_scatter_spec(std::string_view text);
 
 /// One corner's draws: factors[i] scales the quantity named by

@@ -1,121 +1,26 @@
 #include "core/batch_runner.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
 #include <exception>
 #include <limits>
 #include <new>
-#include <thread>
 #include <utility>
 
 #include "core/fault_injection.hpp"
 #include "core/frontend_plan.hpp"
-#include "core/result_queue.hpp"
 #include "core/result_sink.hpp"
 #include "mag/energy_based_batch.hpp"
 #include "mag/ja_trace.hpp"
 
 namespace ferro::core {
-namespace {
-
-[[nodiscard]] bool is_stop_code(ErrorCode code) {
-  return code == ErrorCode::kCancelled || code == ErrorCode::kDeadlineExceeded;
-}
-
-/// Serialises every sink callback behind try/catch so a broken consumer can
-/// never deadlock the workers or tear down the pool. Policy: an on_result
-/// that throws loses THAT delivery only — later results are still offered
-/// (sink_error_count tells one hiccup from systematic failure) — but an
-/// on_start that throws withholds every delivery, because the sink never
-/// initialised (e.g. CollectingSink's backing vector was never sized).
-/// Driven from exactly one thread (the caller or the consumer thread).
-class SinkDriver {
- public:
-  SinkDriver(ResultSink& sink, StreamSummary& summary)
-      : sink_(sink), summary_(summary) {}
-
-  void start(std::size_t total) {
-    started_ = guard([&] { sink_.on_start(total); });
-  }
-
-  void deliver(std::size_t index, ScenarioResult&& result) {
-    if (!result.ok()) {
-      if (is_stop_code(result.error.code)) {
-        ++summary_.cancelled_jobs;
-      } else {
-        ++summary_.failed_jobs;
-      }
-    }
-    if (!started_) {
-      ++summary_.discarded_deliveries;
-      return;
-    }
-    if (guard([&] {
-          (void)FERRO_FAULT_HIT(FaultSite::kSinkDeliver);
-          sink_.on_result(index, std::move(result));
-        })) {
-      ++summary_.delivered;
-    } else {
-      ++summary_.discarded_deliveries;
-    }
-  }
-
-  void finish() {
-    // on_complete always fires, even after earlier sink failures — it's the
-    // sink's chance to close files.
-    guard([&] { sink_.on_complete(); });
-  }
-
- private:
-  template <typename Fn>
-  bool guard(const Fn& fn) {
-    try {
-      fn();
-      return true;
-    } catch (const std::exception& e) {
-      record(e.what());
-    } catch (...) {
-      record("unknown exception from sink");
-    }
-    return false;
-  }
-
-  void record(std::string detail) {
-    ++summary_.sink_error_count;
-    if (summary_.sink_error.ok()) {
-      summary_.sink_error = {ErrorCode::kSinkError, std::move(detail)};
-    }
-  }
-
-  ResultSink& sink_;
-  StreamSummary& summary_;
-  bool started_ = false;
-};
-
-}  // namespace
 
 BatchRunner::BatchRunner(BatchOptions options) : options_(options) {}
-
-unsigned BatchRunner::resolved_threads(std::size_t n_jobs) const {
-  unsigned threads = options_.threads;
-  if (threads == 0) {
-    threads = std::thread::hardware_concurrency();
-    if (threads == 0) threads = 1;
-  }
-  if (n_jobs < threads) threads = static_cast<unsigned>(n_jobs);
-  return std::max(threads, 1u);
-}
 
 ThreadPool& BatchRunner::pool() const {
   std::lock_guard<std::mutex> lk(pool_mutex_);
   if (!pool_) {
-    unsigned threads = options_.threads;
-    if (threads == 0) {
-      threads = std::thread::hardware_concurrency();
-      if (threads == 0) threads = 1;
-    }
-    pool_ = std::make_unique<ThreadPool>(threads);
+    pool_ = std::make_unique<ThreadPool>(resolve_workers(options_.threads));
   }
   return *pool_;
 }
@@ -214,11 +119,7 @@ void BatchRunner::dispatch_packed(const std::vector<Scenario>& scenarios,
   /// Emits an error-only result for scenario i, counting it against the
   /// failure or cancellation tally by its code.
   const auto emit_error = [&](std::size_t i, Error e) {
-    if (is_stop_code(e.code)) {
-      gate.count_cancelled();
-    } else {
-      gate.count_failure();
-    }
+    gate.count_verdict(e);
     ScenarioResult r;
     r.name = scenarios[i].name;
     r.model = scenarios[i].kind();
@@ -624,103 +525,12 @@ StreamSummary BatchRunner::run(const std::vector<Scenario>& scenarios,
                                ResultSink& sink,
                                const RunOptions& options) const {
   RunGate gate(options.limits);
-  return stream_shell(scenarios.size(), sink, options.stream, gate,
-                      [&](const EmitFn& emit) {
-                        execute(scenarios, options.packing, emit, gate);
-                      });
-}
-
-StreamSummary BatchRunner::stream_shell(
-    std::size_t n_jobs, ResultSink& sink, const StreamOptions& stream,
-    RunGate& gate,
-    const std::function<void(const EmitFn&)>& dispatch_fn) const {
-  StreamSummary summary;
-  SinkDriver driver(sink, summary);
-  driver.start(n_jobs);
-
-  const auto finalize = [&] {
-    driver.finish();
-    summary.quarantined = gate.quarantined();
-    summary.stop = gate.stopped() ? gate.stop_error() : Error{};
-  };
-
-  if (n_jobs == 0) {
-    finalize();
-    return summary;
-  }
-
-  if (resolved_threads(n_jobs) <= 1) {
-    // Serial batch: the dispatch runs in this thread, so the sink can be
-    // driven inline — no queue, no consumer thread, same contract.
-    dispatch_fn([&](std::size_t i, ScenarioResult&& r) {
-      driver.deliver(i, std::move(r));
-    });
-    finalize();
-    return summary;
-  }
-
-  const std::size_t capacity =
-      stream.queue_capacity != 0
-          ? stream.queue_capacity
-          : static_cast<std::size_t>(resolved_threads(n_jobs)) * 2;
-  ResultQueue queue(capacity);
-
-  // A failed hand-off (only possible through fault injection or allocation
-  // death inside push) loses that result but must not unwind a pool worker:
-  // count it so delivered + discarded still covers every scenario.
-  std::atomic<std::size_t> lost_pushes{0};
-  std::mutex lost_mutex;
-  Error first_lost;
-
-  // One consumer drains the queue for the whole batch, so the sink sees a
-  // single-threaded, serialised call sequence. It keeps draining even after
-  // a sink error (deliver() then counts that delivery as discarded) —
-  // otherwise workers blocked on a full queue would deadlock the pool.
-  std::thread consumer([&] {
-    ResultQueue::Batch batch;
-    while (queue.drain(batch)) {
-      for (StreamItem& item : batch) {
-        driver.deliver(item.index, std::move(item.result));
-      }
-    }
-  });
-
-  // The consumer MUST be closed-and-joined even if dispatch throws (e.g.
-  // lazy pool construction failing under resource exhaustion) — letting a
-  // joinable std::thread unwind calls std::terminate.
-  try {
-    dispatch_fn([&](std::size_t i, ScenarioResult&& r) {
-      try {
-        queue.push(StreamItem{i, std::move(r)});
-      } catch (const std::exception& e) {
-        lost_pushes.fetch_add(1, std::memory_order_relaxed);
-        std::lock_guard<std::mutex> lk(lost_mutex);
-        if (first_lost.ok()) {
-          first_lost = {ErrorCode::kInternal,
-                        std::string("result hand-off failed: ") + e.what()};
-        }
-      } catch (...) {
-        lost_pushes.fetch_add(1, std::memory_order_relaxed);
-        std::lock_guard<std::mutex> lk(lost_mutex);
-        if (first_lost.ok()) {
-          first_lost = {ErrorCode::kInternal, "result hand-off failed"};
-        }
-      }
-    });
-  } catch (...) {
-    queue.close();
-    consumer.join();
-    throw;
-  }
-
-  queue.close();
-  consumer.join();
-  summary.discarded_deliveries += lost_pushes.load(std::memory_order_relaxed);
-  if (!first_lost.ok() && summary.sink_error.ok()) {
-    summary.sink_error = std::move(first_lost);
-  }
-  finalize();
-  return summary;
+  return stream_to_sink(sink, scenarios.size(),
+                        resolved_threads(scenarios.size()),
+                        options.stream.queue_capacity, gate,
+                        [&](const EmitFn& emit) {
+                          execute(scenarios, options.packing, emit, gate);
+                        });
 }
 
 }  // namespace ferro::core

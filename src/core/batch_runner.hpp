@@ -21,10 +21,10 @@
 // garbage demotes to a per-scenario kNonFinite error (or a clean scalar
 // result), never a poisoned "success".
 //
-// The streaming path decouples production from consumption with a bounded
-// MPSC queue (core/result_queue.hpp): workers push results as they finish,
-// one consumer thread drains every pending result at once and drives the
-// sink serially, and a slow sink
+// The streaming path runs core::stream_to_sink (core/stream.hpp), the
+// streaming driver ckt::MonteCarlo uses too: workers push results into a
+// bounded MPSC queue as they finish, one consumer thread drains every
+// pending result at once and drives the sink serially, and a slow sink
 // backpressures the workers instead of buffering unboundedly. Results ARRIVE
 // in scheduling order but each carries its scenario index; wrap the sink in
 // OrderedSink (core/result_sink.hpp) to recover exactly run()'s order. A
@@ -65,8 +65,9 @@
 namespace ferro::core {
 
 struct BatchOptions {
-  /// Worker count: 0 picks std::thread::hardware_concurrency(); 1 runs every
-  /// job serially in the calling thread (no threads spawned).
+  /// Worker count (core::resolve_workers): 0 picks
+  /// std::thread::hardware_concurrency(); 1 runs every job serially in the
+  /// calling thread (no threads spawned).
   unsigned threads = 0;
 };
 
@@ -94,31 +95,6 @@ struct StreamOptions {
   /// of twice the worker count — enough that workers rarely stall on a
   /// prompt sink, small enough that a slow sink caps memory quickly.
   std::size_t queue_capacity = 0;
-};
-
-/// What the streaming paths report back. Invariant: delivered +
-/// discarded_deliveries always equals the scenario count — a result is
-/// discarded (never silently dropped elsewhere) only when its own delivery
-/// failed, when on_start threw (the sink was never initialised, so every
-/// delivery is withheld), or when its queue hand-off failed.
-struct StreamSummary {
-  std::size_t delivered = 0;  ///< on_result calls that returned normally
-  /// Results withheld from or refused by the sink (see invariant above).
-  std::size_t discarded_deliveries = 0;
-  std::size_t failed_jobs = 0;     ///< results carrying a per-job error
-  std::size_t cancelled_jobs = 0;  ///< kCancelled/kDeadlineExceeded results
-  std::size_t quarantined = 0;     ///< packed lanes retried via the exact path
-  /// Sink callbacks (on_start/on_result/on_complete) that threw — tells
-  /// "one hiccup" (1, and delivery continued) from "the sink kept failing".
-  std::size_t sink_error_count = 0;
-  /// First pipeline failure: kSinkError for a throwing sink callback,
-  /// kInternal for a failed queue hand-off. kOk when the stream was clean.
-  Error sink_error;
-  /// Why the batch stopped early (kCancelled/kDeadlineExceeded — the same
-  /// code stamped on every unfinished scenario); kOk when it ran out.
-  Error stop;
-
-  [[nodiscard]] bool ok() const { return sink_error.ok(); }
 };
 
 /// Everything one batch execution can be configured with: pick a Packing,
@@ -175,9 +151,11 @@ class BatchRunner {
   /// True when a packed run() would route `scenario` through the SoA kernel.
   [[nodiscard]] static bool packable(const Scenario& scenario);
 
-  /// The worker count `run` would use for `n_jobs` jobs (never more threads
-  /// than jobs; at least 1).
-  [[nodiscard]] unsigned resolved_threads(std::size_t n_jobs) const;
+  /// The worker count `run` would use for `n_jobs` jobs
+  /// (core::resolve_workers of options().threads).
+  [[nodiscard]] unsigned resolved_threads(std::size_t n_jobs) const {
+    return resolve_workers(options_.threads, n_jobs);
+  }
 
   [[nodiscard]] const BatchOptions& options() const { return options_; }
 
@@ -204,14 +182,6 @@ class BatchRunner {
   void dispatch_packed(const std::vector<Scenario>& scenarios,
                        mag::BatchMath math, const EmitFn& emit,
                        RunGate& gate) const;
-
-  /// Shared streaming shell: drives `sink` from a single consumer thread fed
-  /// by a bounded queue (or inline when the batch runs serially), with sink
-  /// exceptions captured into the summary.
-  StreamSummary stream_shell(
-      std::size_t n_jobs, ResultSink& sink, const StreamOptions& stream,
-      RunGate& gate,
-      const std::function<void(const EmitFn&)>& dispatch_fn) const;
 
   /// The persistent pool, created on first use and reused for the runner's
   /// lifetime. Sized from options().threads (0 = hardware concurrency),

@@ -67,6 +67,15 @@ double RunGate::remaining_seconds() const {
   return s > 1e-9 ? s : 1e-9;
 }
 
+void RunGate::count_verdict(const Error& verdict) {
+  if (verdict.code == ErrorCode::kCancelled ||
+      verdict.code == ErrorCode::kDeadlineExceeded) {
+    count_cancelled();
+  } else if (!verdict.ok()) {
+    count_failure();
+  }
+}
+
 void RunGate::fill(BatchReport& report) const {
   report.failed = failures();
   report.cancelled = cancelled();

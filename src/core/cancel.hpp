@@ -93,6 +93,9 @@ class RunGate {
 
   void count_failure() { failures_.fetch_add(1, std::memory_order_relaxed); }
   void count_cancelled() { cancelled_.fetch_add(1, std::memory_order_relaxed); }
+  /// Books one job's verdict by its code: nothing for kOk, a cancellation
+  /// for kCancelled/kDeadlineExceeded, a failure for anything else.
+  void count_verdict(const Error& verdict);
   void count_quarantined() {
     quarantined_.fetch_add(1, std::memory_order_relaxed);
   }

@@ -32,7 +32,7 @@ namespace ferro::core {
 
 /// Instrumented sites, one per distinct engine failure path.
 enum class FaultSite {
-  kSinkDeliver,      ///< SinkDriver: around each ResultSink::on_result
+  kSinkDeliver,      ///< stream_to_sink: around each sink on_result
   kQueuePush,        ///< ResultQueue::push (worker -> consumer hand-off)
   kLaneCompute,      ///< packed lane result assembly (per lane)
   kTrajectorySolve,  ///< FrontendPlanSet::solve_trajectory (per job)

@@ -1,12 +1,13 @@
 // Generic streaming result machinery: the sink contract, the stock sink
-// adapters, and the bounded MPSC hand-off queue, templated on the result
-// type so every batch engine in the repo delivers through the same
-// plumbing. `core::ResultSink`/`core::ResultQueue` (result_sink.hpp /
-// result_queue.hpp) are the ScenarioResult instantiations BatchRunner
-// speaks; ckt::MonteCarlo instantiates the same templates over its
-// CornerResult so a 10k-corner sweep streams with identical semantics.
+// adapters, the bounded MPSC hand-off queue, and the one streaming driver,
+// templated on the result type so every batch engine in the repo delivers
+// through the same plumbing. `core::ResultSink`/`core::ResultQueue`
+// (result_sink.hpp / result_queue.hpp) are the ScenarioResult
+// instantiations BatchRunner speaks; ckt::MonteCarlo instantiates the same
+// templates over its CornerResult, and both engines' sink overloads run
+// stream_to_sink and return its StreamSummary.
 //
-// Sink contract (what every streaming driver guarantees a sink):
+// Sink contract (what stream_to_sink guarantees a sink):
 //   * on_start(total) once, then zero or more on_result calls, then
 //     on_complete() once — all from ONE thread, never concurrently, so
 //     sinks need no locking of their own;
@@ -31,12 +32,17 @@
 #include <algorithm>
 #include <condition_variable>
 #include <cstddef>
+#include <exception>
 #include <functional>
 #include <map>
 #include <mutex>
+#include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
+#include "core/cancel.hpp"
+#include "core/error.hpp"
 #include "core/fault_injection.hpp"
 
 namespace ferro::core {
@@ -325,5 +331,153 @@ class BasicResultQueue {
   bool consumer_waiting_ = false;
   bool closed_ = false;
 };
+
+/// What a streaming run reports back. Invariant: delivered +
+/// discarded_deliveries always equals the job count — a result is
+/// discarded (never silently dropped elsewhere) only when its own delivery
+/// failed, when on_start threw (the sink was never initialised, so every
+/// delivery is withheld), or when its queue hand-off failed. The verdict
+/// fields (failed_jobs, cancelled_jobs, quarantined, stop) are the batch's
+/// RunGate counters — what a collecting run reports in its BatchReport.
+struct StreamSummary {
+  std::size_t delivered = 0;  ///< on_result calls that returned normally
+  /// Results withheld from or refused by the sink (see invariant above).
+  std::size_t discarded_deliveries = 0;
+  std::size_t failed_jobs = 0;     ///< results carrying a per-job error
+  std::size_t cancelled_jobs = 0;  ///< kCancelled/kDeadlineExceeded results
+  std::size_t quarantined = 0;     ///< packed lanes retried via the exact path
+  /// Sink callbacks (on_start/on_result/on_complete) that threw — tells
+  /// "one hiccup" (1, and delivery continued) from "the sink kept failing".
+  std::size_t sink_error_count = 0;
+  /// First pipeline failure: kSinkError for a throwing sink callback,
+  /// kInternal for a failed queue hand-off. kOk when the stream was clean.
+  Error sink_error;
+  /// Why the batch stopped early (kCancelled/kDeadlineExceeded — the same
+  /// code stamped on every unfinished job); kOk when it ran out.
+  Error stop;
+
+  [[nodiscard]] bool ok() const { return sink_error.ok(); }
+};
+
+/// The streaming driver behind every engine's sink overload. Runs the
+/// engine's own work distribution, `dispatch(emit)`, which must call
+/// emit(index, result) exactly once per index in [0, jobs) — from any
+/// worker thread — and book each verdict into `gate`; drives `sink` through
+/// the contract at the top of this header. With `workers` <= 1 the dispatch
+/// runs in the calling thread and the sink is driven inline; otherwise the
+/// results cross a BasicResultQueue of `queue_capacity` (0 = twice
+/// `workers`) to one consumer thread. Blocks until the batch has drained
+/// and on_complete returned.
+template <typename R, typename Dispatch>
+StreamSummary stream_to_sink(BasicResultSink<R>& sink, std::size_t jobs,
+                             unsigned workers, std::size_t queue_capacity,
+                             const RunGate& gate, const Dispatch& dispatch) {
+  using Emit = std::function<void(std::size_t, R&&)>;
+  StreamSummary summary;
+
+  // Every sink callback runs behind this guard, from one thread at a time
+  // (the caller, or the consumer while the caller only dispatches), so a
+  // broken consumer can never deadlock the workers or tear down the pool.
+  const auto record = [&summary](std::string detail) {
+    ++summary.sink_error_count;
+    if (summary.sink_error.ok()) {
+      summary.sink_error = {ErrorCode::kSinkError, std::move(detail)};
+    }
+  };
+  const auto guard = [&record](const auto& callback) {
+    try {
+      callback();
+      return true;
+    } catch (const std::exception& e) {
+      record(e.what());
+    } catch (...) {
+      record("unknown exception from sink");
+    }
+    return false;
+  };
+
+  // A sink whose on_start threw never initialised (e.g. a collecting
+  // sink's backing vector was never sized), so every delivery is withheld;
+  // an on_result that throws loses that delivery only.
+  const bool started = guard([&] { sink.on_start(jobs); });
+  const auto deliver = [&](std::size_t index, R&& result) {
+    if (started && guard([&] {
+          (void)FERRO_FAULT_HIT(FaultSite::kSinkDeliver);
+          sink.on_result(index, std::move(result));
+        })) {
+      ++summary.delivered;
+    } else {
+      ++summary.discarded_deliveries;
+    }
+  };
+
+  if (workers <= 1) {
+    dispatch(Emit(deliver));
+  } else {
+    BasicResultQueue<R> queue(queue_capacity != 0
+                                  ? queue_capacity
+                                  : std::size_t{2} * workers);
+
+    // A failed hand-off (only possible through fault injection or
+    // allocation death inside push) loses that result but must not unwind
+    // a pool worker: count it so delivered + discarded still covers every
+    // job.
+    std::mutex lost_mutex;
+    std::size_t lost = 0;
+    Error first_lost;
+    const auto lose = [&](std::string detail) {
+      std::lock_guard<std::mutex> lk(lost_mutex);
+      if (lost++ == 0) first_lost = {ErrorCode::kInternal, std::move(detail)};
+    };
+
+    // One consumer drains the queue for the whole batch. It keeps draining
+    // after a sink error (deliver() then counts the delivery as discarded)
+    // — otherwise workers blocked on a full queue would deadlock the pool.
+    std::thread consumer([&] {
+      typename BasicResultQueue<R>::Batch batch;
+      while (queue.drain(batch)) {
+        for (BasicStreamItem<R>& item : batch) {
+          deliver(item.index, std::move(item.result));
+        }
+      }
+    });
+
+    // The consumer MUST be closed-and-joined even if dispatch throws (e.g.
+    // lazy pool construction failing under resource exhaustion) — letting a
+    // joinable std::thread unwind calls std::terminate.
+    try {
+      dispatch(Emit([&](std::size_t index, R&& result) {
+        try {
+          queue.push(BasicStreamItem<R>{index, std::move(result)});
+        } catch (const std::exception& e) {
+          lose(std::string("result hand-off failed: ") + e.what());
+        } catch (...) {
+          lose("result hand-off failed");
+        }
+      }));
+    } catch (...) {
+      queue.close();
+      consumer.join();
+      throw;
+    }
+    queue.close();
+    consumer.join();
+    summary.discarded_deliveries += lost;
+    if (lost != 0 && summary.sink_error.ok()) {
+      summary.sink_error = std::move(first_lost);
+    }
+  }
+
+  // on_complete always fires, even after earlier sink failures — it is the
+  // sink's chance to close files.
+  guard([&] { sink.on_complete(); });
+  BatchReport verdict;
+  gate.fill(verdict);
+  summary.failed_jobs = verdict.failed;
+  summary.cancelled_jobs = verdict.cancelled;
+  summary.quarantined = verdict.quarantined;
+  summary.stop = std::move(verdict.stop);
+  return summary;
+}
 
 }  // namespace ferro::core

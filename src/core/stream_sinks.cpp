@@ -8,7 +8,7 @@ namespace ferro::core {
 namespace {
 
 /// Converts a failed writer into the sink-error channel: the throw is
-/// caught by the streaming shell's SinkDriver, which records kSinkError
+/// caught by the streaming driver (stream_to_sink), which records kSinkError
 /// (with this message as the detail) in the StreamSummary and counts the
 /// delivery as discarded.
 template <typename Writer>

@@ -4,6 +4,13 @@
 
 namespace ferro::core {
 
+unsigned resolve_workers(unsigned requested, std::size_t jobs) {
+  unsigned workers =
+      requested != 0 ? requested : std::thread::hardware_concurrency();
+  if (jobs < workers) workers = static_cast<unsigned>(jobs);
+  return std::max(workers, 1u);
+}
+
 ThreadPool::ThreadPool(unsigned workers) {
   const unsigned total = std::max(workers, 1u);
   deques_.reserve(total);

@@ -22,12 +22,20 @@
 #include <cstddef>
 #include <deque>
 #include <functional>
+#include <limits>
 #include <memory>
 #include <mutex>
 #include <thread>
 #include <vector>
 
 namespace ferro::core {
+
+/// The worker count every engine resolves its `threads` option to:
+/// `requested`, or std::thread::hardware_concurrency() when it is 0, never
+/// more than `jobs`, and at least 1.
+[[nodiscard]] unsigned resolve_workers(
+    unsigned requested,
+    std::size_t jobs = std::numeric_limits<std::size_t>::max());
 
 class ThreadPool {
  public:

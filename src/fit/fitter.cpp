@@ -8,7 +8,6 @@
 #include <random>
 #include <span>
 #include <stdexcept>
-#include <thread>
 #include <vector>
 
 #include "core/batch_runner.hpp"
@@ -254,8 +253,8 @@ FitResult fit_ja_parameters(const FitObjective& objective,
   // barrier between them. An instance's trajectory does not depend on
   // which others share its batches (packed lanes are partition-invariant),
   // so the result is bitwise the same for every thread count.
-  unsigned threads = options.threads;
-  if (threads == 0) threads = std::max(std::thread::hardware_concurrency(), 1u);
+  const unsigned threads =
+      core::resolve_workers(options.threads, instances.size());
   const std::size_t per_group = (instances.size() + threads - 1) / threads;
   const std::size_t n_groups = (instances.size() + per_group - 1) / per_group;
   std::vector<GroupOutcome> outcomes(n_groups);

@@ -1,13 +1,14 @@
 // ckt::MonteCarlo tests: scatter determinism, thread-count and partition
 // bitwise invariance, packed-vs-scalar-vs-direct identity (down to the
 // waveforms), poison-corner isolation, RunLimits, and the streaming
-// delivery contract.
+// delivery contract (the MonteCarlo side of test_streaming's sink cases).
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstring>
 #include <memory>
 #include <stdexcept>
+#include <utility>
 #include <vector>
 
 #include "ckt/engine.hpp"
@@ -135,9 +136,11 @@ TEST(Scatter, ParseSpecAndDiagnostics) {
       "r1.value nan-ish\n"
       "r1.value 1.5\n"
       "dup.x 0.1\ndup.x 0.2\n"
-      "d.k 0.1 cauchy\n");
+      "d.k 0.1 cauchy\n"
+      "hex.x 0x0.1\n"
+      "plus.x +0.05\n");
   EXPECT_FALSE(bad.ok());
-  EXPECT_EQ(bad.errors.size(), 6u);
+  EXPECT_EQ(bad.errors.size(), 8u);
 }
 
 TEST(Scatter, DrawsAreDeterministicAndBounded) {
@@ -363,7 +366,7 @@ TEST(MonteCarlo, StreamingDeliversEveryCornerOnce) {
   options.threads = 3;
   options.chunk = 2;
   CountingSink sink;
-  const fk::McStreamSummary summary = demo_mc().run(options, sink);
+  const fe::StreamSummary summary = demo_mc().run(options, sink);
   EXPECT_EQ(sink.started, 1u);
   EXPECT_EQ(sink.completed, 1u);
   for (std::size_t i = 0; i < sink.seen.size(); ++i) {
@@ -372,7 +375,135 @@ TEST(MonteCarlo, StreamingDeliversEveryCornerOnce) {
   EXPECT_EQ(summary.delivered, 9u);
   EXPECT_EQ(summary.discarded_deliveries, 0u);
   EXPECT_TRUE(summary.ok());
-  EXPECT_EQ(summary.batch.jobs, 9u);
+  EXPECT_EQ(summary.failed_jobs, 0u);
+  EXPECT_TRUE(summary.stop.ok());
+}
+
+namespace {
+
+/// Records every delivery plus the lifecycle calls, for the stream
+/// contract cases below.
+class RecordingCornerSink : public fk::CornerSink {
+ public:
+  void on_start(std::size_t total) override {
+    ++starts;
+    this->total = total;
+  }
+  void on_result(std::size_t index, fk::CornerResult&& result) override {
+    received.emplace_back(index, std::move(result));
+  }
+  void on_complete() override { ++completes; }
+
+  std::vector<std::pair<std::size_t, fk::CornerResult>> received;
+  std::size_t total = 0;
+  int starts = 0;
+  int completes = 0;
+};
+
+}  // namespace
+
+TEST(MonteCarlo, ThrowingOnStartDiscardsEverythingButStillCompletes) {
+  // The lifecycle closes even when on_start threw, inline (threads 1) and
+  // through the queue (threads 3).
+  class BadStartSink final : public RecordingCornerSink {
+   public:
+    void on_start(std::size_t) override {
+      throw std::runtime_error("refused to start");
+    }
+  };
+  for (const unsigned threads : {1u, 3u}) {
+    auto options = demo_options(6);
+    options.threads = threads;
+    BadStartSink sink;
+    const auto summary = demo_mc().run(options, sink);
+    EXPECT_FALSE(summary.ok());
+    EXPECT_EQ(summary.sink_error.code, fe::ErrorCode::kSinkError);
+    EXPECT_EQ(summary.sink_error_count, 1u);
+    EXPECT_EQ(summary.delivered, 0u);
+    EXPECT_EQ(summary.discarded_deliveries, 6u);
+    EXPECT_TRUE(sink.received.empty());
+    EXPECT_EQ(sink.completes, 1) << "threads " << threads;
+  }
+}
+
+TEST(MonteCarlo, ThrowingSinkLosesOneDeliveryAndCompletes) {
+  class ThrowingSink final : public RecordingCornerSink {
+   public:
+    void on_result(std::size_t index, fk::CornerResult&& result) override {
+      if (++attempts == 3) throw std::runtime_error("sink exploded");
+      RecordingCornerSink::on_result(index, std::move(result));
+    }
+    std::size_t attempts = 0;
+  };
+  for (const unsigned threads : {1u, 3u}) {
+    auto options = demo_options(8);
+    options.threads = threads;
+    options.chunk = 2;
+    ThrowingSink sink;
+    const auto summary = demo_mc().run(options, sink);
+    EXPECT_FALSE(summary.ok());
+    EXPECT_EQ(summary.sink_error.code, fe::ErrorCode::kSinkError);
+    EXPECT_NE(summary.sink_error.detail.find("sink exploded"),
+              std::string::npos)
+        << summary.sink_error;
+    EXPECT_EQ(summary.sink_error_count, 1u);
+    EXPECT_EQ(summary.discarded_deliveries, 1u);
+    EXPECT_EQ(summary.delivered, 7u);
+    EXPECT_EQ(sink.attempts, 8u);  // later corners were still offered
+    EXPECT_EQ(sink.received.size(), 7u);
+    EXPECT_EQ(sink.completes, 1) << "threads " << threads;
+  }
+}
+
+TEST(MonteCarlo, EmptySweepStillRunsTheSinkLifecycle) {
+  for (const unsigned threads : {1u, 3u}) {
+    auto options = demo_options(0);
+    options.threads = threads;
+    RecordingCornerSink sink;
+    const auto summary = demo_mc().run(options, sink);
+    EXPECT_TRUE(summary.ok());
+    EXPECT_EQ(summary.delivered, 0u);
+    EXPECT_EQ(sink.starts, 1);
+    EXPECT_EQ(sink.completes, 1);
+    EXPECT_EQ(sink.total, 0u);
+  }
+}
+
+TEST(MonteCarlo, ParallelCancellationMidStreamStaysAccounted) {
+  // Workers, queue, consumer and a cancel fired from inside the sink all
+  // race: whatever finishes finishes, but every corner is delivered once
+  // and the summary's cancelled count is the kCancelled results received.
+  class CancellingSink final : public RecordingCornerSink {
+   public:
+    explicit CancellingSink(fe::CancelToken token) : token_(std::move(token)) {}
+    void on_result(std::size_t index, fk::CornerResult&& result) override {
+      token_.cancel();
+      RecordingCornerSink::on_result(index, std::move(result));
+    }
+
+   private:
+    fe::CancelToken token_;
+  };
+  auto options = demo_options(24);
+  options.threads = 3;
+  options.chunk = 1;
+  CancellingSink sink(options.limits.cancel);
+  const auto summary = demo_mc().run(options, sink);
+  EXPECT_TRUE(summary.ok());
+  EXPECT_EQ(summary.delivered, 24u);
+  EXPECT_EQ(sink.starts, 1);
+  EXPECT_EQ(sink.completes, 1);
+  std::size_t cancelled = 0;
+  for (const auto& [index, result] : sink.received) {
+    EXPECT_EQ(result.index, index);
+    if (result.ok()) continue;
+    EXPECT_EQ(result.error.code, fe::ErrorCode::kCancelled) << index;
+    ++cancelled;
+  }
+  EXPECT_EQ(summary.cancelled_jobs, cancelled);
+  EXPECT_EQ(summary.failed_jobs, 0u);
+  EXPECT_GT(cancelled, 0u);
+  EXPECT_EQ(summary.stop.code, fe::ErrorCode::kCancelled);
 }
 
 TEST(MonteCarlo, OrderedStreamingMatchesCollect) {

@@ -1,8 +1,10 @@
 // Deterministic fault injection (core/fault_injection.hpp): the injector's
 // own arm/fire semantics run in every build; the engine-integration tests —
 // throws, poison, and stalls at the instrumented sites driving the batch
-// engine's drain/quarantine/accounting contracts — need the hooks compiled
-// in (cmake -DFERRO_FAULT_INJECTION=ON) and skip themselves otherwise.
+// engines' drain/quarantine/accounting contracts (BatchRunner, and
+// ckt::MonteCarlo through the shared streaming driver) — need the hooks
+// compiled in (cmake -DFERRO_FAULT_INJECTION=ON) and skip themselves
+// otherwise.
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -11,6 +13,9 @@
 #include <utility>
 #include <vector>
 
+#include "ckt/monte_carlo.hpp"
+#include "ckt/rlc.hpp"
+#include "ckt/sources.hpp"
 #include "core/batch_runner.hpp"
 #include "core/fault_injection.hpp"
 #include "core/result_sink.hpp"
@@ -20,6 +25,7 @@
 #include "wave/sweep.hpp"
 
 namespace fc = ferro::core;
+namespace fk = ferro::ckt;
 namespace fm = ferro::mag;
 namespace fw = ferro::wave;
 namespace ts = ferro::testsupport;
@@ -60,18 +66,21 @@ std::vector<fc::Scenario> ams_batch(std::size_t count) {
   return scenarios;
 }
 
-class RecordingSink : public fc::ResultSink {
+template <typename R>
+class BasicRecordingSink : public fc::BasicResultSink<R> {
  public:
   void on_start(std::size_t total) override { this->total = total; }
-  void on_result(std::size_t index, fc::ScenarioResult&& result) override {
+  void on_result(std::size_t index, R&& result) override {
     received.emplace_back(index, std::move(result));
   }
   void on_complete() override { ++completes; }
 
-  std::vector<std::pair<std::size_t, fc::ScenarioResult>> received;
+  std::vector<std::pair<std::size_t, R>> received;
   std::size_t total = 0;
   int completes = 0;
 };
+using RecordingSink = BasicRecordingSink<fc::ScenarioResult>;
+using RecordingCornerSink = BasicRecordingSink<fk::CornerResult>;
 
 /// Disarms every site around each test so armings never leak across cases.
 class FaultInjection : public ::testing::Test {
@@ -261,6 +270,67 @@ TEST_F(FaultInjection, ThrowAtQueuePushKeepsTheAccountingClosed) {
   EXPECT_EQ(summary.sink_error.code, fc::ErrorCode::kInternal);
   EXPECT_NE(summary.sink_error.detail.find("hand-off"), std::string::npos);
   EXPECT_EQ(sink.received.size(), scenarios.size() - 1);
+  EXPECT_EQ(sink.completes, 1);
+}
+
+namespace {
+
+/// A tolerance sweep over a small RC low-pass: cheap corners for the
+/// MonteCarlo side of the streaming cases.
+fk::MonteCarlo rc_sweep() {
+  fk::ScatterSpec spec;
+  spec.params = {{"r.value", 0.05, fk::ScatterKind::kUniform}};
+  return fk::MonteCarlo(
+      fk::CornerSampler(spec, 3),
+      [](const fk::CornerView& view, fk::Circuit& circuit) {
+        const auto in = circuit.node("in");
+        const auto out = circuit.node("out");
+        circuit.add<fk::VoltageSource>("V", in, fk::kGround,
+                                       std::make_shared<fw::Sine>(1.0, 50.0));
+        circuit.add<fk::Resistor>("R", in, out, view.value("r.value", 1e3));
+        circuit.add<fk::Capacitor>("C", out, fk::kGround, 1e-6);
+      });
+}
+
+fk::MonteCarloOptions rc_options(std::size_t corners, unsigned threads) {
+  fk::MonteCarloOptions options;
+  options.corners = corners;
+  options.threads = threads;
+  options.chunk = 1;
+  options.transient.t_end = 1e-3;
+  options.transient.dt_initial = 1e-6;
+  options.transient.dt_max = 5e-5;
+  return options;
+}
+
+}  // namespace
+
+TEST_F(FaultInjection, MonteCarloThrowAtSinkDeliverLosesOneDeliveryAndContinues) {
+  fc::FaultInjector::arm(fc::FaultSite::kSinkDeliver,
+                         {fc::FaultAction::kThrow, /*nth=*/2, /*count=*/1});
+  RecordingCornerSink sink;
+  const auto summary = rc_sweep().run(rc_options(8, 1), sink);  // inline
+  EXPECT_EQ(summary.sink_error_count, 1u);
+  EXPECT_EQ(summary.sink_error.code, fc::ErrorCode::kSinkError);
+  EXPECT_NE(summary.sink_error.detail.find("injected fault at sink-deliver"),
+            std::string::npos);
+  EXPECT_EQ(summary.delivered, 7u);
+  EXPECT_EQ(summary.discarded_deliveries, 1u);
+  EXPECT_EQ(sink.received.size(), 7u);
+  EXPECT_EQ(sink.completes, 1);
+  EXPECT_EQ(summary.failed_jobs, 0u);
+}
+
+TEST_F(FaultInjection, MonteCarloThrowAtQueuePushKeepsTheAccountingClosed) {
+  fc::FaultInjector::arm(fc::FaultSite::kQueuePush,
+                         {fc::FaultAction::kThrow, /*nth=*/3, /*count=*/1});
+  RecordingCornerSink sink;
+  const auto summary = rc_sweep().run(rc_options(16, 4), sink);
+  EXPECT_EQ(summary.discarded_deliveries, 1u);
+  EXPECT_EQ(summary.delivered, 15u);
+  EXPECT_EQ(summary.sink_error.code, fc::ErrorCode::kInternal);
+  EXPECT_NE(summary.sink_error.detail.find("hand-off"), std::string::npos);
+  EXPECT_EQ(sink.received.size(), 15u);
   EXPECT_EQ(sink.completes, 1);
 }
 

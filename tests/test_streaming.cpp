@@ -416,7 +416,9 @@ TEST(Streaming, ThrowingOnStartDiscardsEverythingButStillCompletes) {
       throw std::runtime_error("refused to start");
     }
     void on_result(std::size_t, fc::ScenarioResult&&) override { ++count; }
+    void on_complete() override { ++completes; }
     std::size_t count = 0;
+    int completes = 0;
   } sink;
 
   const auto summary = fc::BatchRunner({.threads = 2}).run(scenarios, sink);
@@ -425,6 +427,7 @@ TEST(Streaming, ThrowingOnStartDiscardsEverythingButStillCompletes) {
   EXPECT_EQ(summary.delivered, 0u);
   EXPECT_EQ(summary.discarded_deliveries, scenarios.size());
   EXPECT_EQ(sink.count, 0u);
+  EXPECT_EQ(sink.completes, 1);
 }
 
 // ---------------------------------------------------------------------------

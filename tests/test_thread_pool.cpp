@@ -8,6 +8,7 @@
 #include <limits>
 #include <mutex>
 #include <numeric>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -150,6 +151,16 @@ TEST(ThreadPool, StoppableOverloadWithEmptyQueryNeverStops) {
       },
       fc::ThreadPool::StopQuery{});
   EXPECT_EQ(stopped.load(), 0u);
+}
+
+TEST(ThreadPool, ResolveWorkersCapsAtJobsAndDefaultsToHardware) {
+  EXPECT_EQ(fc::resolve_workers(8, 3), 3u);
+  EXPECT_EQ(fc::resolve_workers(8, 100), 8u);
+  EXPECT_EQ(fc::resolve_workers(8, 0), 1u);
+  EXPECT_EQ(fc::resolve_workers(8), 8u);  // uncapped: a pool's size
+  const unsigned hardware = std::max(std::thread::hardware_concurrency(), 1u);
+  EXPECT_EQ(fc::resolve_workers(0), hardware);
+  EXPECT_EQ(fc::resolve_workers(0, 1), 1u);
 }
 
 TEST(ThreadPool, DefaultChunkScalesWithWorkload) {

@@ -43,7 +43,7 @@ void usage(const char* argv0) {
       "  --seed N          batch seed (default: 1)\n"
       "  --threads N       total workers, 0 = hardware (default: 0)\n"
       "  --chunk N         corners per lockstep group, 0 = auto (default: 0)\n"
-      "  --packing MODE    scalar | packed | packed-fast (default: packed)\n"
+      "  --packing MODE    scalar | packed (default: packed)\n"
       "\n"
       "transient (defaults from the deck's .tran card)\n"
       "  --dt-initial S    initial step (default: 1e-6)\n"
@@ -211,8 +211,6 @@ int main(int argc, char** argv) {
         options.packing = ckt::McPacking::kScalar;
       } else if (mode == "packed") {
         options.packing = ckt::McPacking::kPackedExact;
-      } else if (mode == "packed-fast") {
-        options.packing = ckt::McPacking::kPackedFast;
       } else {
         std::fprintf(stderr, "unknown packing '%s'\n", mode.c_str());
         return 2;
@@ -302,7 +300,7 @@ int main(int argc, char** argv) {
   ckt::CornerOrderedSink ordered(jsonl);
 
   const auto t0 = std::chrono::steady_clock::now();
-  const ckt::McStreamSummary summary = mc.run(options, ordered);
+  const core::StreamSummary summary = mc.run(options, ordered);
   const double elapsed =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
           .count();
@@ -311,11 +309,11 @@ int main(int argc, char** argv) {
               std::string(to_string(options.packing)).c_str(),
               static_cast<unsigned long long>(seed));
   std::printf("  completed : %zu\n",
-              options.corners - summary.batch.failed - summary.batch.cancelled);
-  std::printf("  failed    : %zu\n", summary.batch.failed);
-  std::printf("  cancelled : %zu\n", summary.batch.cancelled);
-  if (!summary.batch.stop.ok()) {
-    std::printf("  stopped   : %s\n", summary.batch.stop.message().c_str());
+              options.corners - summary.failed_jobs - summary.cancelled_jobs);
+  std::printf("  failed    : %zu\n", summary.failed_jobs);
+  std::printf("  cancelled : %zu\n", summary.cancelled_jobs);
+  if (!summary.stop.ok()) {
+    std::printf("  stopped   : %s\n", summary.stop.message().c_str());
   }
   std::printf("  elapsed   : %.3f s (%.1f corners/s)\n", elapsed,
               elapsed > 0.0 ? static_cast<double>(options.corners) / elapsed
@@ -332,5 +330,5 @@ int main(int argc, char** argv) {
                  summary.sink_error.message().c_str());
     return 1;
   }
-  return summary.batch.failed == 0 ? 0 : 3;
+  return summary.failed_jobs == 0 ? 0 : 3;
 }
