@@ -11,7 +11,10 @@
 // The timing section compares collected run() against the sink overload with a
 // do-nothing sink (pure pipeline overhead: queue hand-off + consumer
 // thread), an OrderedSink (re-sequencing cost), and a tiny queue
-// (backpressure pressure-test).
+// (backpressure pressure-test). Both sections also count minor page faults
+// (getrusage ru_minflt) per scenario: the packed streaming path reuses the
+// curve storage of results the sink drops, so it should fault close to
+// nothing once warm, where fresh curves fault in every page.
 #include <sys/resource.h>
 
 #include <chrono>
@@ -62,10 +65,22 @@ std::vector<core::Scenario> workload(std::size_t count,
   return scenarios;
 }
 
+/// The timing section's batch: 1024 sweeps of 3000 samples, the shape of a
+/// material sweep. A streaming run recycles at most one lane block per
+/// worker plus the queue's worth of curves, so with a batch this size most
+/// lanes record into reused storage, as in a long sweep.
+std::vector<core::Scenario> timed_workload() { return workload(1024, 375); }
+
 long peak_rss_kb() {
   rusage usage{};
   getrusage(RUSAGE_SELF, &usage);
   return usage.ru_maxrss;  // KiB on Linux
+}
+
+long minor_faults() {
+  rusage usage{};
+  getrusage(RUSAGE_SELF, &usage);
+  return usage.ru_minflt;
 }
 
 void report() {
@@ -76,22 +91,37 @@ void report() {
   const auto scenarios = workload(256, 2000);
   const core::BatchRunner runner;
 
+  const double n = static_cast<double>(scenarios.size());
   const long rss_before = peak_rss_kb();
+  long faults = minor_faults();
   NullSink sink;
   const auto summary = runner.run(scenarios, sink);
   const long rss_stream = peak_rss_kb();
+  const double faults_stream = static_cast<double>(minor_faults() - faults) / n;
+  faults = minor_faults();
+  NullSink packed_sink;
+  (void)runner.run(scenarios, packed_sink, {.packing = core::Packing::kFast});
+  const long rss_packed = peak_rss_kb();
+  const double faults_packed = static_cast<double>(minor_faults() - faults) / n;
+  faults = minor_faults();
   const auto collected = runner.run(scenarios);
   const long rss_collect = peak_rss_kb();
+  const double faults_collect =
+      static_cast<double>(minor_faults() - faults) / n;
 
   std::size_t collected_bytes = 0;
   for (const auto& r : collected) {
     collected_bytes += r.curve.size() * sizeof(mag::BhPoint);
   }
 
-  std::printf("  %-34s %12s\n", "phase", "peak RSS");
+  std::printf("  %-34s %12s %16s\n", "phase", "peak RSS", "faults/scenario");
   std::printf("  %-34s %9ld KiB\n", "before batches", rss_before);
-  std::printf("  %-34s %9ld KiB\n", "after streaming (NullSink)", rss_stream);
-  std::printf("  %-34s %9ld KiB\n", "after collect (run())", rss_collect);
+  std::printf("  %-34s %9ld KiB %16.1f\n", "after streaming (NullSink)",
+              rss_stream, faults_stream);
+  std::printf("  %-34s %9ld KiB %16.1f\n", "after packed kFast streaming",
+              rss_packed, faults_packed);
+  std::printf("  %-34s %9ld KiB %16.1f\n", "after collect (run())",
+              rss_collect, faults_collect);
   std::printf("  streamed %zu results ok=%d; curve payload %.1f MiB "
               "(streamed) vs %.1f MiB held live by collect\n",
               summary.delivered, summary.ok(),
@@ -100,11 +130,14 @@ void report() {
   benchutil::footnote(
       "ru_maxrss is monotonic: growth between the streaming and collect "
       "rows is memory only collect-then-return needed. Streaming keeps at "
-      "most queue_capacity results in flight.");
+      "most queue_capacity results in flight. faults/scenario is the "
+      "ru_minflt delta of each phase over its scenarios; the first packed "
+      "run of a process still maps its recycled set once, so "
+      "bm_stream_null_sink's steady-state counter is the figure to track.");
 }
 
 void bm_collect(benchmark::State& state) {
-  const auto scenarios = workload(64, 1500);
+  const auto scenarios = timed_workload();
   const core::BatchRunner runner(
       {.threads = static_cast<unsigned>(state.range(0))});
   for (auto _ : state) {
@@ -121,27 +154,41 @@ BENCHMARK(bm_collect)
     ->MeasureProcessCPUTime()
     ->UseRealTime();
 
+/// Args: threads (0 = hardware), packing (0 = kNone, 1 = packed kFast).
+/// minflt_per_item is the process's minor page faults over the timed loop
+/// per streamed scenario — the curve-storage churn the packed path's
+/// recycling removes.
 void bm_stream_null_sink(benchmark::State& state) {
-  const auto scenarios = workload(64, 1500);
+  const auto scenarios = timed_workload();
   const core::BatchRunner runner(
       {.threads = static_cast<unsigned>(state.range(0))});
+  const core::RunOptions options{
+      .packing = state.range(1) != 0 ? core::Packing::kFast
+                                     : core::Packing::kNone};
+  const long faults = minor_faults();
   for (auto _ : state) {
     NullSink sink;
-    auto summary = runner.run(scenarios, sink);
+    auto summary = runner.run(scenarios, sink, options);
     benchmark::DoNotOptimize(summary);
   }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(scenarios.size()));
+  const double items = static_cast<double>(state.iterations()) *
+                       static_cast<double>(scenarios.size());
+  state.counters["minflt_per_item"] =
+      benchmark::Counter(static_cast<double>(minor_faults() - faults) / items);
+  state.SetItemsProcessed(static_cast<std::int64_t>(items));
 }
 BENCHMARK(bm_stream_null_sink)
-    ->Arg(1)
-    ->Arg(0)
+    ->Args({1, 0})
+    ->Args({0, 0})
+    ->Args({1, 1})
+    ->Args({0, 1})
+    ->ArgNames({"threads", "packed"})
     ->Unit(benchmark::kMillisecond)
     ->MeasureProcessCPUTime()
     ->UseRealTime();
 
 void bm_stream_ordered(benchmark::State& state) {
-  const auto scenarios = workload(64, 1500);
+  const auto scenarios = timed_workload();
   const core::BatchRunner runner(
       {.threads = static_cast<unsigned>(state.range(0))});
   for (auto _ : state) {
@@ -216,7 +263,7 @@ BENCHMARK(bm_stream_cancellation_latency)
 void bm_stream_tiny_queue(benchmark::State& state) {
   // Capacity 1: every hand-off risks a stall — the worst case for the
   // blocking queue. The gap to bm_stream_null_sink is the backpressure tax.
-  const auto scenarios = workload(64, 1500);
+  const auto scenarios = timed_workload();
   const core::BatchRunner runner({.threads = 0});
   for (auto _ : state) {
     NullSink sink;

@@ -15,7 +15,51 @@
 
 namespace ferro::core {
 
+/// The curve storage of delivered results the sink did not keep, for the
+/// next lane blocks to record into: they then write into pages that are
+/// already mapped, where fresh curves would be faulted in (zero-filled)
+/// page by page after the allocator trimmed the last block's back to the
+/// OS. Belongs to one streaming run; mutex-guarded, because the consumer
+/// thread gives while the workers take. Keeps at most `cap` buffers — what
+/// can be in flight — and lets the rest be freed.
+class BatchRunner::CurveRecycler {
+ public:
+  /// Reserves the whole set up front, so give() never allocates (it runs
+  /// on the delivering thread and must not throw).
+  explicit CurveRecycler(std::size_t cap) : cap_(cap) { free_.reserve(cap); }
+
+  /// An empty buffer with the capacity it last had, or a new one.
+  std::vector<mag::BhPoint> take() {
+    std::lock_guard<std::mutex> lk(mutex_);
+    if (free_.empty()) return {};
+    std::vector<mag::BhPoint> points = std::move(free_.back());
+    free_.pop_back();
+    return points;
+  }
+
+  /// Keeps `points` for a later take() unless the set is full (then the
+  /// caller's buffer is freed as usual).
+  void give(std::vector<mag::BhPoint>&& points) {
+    if (cap_ == 0 || points.capacity() == 0) return;
+    // Emptied, so a too-short buffer grows to exactly what its next lane
+    // needs without copying stale points across.
+    points.clear();
+    std::lock_guard<std::mutex> lk(mutex_);
+    if (free_.size() < cap_) free_.push_back(std::move(points));
+  }
+
+ private:
+  const std::size_t cap_;
+  std::mutex mutex_;
+  std::vector<std::vector<mag::BhPoint>> free_;
+};
+
 BatchRunner::BatchRunner(BatchOptions options) : options_(options) {}
+
+std::size_t BatchRunner::lane_block() {
+  return 2 * static_cast<std::size_t>(
+                 mag::TimelessJaBatch::active_simd_width());
+}
 
 ThreadPool& BatchRunner::pool() const {
   std::lock_guard<std::mutex> lk(pool_mutex_);
@@ -77,7 +121,9 @@ std::vector<ScenarioResult> BatchRunner::run(
   const EmitFn emit = [&](std::size_t i, ScenarioResult&& r) {
     results[i] = std::move(r);
   };
-  execute(scenarios, options.packing, emit, gate);
+  // The caller keeps every result, so no storage is recycled.
+  CurveRecycler recycled(0);
+  execute(scenarios, options.packing, emit, gate, recycled);
   if (report) {
     report->jobs = scenarios.size();
     gate.fill(*report);
@@ -86,15 +132,15 @@ std::vector<ScenarioResult> BatchRunner::run(
 }
 
 void BatchRunner::execute(const std::vector<Scenario>& scenarios,
-                          Packing packing, const EmitFn& emit,
-                          RunGate& gate) const {
+                          Packing packing, const EmitFn& emit, RunGate& gate,
+                          CurveRecycler& recycled) const {
   if (packing == Packing::kNone) {
     dispatch(scenarios, emit, gate);
   } else {
     dispatch_packed(scenarios,
                     packing == Packing::kFast ? mag::BatchMath::kFast
                                               : mag::BatchMath::kExact,
-                    emit, gate);
+                    emit, gate, recycled);
   }
 }
 
@@ -107,7 +153,8 @@ bool BatchRunner::packable(const Scenario& scenario) {
 
 void BatchRunner::dispatch_packed(const std::vector<Scenario>& scenarios,
                                   mag::BatchMath math, const EmitFn& emit,
-                                  RunGate& gate) const {
+                                  RunGate& gate,
+                                  CurveRecycler& recycled) const {
   if (scenarios.empty()) return;
 
   // Stage 1 (plan): route every scenario and collect the concrete H work —
@@ -198,18 +245,15 @@ void BatchRunner::dispatch_packed(const std::vector<Scenario>& scenarios,
                    });
 
   const unsigned threads = resolved_threads(scenarios.size());
-  const auto width =
-      static_cast<std::size_t>(mag::TimelessJaBatch::active_simd_width());
 
-  // Lane blocks sized like ThreadPool::default_chunk would size them —
-  // rounded up to the active SIMD width so the partition never splits a
-  // vector group mid-register. Lanes are independent, so any block
-  // partition yields identical per-lane results: thread-count and
-  // chunk-size invariance for free.
+  // Lane blocks of one kernel tile at every thread count: a worker holds
+  // one tile of curves at a time, so a streaming run's recycled storage
+  // stays small, and the partition never splits a vector group
+  // mid-register. Lanes are independent, so any block partition yields
+  // identical per-lane results: thread-count and chunk-size invariance for
+  // free.
   const auto make_blocks = [&](std::size_t n) {
-    const std::size_t block =
-        threads <= 1 ? std::max<std::size_t>(n, 1)
-                     : ThreadPool::default_chunk(n, threads, width);
+    const std::size_t block = lane_block();
     std::vector<std::pair<std::size_t, std::size_t>> blocks;
     for (std::size_t b = 0; b < n; b += block) {
       blocks.emplace_back(b, std::min(n, b + block));
@@ -283,10 +327,12 @@ void BatchRunner::dispatch_packed(const std::vector<Scenario>& scenarios,
     try {
       std::vector<const wave::HSweep*> sweeps;
       sweeps.reserve(end - begin);
+      curves.reserve(end - begin);
       for (std::size_t p = begin; p < end; ++p) {
         const std::size_t i = sweep_lanes[p];
         batch.add_lane(scenarios[i].ja().params, scenarios[i].ja().config);
         sweeps.push_back(&plans.sweep(i));
+        curves.emplace_back(recycled.take());
       }
       batch.run(sweeps, curves);
     } catch (const std::exception& e) {
@@ -327,10 +373,12 @@ void BatchRunner::dispatch_packed(const std::vector<Scenario>& scenarios,
     try {
       std::vector<const wave::HSweep*> sweeps;
       sweeps.reserve(end - begin);
+      curves.reserve(end - begin);
       for (std::size_t p = begin; p < end; ++p) {
         const std::size_t i = energy_lanes[p];
         batch.add_lane(scenarios[i].energy().params);
         sweeps.push_back(&plans.sweep(i));
+        curves.emplace_back(recycled.take());
       }
       batch.run(sweeps, curves);
     } catch (const std::exception& e) {
@@ -393,6 +441,7 @@ void BatchRunner::dispatch_packed(const std::vector<Scenario>& scenarios,
       traces.reserve(live.size());
       views.reserve(live.size());
       virgin.reserve(live.size());
+      points.reserve(live.size());
       for (const std::size_t i : live) {
         const JaSpec& s = scenarios[i].ja();
         // The trace already unrolled any sub-stepping, so the lane registers
@@ -411,6 +460,12 @@ void BatchRunner::dispatch_packed(const std::vector<Scenario>& scenarios,
         // before the rows run.
         virgin.push_back(mag::BhPoint{0.0, batch.magnetisation(lane),
                                       batch.flux_density(lane)});
+        // Sized here rather than inside run_traces: a buffer that has to
+        // grow then lands between the row programs, so their storage, freed
+        // with the block, is reused by the next block instead of coalescing
+        // into one free run at the heap top that the allocator trims.
+        points.push_back(recycled.take());
+        points.back().reserve(views.back().rows);
       }
       batch.run_traces(views, points);
     } catch (const std::exception& e) {
@@ -429,6 +484,7 @@ void BatchRunner::dispatch_packed(const std::vector<Scenario>& scenarios,
         const mag::JaTrace& trace = traces[l];
         const AmsTrajectory& trajectory =
             plans.trajectory(plans.plan(i).trajectory).result;
+        r.curve = mag::BhCurve(recycled.take());
         r.curve.reserve(trajectory.h.size());
         if (!trajectory.h.empty()) {
           r.curve.append(trajectory.h.front(), virgin[l].m, virgin[l].b);
@@ -445,6 +501,8 @@ void BatchRunner::dispatch_packed(const std::vector<Scenario>& scenarios,
       } catch (...) {
         r.error = {ErrorCode::kInternal, "unknown exception"};
       }
+      // The replayed rows are scratch once the published ones are copied.
+      recycled.give(std::move(points[l]));
       finalize_lane(i, std::move(r));
     }
   };
@@ -525,12 +583,22 @@ StreamSummary BatchRunner::run(const std::vector<Scenario>& scenarios,
                                ResultSink& sink,
                                const RunOptions& options) const {
   RunGate gate(options.limits);
-  return stream_to_sink(sink, scenarios.size(),
-                        resolved_threads(scenarios.size()),
-                        options.stream.queue_capacity, gate,
-                        [&](const EmitFn& emit) {
-                          execute(scenarios, options.packing, emit, gate);
-                        });
+  const unsigned workers = resolved_threads(scenarios.size());
+  // Only packed lane blocks record into recycled storage, so only a packed
+  // run keeps what the sink hands back — at most what can be in flight: one
+  // block per worker, a full queue and the batch the consumer drained.
+  CurveRecycler recycled(
+      options.packing == Packing::kNone
+          ? 0
+          : workers * lane_block() +
+                2 * resolve_queue_capacity(options.stream.queue_capacity,
+                                           workers));
+  return stream_to_sink(
+      sink, scenarios.size(), workers, options.stream.queue_capacity, gate,
+      [&](const EmitFn& emit) {
+        execute(scenarios, options.packing, emit, gate, recycled);
+      },
+      [&](ScenarioResult& left) { recycled.give(left.curve.release()); });
 }
 
 }  // namespace ferro::core

@@ -42,11 +42,14 @@
 // kAms one JA-free H(t) trajectory solve per *distinct* excitation (shared
 // by every material driving it, fanned across the pool alongside the other
 // work) — and stage 2 executes the planned sequences as SoA lane blocks
-// sized to the active SIMD width, with ragged lanes masked out of their
-// vector groups as they finish. Lanes group by model: JA lanes run on
-// mag::TimelessJaBatch, quasi-static energy-based lanes on
+// of one kernel tile (twice the active SIMD width), with ragged lanes
+// masked out of their vector groups as they finish. Lanes group by model:
+// JA lanes run on mag::TimelessJaBatch, quasi-static energy-based lanes on
 // mag::EnergyBasedBatch. Scenarios outside the packed executors'
-// bitwise-reproducible subset fall back to the per-scenario path.
+// bitwise-reproducible subset fall back to the per-scenario path. A packed
+// streaming run reuses the curve storage of every delivered result the
+// sink did not keep: the next lane block records into pages that are
+// already mapped instead of faulting fresh ones in.
 #pragma once
 
 #include <cstddef>
@@ -165,10 +168,20 @@ class BatchRunner {
   /// once; callers on the parallel path must tolerate concurrent invocation.
   using EmitFn = std::function<void(std::size_t, ScenarioResult&&)>;
 
+  /// The curve storage a streaming run's sink handed back, for the packed
+  /// lane blocks to record into (defined in batch_runner.cpp).
+  class CurveRecycler;
+
+  /// Lanes per packed block: one kernel tile, twice the active SIMD width,
+  /// at every thread count — a worker holds one tile of curves at a time.
+  [[nodiscard]] static std::size_t lane_block();
+
   /// The execution path both run() overloads share: dispatch() for
   /// Packing::kNone, dispatch_packed() with the matching math otherwise.
+  /// The packed lane blocks take their storage from `recycled`.
   void execute(const std::vector<Scenario>& scenarios, Packing packing,
-               const EmitFn& emit, RunGate& gate) const;
+               const EmitFn& emit, RunGate& gate,
+               CurveRecycler& recycled) const;
 
   /// Per-scenario dispatch (the Packing::kNone work distribution).
   /// `gate` is polled per scenario; once it stops, remaining scenarios are
@@ -180,8 +193,8 @@ class BatchRunner {
   /// (the Packing::kExact/kFast work distribution). `gate` is
   /// polled per work unit (fallback job / lane block / trajectory solve).
   void dispatch_packed(const std::vector<Scenario>& scenarios,
-                       mag::BatchMath math, const EmitFn& emit,
-                       RunGate& gate) const;
+                       mag::BatchMath math, const EmitFn& emit, RunGate& gate,
+                       CurveRecycler& recycled) const;
 
   /// The persistent pool, created on first use and reused for the runner's
   /// lifetime. Sized from options().threads (0 = hardware concurrency),

@@ -23,7 +23,12 @@
 //     kDeadlineExceeded verdict;
 //   * results are delivered while workers are still computing; a slow sink
 //     backpressures the workers through the bounded queue rather than
-//     buffering unboundedly.
+//     buffering unboundedly;
+//   * on_result may move `result` out to keep it, whole or in part; what
+//     it leaves behind belongs to the engine again once the call returns
+//     (BatchRunner's packed path records later lanes into that curve
+//     storage), so a sink keeps nothing that points into `result` without
+//     moving it out.
 //
 // The result type R must be movable; BasicCallbackSink additionally wants
 // an `ok()` member for its on_error hook, and BasicTeeSink wants copyability.
@@ -56,7 +61,7 @@ class BasicResultSink {
   virtual void on_start(std::size_t total) { (void)total; }
 
   /// Called once per job, in arrival (NOT job) order, from a single thread.
-  /// The sink owns `result` after the call.
+  /// Move `result` out to keep it; what is left goes back to the engine.
   virtual void on_result(std::size_t index, R&& result) = 0;
 
   /// Called once after the last delivery attempt, even when an earlier sink
@@ -349,6 +354,10 @@ struct StreamSummary {
   /// Sink callbacks (on_start/on_result/on_complete) that threw — tells
   /// "one hiccup" (1, and delivery continued) from "the sink kept failing".
   std::size_t sink_error_count = 0;
+  /// Most results ever waiting in the worker-to-sink queue (at most its
+  /// capacity); 0 when the sink was driven inline by one worker. Timing-
+  /// dependent, unlike every field above.
+  std::size_t queue_high_water = 0;
   /// First pipeline failure: kSinkError for a throwing sink callback,
   /// kInternal for a failed queue hand-off. kOk when the stream was clean.
   Error sink_error;
@@ -359,19 +368,36 @@ struct StreamSummary {
   [[nodiscard]] bool ok() const { return sink_error.ok(); }
 };
 
+/// The worker-to-sink queue bound stream_to_sink uses: `requested`, or
+/// twice `workers` when 0.
+[[nodiscard]] inline std::size_t resolve_queue_capacity(std::size_t requested,
+                                                        unsigned workers) {
+  return requested != 0 ? requested : std::size_t{2} * workers;
+}
+
+/// stream_to_sink's default hand-back: the engine reuses nothing.
+struct NoReclaim {
+  template <typename R>
+  void operator()(R& /*left*/) const {}
+};
+
 /// The streaming driver behind every engine's sink overload. Runs the
 /// engine's own work distribution, `dispatch(emit)`, which must call
 /// emit(index, result) exactly once per index in [0, jobs) — from any
 /// worker thread — and book each verdict into `gate`; drives `sink` through
 /// the contract at the top of this header. With `workers` <= 1 the dispatch
 /// runs in the calling thread and the sink is driven inline; otherwise the
-/// results cross a BasicResultQueue of `queue_capacity` (0 = twice
-/// `workers`) to one consumer thread. Blocks until the batch has drained
-/// and on_complete returned.
-template <typename R, typename Dispatch>
+/// results cross a BasicResultQueue of resolve_queue_capacity(
+/// `queue_capacity`, `workers`) to one consumer thread. After every
+/// delivery attempt, `reclaim(result)` receives what the sink left of the
+/// result (nothing, if it kept all of it), on the delivering thread, for
+/// the engine to reuse; it must not throw. Blocks until the batch has
+/// drained and on_complete returned.
+template <typename R, typename Dispatch, typename Reclaim = NoReclaim>
 StreamSummary stream_to_sink(BasicResultSink<R>& sink, std::size_t jobs,
                              unsigned workers, std::size_t queue_capacity,
-                             const RunGate& gate, const Dispatch& dispatch) {
+                             const RunGate& gate, const Dispatch& dispatch,
+                             const Reclaim& reclaim = {}) {
   using Emit = std::function<void(std::size_t, R&&)>;
   StreamSummary summary;
 
@@ -409,14 +435,13 @@ StreamSummary stream_to_sink(BasicResultSink<R>& sink, std::size_t jobs,
     } else {
       ++summary.discarded_deliveries;
     }
+    reclaim(result);
   };
 
   if (workers <= 1) {
     dispatch(Emit(deliver));
   } else {
-    BasicResultQueue<R> queue(queue_capacity != 0
-                                  ? queue_capacity
-                                  : std::size_t{2} * workers);
+    BasicResultQueue<R> queue(resolve_queue_capacity(queue_capacity, workers));
 
     // A failed hand-off (only possible through fault injection or
     // allocation death inside push) loses that result but must not unwind
@@ -462,6 +487,7 @@ StreamSummary stream_to_sink(BasicResultSink<R>& sink, std::size_t jobs,
     }
     queue.close();
     consumer.join();
+    summary.queue_high_water = queue.high_water();
     summary.discarded_deliveries += lost;
     if (lost != 0 && summary.sink_error.ok()) {
       summary.sink_error = std::move(first_lost);

@@ -31,6 +31,10 @@ CsvCurveSink::CsvCurveSink(const std::string& path, std::size_t point_stride)
               /*flush_every=*/0),
       stride_(std::max<std::size_t>(point_stride, 1)) {}
 
+void CsvCurveSink::on_start(std::size_t /*total*/) {
+  throw_if_failed(writer_, "csv curve sink");
+}
+
 void CsvCurveSink::on_result(std::size_t index, ScenarioResult&& result) {
   const double idx = static_cast<double>(index);
   // Numeric model tag (the writer streams doubles): the enum value, i.e.
@@ -51,6 +55,10 @@ void CsvCurveSink::on_complete() {
 
 JsonlMetricsSink::JsonlMetricsSink(const std::string& path)
     : writer_(path, /*flush_every=*/1) {}
+
+void JsonlMetricsSink::on_start(std::size_t /*total*/) {
+  throw_if_failed(writer_, "jsonl metrics sink");
+}
 
 void JsonlMetricsSink::on_result(std::size_t index, ScenarioResult&& result) {
   writer_.record({

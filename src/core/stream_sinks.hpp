@@ -19,7 +19,9 @@
 // write or flush, the callback throws — which the streaming shell converts
 // into StreamSummary{sink_error = kSinkError with the errno detail,
 // discarded_deliveries counting every affected result}. A full disk ends
-// as a diagnosed error, never a silently truncated artefact.
+// as a diagnosed error, never a silently truncated artefact. A file that
+// could not be opened fails on_start, naming the path and errno, so the
+// driver withholds every delivery instead of failing each one.
 #pragma once
 
 #include <string>
@@ -36,6 +38,7 @@ class CsvCurveSink : public ResultSink {
   /// plotting.
   explicit CsvCurveSink(const std::string& path, std::size_t point_stride = 1);
 
+  void on_start(std::size_t total) override;
   void on_result(std::size_t index, ScenarioResult&& result) override;
   void on_complete() override;
 
@@ -53,6 +56,7 @@ class JsonlMetricsSink : public ResultSink {
  public:
   explicit JsonlMetricsSink(const std::string& path);
 
+  void on_start(std::size_t total) override;
   void on_result(std::size_t index, ScenarioResult&& result) override;
   void on_complete() override;
 

@@ -30,6 +30,11 @@ class BhCurve {
   /// Pre-size the storage when the trajectory length is known (the batch
   /// kernel and sweep runners record one point per input sample).
   void reserve(std::size_t n) { points_.reserve(n); }
+  /// Drops every point but keeps the storage for the next trajectory.
+  void clear() { points_.clear(); }
+  /// Hands the storage out and leaves the curve empty without storage —
+  /// the inverse of the adopting constructor, for callers that reuse it.
+  [[nodiscard]] std::vector<BhPoint> release() { return std::move(points_); }
 
   [[nodiscard]] const std::vector<BhPoint>& points() const { return points_; }
   [[nodiscard]] std::size_t size() const { return points_.size(); }

@@ -79,7 +79,7 @@ void EnergyBasedBatch::apply_all(double h) {
 void EnergyBasedBatch::run(const std::vector<const wave::HSweep*>& sweeps,
                            std::vector<BhCurve>& curves) {
   assert(sweeps.size() == n_);
-  curves.assign(n_, BhCurve{});
+  curves.resize(n_);
   // Lane-major: each lane runs its full (possibly ragged) sweep to
   // completion. The play update is branch-dominated, so there is no SIMD
   // lockstep to preserve across lanes, and lane-major keeps each lane's
@@ -87,6 +87,7 @@ void EnergyBasedBatch::run(const std::vector<const wave::HSweep*>& sweeps,
   for (std::size_t i = 0; i < n_; ++i) {
     const wave::HSweep& sweep = *sweeps[i];
     BhCurve& curve = curves[i];
+    curve.clear();
     curve.reserve(sweep.h.size());
     for (const double h : sweep.h) {
       step_lane(i, h);

@@ -59,8 +59,10 @@ class EnergyBasedBatch {
   void apply_all(double h);
 
   /// Drives lane i through sweeps[i] (ragged lengths allowed), recording
-  /// every sample of lane i into curves[i]. Both spans must have lanes()
-  /// entries; curves are overwritten.
+  /// every sample of lane i into curves[i]. `sweeps` must have lanes()
+  /// entries; `curves` is resized to lanes(), and each curve's contents
+  /// are replaced in the storage it already holds — the reuse contract of
+  /// TimelessJaBatch::run, bitwise the same whatever the curves held.
   void run(const std::vector<const wave::HSweep*>& sweeps,
            std::vector<BhCurve>& curves);
 

@@ -393,9 +393,10 @@ void TimelessJaBatch::apply_all(double h) {
 
 void TimelessJaBatch::run_exact(const std::vector<const wave::HSweep*>& sweeps,
                                 std::vector<BhCurve>& curves) {
-  curves.assign(n_, BhCurve{});
+  curves.resize(n_);
   std::size_t max_len = 0;
   for (std::size_t i = 0; i < n_; ++i) {
+    curves[i].clear();
     curves[i].reserve(sweeps[i]->size());
     max_len = std::max(max_len, sweeps[i]->size());
   }
@@ -423,6 +424,9 @@ constexpr double kEmptyLaneRow[1] = {0.0};
 
 void TimelessJaBatch::run_fast(const std::vector<const wave::HSweep*>& sweeps,
                                std::vector<BhCurve>& curves) {
+  // The pass records through raw pointers, so each curve's storage is
+  // taken out, sized, written row by row and handed back.
+  curves.resize(n_);
   std::vector<std::vector<BhPoint>> store(n_);
   std::vector<BhPoint*> out(n_);
   std::vector<const double*> h_ptr(n_);
@@ -430,6 +434,7 @@ void TimelessJaBatch::run_fast(const std::vector<const wave::HSweep*>& sweeps,
   std::size_t max_len = 0;
   for (std::size_t i = 0; i < n_; ++i) {
     len[i] = sweeps[i]->size();
+    store[i] = curves[i].release();
     store[i].resize(len[i]);
     out[i] = store[i].data();
     h_ptr[i] = len[i] != 0 ? sweeps[i]->h.data() : kEmptyLaneRow;
@@ -451,20 +456,18 @@ void TimelessJaBatch::run_fast(const std::vector<const wave::HSweep*>& sweeps,
                        nullptr, len.data(), out.data());
   }
 
-  curves.clear();
-  curves.reserve(n_);
   for (std::size_t lane = 0; lane < n_; ++lane) {
     if (len[lane] > 0) present_h_[lane] = h_ptr[lane][len[lane] - 1];
     stats_[lane].samples += len[lane];
     fold_fast_counters(lane);
-    curves.emplace_back(std::move(store[lane]));
+    curves[lane] = BhCurve(std::move(store[lane]));
   }
 }
 
 void TimelessJaBatch::run_traces_exact(
     const std::vector<TraceView>& traces,
     std::vector<std::vector<BhPoint>>& points) {
-  points.assign(n_, {});
+  points.resize(n_);
   // Lane-major: each lane replays its whole row program with its state hot,
   // recording every row (the caller keeps only the published ones). Lanes
   // never interact, so the loop order is a pure scheduling choice.
@@ -483,7 +486,7 @@ void TimelessJaBatch::run_traces_exact(
 void TimelessJaBatch::run_traces_fast(
     const std::vector<TraceView>& traces,
     std::vector<std::vector<BhPoint>>& points) {
-  points.assign(n_, {});
+  points.resize(n_);
   std::vector<BhPoint*> out(n_);
   std::vector<const double*> h_ptr(n_);
   std::vector<const double*> dh_ptr(n_);

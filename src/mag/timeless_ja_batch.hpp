@@ -86,8 +86,12 @@ class TimelessJaBatch {
   void apply_all(double h);
 
   /// Drives lane i through sweeps[i] (ragged lengths allowed), recording
-  /// every sample of lane i into curves[i]. Both spans must have lanes()
-  /// entries; curves are overwritten.
+  /// every sample of lane i into curves[i]. `sweeps` must have lanes()
+  /// entries; `curves` is resized to lanes(). Each curve's contents are
+  /// replaced, but the storage it already holds is written into (grown
+  /// when too short), so a caller handing back curves it is done with
+  /// records the next run into memory that is already mapped. The result
+  /// is bitwise the same whatever the containers held.
   void run(const std::vector<const wave::HSweep*>& sweeps,
            std::vector<BhCurve>& curves);
 
@@ -104,12 +108,13 @@ class TimelessJaBatch {
 
   /// Drives lane i through traces[i] (ragged row counts allowed), recording
   /// EVERY row of lane i into points[i] — callers keep only the rows their
-  /// trace marks as published samples (JaTrace::record_rows). Both spans
-  /// must have lanes() entries; points are overwritten. Only the clamp
-  /// counters are added to stats(): samples / field_events /
-  /// integration_steps are plan-time facts the rows alone cannot
-  /// reconstruct (one event may span several sub-step rows), so the caller
-  /// folds in JaTrace::planned.
+  /// trace marks as published samples (JaTrace::record_rows). `traces`
+  /// must have lanes() entries; `points` is resized to lanes(), and each
+  /// lane's rows are written into the storage it already holds, as run()
+  /// does with its curves. Only the clamp counters are added to stats():
+  /// samples / field_events / integration_steps are plan-time facts the
+  /// rows alone cannot reconstruct (one event may span several sub-step
+  /// rows), so the caller folds in JaTrace::planned.
   void run_traces(const std::vector<TraceView>& traces,
                   std::vector<std::vector<BhPoint>>& points);
 

@@ -26,6 +26,17 @@ std::string stream_failure_detail(const char* op) {
   return detail;
 }
 
+/// Opens `stream` on `path`; when that fails, returns false with the reason
+/// — the path plus errno — in `detail`.
+bool open_for_write(std::ofstream& stream, const std::string& path,
+                    std::string& detail) {
+  errno = 0;
+  stream.open(path);
+  if (stream) return true;
+  detail = stream_failure_detail(("open '" + path + "'").c_str());
+  return false;
+}
+
 std::vector<std::string> to_vector(std::initializer_list<std::string> items) {
   return std::vector<std::string>(items.begin(), items.end());
 }
@@ -72,8 +83,8 @@ std::string json_escape(std::string_view text) {
 CsvStreamWriter::CsvStreamWriter(const std::string& path,
                                  std::span<const std::string> columns,
                                  std::size_t flush_every)
-    : stream_(path), width_(columns.size()), flush_every_(flush_every) {
-  if (!stream_) {
+    : width_(columns.size()), flush_every_(flush_every) {
+  if (!open_for_write(stream_, path, error_detail_)) {
     ok_ = false;
     return;
   }
@@ -128,8 +139,8 @@ void CsvStreamWriter::check_stream(const char* op) {
 
 JsonLinesWriter::JsonLinesWriter(const std::string& path,
                                  std::size_t flush_every)
-    : stream_(path), flush_every_(flush_every) {
-  if (!stream_) ok_ = false;
+    : flush_every_(flush_every) {
+  if (!open_for_write(stream_, path, error_detail_)) ok_ = false;
 }
 
 void JsonLinesWriter::record(std::span<const JsonField> fields) {

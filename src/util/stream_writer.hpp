@@ -27,6 +27,8 @@ class CsvStreamWriter {
  public:
   /// Opens `path`, writes the header row, and flushes after every
   /// `flush_every` data rows (0 defers flushing to flush()/destruction).
+  /// A failed open latches ok() false with the path and errno in
+  /// error_detail().
   CsvStreamWriter(const std::string& path,
                   std::span<const std::string> columns,
                   std::size_t flush_every = 1);
@@ -77,6 +79,7 @@ struct JsonField {
 
 class JsonLinesWriter {
  public:
+  /// Opens `path`; a failed open is latched like CsvStreamWriter's.
   explicit JsonLinesWriter(const std::string& path, std::size_t flush_every = 1);
 
   JsonLinesWriter(const JsonLinesWriter&) = delete;

@@ -379,6 +379,30 @@ TEST(MonteCarlo, StreamingDeliversEveryCornerOnce) {
   EXPECT_TRUE(summary.stop.ok());
 }
 
+TEST(MonteCarlo, StreamingSummaryReportsQueueHighWater) {
+  // MonteCarlo streams through the same driver as BatchRunner, so its
+  // summary carries the queue high-water too: 0 when one worker delivers
+  // inline, otherwise at least one and at most the queue's capacity (twice
+  // the worker count).
+  class NullCornerSink final : public fk::CornerSink {
+   public:
+    void on_result(std::size_t, fk::CornerResult&&) override {}
+  };
+  for (const unsigned threads : {1u, 3u}) {
+    auto options = demo_options(9);
+    options.threads = threads;
+    NullCornerSink sink;
+    const fe::StreamSummary summary = demo_mc().run(options, sink);
+    EXPECT_EQ(summary.delivered, 9u);
+    if (threads == 1) {
+      EXPECT_EQ(summary.queue_high_water, 0u);
+    } else {
+      EXPECT_GT(summary.queue_high_water, 0u);
+      EXPECT_LE(summary.queue_high_water, 2u * threads);
+    }
+  }
+}
+
 namespace {
 
 /// Records every delivery plus the lifecycle calls, for the stream

@@ -6,18 +6,24 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <limits>
+#include <utility>
+#include <vector>
 
 #include "analysis/curve_compare.hpp"
 #include "analysis/loop_metrics.hpp"
 #include "mag/anhysteretic.hpp"
 #include "mag/bh.hpp"
 #include "mag/energy_based.hpp"
+#include "mag/energy_based_batch.hpp"
 #include "support/fixtures.hpp"
 #include "util/constants.hpp"
 #include "util/csv.hpp"
 #include "wave/sweep.hpp"
 
 namespace fm = ferro::mag;
+namespace fw = ferro::wave;
 namespace fa = ferro::analysis;
 namespace fu = ferro::util;
 namespace ts = ferro::testsupport;
@@ -278,4 +284,63 @@ TEST(EnergyGolden, CommittedCurveIsAHysteresisLoop) {
   EXPECT_LT(metrics.coercivity, 5000.0);
   EXPECT_GT(metrics.remanence, 0.2);
   EXPECT_GT(metrics.area, 0.0);
+}
+
+// ---------------------------------------------------------------------------
+// EnergyBasedBatch::run writes into whatever storage the curves hold
+// ---------------------------------------------------------------------------
+
+TEST(EnergyBasedBatch, RunRecordsIntoReusedCurvesBitwise) {
+  // Ragged lanes of different cell counts plus one zero-length lane; each
+  // run starts from recycled-looking curves — longer than the lane, shorter,
+  // or NaN-filled — and must match a run from empty curves bit for bit.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  std::vector<fm::EnergyBasedParams> params;
+  std::vector<fw::HSweep> sweeps;
+  for (int i = 0; i < 5; ++i) {
+    fm::EnergyBasedParams p = fm::energy_reference_parameters();
+    p.cells = 8 + 6 * i;
+    p.kappa_max *= 0.8 + 0.1 * i;
+    params.push_back(p);
+    fw::HSweep sweep = ts::major_loop(25.0 + 5.0 * i, 1 + i % 2);
+    sweep.h.resize(i == 3 ? 0 : sweep.h.size() - sweep.h.size() / (2 + i));
+    sweeps.push_back(std::move(sweep));
+  }
+  std::vector<const fw::HSweep*> sweep_ptrs;
+  for (const auto& s : sweeps) sweep_ptrs.push_back(&s);
+
+  const auto run_with = [&](int fill) {
+    fm::EnergyBasedBatch batch;
+    std::vector<fm::BhCurve> curves;
+    for (std::size_t i = 0; i < params.size(); ++i) {
+      batch.add_lane(params[i]);
+      const std::size_t len = sweeps[i].size();
+      const std::size_t n = fill == 1 ? len + 41 : fill == 2 ? len / 2 : len;
+      curves.emplace_back(std::vector<fm::BhPoint>(
+          fill == 0 ? 0 : n, fm::BhPoint{nan, -2.0, nan}));
+    }
+    if (fill != 0) curves.emplace_back(std::vector<fm::BhPoint>(64));
+    batch.run(sweep_ptrs, curves);
+    return std::make_pair(std::move(curves), std::move(batch));
+  };
+
+  auto [ref_curves, ref_batch] = run_with(0);
+  for (const int fill : {1, 2, 3}) {
+    auto [curves, batch] = run_with(fill);
+    ASSERT_EQ(curves.size(), params.size());
+    for (std::size_t i = 0; i < params.size(); ++i) {
+      ASSERT_EQ(curves[i].size(), sweeps[i].size())
+          << "fill " << fill << " lane " << i;
+      for (std::size_t j = 0; j < curves[i].size(); ++j) {
+        ASSERT_EQ(std::memcmp(&curves[i].points()[j],
+                              &ref_curves[i].points()[j], sizeof(fm::BhPoint)),
+                  0)
+            << "fill " << fill << " lane " << i << " point " << j;
+      }
+      EXPECT_EQ(batch.stats(i).samples, ref_batch.stats(i).samples);
+      EXPECT_EQ(batch.stats(i).cell_updates, ref_batch.stats(i).cell_updates);
+      EXPECT_EQ(batch.stats(i).dissipated_energy,
+                ref_batch.stats(i).dissipated_energy);
+    }
+  }
 }

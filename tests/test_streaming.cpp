@@ -73,25 +73,28 @@ std::vector<fc::Scenario> mixed_frontend_workload(std::size_t count) {
   return scenarios;
 }
 
+void expect_same_result(const fc::ScenarioResult& a,
+                        const fc::ScenarioResult& b) {
+  EXPECT_EQ(a.name, b.name);
+  EXPECT_EQ(a.error, b.error);
+  ASSERT_EQ(a.curve.size(), b.curve.size()) << a.name;
+  for (std::size_t j = 0; j < a.curve.size(); ++j) {
+    const auto& pa = a.curve.points()[j];
+    const auto& pb = b.curve.points()[j];
+    // Bitwise equality: the streaming hand-off must not touch the payload.
+    ASSERT_EQ(pa.h, pb.h) << a.name << " point " << j;
+    ASSERT_EQ(pa.m, pb.m) << a.name << " point " << j;
+    ASSERT_EQ(pa.b, pb.b) << a.name << " point " << j;
+  }
+  EXPECT_EQ(a.metrics.area, b.metrics.area) << a.name;
+  EXPECT_EQ(a.stats.field_events, b.stats.field_events) << a.name;
+  EXPECT_EQ(a.stats.slope_clamps, b.stats.slope_clamps) << a.name;
+}
+
 void expect_identical(const std::vector<fc::ScenarioResult>& a,
                       const std::vector<fc::ScenarioResult>& b) {
   ASSERT_EQ(a.size(), b.size());
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    EXPECT_EQ(a[i].name, b[i].name);
-    EXPECT_EQ(a[i].error, b[i].error);
-    ASSERT_EQ(a[i].curve.size(), b[i].curve.size()) << a[i].name;
-    for (std::size_t j = 0; j < a[i].curve.size(); ++j) {
-      const auto& pa = a[i].curve.points()[j];
-      const auto& pb = b[i].curve.points()[j];
-      // Bitwise equality: the streaming hand-off must not touch the payload.
-      ASSERT_EQ(pa.h, pb.h) << a[i].name << " point " << j;
-      ASSERT_EQ(pa.m, pb.m) << a[i].name << " point " << j;
-      ASSERT_EQ(pa.b, pb.b) << a[i].name << " point " << j;
-    }
-    EXPECT_EQ(a[i].metrics.area, b[i].metrics.area) << a[i].name;
-    EXPECT_EQ(a[i].stats.field_events, b[i].stats.field_events) << a[i].name;
-    EXPECT_EQ(a[i].stats.slope_clamps, b[i].stats.slope_clamps) << a[i].name;
-  }
+  for (std::size_t i = 0; i < a.size(); ++i) expect_same_result(a[i], b[i]);
 }
 
 /// Records every delivery in arrival order, plus the lifecycle calls.
@@ -330,6 +333,62 @@ TEST(Streaming, PackedStreamingMatchesRunPackedBitwise) {
   }
 }
 
+TEST(Streaming, KeptResultsSurviveCurveStorageReuse) {
+  // The packed streaming path records later lanes into the curve storage of
+  // the results a sink did not keep. A sink that keeps every third result
+  // and drops the rest, over two passes through one runner, catches storage
+  // handed back while a kept result still owns it: a later lane would then
+  // overwrite the kept curve. Energy lanes ride along, since their blocks
+  // take recycled storage too.
+  auto scenarios = mixed_frontend_workload(48);
+  for (std::size_t i = 0; i < 6; ++i) {
+    fc::Scenario s;
+    s.name = "energy#" + std::to_string(i);
+    fc::EnergySpec spec{fm::energy_reference_parameters()};
+    spec.params.cells = 8 + 4 * static_cast<int>(i);
+    s.model = spec;
+    s.drive = fw::SweepBuilder(60.0 + 10.0 * i).cycles(10e3, 1).build();
+    scenarios.push_back(std::move(s));
+  }
+
+  class KeepEveryThirdSink : public fc::ResultSink {
+   public:
+    void on_start(std::size_t total) override { arrivals.assign(total, 0); }
+    void on_result(std::size_t index, fc::ScenarioResult&& result) override {
+      ++arrivals.at(index);
+      if (seen++ % 3 == 0) kept.emplace_back(index, std::move(result));
+    }
+    std::size_t seen = 0;
+    std::vector<int> arrivals;
+    std::vector<std::pair<std::size_t, fc::ScenarioResult>> kept;
+  };
+
+  for (const unsigned threads : {1u, 4u}) {
+    const fc::BatchRunner runner({.threads = threads});
+    for (const auto math : {fm::BatchMath::kExact, fm::BatchMath::kFast}) {
+      const fc::RunOptions options{.packing = fc::packing_for(math)};
+      const auto reference = runner.run(scenarios, options);
+      std::vector<KeepEveryThirdSink> passes(2);
+      for (auto& sink : passes) {
+        const auto summary = runner.run(scenarios, sink, options);
+        EXPECT_TRUE(summary.ok()) << summary.sink_error;
+        EXPECT_EQ(summary.delivered, scenarios.size());
+      }
+      // Checked after both passes, so storage wrongly handed back in the
+      // first has had the whole second pass to be overwritten.
+      for (const auto& sink : passes) {
+        for (std::size_t i = 0; i < scenarios.size(); ++i) {
+          EXPECT_EQ(sink.arrivals[i], 1) << "index " << i;
+        }
+        EXPECT_EQ(sink.kept.size(), (scenarios.size() + 2) / 3);
+        for (const auto& [index, result] : sink.kept) {
+          expect_same_result(reference[index], result);
+        }
+      }
+    }
+  }
+}
+
 TEST(Streaming, EmptyBatchStillRunsTheSinkLifecycle) {
   RecordingSink sink;
   const auto summary = fc::BatchRunner().run({}, sink);
@@ -370,6 +429,31 @@ TEST(Streaming, SlowSinkNeitherDeadlocksNorDrops) {
   EXPECT_TRUE(summary.ok());
   EXPECT_EQ(summary.delivered, scenarios.size());
   EXPECT_EQ(sink.count, scenarios.size());
+}
+
+TEST(Streaming, SummaryReportsQueueHighWaterWithinCapacity) {
+  const auto scenarios = mixed_frontend_workload(24);
+
+  // One worker delivers inline: no queue, so no occupancy to report.
+  RecordingSink inline_sink;
+  EXPECT_EQ(
+      fc::BatchRunner({.threads = 1}).run(scenarios, inline_sink)
+          .queue_high_water,
+      0u);
+
+  // More results than the queue holds cross it: the high-water is at least
+  // one and never above the capacity, given or defaulted (2 x workers).
+  for (const std::size_t capacity : {std::size_t{2}, std::size_t{0}}) {
+    RecordingSink sink;
+    const auto summary = fc::BatchRunner({.threads = 4})
+                             .run(scenarios, sink,
+                                  {.packing = fc::Packing::kFast,
+                                   .stream = {.queue_capacity = capacity}});
+    EXPECT_TRUE(summary.ok());
+    EXPECT_GT(summary.queue_high_water, 0u) << "capacity " << capacity;
+    EXPECT_LE(summary.queue_high_water, capacity != 0 ? capacity : 8u)
+        << "capacity " << capacity;
+  }
 }
 
 TEST(Streaming, ThrowingSinkSurfacesErrorWithoutKillingTheBatch) {
@@ -726,4 +810,49 @@ TEST(Streaming, FullDiskSurfacesAsSinkErrorNotATruncatedFile) {
   EXPECT_GE(summary.discarded_deliveries, 1u);
   EXPECT_EQ(summary.delivered + summary.discarded_deliveries,
             scenarios.size());
+}
+
+TEST(Streaming, FileSinksThatCannotOpenFailOnceAtStart) {
+  // A sink whose file never opened used to fail every on_result with a bare
+  // "stream failed", so the error count grew with the batch. Now the writer
+  // records the path and errno at open and the sink throws from on_start:
+  // the driver withholds every delivery and the count stays put.
+  const std::string dir = "/nonexistent-dir-for-test-streaming";
+  ASSERT_FALSE(std::filesystem::exists(dir));
+  const auto check = [&](const char* sink_name, const std::string& path,
+                         auto make_sink) {
+    std::size_t errors_at_first_size = 0;
+    for (const std::size_t count : {std::size_t{5}, std::size_t{9}}) {
+      const auto scenarios = mixed_frontend_workload(count);
+      for (const unsigned threads : {1u, 3u}) {
+        auto sink = make_sink();
+        const auto summary =
+            fc::BatchRunner({.threads = threads}).run(scenarios, *sink);
+        EXPECT_FALSE(summary.ok());
+        EXPECT_EQ(summary.sink_error.code, fc::ErrorCode::kSinkError);
+        const std::string& detail = summary.sink_error.detail;
+        EXPECT_NE(detail.find(sink_name), std::string::npos) << detail;
+        EXPECT_NE(detail.find(path), std::string::npos) << detail;
+        EXPECT_NE(detail.find("No such file or directory"), std::string::npos)
+            << detail;
+        EXPECT_EQ(summary.delivered, 0u);
+        EXPECT_EQ(summary.discarded_deliveries, count);
+        if (errors_at_first_size == 0) {
+          errors_at_first_size = summary.sink_error_count;
+        }
+        EXPECT_EQ(summary.sink_error_count, errors_at_first_size)
+            << sink_name << ": " << count << " scenarios at " << threads
+            << " threads";
+      }
+    }
+    EXPECT_GE(errors_at_first_size, 1u);
+    EXPECT_LE(errors_at_first_size, 2u);  // on_start, then on_complete
+  };
+  const std::string jsonl_path = dir + "/out.jsonl";
+  check("jsonl metrics sink", jsonl_path, [&] {
+    return std::make_unique<fc::JsonlMetricsSink>(jsonl_path);
+  });
+  const std::string csv_path = dir + "/out.csv";
+  check("csv curve sink", csv_path,
+        [&] { return std::make_unique<fc::CsvCurveSink>(csv_path); });
 }

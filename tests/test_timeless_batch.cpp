@@ -6,6 +6,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <limits>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -518,4 +521,145 @@ TEST(TimelessJaBatch, TraceRowsBitwiseInvariantAcrossSimdWidths) {
     }
   }
   fm::TimelessJaBatch::force_simd_width(0);
+}
+
+// ---------------------------------------------------------------------------
+// Storage reuse: run()/run_traces() write into whatever the containers hold
+// ---------------------------------------------------------------------------
+
+namespace {
+
+constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+
+/// What a recycled container may hold before a run: nothing, points past
+/// the lane's length, a stub shorter than it, or NaN points of exactly its
+/// length. Extra trailing containers stand in for a longer previous block.
+enum class Prefill { kEmpty, kLonger, kShorter, kNaN };
+
+std::vector<fm::BhPoint> prefilled(Prefill fill, std::size_t len) {
+  const fm::BhPoint garbage{kNaN, -1.0, kNaN};
+  switch (fill) {
+    case Prefill::kEmpty: return {};
+    case Prefill::kLonger: return std::vector<fm::BhPoint>(len + 37, garbage);
+    case Prefill::kShorter: return std::vector<fm::BhPoint>(len / 3, garbage);
+    case Prefill::kNaN:
+      return std::vector<fm::BhPoint>(len, {kNaN, kNaN, kNaN});
+  }
+  return {};
+}
+
+void expect_points_bitwise(const std::vector<fm::BhPoint>& a,
+                           const std::vector<fm::BhPoint>& b,
+                           const std::string& where) {
+  ASSERT_EQ(a.size(), b.size()) << where;
+  for (std::size_t j = 0; j < a.size(); ++j) {
+    ASSERT_EQ(std::memcmp(&a[j], &b[j], sizeof(fm::BhPoint)), 0)
+        << where << " point " << j;
+  }
+}
+
+/// Lane fixtures made ragged (every lane a different length) plus one
+/// zero-length lane in the middle of a vector group.
+std::vector<LaneSpec> ragged_fixtures() {
+  auto lanes = lane_fixtures();
+  for (std::size_t i = 0; i < lanes.size(); ++i) {
+    auto& h = lanes[i].sweep.h;
+    h.resize(h.size() - h.size() / (3 + i));
+  }
+  lanes[2].sweep.h.clear();
+  return lanes;
+}
+
+}  // namespace
+
+TEST(TimelessJaBatch, RunRecordsIntoReusedCurvesBitwise) {
+  const auto lanes = ragged_fixtures();
+  std::vector<const fw::HSweep*> sweeps;
+  for (const auto& lane : lanes) sweeps.push_back(&lane.sweep);
+
+  for (const auto math : {fm::BatchMath::kExact, fm::BatchMath::kFast}) {
+    const auto run_with = [&](Prefill fill, std::size_t extra) {
+      fm::TimelessJaBatch batch(math);
+      for (const auto& lane : lanes) batch.add_lane(lane.params, lane.config);
+      std::vector<fm::BhCurve> curves;
+      for (const auto& lane : lanes) {
+        curves.emplace_back(prefilled(fill, lane.sweep.size()));
+      }
+      for (std::size_t k = 0; k < extra; ++k) {
+        curves.emplace_back(prefilled(Prefill::kLonger, 100));
+      }
+      batch.run(sweeps, curves);
+      return std::make_pair(std::move(curves), std::move(batch));
+    };
+
+    auto [ref_curves, ref_batch] = run_with(Prefill::kEmpty, 0);
+    for (const auto fill :
+         {Prefill::kLonger, Prefill::kShorter, Prefill::kNaN}) {
+      for (const std::size_t extra : {0u, 3u}) {
+        auto [curves, batch] = run_with(fill, extra);
+        ASSERT_EQ(curves.size(), lanes.size());
+        for (std::size_t i = 0; i < lanes.size(); ++i) {
+          const std::string where = std::string(fm::to_string(math)) +
+                                    " fill " +
+                                    std::to_string(static_cast<int>(fill)) +
+                                    " lane " + std::to_string(i);
+          EXPECT_EQ(curves[i].size(), lanes[i].sweep.size()) << where;
+          expect_points_bitwise(curves[i].points(), ref_curves[i].points(),
+                                where);
+          expect_stats_eq(batch.stats(i), ref_batch.stats(i));
+        }
+      }
+    }
+  }
+}
+
+TEST(TimelessJaBatch, RunTracesRecordsIntoReusedRowsBitwise) {
+  auto lanes = ragged_fixtures();
+  std::vector<fm::JaTrace> traces;
+  for (std::size_t i = 0; i < lanes.size(); ++i) {
+    lanes[i].config.substep_max = lanes[i].config.dhmax;  // the AMS default
+    traces.push_back(fm::build_ja_trace(
+        i == 2 ? std::vector<double>{} : trace_trajectory(lanes[i], i),
+        lanes[i].config));
+  }
+  ASSERT_EQ(traces[2].rows(), 0u);  // the zero-length lane
+
+  for (const auto math : {fm::BatchMath::kExact, fm::BatchMath::kFast}) {
+    const auto run_with = [&](Prefill fill, std::size_t extra) {
+      fm::TimelessJaBatch batch(math);
+      std::vector<fm::TimelessJaBatch::TraceView> views;
+      std::vector<std::vector<fm::BhPoint>> points;
+      for (std::size_t i = 0; i < lanes.size(); ++i) {
+        fm::TimelessConfig lane_config = lanes[i].config;
+        lane_config.substep_max = 0.0;
+        batch.add_lane(lanes[i].params, lane_config);
+        views.push_back(
+            {traces[i].h.data(), traces[i].dh.data(), traces[i].rows()});
+        points.push_back(prefilled(fill, traces[i].rows()));
+      }
+      for (std::size_t k = 0; k < extra; ++k) {
+        points.push_back(prefilled(Prefill::kLonger, 100));
+      }
+      batch.run_traces(views, points);
+      return std::make_pair(std::move(points), std::move(batch));
+    };
+
+    auto [ref_points, ref_batch] = run_with(Prefill::kEmpty, 0);
+    for (const auto fill :
+         {Prefill::kLonger, Prefill::kShorter, Prefill::kNaN}) {
+      for (const std::size_t extra : {0u, 3u}) {
+        auto [points, batch] = run_with(fill, extra);
+        ASSERT_EQ(points.size(), lanes.size());
+        for (std::size_t i = 0; i < lanes.size(); ++i) {
+          const std::string where = std::string(fm::to_string(math)) +
+                                    " fill " +
+                                    std::to_string(static_cast<int>(fill)) +
+                                    " lane " + std::to_string(i);
+          EXPECT_EQ(points[i].size(), traces[i].rows()) << where;
+          expect_points_bitwise(points[i], ref_points[i], where);
+          expect_stats_eq(batch.stats(i), ref_batch.stats(i));
+        }
+      }
+    }
+  }
 }
