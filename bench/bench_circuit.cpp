@@ -2,18 +2,22 @@
 // devices, i.e. the SPICE/SABER usage context the paper's introduction
 // motivates. Reports steps and Newton iterations per simulated cycle, and
 // times representative circuits.
+#include <chrono>
 #include <cstdio>
 #include <memory>
+#include <vector>
 
 #include "bench_common.hpp"
 #include "ckt/engine.hpp"
 #include "ckt/ja_inductor.hpp"
+#include "ckt/lane_lu.hpp"
 #include "ckt/monte_carlo.hpp"
 #include "ckt/netlist.hpp"
 #include "ckt/rlc.hpp"
 #include "ckt/scatter.hpp"
 #include "ckt/sources.hpp"
 #include "ckt/transformer.hpp"
+#include "util/rng.hpp"
 #include "wave/standard.hpp"
 
 namespace {
@@ -178,6 +182,84 @@ void bm_dc_operating_point(benchmark::State& state) {
   }
 }
 BENCHMARK(bm_dc_operating_point);
+
+// --- MNA linear solve: one LuSolver per system vs LaneLu -------------------
+//
+// The linear solve of one Newton iteration, n unknowns (4 = the inrush deck,
+// 5 = the transformer deck, 8 = a larger netlist). The scalar row factors
+// and solves the systems one ams::LuSolver call each; the lanes row runs
+// them through ckt::LaneLu at the active SIMD width, gather and scatter
+// included, as a Monte-Carlo lockstep group does. ns_per_system is the
+// per-system cost of each; the solutions are bitwise equal.
+
+/// max_lanes() diagonally dominant random systems of n unknowns.
+struct MnaSystems {
+  explicit MnaSystems(std::size_t n) {
+    util::SplitMix64 rng(n);
+    for (std::size_t l = 0; l < ckt::LaneLu::max_lanes(); ++l) {
+      ams::Matrix a(n, n);
+      std::vector<double> b(n);
+      for (std::size_t r = 0; r < n; ++r) {
+        for (std::size_t c = 0; c < n; ++c) {
+          a.at(r, c) = rng.next_unit() - 0.5 + (r == c ? double(n) : 0.0);
+        }
+        b[r] = rng.next_unit();
+      }
+      matrices.push_back(std::move(a));
+      rhs.push_back(std::move(b));
+    }
+  }
+  std::vector<ams::Matrix> matrices;
+  std::vector<std::vector<double>> rhs;
+};
+
+/// Times the benchmark loop `body` runs and reports its wall time per system.
+template <class Body>
+void time_systems(benchmark::State& state, std::size_t systems, Body body) {
+  const auto t0 = std::chrono::steady_clock::now();
+  for (auto _ : state) body();
+  const std::chrono::duration<double, std::nano> elapsed =
+      std::chrono::steady_clock::now() - t0;
+  state.counters["ns_per_system"] =
+      elapsed.count() / static_cast<double>(systems * state.iterations());
+  state.counters["lanes"] = static_cast<double>(systems);
+}
+
+void bm_mna_solve_scalar(benchmark::State& state) {
+  const MnaSystems systems(static_cast<std::size_t>(state.range(0)));
+  const std::size_t count = systems.matrices.size();
+  std::vector<double> x(systems.rhs[0].size());
+  ams::LuSolver lu;
+  time_systems(state, count, [&] {
+    for (std::size_t l = 0; l < count; ++l) {
+      benchmark::DoNotOptimize(lu.factor(systems.matrices[l]));
+      lu.solve(systems.rhs[l], x);
+      benchmark::DoNotOptimize(x.data());
+    }
+  });
+}
+BENCHMARK(bm_mna_solve_scalar)->Arg(4)->Arg(5)->Arg(8);
+
+void bm_mna_solve_lanes(benchmark::State& state) {
+  const std::size_t n = static_cast<std::size_t>(state.range(0));
+  const MnaSystems systems(n);
+  const std::size_t count = systems.matrices.size();
+  std::vector<double> x(n);
+  ckt::LaneLu lu;
+  time_systems(state, count, [&] {
+    lu.reset(n, count);
+    for (std::size_t l = 0; l < count; ++l) {
+      lu.load(l, systems.matrices[l], systems.rhs[l]);
+    }
+    lu.solve();
+    for (std::size_t l = 0; l < count; ++l) {
+      benchmark::DoNotOptimize(lu.singular(l));
+      lu.store(l, x);
+      benchmark::DoNotOptimize(x.data());
+    }
+  });
+}
+BENCHMARK(bm_mna_solve_lanes)->Arg(4)->Arg(5)->Arg(8);
 
 // --- Monte-Carlo corner sweeps -------------------------------------------
 //

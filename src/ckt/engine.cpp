@@ -1,6 +1,7 @@
 #include "ckt/engine.hpp"
 
 #include <algorithm>
+#include <cassert>
 #include <cmath>
 #include <string>
 #include <utility>
@@ -32,35 +33,46 @@ enum class NewtonOutcome {
   kSettled,   ///< converged, and past the seed iterate if the circuit is nonlinear
 };
 
-/// One Newton (successive-linearisation) iteration at the iterate `x`, the
-/// single body behind the DC solve and TransientMachine::advance(): stamp
-/// every device at ctx.iteration, add gmin, LU-solve, test convergence, and
-/// move `x` to the new iterate.
-NewtonOutcome newton_iteration(Circuit& circuit, EvalContext& ctx,
-                               const EngineOptions& options, bool nonlinear,
-                               std::vector<double>& x,
-                               detail::NewtonScratch& scratch,
-                               CircuitStats& stats) {
-  auto& [a, z, x_new, lu] = scratch;
+/// The stamp half of one Newton (successive-linearisation) iteration at the
+/// iterate `x`: zero the MNA system, stamp every device at ctx.iteration,
+/// and add gmin from every node to ground.
+void stamp_system(Circuit& circuit, EvalContext& ctx,
+                  const EngineOptions& options, std::span<const double> x,
+                  detail::NewtonScratch& scratch) {
   const std::size_t nodes = circuit.node_count();
-  a.fill(0.0);
-  std::fill(z.begin(), z.end(), 0.0);
+  scratch.a.fill(0.0);
+  std::fill(scratch.z.begin(), scratch.z.end(), 0.0);
   ctx.x = x;
 
-  Stamper stamper(a, z, x, nodes);
+  Stamper stamper(scratch.a, scratch.z, x, nodes);
   for (const auto& device : circuit.devices()) {
     device->stamp(stamper, ctx);
   }
-  // gmin from every node to ground.
   for (std::size_t i = 0; i < nodes; ++i) {
-    a.at(i, i) += options.gmin;
+    scratch.a.at(i, i) += options.gmin;
   }
+}
 
-  if (!lu.factor(a)) {
+/// The linear solve between the halves: LU-factor the stamped system and
+/// solve it into scratch.x_new. False when the matrix is singular.
+bool solve_system(detail::NewtonScratch& scratch) {
+  if (!scratch.lu.factor(scratch.a)) return false;
+  scratch.lu.solve(scratch.z, scratch.x_new);
+  return true;
+}
+
+/// The conclude half: count the iteration, test convergence of `x_new`
+/// against `x`, and move `x` to the new iterate.
+NewtonOutcome conclude_iteration(const EvalContext& ctx,
+                                 const EngineOptions& options, bool nonlinear,
+                                 std::size_t nodes, bool solved,
+                                 std::vector<double>& x,
+                                 std::span<const double> x_new,
+                                 CircuitStats& stats) {
+  if (!solved) {
     ++stats.singular_matrices;
     return NewtonOutcome::kSingular;
   }
-  lu.solve(z, x_new);
   ++stats.newton_iterations;
 
   // Convergence: voltages and currents checked against their own
@@ -88,8 +100,10 @@ bool solve_point(Circuit& circuit, EvalContext ctx, const EngineOptions& options
   const bool nonlinear = any_nonlinear(circuit);
   const int max_iters = nonlinear ? options.max_newton_iterations : 1;
   for (ctx.iteration = 0; ctx.iteration < max_iters; ++ctx.iteration) {
-    switch (newton_iteration(circuit, ctx, options, nonlinear, x, scratch,
-                             stats)) {
+    stamp_system(circuit, ctx, options, x, scratch);
+    const bool solved = solve_system(scratch);
+    switch (conclude_iteration(ctx, options, nonlinear, circuit.node_count(),
+                               solved, x, scratch.x_new, stats)) {
       case NewtonOutcome::kSingular:
         return false;
       case NewtonOutcome::kSettled:
@@ -107,6 +121,22 @@ bool solve_point(Circuit& circuit, EvalContext ctx, const EngineOptions& options
 
 }  // namespace
 
+core::Error validate(const EngineOptions& o) {
+  if (o.max_newton_iterations < 1) {
+    return invalid("max_newton_iterations must be >= 1");
+  }
+  if (!(std::isfinite(o.v_tolerance) && o.v_tolerance > 0.0)) {
+    return invalid("v_tolerance must be finite and > 0");
+  }
+  if (!(std::isfinite(o.i_tolerance) && o.i_tolerance > 0.0)) {
+    return invalid("i_tolerance must be finite and > 0");
+  }
+  if (!(std::isfinite(o.gmin) && o.gmin >= 0.0)) {
+    return invalid("gmin must be finite and >= 0");
+  }
+  return {};
+}
+
 core::Error validate(const TransientOptions& o) {
   // Negated comparisons so NaN options fail too.
   if (!(o.dt_initial > 0.0)) return invalid("dt_initial must be > 0");
@@ -123,14 +153,12 @@ core::Error validate(const TransientOptions& o) {
   }
   if (!(o.t_end > o.t_start)) return invalid("t_end must exceed t_start");
   if (!(o.dt_growth >= 1.0)) return invalid("dt_growth must be >= 1");
-  if (o.engine.max_newton_iterations < 1) {
-    return invalid("max_newton_iterations must be >= 1");
-  }
-  return {};
+  return validate(o.engine);
 }
 
 core::Error solve_dc(Circuit& circuit, std::vector<double>& x,
                      const EngineOptions& options, CircuitStats* stats) {
+  if (core::Error err = validate(options); !err.ok()) return err;
   const std::size_t n = layout_unknowns(circuit);
   x.assign(n, 0.0);
 
@@ -258,11 +286,17 @@ void TransientMachine::reject_step() {
   }
 }
 
-void TransientMachine::advance() {
-  if (done_) return;
+void TransientMachine::stamp() {
+  assert(!done_);
+  stamp_system(circuit_, ctx_, options_.engine, x_trial_, newton_);
+}
 
-  switch (newton_iteration(circuit_, ctx_, options_.engine, needs_iteration_,
-                           x_trial_, newton_, *stats_)) {
+bool TransientMachine::solve() { return solve_system(newton_); }
+
+void TransientMachine::conclude(bool solved) {
+  assert(!done_);
+  switch (conclude_iteration(ctx_, options_.engine, needs_iteration_, nodes_,
+                             solved, x_trial_, newton_.x_new, *stats_)) {
     case NewtonOutcome::kSingular:
       reject_step();
       return;
@@ -281,6 +315,12 @@ void TransientMachine::advance() {
       accept_step();
     }
   }
+}
+
+void TransientMachine::advance() {
+  if (done_) return;
+  stamp();
+  conclude(solve());
 }
 
 core::Error run_transient(Circuit& circuit, const TransientOptions& options,

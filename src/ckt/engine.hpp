@@ -3,11 +3,11 @@
 // Per trial step the engine runs SPICE-style successive linearisation
 // (rebuild companion stamps at the iterate, LU-solve, repeat until the
 // iterate settles). Non-convergence shrinks the step; devices only commit
-// state on acceptance. One Newton-iteration body (engine.cpp) serves both
-// analyses, and EvalContext::iteration tells devices which iterate of the
-// trial step they stamp at: the JA cores latch their field-event decision
-// at the seed iterate (ckt/core_companion.hpp), which is what makes their
-// steps converge in a few iterations.
+// state on acceptance. One Newton-iteration body (engine.cpp: stamp, solve,
+// conclude) serves both analyses, and EvalContext::iteration tells devices
+// which iterate of the trial step they stamp at: the JA cores latch their
+// field-event decision at the seed iterate (ckt/core_companion.hpp), which
+// is what makes their steps converge in a few iterations.
 //
 // Two layers:
 //   * run_transient()/solve_dc() — the structured API: options validated up
@@ -20,7 +20,10 @@
 //     iteration per advance() call, bitwise identical to run_transient()
 //     (which is implemented on top of it). This is the seam the circuit
 //     Monte-Carlo uses to step many corners in lockstep and evaluate their
-//     JaInductor cores as one SoA batch per iteration.
+//     JaInductor cores as one SoA batch per iteration. advance() is itself
+//     split into a stamp half and a conclude half around its ams::LuSolver
+//     call, so a lockstep group can solve the stamped systems of all its
+//     corners together instead (ckt::LaneLu, bitwise equal to LuSolver).
 #pragma once
 
 #include <cstdint>
@@ -98,14 +101,23 @@ struct Solution {
 
 using SolutionCallback = std::function<void(const Solution&)>;
 
+/// Checks the Newton settings: max_newton_iterations >= 1, finite positive
+/// v_tolerance and i_tolerance, finite non-negative gmin. kInvalidScenario
+/// otherwise (a NaN tolerance passes every iterate; a negative one never
+/// settles); Error{} (ok) when the options are runnable.
+[[nodiscard]] core::Error validate(const EngineOptions& options);
+
 /// Checks a transient configuration before any device is touched. Rejects
 /// non-positive or inconsistent step bounds — in particular an explicit
-/// dt_max below dt_initial, which the engine used to clamp silently — with
+/// dt_max below dt_initial, which the engine used to clamp silently — and
+/// the engine settings validate(EngineOptions) rejects, with
 /// kInvalidScenario; Error{} (ok) when the options are runnable.
 [[nodiscard]] core::Error validate(const TransientOptions& options);
 
-/// Computes the DC operating point into `x` (resized). kSolverDiverged when
-/// the Newton iteration does not settle or the MNA matrix is singular.
+/// Computes the DC operating point into `x` (resized). kInvalidScenario
+/// (before anything is touched) when validate(options) fails;
+/// kSolverDiverged when the Newton iteration does not settle or the MNA
+/// matrix is singular.
 [[nodiscard]] core::Error solve_dc(Circuit& circuit, std::vector<double>& x,
                                    const EngineOptions& options = {},
                                    CircuitStats* stats = nullptr);
@@ -143,6 +155,9 @@ using SolutionCallback = std::function<void(const Solution&)>;
 /// JaInductor cores as one TimelessJaBatch block, and arm the inductors with
 /// the batched trial evaluations (JaInductor::arm_trial) so the iteration's
 /// stamps consume SoA results instead of three scalar model copies each.
+/// advance() also comes in halves — stamp(), then conclude() on a solution
+/// the caller computed — so the same caller can stamp every machine and
+/// solve their systems together (ckt::LaneLu) before concluding each.
 ///
 /// `options` must satisfy validate() (run_transient enforces it; direct
 /// constructions assert via the DC solve behaving as documented only then).
@@ -172,8 +187,31 @@ class TransientMachine {
   [[nodiscard]] std::size_t node_count() const { return nodes_; }
   [[nodiscard]] const CircuitStats& stats() const { return *stats_; }
 
-  /// One Newton iteration of the current trial step, plus step control.
+  /// One Newton iteration of the current trial step, plus step control:
+  /// stamp(), then solve(), then conclude() with its verdict.
   void advance();
+
+  /// The stamp half of advance(): zeroes the MNA system, stamps every
+  /// device at iterate() and adds gmin. system() and rhs() then hold the
+  /// linearised system until conclude(). Only while !done().
+  void stamp();
+
+  /// The stamped system A x = z, and where its solution goes.
+  [[nodiscard]] const ams::Matrix& system() const { return newton_.a; }
+  [[nodiscard]] std::span<const double> rhs() const { return newton_.z; }
+  [[nodiscard]] std::span<double> solution() { return newton_.x_new; }
+
+  /// The solve advance() runs between the halves: ams::LuSolver on
+  /// system() into solution(). False when the matrix is singular.
+  bool solve();
+
+  /// The conclude half of advance(): `solved` false counts a singular
+  /// matrix and rejects the step; otherwise tests the convergence of
+  /// solution() against iterate(), moves the iterate, and runs the step
+  /// control that triggers. The run stays bitwise identical to
+  /// run_transient() as long as the caller's verdict and every entry of
+  /// solution() are bitwise what solve() would have produced.
+  void conclude(bool solved);
 
  private:
   void prepare_step();

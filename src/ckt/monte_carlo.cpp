@@ -8,6 +8,7 @@
 #include <utility>
 
 #include "ckt/ja_inductor.hpp"
+#include "ckt/lane_lu.hpp"
 #include "core/thread_pool.hpp"
 #include "mag/timeless_ja_batch.hpp"
 
@@ -235,11 +236,54 @@ void emit_cancelled(const SweepContext& ctx, std::size_t begin,
   }
 }
 
+/// Solves the stamped Newton systems of a lockstep group's live machines and
+/// concludes each one's iteration. Consecutive machines form blocks of up
+/// to LaneLu::max_lanes(); those of a block that share its first machine's
+/// unknown count are factored and solved together, lane-wise. A lone one,
+/// and one whose unknown count differs from its block's, runs its own
+/// ams::LuSolver (TransientMachine::solve). Either way each solution is
+/// bitwise what advance() computes.
+void solve_and_conclude(const std::vector<TransientMachine*>& live,
+                        LaneLu& lu) {
+  const std::size_t max_lanes = LaneLu::max_lanes();
+  for (std::size_t begin = 0; begin < live.size(); begin += max_lanes) {
+    const std::size_t end = std::min(live.size(), begin + max_lanes);
+    const std::size_t n = live[begin]->system().rows();
+    const auto in_lanes = [&](const TransientMachine* m) {
+      return m->system().rows() == n;
+    };
+    const auto lanes = static_cast<std::size_t>(
+        std::count_if(live.begin() + begin, live.begin() + end, in_lanes));
+    if (lanes > 1) {
+      lu.reset(n, lanes);
+      std::size_t lane = 0;
+      for (std::size_t k = begin; k < end; ++k) {
+        if (!in_lanes(live[k])) continue;
+        lu.load(lane++, live[k]->system(), live[k]->rhs());
+      }
+      lu.solve();
+    }
+    std::size_t lane = 0;
+    for (std::size_t k = begin; k < end; ++k) {
+      TransientMachine& m = *live[k];
+      if (lanes > 1 && in_lanes(&m)) {
+        const bool solved = !lu.singular(lane);
+        if (solved) lu.store(lane, m.solution());
+        ++lane;
+        m.conclude(solved);
+      } else {
+        m.conclude(m.solve());
+      }
+    }
+  }
+}
+
 /// Runs corners [begin, end) as one lockstep group. kScalar: each corner's
 /// machine is driven to completion on its own (the serial reference).
-/// Packed: all machines of the group step together, and before every round
-/// of Newton iterations the JA cores' three trial points are evaluated as
-/// one TimelessJaBatch block and armed into the inductors.
+/// Packed: all machines of the group step together. Before every round of
+/// Newton iterations the JA cores' three trial points are evaluated as one
+/// TimelessJaBatch block and armed into the inductors; each live corner
+/// then stamps its system, and solve_and_conclude() solves them lane-wise.
 void run_group(const SweepContext& ctx, std::size_t begin, std::size_t end) {
   const bool packed = ctx.options.packing != McPacking::kScalar;
 
@@ -297,6 +341,10 @@ void run_group(const SweepContext& ctx, std::size_t begin, std::size_t end) {
     for (std::size_t l = 0; l < lanes; ++l) b[l] = batch.flux_density(l);
   };
 
+  std::vector<TransientMachine*> live;
+  live.reserve(group.size());
+  LaneLu lu;
+
   const auto any_active = [&] {
     return std::any_of(group.begin(), group.end(),
                        [](const auto& st) { return !st->machine->done(); });
@@ -332,15 +380,20 @@ void run_group(const SweepContext& ctx, std::size_t begin, std::size_t end) {
     trial_pass(h_plus, b_plus);
     trial_pass(h_minus, b_minus);
 
-    // Phase 3: arm and take one Newton iteration per active corner.
+    // Phase 3: arm and stamp every active corner's Newton system.
+    live.clear();
     for (const auto& st : group) {
       if (st->machine->done()) continue;
       for (std::size_t j = 0; j < st->packed_cores.size(); ++j) {
         const std::size_t l = st->lane_of_core[j];
         st->packed_cores[j]->arm_trial(b_at[l], b_plus[l], b_minus[l], di[l]);
       }
-      st->machine->advance();
+      st->machine->stamp();
+      live.push_back(st->machine.get());
     }
+
+    // Phase 4: solve the stamped systems and conclude every iteration.
+    solve_and_conclude(live, lu);
   }
 
   for (auto& st : group) finalize_emit(ctx, std::move(st));
@@ -376,10 +429,17 @@ void dispatch_sweep(const CornerSampler& sampler, const CornerBuilder& builder,
   pool.parallel_for(
       n, chunk,
       [&](std::size_t begin, std::size_t end, bool stopped) {
-        if (stopped) {
-          emit_cancelled(ctx, begin, end);
-        } else {
-          run_group(ctx, begin, end);
+        // A one-worker pool hands over all of [0, n) in one call: walk it
+        // in chunk-sized groups, polling the gate between them as the pool
+        // polls it between chunks.
+        for (std::size_t b = begin; b < end;) {
+          const std::size_t e = b + std::min(chunk, end - b);
+          if (stopped || gate.stopped()) {
+            emit_cancelled(ctx, b, e);
+          } else {
+            run_group(ctx, b, e);
+          }
+          b = e;
         }
       },
       [&] { return gate.stopped(); });

@@ -22,18 +22,29 @@
 //     and each corner carries only its probe summaries and stats).
 //
 // Packing (the perf tentpole): corners share a topology, so the lockstep
-// group inside one chunk steps together — before every Newton iteration the
-// runner reads each machine's iterate, evaluates ALL their JaInductor trial
-// points (3 per core: at, +di, -di) as one mag::TimelessJaBatch block, and
-// arms the inductors so their stamps consume the batched flux densities
-// wherever those lie on the event branch the core latched for the trial
-// step (the stamp evaluates the branch itself elsewhere, see
-// ckt/core_companion.hpp). The SoA lanes run BatchMath::kExact, bitwise
-// identical to the scalar model, so kPackedExact equals kScalar equals a
-// direct ckt::run_transient — verified down to the last waveform bit by
-// the tests. Cores whose config the batch kernel does not cover (and every
-// non-JaInductor device) simply keep their scalar stamp path inside the
-// same lockstep loop.
+// group inside one chunk steps together, one Newton iteration per live
+// corner per round, and each round batches two things across the group:
+//
+//   * the JA cores: the runner reads each machine's iterate, evaluates ALL
+//     their JaInductor trial points (3 per core: at, +di, -di) as one
+//     mag::TimelessJaBatch block, and arms the inductors so their stamps
+//     consume the batched flux densities wherever those lie on the event
+//     branch the core latched for the trial step (the stamp evaluates the
+//     branch itself elsewhere, see ckt/core_companion.hpp). The SoA lanes
+//     run BatchMath::kExact, bitwise identical to the scalar model. Cores
+//     whose config the batch kernel does not cover (and every
+//     non-JaInductor device) keep their scalar stamp path.
+//   * the linear solves: each live corner stamps its MNA system
+//     (TransientMachine::stamp), and the systems are factored and solved
+//     together by ckt::LaneLu, up to W per vector pass, where W is the
+//     process-wide SIMD width (mag::TimelessJaBatch::active_simd_width,
+//     capped by FERRO_FORCE_SIMD_WIDTH); a block with fewer live corners
+//     runs at the narrowest width that covers them. A lone live corner, and
+//     one whose unknown count differs from its block's, keep their own
+//     ams::LuSolver. Every lane is bitwise what LuSolver computes.
+//
+// So kPackedExact equals kScalar equals a direct ckt::run_transient —
+// verified down to the last waveform bit by the tests, at every SIMD width.
 #pragma once
 
 #include <cstddef>
@@ -124,7 +135,8 @@ struct MonteCarloOptions {
   /// Total workers (core::resolve_workers); 0 = hardware concurrency.
   unsigned threads = 1;
   /// Corners per dispatch chunk — which is also the lockstep SoA group
-  /// size. 0 = ThreadPool::default_chunk. Results never depend on it.
+  /// size, at every thread count. 0 = ThreadPool::default_chunk. Results
+  /// never depend on it.
   std::size_t chunk = 0;
   McPacking packing = McPacking::kPackedExact;
   bool record_waveforms = false;

@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <memory>
+#include <vector>
 
 #include "ckt/diode.hpp"
 #include "ckt/engine.hpp"
@@ -343,6 +345,27 @@ TEST(Validate, AcceptsDefaultsAndRejectsEachBadField) {
   o = {};
   o.engine.max_newton_iterations = 0;
   expect_invalid(o);
+
+  // Engine tolerances: a NaN bound passes every iterate, a zero or
+  // negative one never settles.
+  const double nan = std::nan("");
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const double bad : {0.0, -1.0, nan, inf}) {
+    o = {};
+    o.engine.v_tolerance = bad;
+    expect_invalid(o);
+    o = {};
+    o.engine.i_tolerance = bad;
+    expect_invalid(o);
+  }
+  for (const double bad : {-1e-12, nan, inf}) {
+    o = {};
+    o.engine.gmin = bad;
+    expect_invalid(o);
+  }
+  o = {};
+  o.engine.gmin = 0.0;  // no leak at all is allowed
+  EXPECT_TRUE(fk::validate(o).ok());
 }
 
 TEST(Validate, ExplicitDtMaxBelowDtInitialIsRejectedNotClamped) {
@@ -436,6 +459,18 @@ TEST(Transient, ForcedAcceptsAreCounted) {
   EXPECT_EQ(stats.forced_accepts, stats.hard_failures);  // DC converged
   EXPECT_EQ(stats.forced_accepts, stats.steps_accepted);
   EXPECT_EQ(stats.singular_matrices, 0u);
+}
+
+TEST(Dc, InvalidEngineOptionsAreRejectedBeforeSolving) {
+  auto ckt = make_rc();
+  fk::EngineOptions options;
+  options.v_tolerance = std::nan("");
+  std::vector<double> x = {42.0};
+  fk::CircuitStats stats;
+  EXPECT_EQ(fk::solve_dc(ckt, x, options, &stats).code,
+            ferro::core::ErrorCode::kInvalidScenario);
+  EXPECT_EQ(x, std::vector<double>{42.0});  // untouched
+  EXPECT_EQ(stats.newton_iterations, 0u);
 }
 
 TEST(Dc, SingularMatrixIsCounted) {

@@ -8,6 +8,7 @@
 #include <cstring>
 #include <memory>
 #include <stdexcept>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -268,6 +269,36 @@ TEST(MonteCarlo, PackedScalarAndDirectRunsAgreeBitwise) {
   }
 }
 
+TEST(MonteCarlo, MixedUnknownCountsMatchDirectRuns) {
+  // Every third corner gets an extra resistor to a tap node, so its MNA
+  // system has one unknown more than its neighbours': the lockstep group
+  // solves the corners sharing its block's unknown count lane-wise and the
+  // others (and any lone corner) through their own LuSolver. Each corner
+  // must still be bit for bit its direct run_transient.
+  const fk::CornerBuilder builder = [](const fk::CornerView& view,
+                                       fk::Circuit& circuit) {
+    build_corner(view, circuit);
+    if (view.index() % 3 == 1) {
+      circuit.add<fk::Resistor>("Rtap", circuit.node("out"),
+                                circuit.node("tap"), 1e3);
+    }
+  };
+  const fk::CornerSampler sampler(demo_spec(), 7);
+  const fk::MonteCarlo mc(sampler, builder);
+  for (const std::size_t chunk : {3u, 8u, 16u}) {
+    auto options = demo_options(16);
+    options.record_waveforms = true;
+    options.chunk = chunk;
+    const auto results = mc.run(options);
+    ASSERT_EQ(results.size(), 16u);
+    for (const auto& r : results) {
+      ASSERT_TRUE(r.ok()) << r.error;
+      SCOPED_TRACE("chunk " + std::to_string(chunk));
+      expect_matches_direct_run(r, sampler, builder, options.transient);
+    }
+  }
+}
+
 TEST(MonteCarlo, SeedReproducibilityAndDivergence) {
   const auto options = demo_options(6);
   const auto a = demo_mc(99).run(options);
@@ -377,6 +408,41 @@ TEST(MonteCarlo, StreamingDeliversEveryCornerOnce) {
   EXPECT_TRUE(summary.ok());
   EXPECT_EQ(summary.failed_jobs, 0u);
   EXPECT_TRUE(summary.stop.ok());
+}
+
+TEST(MonteCarlo, OneWorkerStreamsChunkSizedGroups) {
+  // A one-worker pool hands the sweep over as one range; it must still run
+  // as chunk-sized lockstep groups, so a streaming sink hears from the
+  // first group before the later corners are even built.
+  class FirstDeliverySink final : public fk::CornerSink {
+   public:
+    explicit FirstDeliverySink(const std::size_t& built) : built_(built) {}
+    void on_result(std::size_t, fk::CornerResult&&) override {
+      if (delivered++ == 0) built_at_first = built_;
+    }
+    std::size_t built_at_first = 0;
+    std::size_t delivered = 0;
+
+   private:
+    const std::size_t& built_;
+  };
+  std::size_t built = 0;
+  const fk::MonteCarlo mc(fk::CornerSampler(demo_spec(), 7),
+                          [&built](const fk::CornerView& view,
+                                   fk::Circuit& circuit) {
+                            ++built;
+                            build_corner(view, circuit);
+                          });
+  auto options = demo_options(8);
+  options.threads = 1;
+  options.chunk = 2;
+  FirstDeliverySink sink(built);
+  const fe::StreamSummary summary = mc.run(options, sink);
+  EXPECT_TRUE(summary.ok());
+  EXPECT_EQ(sink.delivered, 8u);
+  EXPECT_EQ(built, 8u);
+  EXPECT_GE(sink.built_at_first, 1u);
+  EXPECT_LE(sink.built_at_first, options.chunk);
 }
 
 TEST(MonteCarlo, StreamingSummaryReportsQueueHighWater) {
