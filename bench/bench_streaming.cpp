@@ -10,20 +10,27 @@
 //
 // The timing section compares collected run() against the sink overload with a
 // do-nothing sink (pure pipeline overhead: queue hand-off + consumer
-// thread), an OrderedSink (re-sequencing cost), and a tiny queue
-// (backpressure pressure-test). Both sections also count minor page faults
-// (getrusage ru_minflt) per scenario: the packed streaming path reuses the
-// curve storage of results the sink drops, so it should fault close to
-// nothing once warm, where fresh curves fault in every page.
+// thread), a JSONL file sink (a consumer slow enough to fill the queue, so
+// the bound meets the lane blocks' bursts), an OrderedSink (re-sequencing
+// cost), and a tiny queue (backpressure pressure-test). Both sections also
+// count minor page faults (getrusage ru_minflt) per scenario: the packed
+// streaming path reuses the curve storage of results the sink drops, so it
+// should fault close to nothing once warm, where fresh curves fault in
+// every page.
 #include <sys/resource.h>
+#include <unistd.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
+#include <filesystem>
+#include <string>
 #include <utility>
 
 #include "bench_common.hpp"
 #include "core/batch_runner.hpp"
 #include "core/result_sink.hpp"
+#include "core/stream_sinks.hpp"
 #include "mag/ja_params.hpp"
 #include "wave/sweep.hpp"
 
@@ -183,6 +190,42 @@ BENCHMARK(bm_stream_null_sink)
     ->Args({1, 1})
     ->Args({0, 1})
     ->ArgNames({"threads", "packed"})
+    ->Unit(benchmark::kMillisecond)
+    ->MeasureProcessCPUTime()
+    ->UseRealTime();
+
+/// The timing batch, packed kFast at hardware threads, into a
+/// JsonlMetricsSink writing a fresh temporary file each iteration (the old
+/// one is unlinked first: truncating it in place makes ext4 write the old
+/// contents back on close). Unlike the null sink this sink takes real time
+/// per result, so the queue fills: queue_high_water is the most results
+/// any iteration had waiting, against the resolved bound queue_capacity.
+void bm_stream_jsonl_sink(benchmark::State& state) {
+  const auto scenarios = timed_workload();
+  const core::BatchRunner runner({.threads = 0});
+  const core::RunOptions options{.packing = core::Packing::kFast};
+  const std::filesystem::path path =
+      std::filesystem::temp_directory_path() /
+      ("ferro_bench_stream_" + std::to_string(::getpid()) + ".jsonl");
+  std::size_t high_water = 0;
+  for (auto _ : state) {
+    state.PauseTiming();
+    std::filesystem::remove(path);
+    state.ResumeTiming();
+    core::JsonlMetricsSink sink(path.string());
+    const auto summary = runner.run(scenarios, sink, options);
+    high_water = std::max(high_water, summary.queue_high_water);
+    benchmark::DoNotOptimize(summary);
+  }
+  std::filesystem::remove(path);
+  state.counters["queue_high_water"] =
+      benchmark::Counter(static_cast<double>(high_water));
+  state.counters["queue_capacity"] = benchmark::Counter(static_cast<double>(
+      runner.queue_capacity(options.stream, scenarios.size())));
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(scenarios.size()));
+}
+BENCHMARK(bm_stream_jsonl_sink)
     ->Unit(benchmark::kMillisecond)
     ->MeasureProcessCPUTime()
     ->UseRealTime();

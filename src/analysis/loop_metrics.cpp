@@ -5,33 +5,6 @@
 
 namespace ferro::analysis {
 
-double LoopAccumulator::twice_signed_area() const {
-  if (points_ < 3) return 0.0;
-  return twice_area_ + shoelace_term(last_h_, last_b_, first_h_, first_b_);
-}
-
-LoopMetrics LoopAccumulator::metrics() const {
-  LoopMetrics metrics;
-  if (points_ == 0) return metrics;
-  metrics.h_peak = h_peak_;
-  metrics.b_peak = b_peak_;
-  metrics.points = points_;
-  metrics.area = std::fabs(0.5 * twice_signed_area());
-
-  // An exact zero at the last point has no following segment to report it.
-  AbsMean remanence = remanence_;
-  AbsMean coercivity = coercivity_;
-  if (last_h_ == 0.0) remanence(last_b_);
-  if (last_b_ == 0.0) coercivity(last_h_);
-  if (remanence.count != 0) {
-    metrics.remanence = remanence.sum / static_cast<double>(remanence.count);
-  }
-  if (coercivity.count != 0) {
-    metrics.coercivity = coercivity.sum / static_cast<double>(coercivity.count);
-  }
-  return metrics;
-}
-
 double enclosed_area(std::span<const double> h, std::span<const double> b) {
   assert(h.size() == b.size());
   LoopAccumulator loop;
@@ -43,9 +16,10 @@ std::vector<double> values_at_zero_of(std::span<const double> x,
                                       std::span<const double> y) {
   assert(x.size() == y.size());
   std::vector<double> out;
-  const auto emit = [&out](double value) { out.push_back(value); };
   for (std::size_t i = 1; i < x.size(); ++i) {
-    detail::zero_crossing(x[i - 1], y[i - 1], x[i], y[i], emit);
+    const auto crossing = detail::zero_crossing<mag::fastmath::VecD<1>>(
+        x[i - 1], y[i - 1], x[i], y[i]);
+    if (crossing.reports) out.push_back(crossing.value);
   }
   if (!x.empty() && x.back() == 0.0) out.push_back(y.back());
   return out;
@@ -56,7 +30,7 @@ LoopMetrics analyze_loop(const mag::BhCurve& curve, std::size_t begin,
   if (curve.empty() || end >= curve.size() || begin > end) return {};
   const auto& pts = curve.points();
   LoopAccumulator loop;
-  for (std::size_t i = begin; i <= end; ++i) loop.add(pts[i]);
+  for (std::size_t i = begin; i <= end; ++i) loop.add(pts[i].h, pts[i].b);
   return loop.metrics();
 }
 

@@ -1,114 +1,70 @@
 // Hysteresis-loop metrics: the numbers Fig. 1 lets a reader measure —
 // saturation flux density, remanence, coercivity, loop area (core loss per
-// cycle and unit volume).
+// cycle and unit volume). Every metric comes from one walk, the accumulator
+// of analysis/loop_accumulator.hpp; CurveFinish carries that walk into the
+// producers' own output passes, so the packed batch kernels finish their
+// lanes as they record them, bitwise like a walk over the finished curve.
 #pragma once
 
-#include <algorithm>
 #include <cmath>
 #include <cstddef>
 #include <span>
 #include <utility>
 #include <vector>
 
+#include "analysis/loop_accumulator.hpp"
 #include "mag/bh.hpp"
+#include "mag/fast_math.hpp"
 
 namespace ferro::analysis {
 
-/// Scalar characterisation of a (closed) BH loop.
-struct LoopMetrics {
-  double h_peak = 0.0;       ///< max |H| [A/m]
-  double b_peak = 0.0;       ///< max |B| [T]
-  double remanence = 0.0;    ///< mean |B at H = 0| over the two crossings [T]
-  double coercivity = 0.0;   ///< mean |H at B = 0| over the two crossings [A/m]
-  double area = 0.0;         ///< |enclosed area| = core loss per cycle [J/m^3]
-  std::size_t points = 0;
-};
+/// The scalar walk: feed a loop's points with add(), then read metrics().
+/// enclosed_area and analyze_loop run on it, and values_at_zero_of on its
+/// crossing rule. VecD<1>, like every mag::fastmath op set, lives in the
+/// including TU's ISA namespace, so this names a TU-local instantiation;
+/// only translation units built with the library's baseline flags use it.
+using LoopAccumulator = BasicLoopAccumulator<mag::fastmath::VecD<1>>;
 
-namespace detail {
+/// One curve's finish, accumulated by whatever produces its points: the
+/// loop over the metrics rows [begin, begin + count) (count 0: no metrics)
+/// and whether every point's h, m and b was finite. The packed batch
+/// kernels fill one per lane in their output pass, and finish_result walks
+/// a finished curve through one, so both reach the same verdict.
+struct CurveFinish {
+  std::size_t begin = 0;
+  std::size_t count = 0;
+  LoopAccumulator loop;
+  bool finite = true;
 
-/// The zero-crossing rule for the segment (x0, y0) -> (x1, y1): an exact
-/// zero at x0 reports y0, a strict sign change reports y linearly
-/// interpolated at x = 0, anything else reports nothing. The segment's end
-/// point is the next segment's start, so a walk reports an exact zero at
-/// its last point separately.
-template <typename Emit>
-void zero_crossing(double x0, double y0, double x1, double y1, Emit&& emit) {
-  if (x0 == 0.0) {
-    emit(y0);
-    return;
+  /// Feeds curve point `row`: every row, in order, once each.
+  void add(std::size_t row, double h, double m, double b) {
+    // Non-short-circuit: one branch per point instead of three.
+    finite &= std::isfinite(h) & std::isfinite(m) & std::isfinite(b);
+    if (row - begin < count) loop.add(h, b);  // wraps for row < begin
   }
-  if ((x0 < 0.0 && x1 > 0.0) || (x0 > 0.0 && x1 < 0.0)) {
-    const double t = -x0 / (x1 - x0);
-    emit(y0 + t * (y1 - y0));
-  }
-}
 
-}  // namespace detail
-
-/// The one walk behind every loop metric: feed a loop's points in order,
-/// once each, then read the results. Nothing is copied or allocated, and
-/// every sum runs in index order with the shoelace's closing edge (last
-/// point back to the first) added last, so the results are bitwise those of
-/// copying the points out and applying enclosed_area and values_at_zero_of
-/// to the copies. enclosed_area and analyze_loop run on it, and
-/// values_at_zero_of on its crossing rule.
-class LoopAccumulator {
- public:
-  void add(double h, double b) {
-    if (points_ == 0) {
-      first_h_ = h;
-      first_b_ = b;
-    } else {
-      twice_area_ += shoelace_term(last_h_, last_b_, h, b);
-      // Positive products mean neither H nor B touches or crosses zero on
-      // this segment, so neither rule can report: the common case costs one
-      // branch. Underflowing or NaN products fall through to the rules.
-      if (!((last_h_ * h > 0.0) & (last_b_ * b > 0.0))) {
-        detail::zero_crossing(last_h_, last_b_, h, b, remanence_);
-        detail::zero_crossing(last_b_, last_h_, b, h, coercivity_);
-      }
+  /// add() for rows [first, last) stored at points[first..last): the same
+  /// result, with the finite check and the loop walk in tight loops of
+  /// their own, so the accumulator stays in registers.
+  void add_rows(const mag::BhPoint* points, std::size_t first,
+                std::size_t last) {
+    bool ok = finite;
+    for (std::size_t j = first; j < last; ++j) {
+      const mag::BhPoint& p = points[j];
+      ok &= std::isfinite(p.h) & std::isfinite(p.m) & std::isfinite(p.b);
     }
-    h_peak_ = std::max(h_peak_, std::fabs(h));
-    b_peak_ = std::max(b_peak_, std::fabs(b));
-    last_h_ = h;
-    last_b_ = b;
-    ++points_;
-  }
-  void add(const mag::BhPoint& p) { add(p.h, p.b); }
-
-  /// Twice the signed area of the closed (h, b) polygon fed so far
-  /// (counter-clockwise positive); 0 below three points.
-  [[nodiscard]] double twice_signed_area() const;
-
-  /// Metrics of the loop fed so far; all zero when nothing was fed.
-  [[nodiscard]] LoopMetrics metrics() const;
-
- private:
-  /// Shoelace term of the polygon edge (h0, b0) -> (h1, b1).
-  static double shoelace_term(double h0, double b0, double h1, double b1) {
-    return h0 * b1 - h1 * b0;
-  }
-
-  /// Mean of |value| over the values emitted into it.
-  struct AbsMean {
-    double sum = 0.0;
-    std::size_t count = 0;
-    void operator()(double value) {
-      sum += std::fabs(value);
-      ++count;
+    finite = ok;
+    std::size_t j = first > begin ? first : begin;
+    const std::size_t stop = last < begin + count ? last : begin + count;
+    if (j >= stop) return;
+    LoopAccumulator acc = loop;
+    if (j == begin) {
+      acc.add(points[j].h, points[j].b, true);  // the first metrics row
+      ++j;
     }
-  };
-
-  double first_h_ = 0.0;
-  double first_b_ = 0.0;
-  double last_h_ = 0.0;
-  double last_b_ = 0.0;
-  double twice_area_ = 0.0;
-  double h_peak_ = 0.0;
-  double b_peak_ = 0.0;
-  AbsMean remanence_;   // |B| where H crosses zero
-  AbsMean coercivity_;  // |H| where B crosses zero
-  std::size_t points_ = 0;
+    for (; j < stop; ++j) acc.add_segment(points[j].h, points[j].b);
+    loop = acc;
+  }
 };
 
 /// Signed enclosed area of the (h, b) polygon via the shoelace rule

@@ -13,7 +13,9 @@ namespace detail {
 
 // Baseline width entry points (the ISA-flagged TUs define W4/W8).
 namespace {
-void lane_lu_w1(const LaneLuArgs& args) { lane_lu<ScalarLane>(args); }
+void lane_lu_w1(const LaneLuArgs& args) {
+  lane_lu<mag::fastmath::VecD<1>>(args);
+}
 #if defined(FERRO_FASTMATH_SIMD)
 void lane_lu_w2(const LaneLuArgs& args) {
   lane_lu<mag::fastmath::VecD<2>>(args);

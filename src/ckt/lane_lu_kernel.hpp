@@ -1,7 +1,8 @@
 // Internal header: the lane-wise LU kernel behind ckt::LaneLu, templated
-// over the SIMD width W. Included by lane_lu.cpp (W = 1 scalar, W = 2 SSE2)
-// and by the ISA-flagged lane_lu_avx2.cpp (W = 4) / lane_lu_avx512.cpp
-// (W = 8); all three are compiled with -ffp-contract=off (CMakeLists.txt),
+// over the lane op set mag::fastmath::VecD<W>. Included by lane_lu.cpp
+// (W = 1 scalar, W = 2 SSE2) and by the ISA-flagged lane_lu_avx2.cpp
+// (W = 4) / lane_lu_avx512.cpp (W = 8); all three are compiled with
+// -ffp-contract=off (CMakeLists.txt),
 // because a fused multiply-subtract would round once where ams::LuSolver
 // rounds twice.
 //
@@ -53,28 +54,6 @@ extern const LaneLuFn kLaneLuW4;
 extern const LaneLuFn kLaneLuW8;
 
 inline namespace FERRO_SIMD_NS {
-
-/// The W = 1 stand-in for mag::fastmath::VecD: the same op set on plain
-/// doubles, so the scalar pass is the vector passes' operation sequence.
-struct ScalarLane {
-  static constexpr int kWidth = 1;
-  using Reg = double;
-  using Mask = bool;
-
-  static Reg set1(double v) { return v; }
-  static Reg zero() { return 0.0; }
-  static Reg load(const double* p) { return *p; }
-  static void store(double* p, Reg v) { *p = v; }
-  static Reg sub(Reg a, Reg b) { return a - b; }
-  static Reg mul(Reg a, Reg b) { return a * b; }
-  static Reg div(Reg a, Reg b) { return a / b; }
-  static Reg abs(Reg v) { return std::fabs(v); }
-  static Mask cmp_gt(Reg a, Reg b) { return a > b; }
-  static Mask cmp_lt(Reg a, Reg b) { return a < b; }
-  static Mask cmp_eq(Reg a, Reg b) { return a == b; }
-  static bool any(Mask m) { return m; }
-  static Reg select(Mask m, Reg a, Reg b) { return m ? b : a; }
-};
 
 template <class V>
 void lane_lu(const LaneLuArgs& args) {

@@ -5,7 +5,9 @@
 #include <exception>
 #include <limits>
 #include <new>
+#include <type_traits>
 #include <utility>
+#include <variant>
 
 #include "core/fault_injection.hpp"
 #include "core/frontend_plan.hpp"
@@ -186,14 +188,10 @@ void BatchRunner::dispatch_packed(const std::vector<Scenario>& scenarios,
       emit_error(i, gate.stop_error());
       continue;
     }
-    // Pre-dispatch guardrail: reject what validate() rejects before any
-    // lane or solver sees it — the same verdict run_scenario would reach,
-    // reported without burning a fallback slot on a doomed job.
-    Error invalid = validate(scenarios[i]);
-    if (!invalid.ok()) {
-      emit_error(i, std::move(invalid));
-      continue;
-    }
+    // validate()'s checks run where each input is read: plan_route sent
+    // whatever validate_setup rejects to the fallback, whose run_scenario
+    // issues the verdict, and the lane blocks scan their sweeps' samples
+    // just before their kernels read them.
     switch (plans.plan(i).route) {
       case PlanRoute::kPackedSweep:
         (scenarios[i].kind() == mag::ModelKind::kEnergyBased ? energy_lanes
@@ -276,14 +274,17 @@ void BatchRunner::dispatch_packed(const std::vector<Scenario>& scenarios,
     emit_block_error(lanes, begin, end, gate.stop_error());
   };
 
-  /// Finishes a lane through finish_result, as run_scenario does, plus the
-  /// non-finite quarantine (shared by every block kind): a lane whose curve
-  /// carries NaN/Inf is retried once through the scalar exact path
-  /// (run_scenario — no recursion, no kernel), which either reproduces the
-  /// garbage as a diagnosed kNonFinite error or, for FastMath-only
-  /// blow-ups, recovers a clean exact result. Either way the lane's verdict
-  /// matches what run() reports for the same scenario.
-  const auto finalize_lane = [&](std::size_t i, ScenarioResult&& r) {
+  /// Finishes a lane from the CurveFinish its kernel (or, for trace lanes,
+  /// the copy of its published rows) accumulated, through finish_result as
+  /// run_scenario's walk does, plus the non-finite quarantine (shared by
+  /// every block kind): a lane whose curve carries NaN/Inf is retried once
+  /// through the scalar exact path (run_scenario — no recursion, no
+  /// kernel), which either reproduces the garbage as a diagnosed kNonFinite
+  /// error or, for FastMath-only blow-ups, recovers a clean exact result.
+  /// Either way the lane's verdict matches what run() reports for the same
+  /// scenario.
+  const auto finalize_lane = [&](std::size_t i, ScenarioResult&& r,
+                                 analysis::CurveFinish& finish) {
     bool poison = false;
     try {
       poison = FERRO_FAULT_HIT(FaultSite::kLaneCompute);
@@ -295,12 +296,14 @@ void BatchRunner::dispatch_packed(const std::vector<Scenario>& scenarios,
     }
     if (poison && !r.curve.empty()) {
       // Injected poison: corrupt the lane output exactly like a kernel
-      // blow-up would, driving the same quarantine machinery.
-      std::vector<mag::BhPoint> pts = r.curve.points();
+      // blow-up would — the curve and the verdict accumulated with it —
+      // driving the same quarantine machinery.
+      std::vector<mag::BhPoint> pts = r.curve.release();
       pts[0].m = std::numeric_limits<double>::quiet_NaN();
       r.curve = mag::BhCurve(std::move(pts));
+      finish.finite = false;
     }
-    if (r.ok() && !finish_result(r, scenarios[i].metrics_window)) {
+    if (r.ok() && !finish_result(r, finish, scenarios[i].metrics_window)) {
       // One immediate scalar retry; run_scenario diagnoses a persistent
       // blow-up as kNonFinite itself.
       gate.count_quarantined();
@@ -310,100 +313,90 @@ void BatchRunner::dispatch_packed(const std::vector<Scenario>& scenarios,
     emit(i, std::move(r));
   };
 
-  // One SoA lane block: contiguous slice [begin, end) of a sorted lane
-  // list. The kernel advances all lanes of a block together, so a failure
-  // there (allocation, fundamentally) is reported on every lane of the
-  // block; the per-lane finalize step keeps per-job capture like
-  // run_scenario does. Each lane's result is emitted as soon as its metrics
-  // are done, so streaming consumers see lane results while other blocks
+  // One SoA lane block of a sweep kernel — mag::TimelessJaBatch for JA
+  // lanes, mag::EnergyBasedBatch (whose shared play update makes its lanes
+  // bitwise run_scenario's by construction) for energy lanes: contiguous
+  // slice [begin, end) of a sorted lane list. Each lane's sweep samples are
+  // scanned first, where the kernel is about to read them; a lane with a
+  // non-finite one is emitted with validate()'s verdict and left out of the
+  // kernel. (A TimeDrive's planned grid is not scanned, as validate() does
+  // not scan it; a NaN waveform reaches the quarantine.) The kernel
+  // advances the other lanes together and finishes each in its output
+  // pass, so a failure there (allocation, fundamentally) is reported on
+  // every lane it held; the per-lane finalize step keeps per-job capture
+  // like run_scenario does. Each lane's result is emitted as soon as it is
+  // finished, so streaming consumers see lane results while other blocks
   // are still computing.
-  const auto run_sweep_block = [&](std::size_t begin, std::size_t end) {
+  const auto run_sweep_block = [&](const std::vector<std::size_t>& lanes,
+                                   std::size_t begin, std::size_t end,
+                                   auto batch) {
+    constexpr bool kEnergy =
+        std::is_same_v<decltype(batch), mag::EnergyBasedBatch>;
     if (gate.stopped()) {
-      emit_block_cancelled(sweep_lanes, begin, end);
+      emit_block_cancelled(lanes, begin, end);
       return;
     }
-    mag::TimelessJaBatch batch(math);
+    std::vector<std::size_t> live;
+    std::vector<const wave::HSweep*> sweeps;
     std::vector<mag::BhCurve> curves;
+    std::vector<analysis::CurveFinish> finish;
+    std::size_t next = begin;  // lanes below it are emitted or live
+    const auto fail = [&](const Error& error) {
+      emit_block_error(live, 0, live.size(), error);
+      emit_block_error(lanes, next, end, error);
+    };
     try {
-      std::vector<const wave::HSweep*> sweeps;
+      live.reserve(end - begin);
       sweeps.reserve(end - begin);
       curves.reserve(end - begin);
-      for (std::size_t p = begin; p < end; ++p) {
-        const std::size_t i = sweep_lanes[p];
-        batch.add_lane(scenarios[i].ja().params, scenarios[i].ja().config);
-        sweeps.push_back(&plans.sweep(i));
+      finish.reserve(end - begin);
+      for (; next < end; ++next) {
+        const std::size_t i = lanes[next];
+        const Scenario& s = scenarios[i];
+        const wave::HSweep& sweep = plans.sweep(i);
+        if (std::holds_alternative<wave::HSweep>(s.drive)) {
+          Error invalid = validate_samples(sweep);
+          if (!invalid.ok()) {
+            emit_error(i, std::move(invalid));
+            continue;
+          }
+        }
+        if constexpr (kEnergy) {
+          batch.add_lane(s.energy().params);
+        } else {
+          batch.add_lane(s.ja().params, s.ja().config);
+        }
+        sweeps.push_back(&sweep);
         curves.emplace_back(recycled.take());
+        finish.push_back(start_finish(sweep.size(), s.metrics_window));
+        live.push_back(i);  // reserved: cannot throw
       }
-      batch.run(sweeps, curves);
+      if (!live.empty()) batch.run(sweeps, curves, finish);
     } catch (const std::exception& e) {
-      emit_block_error(sweep_lanes, begin, end,
-                       {ErrorCode::kInternal, e.what()});
+      fail({ErrorCode::kInternal, e.what()});
       return;
     } catch (...) {
-      emit_block_error(sweep_lanes, begin, end,
-                       {ErrorCode::kInternal, "unknown exception"});
+      fail({ErrorCode::kInternal, "unknown exception"});
       return;
     }
-    for (std::size_t p = begin; p < end; ++p) {
-      const std::size_t i = sweep_lanes[p];
+    for (std::size_t l = 0; l < live.size(); ++l) {
+      const std::size_t i = live[l];
       ScenarioResult r;
       r.name = scenarios[i].name;
+      r.model = scenarios[i].kind();
       try {
-        r.curve = std::move(curves[p - begin]);
-        r.stats = batch.stats(p - begin);
+        r.curve = std::move(curves[l]);
+        if constexpr (kEnergy) {
+          r.energy_stats = batch.stats(l);
+        } else {
+          r.stats = batch.stats(l);
+        }
       } catch (const std::exception& e) {
         r.error = {ErrorCode::kInternal, e.what()};
       } catch (...) {
         r.error = {ErrorCode::kInternal, "unknown exception"};
       }
-      finalize_lane(i, std::move(r));
-    }
-  };
-
-  // One energy-model SoA lane block: same shape as run_sweep_block but on
-  // mag::EnergyBasedBatch, whose shared play update makes the lane results
-  // bitwise identical to run_scenario's scalar path by construction.
-  const auto run_energy_block = [&](std::size_t begin, std::size_t end) {
-    if (gate.stopped()) {
-      emit_block_cancelled(energy_lanes, begin, end);
-      return;
-    }
-    mag::EnergyBasedBatch batch(math);
-    std::vector<mag::BhCurve> curves;
-    try {
-      std::vector<const wave::HSweep*> sweeps;
-      sweeps.reserve(end - begin);
-      curves.reserve(end - begin);
-      for (std::size_t p = begin; p < end; ++p) {
-        const std::size_t i = energy_lanes[p];
-        batch.add_lane(scenarios[i].energy().params);
-        sweeps.push_back(&plans.sweep(i));
-        curves.emplace_back(recycled.take());
-      }
-      batch.run(sweeps, curves);
-    } catch (const std::exception& e) {
-      emit_block_error(energy_lanes, begin, end,
-                       {ErrorCode::kInternal, e.what()});
-      return;
-    } catch (...) {
-      emit_block_error(energy_lanes, begin, end,
-                       {ErrorCode::kInternal, "unknown exception"});
-      return;
-    }
-    for (std::size_t p = begin; p < end; ++p) {
-      const std::size_t i = energy_lanes[p];
-      ScenarioResult r;
-      r.name = scenarios[i].name;
-      r.model = mag::ModelKind::kEnergyBased;
-      try {
-        r.curve = std::move(curves[p - begin]);
-        r.energy_stats = batch.stats(p - begin);
-      } catch (const std::exception& e) {
-        r.error = {ErrorCode::kInternal, e.what()};
-      } catch (...) {
-        r.error = {ErrorCode::kInternal, "unknown exception"};
-      }
-      finalize_lane(i, std::move(r));
+      finalize_lane(i, std::move(r), finish[l]);
     }
   };
 
@@ -480,6 +473,7 @@ void BatchRunner::dispatch_packed(const std::vector<Scenario>& scenarios,
       const std::size_t i = live[l];
       ScenarioResult r;
       r.name = scenarios[i].name;
+      analysis::CurveFinish finish;
       try {
         const mag::JaTrace& trace = traces[l];
         const AmsTrajectory& trajectory =
@@ -487,9 +481,17 @@ void BatchRunner::dispatch_packed(const std::vector<Scenario>& scenarios,
         r.curve = mag::BhCurve(recycled.take());
         r.curve.reserve(trajectory.h.size());
         if (!trajectory.h.empty()) {
-          r.curve.append(trajectory.h.front(), virgin[l].m, virgin[l].b);
+          // The copy of the published rows is this lane's output pass: it
+          // finishes the curve as it builds it.
+          finish = start_finish(1 + trace.record_rows.size(),
+                                scenarios[i].metrics_window);
+          const auto publish = [&](const mag::BhPoint& p) {
+            finish.add(r.curve.size(), p.h, p.m, p.b);
+            r.curve.append(p);
+          };
+          publish({trajectory.h.front(), virgin[l].m, virgin[l].b});
           for (const std::uint32_t row : trace.record_rows) {
-            r.curve.append(points[l][row]);
+            publish(points[l][row]);
           }
         }
         r.stats = batch.stats(l);  // the executed clamp counters
@@ -503,7 +505,7 @@ void BatchRunner::dispatch_packed(const std::vector<Scenario>& scenarios,
       }
       // The replayed rows are scratch once the published ones are copied.
       recycled.give(std::move(points[l]));
-      finalize_lane(i, std::move(r));
+      finalize_lane(i, std::move(r), finish);
     }
   };
 
@@ -563,12 +565,13 @@ void BatchRunner::dispatch_packed(const std::vector<Scenario>& scenarios,
             }
           } else if (u < fallback.size() + sweep_blocks.size()) {
             const auto& [b0, b1] = sweep_blocks[u - fallback.size()];
-            run_sweep_block(b0, b1);
+            run_sweep_block(sweep_lanes, b0, b1, mag::TimelessJaBatch(math));
           } else if (u < fallback.size() + sweep_blocks.size() +
                              energy_blocks.size()) {
             const auto& [b0, b1] =
                 energy_blocks[u - fallback.size() - sweep_blocks.size()];
-            run_energy_block(b0, b1);
+            run_sweep_block(energy_lanes, b0, b1,
+                            mag::EnergyBasedBatch(math));
           } else {
             const auto& block =
                 trace_blocks[u - fallback.size() - sweep_blocks.size() -
@@ -579,22 +582,26 @@ void BatchRunner::dispatch_packed(const std::vector<Scenario>& scenarios,
       });
 }
 
+std::size_t BatchRunner::queue_capacity(const StreamOptions& stream,
+                                        std::size_t n_jobs) const {
+  if (stream.queue_capacity != 0) return stream.queue_capacity;
+  return lane_block() + 2 * static_cast<std::size_t>(resolved_threads(n_jobs));
+}
+
 StreamSummary BatchRunner::run(const std::vector<Scenario>& scenarios,
                                ResultSink& sink,
                                const RunOptions& options) const {
   RunGate gate(options.limits);
   const unsigned workers = resolved_threads(scenarios.size());
+  const std::size_t capacity = queue_capacity(options.stream, scenarios.size());
   // Only packed lane blocks record into recycled storage, so only a packed
   // run keeps what the sink hands back — at most what can be in flight: one
   // block per worker, a full queue and the batch the consumer drained.
-  CurveRecycler recycled(
-      options.packing == Packing::kNone
-          ? 0
-          : workers * lane_block() +
-                2 * resolve_queue_capacity(options.stream.queue_capacity,
-                                           workers));
+  CurveRecycler recycled(options.packing == Packing::kNone
+                             ? 0
+                             : workers * lane_block() + 2 * capacity);
   return stream_to_sink(
-      sink, scenarios.size(), workers, options.stream.queue_capacity, gate,
+      sink, scenarios.size(), workers, capacity, gate,
       [&](const EmitFn& emit) {
         execute(scenarios, options.packing, emit, gate, recycled);
       },

@@ -21,6 +21,16 @@
 // garbage demotes to a per-scenario kNonFinite error (or a clean scalar
 // result), never a poisoned "success".
 //
+// Validation happens where each path reads its input, with validate()'s
+// verdicts either way. kNone runs validate() inside run_scenario. A packed
+// run routes whatever validate_setup() rejects to the per-scenario
+// fallback, whose run_scenario issues the verdict; each sweep lane block
+// scans its lanes' samples just before its kernel reads them, and the
+// planner scans kAms sweeps as it synthesises their excitation. So under
+// RunLimits::max_errors a packed run, like kNone, books an invalid scenario
+// when the unit holding it runs — a fallback job or a lane block, which
+// still finishes its other lanes — not in scenario order up front.
+//
 // The streaming path runs core::stream_to_sink (core/stream.hpp), the
 // streaming driver ckt::MonteCarlo uses too: workers push results into a
 // bounded MPSC queue as they finish, one consumer thread drains every
@@ -45,11 +55,15 @@
 // of one kernel tile (twice the active SIMD width), with ragged lanes
 // masked out of their vector groups as they finish. Lanes group by model:
 // JA lanes run on mag::TimelessJaBatch, quasi-static energy-based lanes on
-// mag::EnergyBasedBatch. Scenarios outside the packed executors'
-// bitwise-reproducible subset fall back to the per-scenario path. A packed
-// streaming run reuses the curve storage of every delivered result the
-// sink did not keep: the next lane block records into pages that are
-// already mapped instead of faulting fresh ones in.
+// mag::EnergyBasedBatch. Each kernel finishes its lanes in its output pass
+// — the loop metrics and the non-finite verdict accumulated as the points
+// are recorded (analysis::CurveFinish), bitwise what finish_result computes
+// on the delivered curve — so no result is walked a second time.
+// Scenarios outside the packed executors' bitwise-reproducible subset fall
+// back to the per-scenario path. A packed streaming run reuses the curve
+// storage of every delivered result the sink did not keep: the next lane
+// block records into pages that are already mapped instead of faulting
+// fresh ones in.
 #pragma once
 
 #include <cstddef>
@@ -94,9 +108,11 @@ enum class Packing {
 
 struct StreamOptions {
   /// Bound of the worker→sink queue, in results; the consumer may hold one
-  /// more drained batch of at most this many. 0 picks a default
-  /// of twice the worker count — enough that workers rarely stall on a
-  /// prompt sink, small enough that a slow sink caps memory quickly.
+  /// more drained batch of at most this many. 0 picks the default,
+  /// BatchRunner::lane_block() plus twice the worker count: a packed lane
+  /// block emits its results back to back, so the queue holds one block's
+  /// burst plus the slack that keeps workers from stalling on a prompt
+  /// sink, and a slow sink still caps memory quickly.
   std::size_t queue_capacity = 0;
 };
 
@@ -151,8 +167,21 @@ class BatchRunner {
   StreamSummary run(const std::vector<Scenario>& scenarios, ResultSink& sink,
                     const RunOptions& options = {}) const;
 
-  /// True when a packed run() would route `scenario` through the SoA kernel.
+  /// True when a packed run() would route `scenario` to a SoA lane block:
+  /// validate_setup() accepts it and it lies in a packed executor's
+  /// bitwise-reproducible subset. The per-sample scans are not part of it:
+  /// a sweep lane with a non-finite sample is rejected by its lane block
+  /// (a kAms sweep by the planner) with validate()'s verdict.
   [[nodiscard]] static bool packable(const Scenario& scenario);
+
+  /// Lanes per packed block: one kernel tile, twice the active SIMD width,
+  /// at every thread count — a worker holds one tile of curves at a time.
+  [[nodiscard]] static std::size_t lane_block();
+
+  /// The worker→sink queue bound a streaming run() of `n_jobs` scenarios
+  /// uses: `stream.queue_capacity`, or lane_block() + 2 × workers when 0.
+  [[nodiscard]] std::size_t queue_capacity(const StreamOptions& stream,
+                                           std::size_t n_jobs) const;
 
   /// The worker count `run` would use for `n_jobs` jobs
   /// (core::resolve_workers of options().threads).
@@ -171,10 +200,6 @@ class BatchRunner {
   /// The curve storage a streaming run's sink handed back, for the packed
   /// lane blocks to record into (defined in batch_runner.cpp).
   class CurveRecycler;
-
-  /// Lanes per packed block: one kernel tile, twice the active SIMD width,
-  /// at every thread count — a worker holds one tile of curves at a time.
-  [[nodiscard]] static std::size_t lane_block();
 
   /// The execution path both run() overloads share: dispatch() for
   /// Packing::kNone, dispatch_packed() with the matching math otherwise.

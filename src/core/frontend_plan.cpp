@@ -1,5 +1,8 @@
 #include "core/frontend_plan.hpp"
 
+#include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <exception>
 #include <map>
 #include <new>
@@ -14,31 +17,26 @@
 namespace ferro::core {
 
 PlanRoute plan_route(const Scenario& scenario) {
+  // What validate() rejects falls back, so run_scenario issues the verdict.
+  // The per-sample scans are left to where the samples are read: each lane
+  // block scans its sweeps just before its kernel, the planner scans kAms
+  // sweeps as it synthesises their excitation.
+  if (!validate_setup(scenario).ok()) return PlanRoute::kFallback;
+
   // Flux drives run the per-sample inverse solve — no SoA row program.
   if (std::holds_alternative<FluxDrive>(scenario.drive)) {
     return PlanRoute::kFallback;
   }
 
   if (const auto* energy = std::get_if<EnergySpec>(&scenario.model)) {
-    // Energy jobs pack only on the direct frontend (the only one that can
-    // execute them) with quasi-static parameters (EnergyBasedBatch's
-    // lockstep subset). Everything else falls back so run_scenario issues
-    // the validity verdict — the same split of responsibilities as JA.
-    if (!energy->params.is_valid() || scenario.frontend != Frontend::kDirect ||
-        !mag::EnergyBasedBatch::supports(energy->params)) {
-      return PlanRoute::kFallback;
-    }
-    if (const auto* drive = std::get_if<TimeDrive>(&scenario.drive)) {
-      return drive->waveform ? PlanRoute::kPackedSweep : PlanRoute::kFallback;
-    }
-    return PlanRoute::kPackedSweep;
+    // Energy jobs (direct frontend only, as validated) pack with
+    // quasi-static parameters: EnergyBasedBatch's lockstep subset.
+    return mag::EnergyBasedBatch::supports(energy->params)
+               ? PlanRoute::kPackedSweep
+               : PlanRoute::kFallback;
   }
 
   const JaSpec& ja = std::get<JaSpec>(scenario.model);
-  if (!ja.params.is_valid() || ja.config.dhmax <= 0.0) {
-    return PlanRoute::kFallback;
-  }
-
   if (scenario.frontend == Frontend::kAms) {
     // Sub-stepping is unrolled by the trace planner, so only the extension
     // integration schemes (which probe trial states no row program can
@@ -46,12 +44,9 @@ PlanRoute plan_route(const Scenario& scenario) {
     if (ja.config.scheme != mag::HIntegrator::kForwardEuler) {
       return PlanRoute::kFallback;
     }
-    if (const auto* drive = std::get_if<TimeDrive>(&scenario.drive)) {
-      return drive->waveform ? PlanRoute::kPackedTrace : PlanRoute::kFallback;
-    }
-    return std::get<wave::HSweep>(scenario.drive).empty()
-               ? PlanRoute::kFallback
-               : PlanRoute::kPackedTrace;
+    const auto* sweep = std::get_if<wave::HSweep>(&scenario.drive);
+    return sweep != nullptr && sweep->empty() ? PlanRoute::kFallback
+                                              : PlanRoute::kPackedTrace;
   }
 
   if (!mag::TimelessJaBatch::supports(ja.config)) {
@@ -65,22 +60,29 @@ PlanRoute plan_route(const Scenario& scenario) {
       !JaCoreModule::clamps_match(ja.config)) {
     return PlanRoute::kFallback;
   }
-  if (const auto* drive = std::get_if<TimeDrive>(&scenario.drive)) {
-    return drive->waveform ? PlanRoute::kPackedSweep : PlanRoute::kFallback;
-  }
   return PlanRoute::kPackedSweep;
 }
 
 namespace {
 
 /// Orders sweep-keyed trajectory jobs by excitation *content*, so scenarios
-/// that drive identical (by value) sweeps share one solve.
-struct DerefLess {
+/// that drive identical sweeps share one solve. Samples compare by bit
+/// pattern, a strict total order: under operator< a NaN would compare
+/// equivalent to any value and merge two different drives.
+struct SampleBitsLess {
   bool operator()(const std::vector<double>* a,
                   const std::vector<double>* b) const {
-    return *a < *b;
+    return std::lexicographical_compare(
+        a->begin(), a->end(), b->begin(), b->end(), [](double x, double y) {
+          return std::bit_cast<std::uint64_t>(x) <
+                 std::bit_cast<std::uint64_t>(y);
+        });
   }
 };
+
+/// The sweep_jobs entry of a drive validate() rejects for a sample: its
+/// scenarios fall back, and run_scenario issues the verdict.
+constexpr std::size_t kRejectedDrive = static_cast<std::size_t>(-1);
 
 }  // namespace
 
@@ -91,10 +93,11 @@ FrontendPlanSet::FrontendPlanSet(const std::vector<Scenario>& scenarios)
   // Trajectory dedup: the JA-free H(t) solve depends only on the excitation
   // and the solver window — never on the material or the discretisation —
   // so scenarios sharing a drive share one job. TimeDrive excitations key
-  // on (waveform identity, window); sweep drives key on the sample values.
+  // on (waveform identity, window); sweep drives key on the sample bits.
   std::map<std::tuple<const wave::Waveform*, double, double>, std::size_t>
       time_jobs;
-  std::map<const std::vector<double>*, std::size_t, DerefLess> sweep_jobs;
+  std::map<const std::vector<double>*, std::size_t, SampleBitsLess>
+      sweep_jobs;
 
   for (std::size_t i = 0; i < scenarios.size(); ++i) {
     const Scenario& s = scenarios[i];
@@ -128,17 +131,25 @@ FrontendPlanSet::FrontendPlanSet(const std::vector<Scenario>& scenarios)
           }
         } else {
           const auto& sweep = std::get<wave::HSweep>(s.drive);
-          const auto it = sweep_jobs.find(&sweep.h);
-          if (it != sweep_jobs.end()) {
-            p.trajectory = it->second;
+          auto it = sweep_jobs.find(&sweep.h);
+          if (it == sweep_jobs.end()) {
+            // First sight of this excitation: scan its samples before
+            // synthesising the Pwl from them.
+            std::size_t job = kRejectedDrive;
+            if (validate_samples(sweep).ok()) {
+              AmsSweepDrive drive = ams_drive_for_sweep(sweep, s.ja().config);
+              TrajectoryJob planned;
+              planned.pwl = std::move(drive.pwl);
+              planned.config = drive.config;
+              jobs_.push_back(std::move(planned));
+              job = jobs_.size() - 1;
+            }
+            it = sweep_jobs.emplace(&sweep.h, job).first;
+          }
+          if (it->second == kRejectedDrive) {
+            p.route = PlanRoute::kFallback;
           } else {
-            AmsSweepDrive drive = ams_drive_for_sweep(sweep, s.ja().config);
-            TrajectoryJob job;
-            job.pwl = std::move(drive.pwl);
-            job.config = drive.config;
-            jobs_.push_back(std::move(job));
-            p.trajectory = jobs_.size() - 1;
-            sweep_jobs.emplace(&sweep.h, p.trajectory);
+            p.trajectory = it->second;
           }
         }
       }

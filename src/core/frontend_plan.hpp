@@ -14,11 +14,11 @@
 //     scenario into a planner-trace row program (mag/ja_trace.hpp) that the
 //     SoA kernel replays bitwise-identically to the serial frontend.
 //
-// Routability also lives here — whether a scenario's config is inside what
-// the packed executor reproduces bit for bit (the kernel's lockstep subset;
-// for kSystemC additionally the clamp pair the process network hard-codes,
-// JaCoreModule::clamps_match) — so BatchRunner carries no per-frontend
-// special cases of its own.
+// Routability also lives here — whether a scenario passes validate_setup()
+// and its config is inside what the packed executor reproduces bit for bit
+// (the kernel's lockstep subset; for kSystemC additionally the clamp pair
+// the process network hard-codes, JaCoreModule::clamps_match) — so
+// BatchRunner carries no per-frontend special cases of its own.
 #pragma once
 
 #include <cstddef>
@@ -39,7 +39,10 @@ enum class PlanRoute {
   kPackedTrace,  ///< SoA kernel, planner-decided trace rows (kAms)
 };
 
-/// Routability of one scenario — the single definition of "packable".
+/// Routability of one scenario — the single definition of "packable":
+/// whatever validate_setup() rejects falls back, so run_scenario issues the
+/// verdict. Sample scans are not part of it (see FrontendPlanSet and
+/// BatchRunner's lane blocks).
 [[nodiscard]] PlanRoute plan_route(const Scenario& scenario);
 
 /// One shared JA-free trajectory solve: the excitation (a borrowed TimeDrive
@@ -77,9 +80,12 @@ struct FrontendPlan {
 /// the deduplicated trajectory jobs as work items the caller fans across
 /// its thread pool — solve_trajectory(j) touches only job j, so distinct
 /// jobs run concurrently; every job must be solved before the plans that
-/// reference it are executed. A scenario whose planning throws falls back
-/// to the per-scenario path, which reproduces the failure as a per-job
-/// error exactly like run() would.
+/// reference it are executed. Sweep excitations dedup by the bit patterns
+/// of their samples, and each distinct one is scanned (validate_samples)
+/// before its Pwl is synthesised: a kAms scenario whose sweep holds a
+/// non-finite sample falls back, with no trajectory job. A scenario whose
+/// planning throws falls back to the per-scenario path too, which
+/// reproduces the failure as a per-job error exactly like run() would.
 class FrontendPlanSet {
  public:
   explicit FrontendPlanSet(const std::vector<Scenario>& scenarios);

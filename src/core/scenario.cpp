@@ -1,8 +1,12 @@
 #include "core/scenario.hpp"
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <exception>
 #include <new>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -114,6 +118,29 @@ void run_energy(const Scenario& scenario, ScenarioResult& result) {
   result.energy_stats = model.stats();
 }
 
+/// Index of the first non-finite value of `x`, or x.size(). Each block is
+/// tested with integer ops the compiler vectorises: an exponent field of
+/// all ones (+-inf or NaN) plus one carries into the sign bit, which the
+/// OR keeps. Only a flagged block is searched value by value.
+std::size_t first_non_finite_value(std::span<const double> x) {
+  constexpr std::size_t kBlock = 256;
+  constexpr std::uint64_t kExponent = 0x7ff0000000000000ull;
+  constexpr std::uint64_t kExponentOne = 1ull << 52;
+  for (std::size_t begin = 0; begin < x.size(); begin += kBlock) {
+    const std::size_t end = std::min(x.size(), begin + kBlock);
+    std::uint64_t flagged = 0;
+    for (std::size_t j = begin; j < end; ++j) {
+      const std::uint64_t bits = std::bit_cast<std::uint64_t>(x[j]);
+      flagged |= (bits & kExponent) + kExponentOne;
+    }
+    if ((flagged >> 63) == 0) continue;
+    for (std::size_t j = begin; j < end; ++j) {
+      if (!std::isfinite(x[j])) return j;
+    }
+  }
+  return x.size();
+}
+
 Error validate_ja_spec(const JaSpec& ja) {
   const auto violations = ja.params.validate();
   if (!violations.empty()) {
@@ -154,7 +181,7 @@ Error validate_energy_spec(const Scenario& scenario, const EnergySpec& spec) {
 
 }  // namespace
 
-Error validate(const Scenario& scenario) {
+Error validate_setup(const Scenario& scenario) {
   Error spec_error;
   if (const auto* ja = std::get_if<JaSpec>(&scenario.model)) {
     spec_error = validate_ja_spec(*ja);
@@ -163,14 +190,7 @@ Error validate(const Scenario& scenario) {
   }
   if (!spec_error.ok()) return spec_error;
 
-  if (const auto* sweep = std::get_if<wave::HSweep>(&scenario.drive)) {
-    for (std::size_t j = 0; j < sweep->h.size(); ++j) {
-      if (!std::isfinite(sweep->h[j])) {
-        return {ErrorCode::kInvalidScenario,
-                "non-finite field sample at index " + std::to_string(j)};
-      }
-    }
-  } else if (const auto* time = std::get_if<TimeDrive>(&scenario.drive)) {
+  if (const auto* time = std::get_if<TimeDrive>(&scenario.drive)) {
     if (!time->waveform) {
       return {ErrorCode::kInvalidScenario,
               "time-driven scenario has no waveform"};
@@ -190,11 +210,29 @@ Error validate(const Scenario& scenario) {
       return {ErrorCode::kInvalidScenario,
               "flux drive needs tolerance_b > 0 and max_iterations >= 1"};
     }
-    for (std::size_t j = 0; j < flux->b.size(); ++j) {
-      if (!std::isfinite(flux->b[j])) {
-        return {ErrorCode::kInvalidScenario,
-                "non-finite flux target at index " + std::to_string(j)};
-      }
+  }
+  return {};
+}
+
+Error validate_samples(const wave::HSweep& sweep) {
+  const std::size_t bad = first_non_finite_value(sweep.h);
+  if (bad == sweep.h.size()) return {};
+  return {ErrorCode::kInvalidScenario,
+          "non-finite field sample at index " + std::to_string(bad)};
+}
+
+Error validate(const Scenario& scenario) {
+  Error setup = validate_setup(scenario);
+  if (!setup.ok()) return setup;
+
+  if (const auto* sweep = std::get_if<wave::HSweep>(&scenario.drive)) {
+    return validate_samples(*sweep);
+  }
+  if (const auto* flux = std::get_if<FluxDrive>(&scenario.drive)) {
+    const std::size_t bad = first_non_finite_value(flux->b);
+    if (bad != flux->b.size()) {
+      return {ErrorCode::kInvalidScenario,
+              "non-finite flux target at index " + std::to_string(bad)};
     }
   }
   return {};
@@ -245,42 +283,54 @@ void fill_metrics(ScenarioResult& result,
   }
 }
 
+analysis::CurveFinish start_finish(
+    std::size_t points, const std::optional<MetricsWindow>& window) {
+  // No metrics below two points or for a misfit window, whose error waits
+  // until the finite check has passed, so that a non-finite curve reports
+  // kNonFinite first.
+  analysis::CurveFinish finish;
+  if (points < 2) return finish;
+  if (!window) {
+    finish.count = points;
+  } else if (window_error(*window, points).ok()) {
+    finish.begin = window->begin;
+    finish.count = window->end - window->begin + 1;
+  }
+  return finish;
+}
+
+bool finish_result(ScenarioResult& result,
+                   const analysis::CurveFinish& finish,
+                   const std::optional<MetricsWindow>& window) {
+  if (!finish.finite) {
+    result.error = {ErrorCode::kNonFinite,
+                    "non-finite value in simulated curve"};
+    return false;
+  }
+  const std::size_t n = result.curve.size();
+  if (n >= 2 && window) {
+    Error misfit = window_error(*window, n);
+    if (!misfit.ok()) {
+      result.error = std::move(misfit);
+      return true;
+    }
+  }
+  if (finish.count != 0) result.metrics = finish.loop.metrics();
+  return true;
+}
+
 bool finish_result(ScenarioResult& result,
                    const std::optional<MetricsWindow>& window) {
   const auto& points = result.curve.points();
-  const std::size_t n = points.size();
-  // The metrics cover points [begin, begin + count): none below two points
-  // or for a misfit window, whose error waits until the scan has passed so
-  // that a non-finite curve reports kNonFinite first.
-  std::size_t begin = 0;
-  std::size_t count = 0;
-  Error misfit;
-  if (n >= 2 && !window) {
-    count = n;
-  } else if (n >= 2) {
-    misfit = window_error(*window, n);
-    if (misfit.ok()) {
-      begin = window->begin;
-      count = window->end - window->begin + 1;
-    }
+  analysis::CurveFinish finish = start_finish(points.size(), window);
+  finish.add_rows(points.data(), 0, points.size());
+  if (!finish.finite) {
+    result.error = {ErrorCode::kNonFinite,
+                    "non-finite value in simulated curve at point " +
+                        std::to_string(first_non_finite(result.curve))};
+    return false;
   }
-
-  analysis::LoopAccumulator loop;
-  for (std::size_t j = 0; j < n; ++j) {
-    if (!finite(points[j])) {
-      result.error = {ErrorCode::kNonFinite,
-                      "non-finite value in simulated curve at point " +
-                          std::to_string(j)};
-      return false;
-    }
-    if (j - begin < count) loop.add(points[j]);  // wraps for j < begin
-  }
-  if (!misfit.ok()) {
-    result.error = std::move(misfit);
-  } else if (count != 0) {
-    result.metrics = loop.metrics();
-  }
-  return true;
+  return finish_result(result, finish, window);
 }
 
 ScenarioResult run_scenario(const Scenario& scenario) {

@@ -112,12 +112,26 @@ struct ScenarioResult {
   [[nodiscard]] bool ok() const { return error.ok(); }
 };
 
-/// Pre-dispatch validation: rejects non-finite/degenerate parameters,
-/// discretisation, and drives before any solver runs. Returns kOk for a
-/// runnable scenario, else kInvalidScenario with the reason. run_scenario
-/// applies it first thing, and the packed dispatcher applies it before
-/// routing, so both paths reject identically.
+/// Validation: rejects non-finite/degenerate parameters, discretisation,
+/// and drives before any solver runs. Returns kOk for a runnable scenario,
+/// else kInvalidScenario with the reason: validate_setup()'s verdict first,
+/// then the per-sample scan of a sweep drive (validate_samples) or of a
+/// flux drive's targets. run_scenario applies it first thing. The packed
+/// dispatcher applies the same checks where it reads the data: plan_route
+/// packs only scenarios validate_setup() accepts, and the lane blocks (or,
+/// for kAms sweeps, the planner) scan each sweep's samples just before
+/// using them, so both paths reject identically.
 [[nodiscard]] Error validate(const Scenario& scenario);
+
+/// validate() without the per-sample scans: the model parameters, the
+/// discretisation, the frontend/drive pairing, a time drive's waveform and
+/// window, and a flux drive's solver settings.
+[[nodiscard]] Error validate_setup(const Scenario& scenario);
+
+/// validate()'s scan of a sweep drive: kOk, or kInvalidScenario naming the
+/// first non-finite sample. (A TimeDrive's samples are not scanned: a NaN
+/// waveform surfaces as the kNonFinite curve it produces.)
+[[nodiscard]] Error validate_samples(const wave::HSweep& sweep);
 
 /// Index of the first curve point whose h/m/b is not finite, or
 /// curve.size() when the whole curve is finite.
@@ -138,10 +152,25 @@ void fill_metrics(ScenarioResult& result,
 /// guardrail and fill_metrics together, with the verdicts of running them
 /// in that order. A curve holding NaN/Inf becomes a kNonFinite error naming
 /// its first such point, and the call returns false; otherwise it returns
-/// true with the metrics filled or the window error set. run_scenario and
-/// the packed lane blocks both finish through it, so the two paths cannot
-/// drift apart.
+/// true with the metrics filled or the window error set. run_scenario
+/// finishes through it.
 bool finish_result(ScenarioResult& result,
+                   const std::optional<MetricsWindow>& window);
+
+/// The CurveFinish a curve of `points` points accumulates its finish into:
+/// the metrics rows of `window` (the whole curve when absent), none below
+/// two points or for a window that does not fit.
+[[nodiscard]] analysis::CurveFinish start_finish(
+    std::size_t points, const std::optional<MetricsWindow>& window);
+
+/// Finishes a computed result from the CurveFinish its producer accumulated
+/// (started by start_finish for this curve's length and `window`) — the
+/// verdicts of finish_result(result, window), which walks the curve through
+/// this same step. A non-finite finish sets kNonFinite (without a point
+/// index) and returns false. The packed lane blocks finish through it with
+/// what their kernels accumulated, so the two paths cannot drift apart.
+bool finish_result(ScenarioResult& result,
+                   const analysis::CurveFinish& finish,
                    const std::optional<MetricsWindow>& window);
 
 /// Maps candidate parameter sets onto a homogeneous kDirect batch sharing

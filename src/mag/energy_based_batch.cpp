@@ -78,8 +78,20 @@ void EnergyBasedBatch::apply_all(double h) {
 
 void EnergyBasedBatch::run(const std::vector<const wave::HSweep*>& sweeps,
                            std::vector<BhCurve>& curves) {
+  std::vector<analysis::CurveFinish> unused(n_);
+  run(sweeps, curves, unused);
+}
+
+void EnergyBasedBatch::run(const std::vector<const wave::HSweep*>& sweeps,
+                           std::vector<BhCurve>& curves,
+                           std::vector<analysis::CurveFinish>& finish) {
   assert(sweeps.size() == n_);
+  assert(finish.size() == n_);
   curves.resize(n_);
+  for (analysis::CurveFinish& f : finish) {
+    f.loop = {};
+    f.finite = true;
+  }
   // Lane-major: each lane runs its full (possibly ragged) sweep to
   // completion. The play update is branch-dominated, so there is no SIMD
   // lockstep to preserve across lanes, and lane-major keeps each lane's
@@ -87,13 +99,18 @@ void EnergyBasedBatch::run(const std::vector<const wave::HSweep*>& sweeps,
   for (std::size_t i = 0; i < n_; ++i) {
     const wave::HSweep& sweep = *sweeps[i];
     BhCurve& curve = curves[i];
+    analysis::CurveFinish lane = finish[i];
     curve.clear();
     curve.reserve(sweep.h.size());
-    for (const double h : sweep.h) {
+    for (std::size_t j = 0; j < sweep.h.size(); ++j) {
+      const double h = sweep.h[j];
       step_lane(i, h);
       const double m = ms_[i] * m_total_[i];
-      curve.append(h, m, util::kMu0 * (m + h));
+      const double b = util::kMu0 * (m + h);
+      curve.append(h, m, b);
+      lane.add(j, h, m, b);
     }
+    finish[i] = lane;
   }
 }
 

@@ -23,6 +23,7 @@
 #include <cstddef>
 #include <vector>
 
+#include "analysis/loop_metrics.hpp"
 #include "mag/anhysteretic.hpp"
 #include "mag/bh.hpp"
 #include "mag/energy_based.hpp"
@@ -65,6 +66,14 @@ class EnergyBasedBatch {
   /// TimelessJaBatch::run, bitwise the same whatever the curves held.
   void run(const std::vector<const wave::HSweep*>& sweeps,
            std::vector<BhCurve>& curves);
+
+  /// run() that finishes every lane as its points are recorded — the
+  /// contract of TimelessJaBatch's finishing overload: finish[i] (lanes()
+  /// entries, begin/count set) ends as curves[i] walked through a fresh
+  /// analysis::CurveFinish would leave it.
+  void run(const std::vector<const wave::HSweep*>& sweeps,
+           std::vector<BhCurve>& curves,
+           std::vector<analysis::CurveFinish>& finish);
 
   // Per-lane views, mirroring the scalar accessors.
   [[nodiscard]] double m_total(std::size_t lane) const { return m_total_[lane]; }

@@ -174,8 +174,9 @@ FERRO_ALWAYS_INLINE double fast_langevin(double x) {
 
 // ---------------------------------------------------------------------------
 // Width-agnostic vector mirrors of the kernels above: VecD<W> wraps one
-// W-lane double vector (W = 2 SSE2, 4 AVX2, 8 AVX-512F) behind a uniform op
-// set, and the fast_* kernels below are templated over it. Hand-written with
+// W-lane double vector (W = 1 plain double, 2 SSE2, 4 AVX2, 8 AVX-512F)
+// behind a uniform op set, and the fast_* kernels below are templated over
+// it. Hand-written with
 // intrinsics because gcc's scalar canonicalisations (division-by-one elision,
 // store sinking) put branches back into the straight-line code faster than
 // its vectoriser can if-convert them out.
@@ -223,15 +224,63 @@ inline namespace FERRO_SIMD_NS {
 ///   min max               lane-wise MINPD/MAXPD semantics (second operand
 ///                         returned on equality/NaN — matches std::min/max
 ///                         argument order used by the scalar kernels)
-///   abs copysign          sign-bit manipulation
+///   abs neg copysign      sign-bit manipulation
 ///   cmp_gt/lt/eq/neq      lane compares to a Mask (neq is the unordered
 ///                         form, matching SSE2's CMPNEQPD)
 ///   mask_and mask_or      combine Masks
-///   any                   true when any lane's mask bit is set
+///   mask_andnot(a, b)     a and not b
+///   any all               true when any / every lane's mask bit is set
 ///   select(m, a, b)       lane-wise m ? b : a (bit blend / mask blend)
 ///   one_where(m, one)     lane-wise m ? one : +0.0 (counter accumulation)
 template <int W>
 struct VecD;
+
+/// The W = 1 member: the same op set on plain doubles, so a kernel
+/// templated over VecD runs its scalar lanes through the vector passes'
+/// operation sequence (min/max spelled as the MINPD/MAXPD they mirror).
+template <>
+struct VecD<1> {
+  static constexpr int kWidth = 1;
+  using Reg = double;
+  using Mask = bool;
+
+  static FERRO_ALWAYS_INLINE Reg set1(double x) { return x; }
+  static FERRO_ALWAYS_INLINE Reg zero() { return 0.0; }
+  static FERRO_ALWAYS_INLINE Reg load(const double* p) { return *p; }
+  static FERRO_ALWAYS_INLINE void store(double* p, Reg v) { *p = v; }
+
+  static FERRO_ALWAYS_INLINE Reg add(Reg a, Reg b) { return a + b; }
+  static FERRO_ALWAYS_INLINE Reg sub(Reg a, Reg b) { return a - b; }
+  static FERRO_ALWAYS_INLINE Reg mul(Reg a, Reg b) { return a * b; }
+  static FERRO_ALWAYS_INLINE Reg div(Reg a, Reg b) { return a / b; }
+  static FERRO_ALWAYS_INLINE Reg min(Reg a, Reg b) { return a < b ? a : b; }
+  static FERRO_ALWAYS_INLINE Reg max(Reg a, Reg b) { return a > b ? a : b; }
+
+  static FERRO_ALWAYS_INLINE Reg abs(Reg x) { return std::fabs(x); }
+  static FERRO_ALWAYS_INLINE Reg neg(Reg x) { return -x; }
+  static FERRO_ALWAYS_INLINE Reg copysign(Reg magnitude, Reg sign) {
+    return std::copysign(magnitude, sign);
+  }
+
+  static FERRO_ALWAYS_INLINE Mask cmp_gt(Reg a, Reg b) { return a > b; }
+  static FERRO_ALWAYS_INLINE Mask cmp_lt(Reg a, Reg b) { return a < b; }
+  static FERRO_ALWAYS_INLINE Mask cmp_eq(Reg a, Reg b) { return a == b; }
+  static FERRO_ALWAYS_INLINE Mask cmp_neq(Reg a, Reg b) { return a != b; }
+  static FERRO_ALWAYS_INLINE Mask mask_and(Mask a, Mask b) { return a & b; }
+  static FERRO_ALWAYS_INLINE Mask mask_or(Mask a, Mask b) { return a | b; }
+  static FERRO_ALWAYS_INLINE Mask mask_andnot(Mask a, Mask b) {
+    return a & !b;
+  }
+  static FERRO_ALWAYS_INLINE bool any(Mask m) { return m; }
+  static FERRO_ALWAYS_INLINE bool all(Mask m) { return m; }
+
+  static FERRO_ALWAYS_INLINE Reg select(Mask m, Reg a, Reg b) {
+    return m ? b : a;
+  }
+  static FERRO_ALWAYS_INLINE Reg one_where(Mask m, Reg one) {
+    return m ? one : 0.0;
+  }
+};
 
 #if defined(__SSE2__)
 
@@ -256,6 +305,7 @@ struct VecD<2> {
   static FERRO_ALWAYS_INLINE Reg abs(Reg x) {
     return _mm_andnot_pd(set1(-0.0), x);
   }
+  static FERRO_ALWAYS_INLINE Reg neg(Reg x) { return _mm_xor_pd(x, set1(-0.0)); }
   static FERRO_ALWAYS_INLINE Reg copysign(Reg magnitude, Reg sign) {
     const Reg sign_bit = set1(-0.0);
     return _mm_or_pd(_mm_andnot_pd(sign_bit, magnitude),
@@ -268,7 +318,11 @@ struct VecD<2> {
   static FERRO_ALWAYS_INLINE Mask cmp_neq(Reg a, Reg b) { return _mm_cmpneq_pd(a, b); }
   static FERRO_ALWAYS_INLINE Mask mask_and(Mask a, Mask b) { return _mm_and_pd(a, b); }
   static FERRO_ALWAYS_INLINE Mask mask_or(Mask a, Mask b) { return _mm_or_pd(a, b); }
+  static FERRO_ALWAYS_INLINE Mask mask_andnot(Mask a, Mask b) {
+    return _mm_andnot_pd(b, a);
+  }
   static FERRO_ALWAYS_INLINE bool any(Mask m) { return _mm_movemask_pd(m) != 0; }
+  static FERRO_ALWAYS_INLINE bool all(Mask m) { return _mm_movemask_pd(m) == 0x3; }
 
   static FERRO_ALWAYS_INLINE Reg select(Mask m, Reg a, Reg b) {
     return _mm_or_pd(_mm_andnot_pd(m, a), _mm_and_pd(m, b));
@@ -303,6 +357,9 @@ struct VecD<4> {
   static FERRO_ALWAYS_INLINE Reg abs(Reg x) {
     return _mm256_andnot_pd(set1(-0.0), x);
   }
+  static FERRO_ALWAYS_INLINE Reg neg(Reg x) {
+    return _mm256_xor_pd(x, set1(-0.0));
+  }
   static FERRO_ALWAYS_INLINE Reg copysign(Reg magnitude, Reg sign) {
     const Reg sign_bit = set1(-0.0);
     return _mm256_or_pd(_mm256_andnot_pd(sign_bit, magnitude),
@@ -326,7 +383,13 @@ struct VecD<4> {
   }
   static FERRO_ALWAYS_INLINE Mask mask_and(Mask a, Mask b) { return _mm256_and_pd(a, b); }
   static FERRO_ALWAYS_INLINE Mask mask_or(Mask a, Mask b) { return _mm256_or_pd(a, b); }
+  static FERRO_ALWAYS_INLINE Mask mask_andnot(Mask a, Mask b) {
+    return _mm256_andnot_pd(b, a);
+  }
   static FERRO_ALWAYS_INLINE bool any(Mask m) { return _mm256_movemask_pd(m) != 0; }
+  static FERRO_ALWAYS_INLINE bool all(Mask m) {
+    return _mm256_movemask_pd(m) == 0xF;
+  }
 
   static FERRO_ALWAYS_INLINE Reg select(Mask m, Reg a, Reg b) {
     return _mm256_blendv_pd(a, b, m);
@@ -364,6 +427,10 @@ struct VecD<8> {
     return _mm512_castsi512_pd(_mm512_andnot_epi64(
         _mm512_castpd_si512(set1(-0.0)), _mm512_castpd_si512(x)));
   }
+  static FERRO_ALWAYS_INLINE Reg neg(Reg x) {
+    return _mm512_castsi512_pd(_mm512_xor_epi64(
+        _mm512_castpd_si512(x), _mm512_castpd_si512(set1(-0.0))));
+  }
   static FERRO_ALWAYS_INLINE Reg copysign(Reg magnitude, Reg sign) {
     const __m512i sign_bit = _mm512_castpd_si512(set1(-0.0));
     return _mm512_castsi512_pd(_mm512_or_epi64(
@@ -389,7 +456,11 @@ struct VecD<8> {
   static FERRO_ALWAYS_INLINE Mask mask_or(Mask a, Mask b) {
     return static_cast<Mask>(a | b);
   }
+  static FERRO_ALWAYS_INLINE Mask mask_andnot(Mask a, Mask b) {
+    return static_cast<Mask>(a & ~b);
+  }
   static FERRO_ALWAYS_INLINE bool any(Mask m) { return m != 0; }
+  static FERRO_ALWAYS_INLINE bool all(Mask m) { return m == 0xFF; }
 
   static FERRO_ALWAYS_INLINE Reg select(Mask m, Reg a, Reg b) {
     return _mm512_mask_blend_pd(m, a, b);

@@ -214,40 +214,26 @@ void TimelessJaBatch::set_state(std::size_t lane, const TimelessState& s) {
 }
 
 void TimelessJaBatch::dispatch_fast_rect(AnhystereticKind kind,
-                                         std::size_t begin, std::size_t end,
-                                         std::size_t j0, std::size_t j1,
-                                         const double* const* h,
-                                         const double* const* dh,
-                                         const std::size_t* len,
-                                         BhPoint* const* out) {
-  detail::FastRunArgs args;
-  args.begin = begin;
-  args.end = end;
-  args.j0 = j0;
-  args.j1 = j1;
-  args.h = h;
-  args.dh = dh;
-  args.len = len;
-  args.alpha_ms = alpha_ms_.data();
-  args.c_over_1pc = c_over_1pc_.data();
-  args.one_pc_k = one_pc_k_.data();
-  args.one_pc_alpha_ms = one_pc_alpha_ms_.data();
-  args.inv_a = inv_a_.data();
-  args.inv_a2 = inv_a2_.data();
-  args.blend = blend_.data();
-  args.dhmax = dhmax_.data();
-  args.clamp_slope = clamp_slope_.data();
-  args.clamp_direction = clamp_direction_.data();
-  args.m_irr = m_irr_.data();
-  args.m_total = m_total_.data();
-  args.anchor_h = anchor_h_.data();
-  args.last_slope = last_slope_.data();
-  args.cnt_events = cnt_events_.data();
-  args.cnt_slope_clamps = cnt_slope_clamps_.data();
-  args.cnt_direction_clamps = cnt_direction_clamps_.data();
-  args.ms = ms_.data();
-  args.out = out;
-  active_span().load(std::memory_order_relaxed)->fn(kind, args);
+                                         detail::FastRunArgs rect) {
+  rect.alpha_ms = alpha_ms_.data();
+  rect.c_over_1pc = c_over_1pc_.data();
+  rect.one_pc_k = one_pc_k_.data();
+  rect.one_pc_alpha_ms = one_pc_alpha_ms_.data();
+  rect.inv_a = inv_a_.data();
+  rect.inv_a2 = inv_a2_.data();
+  rect.blend = blend_.data();
+  rect.dhmax = dhmax_.data();
+  rect.clamp_slope = clamp_slope_.data();
+  rect.clamp_direction = clamp_direction_.data();
+  rect.m_irr = m_irr_.data();
+  rect.m_total = m_total_.data();
+  rect.anchor_h = anchor_h_.data();
+  rect.last_slope = last_slope_.data();
+  rect.cnt_events = cnt_events_.data();
+  rect.cnt_slope_clamps = cnt_slope_clamps_.data();
+  rect.cnt_direction_clamps = cnt_direction_clamps_.data();
+  rect.ms = ms_.data();
+  active_span().load(std::memory_order_relaxed)->fn(kind, rect);
 }
 
 void TimelessJaBatch::fold_fast_counters(std::size_t i,
@@ -271,8 +257,12 @@ template <bool kFastMath>
 void TimelessJaBatch::step_lane(std::size_t i, double h) {
   if constexpr (kFastMath) {
     const double* stream = &h;
-    dispatch_fast_rect(kind_[i], i, i + 1, 0, 1, &stream, nullptr, nullptr,
-                       nullptr);
+    detail::FastRunArgs rect;
+    rect.begin = i;
+    rect.end = i + 1;
+    rect.j1 = 1;
+    rect.h = &stream;
+    dispatch_fast_rect(kind_[i], rect);
     present_h_[i] = h;
     ++stats_[i].samples;
     fold_fast_counters(i);
@@ -392,7 +382,8 @@ void TimelessJaBatch::apply_all(double h) {
 }
 
 void TimelessJaBatch::run_exact(const std::vector<const wave::HSweep*>& sweeps,
-                                std::vector<BhCurve>& curves) {
+                                std::vector<BhCurve>& curves,
+                                std::vector<analysis::CurveFinish>& finish) {
   curves.resize(n_);
   std::size_t max_len = 0;
   for (std::size_t i = 0; i < n_; ++i) {
@@ -402,15 +393,27 @@ void TimelessJaBatch::run_exact(const std::vector<const wave::HSweep*>& sweeps,
   }
   // Lockstep: sample index advances over all lanes together; ragged sweeps
   // simply stop contributing once exhausted. Lanes never interact, so the
-  // per-lane trajectories are independent of how lanes are grouped.
-  for (std::size_t j = 0; j < max_len; ++j) {
+  // per-lane trajectories are independent of how lanes are grouped. The
+  // lanes' interleaved steps are what keeps the core busy (each step is one
+  // long dependency chain), so the finish stays out of that loop: after
+  // each chunk of rows every lane feeds the points it just recorded, still
+  // in L1, to its finish in a tight loop of its own.
+  constexpr std::size_t kChunk = 64;
+  for (std::size_t j0 = 0; j0 < max_len; j0 += kChunk) {
+    const std::size_t j1 = std::min(max_len, j0 + kChunk);
+    for (std::size_t j = j0; j < j1; ++j) {
+      for (std::size_t i = 0; i < n_; ++i) {
+        const std::vector<double>& hs = sweeps[i]->h;
+        if (j >= hs.size()) continue;
+        const double h = hs[j];
+        step_lane<false>(i, h);
+        const double m = ms_[i] * m_total_[i];
+        curves[i].append(h, m, util::kMu0 * (m + h));
+      }
+    }
     for (std::size_t i = 0; i < n_; ++i) {
-      const std::vector<double>& hs = sweeps[i]->h;
-      if (j >= hs.size()) continue;
-      const double h = hs[j];
-      step_lane<false>(i, h);
-      const double m = ms_[i] * m_total_[i];
-      curves[i].append(h, m, util::kMu0 * (m + h));
+      const auto& points = curves[i].points();
+      finish[i].add_rows(points.data(), j0, std::min(j1, points.size()));
     }
   }
 }
@@ -423,14 +426,21 @@ constexpr double kEmptyLaneRow[1] = {0.0};
 }  // namespace
 
 void TimelessJaBatch::run_fast(const std::vector<const wave::HSweep*>& sweeps,
-                               std::vector<BhCurve>& curves) {
+                               std::vector<BhCurve>& curves,
+                               std::vector<analysis::CurveFinish>& finish) {
   // The pass records through raw pointers, so each curve's storage is
-  // taken out, sized, written row by row and handed back.
+  // taken out, sized, written row by row and handed back. Its finishes
+  // start from a fresh accumulator (all-zero state) and a clean probe.
   curves.resize(n_);
   std::vector<std::vector<BhPoint>> store(n_);
   std::vector<BhPoint*> out(n_);
   std::vector<const double*> h_ptr(n_);
   std::vector<std::size_t> len(n_);
+  std::vector<double> finish_begin(n_);
+  std::vector<double> finish_end(n_);
+  std::vector<double> loop_state(analysis::LoopAccumulator::kFields * n_,
+                                 0.0);
+  std::vector<double> nonfinite(n_, 0.0);
   std::size_t max_len = 0;
   for (std::size_t i = 0; i < n_; ++i) {
     len[i] = sweeps[i]->size();
@@ -438,6 +448,8 @@ void TimelessJaBatch::run_fast(const std::vector<const wave::HSweep*>& sweeps,
     store[i].resize(len[i]);
     out[i] = store[i].data();
     h_ptr[i] = len[i] != 0 ? sweeps[i]->h.data() : kEmptyLaneRow;
+    finish_begin[i] = static_cast<double>(finish[i].begin);
+    finish_end[i] = static_cast<double>(finish[i].begin + finish[i].count);
     max_len = std::max(max_len, len[i]);
   }
 
@@ -452,8 +464,19 @@ void TimelessJaBatch::run_fast(const std::vector<const wave::HSweep*>& sweeps,
     const std::size_t begin = i;
     const AnhystereticKind kind = kind_[i];
     while (i < n_ && kind_[i] == kind) ++i;
-    dispatch_fast_rect(kind, begin, i, 0, max_len, h_ptr.data() + begin,
-                       nullptr, len.data(), out.data());
+    detail::FastRunArgs rect;
+    rect.begin = begin;
+    rect.end = i;
+    rect.j1 = max_len;
+    rect.h = h_ptr.data() + begin;
+    rect.len = len.data();
+    rect.out = out.data();
+    rect.finish_begin = finish_begin.data();
+    rect.finish_end = finish_end.data();
+    rect.loop_state = loop_state.data();
+    rect.loop_stride = n_;
+    rect.nonfinite = nonfinite.data();
+    dispatch_fast_rect(kind, rect);
   }
 
   for (std::size_t lane = 0; lane < n_; ++lane) {
@@ -461,6 +484,8 @@ void TimelessJaBatch::run_fast(const std::vector<const wave::HSweep*>& sweeps,
     stats_[lane].samples += len[lane];
     fold_fast_counters(lane);
     curves[lane] = BhCurve(std::move(store[lane]));
+    finish[lane].loop.load(loop_state.data() + lane, n_);
+    finish[lane].finite = nonfinite[lane] == 0.0;
   }
 }
 
@@ -508,8 +533,15 @@ void TimelessJaBatch::run_traces_fast(
     const std::size_t begin = i;
     const AnhystereticKind kind = kind_[i];
     while (i < n_ && kind_[i] == kind) ++i;
-    dispatch_fast_rect(kind, begin, i, 0, max_len, h_ptr.data() + begin,
-                       dh_ptr.data() + begin, len.data(), out.data());
+    detail::FastRunArgs rect;
+    rect.begin = begin;
+    rect.end = i;
+    rect.j1 = max_len;
+    rect.h = h_ptr.data() + begin;
+    rect.dh = dh_ptr.data() + begin;
+    rect.len = len.data();
+    rect.out = out.data();
+    dispatch_fast_rect(kind, rect);
   }
 
   for (std::size_t lane = 0; lane < n_; ++lane) {
@@ -530,11 +562,26 @@ void TimelessJaBatch::run_traces(const std::vector<TraceView>& traces,
 
 void TimelessJaBatch::run(const std::vector<const wave::HSweep*>& sweeps,
                           std::vector<BhCurve>& curves) {
+  // Whole-curve windows keep the FastMath pass on its unmasked finishing
+  // step; an empty window would send every row down the masked one.
+  std::vector<analysis::CurveFinish> unused(n_);
+  for (std::size_t i = 0; i < n_; ++i) unused[i].count = sweeps[i]->size();
+  run(sweeps, curves, unused);
+}
+
+void TimelessJaBatch::run(const std::vector<const wave::HSweep*>& sweeps,
+                          std::vector<BhCurve>& curves,
+                          std::vector<analysis::CurveFinish>& finish) {
   assert(sweeps.size() == n_);
+  assert(finish.size() == n_);
+  for (analysis::CurveFinish& f : finish) {
+    f.loop = {};
+    f.finite = true;
+  }
   if (math_ == BatchMath::kFast) {
-    run_fast(sweeps, curves);
+    run_fast(sweeps, curves, finish);
   } else {
-    run_exact(sweeps, curves);
+    run_exact(sweeps, curves, finish);
   }
 }
 

@@ -22,6 +22,7 @@
 #include <string_view>
 #include <vector>
 
+#include "analysis/loop_metrics.hpp"
 #include "mag/anhysteretic.hpp"
 #include "mag/bh.hpp"
 #include "mag/ja_params.hpp"
@@ -29,6 +30,10 @@
 #include "wave/sweep.hpp"
 
 namespace ferro::mag {
+
+namespace detail {
+struct FastRunArgs;
+}  // namespace detail
 
 /// Arithmetic mode of the batch kernel.
 enum class BatchMath {
@@ -95,6 +100,17 @@ class TimelessJaBatch {
   void run(const std::vector<const wave::HSweep*>& sweeps,
            std::vector<BhCurve>& curves);
 
+  /// run() that finishes every lane in its output pass: each point lane i
+  /// records is fed to finish[i] as it is stored (finish[i].begin/count
+  /// pick the metrics rows; its loop and finite verdict are replaced), with
+  /// the result of walking curves[i] through a fresh analysis::CurveFinish
+  /// add() by add() — bitwise, at every SIMD width. `finish` must have
+  /// lanes() entries. (The plain overload runs this one over whole-curve
+  /// windows and drops the finishes.)
+  void run(const std::vector<const wave::HSweep*>& sweeps,
+           std::vector<BhCurve>& curves,
+           std::vector<analysis::CurveFinish>& finish);
+
   /// One lane's planner-decided row program (a view of mag::JaTrace): row j
   /// refreshes the algebraic part at h[j] and, when dh[j] != 0, takes one
   /// Forward-Euler integration step of exactly that width — no threshold
@@ -155,25 +171,22 @@ class TimelessJaBatch {
   void step_lane_trace(std::size_t i, double h, double dh);
 
   void run_exact(const std::vector<const wave::HSweep*>& sweeps,
-                 std::vector<BhCurve>& curves);
+                 std::vector<BhCurve>& curves,
+                 std::vector<analysis::CurveFinish>& finish);
   void run_fast(const std::vector<const wave::HSweep*>& sweeps,
-                std::vector<BhCurve>& curves);
+                std::vector<BhCurve>& curves,
+                std::vector<analysis::CurveFinish>& finish);
   void run_traces_exact(const std::vector<TraceView>& traces,
                         std::vector<std::vector<BhPoint>>& points);
   void run_traces_fast(const std::vector<TraceView>& traces,
                        std::vector<std::vector<BhPoint>>& points);
 
-  /// Runs the branch-free FastMath pass over the rectangle lanes
-  /// [begin, end) x sample rows [j0, j1), through the per-process
-  /// width-dispatched entry point; h[i - begin] is lane i's sample stream.
-  /// `len` (per-lane row counts, absolute-indexed) masks ragged lanes out
-  /// of their vector groups as they finish; `dh` switches the pass to the
-  /// planner-trace row program. When `out` is non-null, sample j of lane i
-  /// is recorded into out[i][j] directly from the pass's registers.
-  void dispatch_fast_rect(AnhystereticKind kind, std::size_t begin,
-                          std::size_t end, std::size_t j0, std::size_t j1,
-                          const double* const* h, const double* const* dh,
-                          const std::size_t* len, BhPoint* const* out);
+  /// Runs the branch-free FastMath pass over `rect` — its lanes [begin,
+  /// end), rows [j0, j1), per-lane sample streams and row counts, and the
+  /// optional recording and finishing buffers (detail::FastRunArgs) —
+  /// through the per-process width-dispatched entry point, after pointing
+  /// it at this batch's SoA constants and state.
+  void dispatch_fast_rect(AnhystereticKind kind, detail::FastRunArgs rect);
 
   /// Folds the SoA event counters written by the FastMath pass into the
   /// per-lane TimelessStats and clears them. Threshold mode: one

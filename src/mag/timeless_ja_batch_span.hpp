@@ -24,6 +24,13 @@
 //     refresh — the planner emits explicit refresh rows instead, unrolling
 //     TimelessJa::apply() (sub-steps included) into a branch-free stream.
 //
+// A recording threshold pass (PassMode::kSweep) also finishes each lane in
+// its recording step: the point it stores feeds the lane's loop accumulator
+// (analysis/loop_accumulator.hpp) over the lane's metrics rows, and every
+// point's h, m and b feed a non-finite probe, so no caller has to walk the
+// curve again. Trace rows are not curve points one to one; their callers
+// finish the rows they publish.
+//
 // Rows are ragged per lane: `len` gives each lane's row count, and a lane
 // whose rows are exhausted is masked out of its vector group — its state
 // freezes and it stops storing samples — instead of forcing the caller to
@@ -55,6 +62,7 @@
 #include <cstdint>
 #include <type_traits>
 
+#include "analysis/loop_accumulator.hpp"
 #include "mag/anhysteretic.hpp"
 #include "mag/bh.hpp"
 #include "mag/fast_math.hpp"
@@ -71,7 +79,14 @@ namespace ferro::mag::detail {
 /// header comment): dh[i - begin][j] is row j's planned step width, 0 for
 /// refresh-only rows. The SoA constant/state arrays are indexed by the
 /// absolute lane index. When `out` is non-null, sample j of lane i is
-/// recorded into out[i][j] straight from the pass's registers.
+/// recorded into out[i][j] straight from the pass's registers, and a
+/// threshold pass then also finishes every lane: rows
+/// [finish_begin[i], finish_end[i]) of lane i feed its loop accumulator,
+/// whose state is field k of lane i at loop_state[k * loop_stride + i]
+/// (BasicLoopAccumulator::load/store), and nonfinite[i] stays +0.0 while
+/// every recorded h, m and b is finite and turns NaN with the first that is
+/// not (x - x is +0.0 for a finite x, NaN otherwise, and NaN absorbs every
+/// later sum). The row bounds are whole numbers held as doubles.
 struct FastRunArgs {
   std::size_t begin = 0;
   std::size_t end = 0;
@@ -99,6 +114,18 @@ struct FastRunArgs {
   double* cnt_direction_clamps = nullptr;
   const double* ms = nullptr;
   BhPoint* const* out = nullptr;
+  const double* finish_begin = nullptr;
+  const double* finish_end = nullptr;
+  double* loop_state = nullptr;
+  std::size_t loop_stride = 0;
+  double* nonfinite = nullptr;
+};
+
+/// What a pass does with each row besides stepping its lanes.
+enum class PassMode {
+  kStep,   ///< threshold rows, nothing recorded (TimelessJaBatch::apply)
+  kSweep,  ///< threshold rows, recorded and finished (TimelessJaBatch::run)
+  kTrace,  ///< planner rows, recorded (TimelessJaBatch::run_traces)
 };
 
 using FastRunFn = void (*)(AnhystereticKind kind, const FastRunArgs& args);
@@ -112,6 +139,16 @@ extern const FastRunFn kFastRunW4;
 extern const FastRunFn kFastRunW8;
 
 inline namespace FERRO_SIMD_NS {
+
+/// The lane's non-finite probe (see FastRunArgs) after recording a point
+/// whose flux density is b = mu0 (m + h). That b is non-finite exactly when
+/// one of h, m and b is — an infinite or NaN h or m carries through the sum
+/// and the positive finite factor — so b alone answers for the point.
+template <class V>
+FERRO_ALWAYS_INLINE typename V::Reg probe_point(typename V::Reg probe,
+                                                typename V::Reg b) {
+  return V::add(probe, V::sub(b, b));
+}
 
 /// Bitwise select: returns `b` when `take_b`, else `a`, by blending the raw
 /// representations through an all-ones/all-zeros mask. Exact (the chosen
@@ -143,13 +180,15 @@ struct FastPass {
 
   static void run(const FastRunArgs& a) {
     if (a.dh != nullptr) {
-      run_mode<true>(a);
+      run_mode<PassMode::kTrace>(a);
+    } else if (a.out != nullptr) {
+      run_mode<PassMode::kSweep>(a);
     } else {
-      run_mode<false>(a);
+      run_mode<PassMode::kStep>(a);
     }
   }
 
-  template <bool kTrace>
+  template <PassMode kMode>
   static void run_mode(const FastRunArgs& a) {
     std::size_t i = a.begin;
 
@@ -160,10 +199,10 @@ struct FastPass {
       // between samples; a second independent chain roughly doubles the
       // occupancy. More tiles stop paying — the constants spill.
       for (; i + 2 * W <= a.end; i += static_cast<std::size_t>(2 * W)) {
-        tile_dispatch<2, kTrace>(a, i);
+        tile_dispatch<2, kMode>(a, i);
       }
       for (; i + W <= a.end; i += static_cast<std::size_t>(W)) {
-        tile_dispatch<1, kTrace>(a, i);
+        tile_dispatch<1, kMode>(a, i);
       }
     }
 #endif
@@ -174,14 +213,14 @@ struct FastPass {
       FastRunArgs tail = a;
       tail.begin = i;
       tail.h = a.h + (i - a.begin);
-      if constexpr (kTrace) tail.dh = a.dh + (i - a.begin);
-      FastPass<kKind, W / 2>::template run_mode<kTrace>(tail);
+      if constexpr (kMode == PassMode::kTrace) tail.dh = a.dh + (i - a.begin);
+      FastPass<kKind, W / 2>::template run_mode<kMode>(tail);
       return;
     }
 
     // Scalar lanes, four at a time for the same latency-hiding reason.
-    for (; i + 4 <= a.end; i += 4) scalar_rows_n<4, kTrace>(a, i);
-    for (; i < a.end; ++i) scalar_rows_n<1, kTrace>(a, i);
+    for (; i + 4 <= a.end; i += 4) scalar_rows_n<4, kMode>(a, i);
+    for (; i < a.end; ++i) scalar_rows_n<1, kMode>(a, i);
   }
 
 #if defined(FERRO_FASTMATH_SIMD)
@@ -212,7 +251,7 @@ struct FastPass {
   /// operation sequence in both, so where the split falls changes no bits.
   /// State is stored and reloaded at the phase boundary — once per tile,
   /// amortised over the whole row range.
-  template <int kTiles, bool kTrace>
+  template <int kTiles, PassMode kMode>
   static void tile_dispatch(const FastRunArgs& a, std::size_t i) {
     std::size_t tile_min = a.j1;
     std::size_t tile_max = a.j1;
@@ -227,8 +266,8 @@ struct FastPass {
     }
     const std::size_t lo = std::max(a.j0, std::min(tile_min, a.j1));
     const std::size_t hi = std::max(lo, tile_max);
-    if (a.j0 < lo) tile_rows_n<kTiles, kTrace, false>(a, i, a.j0, lo);
-    if (lo < hi) tile_rows_n<kTiles, kTrace, true>(a, i, lo, hi);
+    if (a.j0 < lo) tile_rows_n<kTiles, kMode, false>(a, i, a.j0, lo);
+    if (lo < hi) tile_rows_n<kTiles, kMode, true>(a, i, lo, hi);
   }
 
   /// kTiles W-lane tiles (lanes [i, i + kTiles*W)) through rows [j0, j1)
@@ -238,12 +277,14 @@ struct FastPass {
   /// instantiation additionally carries each lane's row count and freezes
   /// lanes whose rows are exhausted (state kept, stores suppressed, gather
   /// clamped to their last row).
-  template <int kTiles, bool kTrace, bool kMasked>
+  template <int kTiles, PassMode kMode, bool kMasked>
   static void tile_rows_n(const FastRunArgs& a, std::size_t i,
                           std::size_t j0, std::size_t j1) {
     using V = fastmath::VecD<W>;
     using R = typename V::Reg;
     using M = typename V::Mask;
+    constexpr bool kTrace = kMode == PassMode::kTrace;
+    constexpr bool kFinish = kMode == PassMode::kSweep;
     const R vzero = V::zero();
     const R vone = V::set1(1.0);
 
@@ -257,6 +298,13 @@ struct FastPass {
     // Per-lane row counts, as doubles for the lane-active compare (exact
     // for any realistic count) — masked instantiation only.
     R lenv[kTiles];
+    // kSweep: each tile's loop accumulator and non-finite probe, register-
+    // resident like the model state, and its segment rows [seg_lo, seg_hi)
+    // — rows inside every tile lane's metrics rows and past each one's
+    // first, where the accumulator needs no mask.
+    R probe[kTiles];
+    analysis::BasicLoopAccumulator<V> loop[kTiles];
+    std::size_t seg_lo[kTiles], seg_hi[kTiles];
     const double* hp[kTiles * W];
     const double* dhp[kTiles * W];
     std::size_t last[kTiles * W];
@@ -282,6 +330,18 @@ struct FastPass {
       ce[t] = V::load(a.cnt_events + o);
       csc[t] = V::load(a.cnt_slope_clamps + o);
       cdc[t] = V::load(a.cnt_direction_clamps + o);
+      if constexpr (kFinish) {
+        probe[t] = V::load(a.nonfinite + o);
+        loop[t].load(a.loop_state + o, a.loop_stride);
+        seg_lo[t] = 0;
+        seg_hi[t] = j1;
+        for (int k = 0; k < W; ++k) {
+          seg_lo[t] = std::max(
+              seg_lo[t], static_cast<std::size_t>(a.finish_begin[o + k]) + 1);
+          seg_hi[t] = std::min(
+              seg_hi[t], static_cast<std::size_t>(a.finish_end[o + k]));
+        }
+      }
     }
     for (int k = 0; k < kTiles * W; ++k) {
       hp[k] = a.h[(i - a.begin) + k];
@@ -313,7 +373,8 @@ struct FastPass {
         hbuf[k] = hp[k][jj];
         if constexpr (kTrace) dhbuf[k] = dhp[k][jj];
       }
-      R h[kTiles], mt_new[kTiles];
+      R h[kTiles] = {}, mt_new[kTiles] = {};
+      M active[kTiles] = {};
       for (int t = 0; t < kTiles; ++t) {
         h[t] = V::load(hbuf + t * W);
 
@@ -334,10 +395,9 @@ struct FastPass {
           dh = V::sub(h[t], anchor[t]);
           event = V::cmp_gt(V::abs(dh), dmax[t]);
         }
-        M active{};
         if constexpr (kMasked) {
-          active = V::cmp_lt(V::set1(static_cast<double>(j)), lenv[t]);
-          event = V::mask_and(event, active);
+          active[t] = V::cmp_lt(V::set1(static_cast<double>(j)), lenv[t]);
+          event = V::mask_and(event, active[t]);
         }
 
         // Integral() + (threshold mode) feedback refresh only when at least
@@ -380,7 +440,7 @@ struct FastPass {
               V::add(cdc[t], V::one_where(V::mask_and(event, rejected), vone));
         }
         if constexpr (kMasked) {
-          mt[t] = V::select(active, mt[t], mt_new[t]);
+          mt[t] = V::select(active[t], mt[t], mt_new[t]);
         } else {
           mt[t] = mt_new[t];
         }
@@ -389,11 +449,31 @@ struct FastPass {
       // Fused sample recording: bounce the tiles' curve points through a
       // stack buffer (the stores forward straight from the registers);
       // same m/b arithmetic as the scalar path. Finished lanes stop
-      // storing — their out rows do not exist.
-      if (a.out != nullptr) {
+      // storing — their out rows do not exist — and finishing.
+      if constexpr (kMode != PassMode::kStep) {
         for (int t = 0; t < kTiles; ++t) {
           const R m = V::mul(msr[t], mt_new[t]);
           const R b = V::mul(V::set1(util::kMu0), V::add(m, h[t]));
+          if constexpr (kFinish) {
+            if (!kMasked && j >= seg_lo[t] && j < seg_hi[t]) {
+              loop[t].add_segment(h[t], b);
+            } else {
+              // A lane's metrics rows end by its last row, so the mask
+              // needs no lane-active term.
+              const std::size_t o = i + static_cast<std::size_t>(t * W);
+              const R row = V::set1(static_cast<double>(j));
+              loop[t].add(h[t], b,
+                          V::mask_andnot(
+                              V::cmp_lt(row, V::load(a.finish_end + o)),
+                              V::cmp_lt(row, V::load(a.finish_begin + o))));
+            }
+            const R probed = probe_point<V>(probe[t], b);
+            if constexpr (kMasked) {
+              probe[t] = V::select(active[t], probe[t], probed);
+            } else {
+              probe[t] = probed;
+            }
+          }
           double mb[W], bb[W];
           V::store(mb, m);
           V::store(bb, b);
@@ -415,6 +495,10 @@ struct FastPass {
       V::store(a.cnt_events + o, ce[t]);
       V::store(a.cnt_slope_clamps + o, csc[t]);
       V::store(a.cnt_direction_clamps + o, cdc[t]);
+      if constexpr (kFinish) {
+        V::store(a.nonfinite + o, probe[t]);
+        loop[t].store(a.loop_state + o, a.loop_stride);
+      }
     }
   }
 #endif  // FERRO_FASTMATH_SIMD
@@ -424,13 +508,19 @@ struct FastPass {
   /// operation sequence as the vector tiles (bitwise &/| and bit_select,
   /// not &&/|| — short-circuit evaluation would reintroduce control flow).
   /// Ragged lanes simply skip rows past their count, like the masked tiles.
-  template <int kLanes, bool kTrace>
+  template <int kLanes, PassMode kMode>
   static void scalar_rows_n(const FastRunArgs& a, std::size_t i) {
+    using S = fastmath::VecD<1>;
+    constexpr bool kTrace = kMode == PassMode::kTrace;
+    constexpr bool kFinish = kMode == PassMode::kSweep;
     double am[kLanes], c1[kLanes], opk[kLanes], opam[kLanes], ia[kLanes],
         ia2[kLanes], bl[kLanes], dmax[kLanes], clamp_s[kLanes],
         clamp_d[kLanes], msr[kLanes];
     double mi[kLanes], mt[kLanes], anchor[kLanes], slope[kLanes], ce[kLanes],
         csc[kLanes], cdc[kLanes];
+    double probe[kLanes];
+    analysis::BasicLoopAccumulator<S> loop[kLanes];
+    std::size_t fbegin[kLanes], fend[kLanes];
     std::size_t lens[kLanes];
     const double* hp[kLanes];
     const double* dhp[kLanes];
@@ -460,7 +550,29 @@ struct FastPass {
       hp[k] = a.h[(i - a.begin) + k];
       dhp[k] = kTrace ? a.dh[(i - a.begin) + k] : nullptr;
       op[k] = a.out != nullptr ? a.out[o] : nullptr;
+      if constexpr (kFinish) {
+        fbegin[k] = static_cast<std::size_t>(a.finish_begin[o]);
+        fend[k] = static_cast<std::size_t>(a.finish_end[o]);
+        probe[k] = a.nonfinite[o];
+        loop[k].load(a.loop_state + o, a.loop_stride);
+      }
     }
+    // The tiles' recording step for lane k's row j, point for point.
+    const auto record = [&](int k, std::size_t j, double h) {
+      if constexpr (kMode != PassMode::kStep) {
+        const double m = msr[k] * mt[k];
+        const double b = util::kMu0 * (m + h);
+        op[k][j] = BhPoint{h, m, b};
+        if constexpr (kFinish) {
+          if (j > fbegin[k] && j < fend[k]) {
+            loop[k].add_segment(h, b);
+          } else {
+            loop[k].add(h, b, j == fbegin[k] && j < fend[k]);
+          }
+          probe[k] = probe_point<S>(probe[k], b);
+        }
+      }
+    };
     // Clamp the row range to this group's own longest lane — the
     // rectangle's j1 is the whole dispatch's maximum, and spinning empty
     // guard iterations past every local lane's end would waste the tail.
@@ -494,10 +606,7 @@ struct FastPass {
         }
         if (!event) {
           mt[k] = mt1;
-          if (op[k] != nullptr) {
-            const double m = msr[k] * mt1;
-            op[k][j] = BhPoint{h, m, util::kMu0 * (m + h)};
-          }
+          record(k, j, h);
           continue;
         }
 
@@ -529,10 +638,7 @@ struct FastPass {
         ce[k] += 1.0;
         csc[k] += clamped ? 1.0 : 0.0;
         cdc[k] += rejected ? 1.0 : 0.0;
-        if (op[k] != nullptr) {
-          const double m = msr[k] * mt[k];
-          op[k][j] = BhPoint{h, m, util::kMu0 * (m + h)};
-        }
+        record(k, j, h);
       }
     }
 
@@ -545,6 +651,10 @@ struct FastPass {
       a.cnt_events[o] = ce[k];
       a.cnt_slope_clamps[o] = csc[k];
       a.cnt_direction_clamps[o] = cdc[k];
+      if constexpr (kFinish) {
+        a.nonfinite[o] = probe[k];
+        loop[k].store(a.loop_state + o, a.loop_stride);
+      }
     }
   }
 };

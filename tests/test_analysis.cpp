@@ -6,14 +6,17 @@
 #include <cmath>
 #include <cstdint>
 #include <initializer_list>
+#include <limits>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "analysis/curve_compare.hpp"
+#include "analysis/loop_accumulator.hpp"
 #include "analysis/loop_metrics.hpp"
 #include "analysis/stability.hpp"
 #include "mag/bh.hpp"
+#include "mag/fast_math.hpp"
 #include "support/fixtures.hpp"
 #include "util/constants.hpp"
 #include "util/csv.hpp"
@@ -348,4 +351,167 @@ TEST(Envelope, EscapingCurveDetected) {
   const fm::BhCurve major = ellipse(100.0, 2.0);
   const fm::BhCurve tall = ellipse(50.0, 3.0);  // sticks out vertically
   EXPECT_FALSE(fa::within_major_envelope(tall, major, 1e-6));
+}
+
+// ---------------------------------------------------------------------------
+// The W-lane accumulators the FastMath kernel finishes its lanes with: each
+// lane must end bitwise where the scalar walk over its own points ends.
+// ---------------------------------------------------------------------------
+
+namespace {
+
+struct LaneCurve {
+  fm::BhCurve curve;
+  std::size_t begin = 0;  ///< metrics rows [begin, end]; begin > end: none
+  std::size_t end = 0;
+};
+
+/// Feeds W ragged curves through one BasicLoopAccumulator<V> row by row the
+/// way the kernel does — add_segment() where every lane is live and past
+/// its first row, the masked add() elsewhere — and compares every lane
+/// with the scalar walk and the independent reference.
+template <class V>
+void expect_lanes_match_scalar(const std::vector<LaneCurve>& lanes) {
+  constexpr auto kW = static_cast<std::size_t>(V::kWidth);
+  ASSERT_EQ(lanes.size(), kW);
+  std::size_t rows = 0;
+  for (const auto& lane : lanes) rows = std::max(rows, lane.curve.size());
+  fa::BasicLoopAccumulator<V> acc;
+  for (std::size_t j = 0; j < rows; ++j) {
+    double h[kW], b[kW], lo[kW], hi[kW];
+    bool segment = true;
+    for (std::size_t k = 0; k < kW; ++k) {
+      const LaneCurve& lane = lanes[k];
+      const bool has_row = j < lane.curve.size();
+      // Past a lane's last row the kernel re-reads it; any value will do.
+      h[k] = has_row ? lane.curve.points()[j].h : 7.0;
+      b[k] = has_row ? lane.curve.points()[j].b : -7.0;
+      const bool rows_exist = lane.begin <= lane.end;
+      lo[k] = static_cast<double>(lane.begin);
+      hi[k] = rows_exist ? static_cast<double>(lane.end + 1) : lo[k];
+      segment &= rows_exist && j > lane.begin && j <= lane.end;
+    }
+    if (segment) {
+      acc.add_segment(V::load(h), V::load(b));
+    } else {
+      const auto row = V::set1(static_cast<double>(j));
+      acc.add(V::load(h), V::load(b),
+              V::mask_andnot(V::cmp_lt(row, V::load(hi)),
+                             V::cmp_lt(row, V::load(lo))));
+    }
+  }
+  std::vector<double> soa(fa::LoopAccumulator::kFields * kW);
+  acc.store(soa.data(), kW);
+  for (std::size_t k = 0; k < kW; ++k) {
+    const LaneCurve& lane = lanes[k];
+    SCOPED_TRACE("W " + std::to_string(kW) + " lane " + std::to_string(k));
+    fa::LoopAccumulator scalar;
+    scalar.load(soa.data() + k, kW);
+    expect_bitwise(scalar.metrics(),
+                   fa::analyze_loop(lane.curve, lane.begin, lane.end));
+    expect_bitwise(scalar.metrics(),
+                   reference_metrics(lane.curve, lane.begin, lane.end));
+  }
+}
+
+std::vector<LaneCurve> lane_pool() {
+  const auto polygon = [](std::initializer_list<std::pair<double, double>> hb) {
+    fm::BhCurve curve;
+    for (const auto& [h, b] : hb) curve.append(h, 0.0, b);
+    return curve;
+  };
+  const fm::BhCurve zeros =
+      polygon({{0.0, -1.0}, {3.0, 0.0}, {0.0, 1.25}, {-2.0, 0.0}, {-1.0, 0.5},
+               {0.0, -0.75}, {1.5, 0.0}, {4.0, 2.0}, {0.0, 0.0}});
+  const fm::BhCurve golden = load_fig1_golden();
+  const std::size_t n = golden.size();
+  return {
+      {golden, 0, n - 1},
+      {zeros, 0, zeros.size() - 1},
+      {ellipse(100.0, 2.0, 360), 17, 250},
+      {polygon({{0.0, 0.0}, {0.0, 0.0}}), 0, 1},
+      {zeros, 2, 8},
+      {golden, n / 2, n - 1},
+      {polygon({{1.0, 1.0}, {-1.0, 2.0}, {0.0, 3.0}}), 0, 2},
+      {ellipse(2.0, 1.0, 12), 4, 3},  // no metrics rows
+      {polygon({{1.0, 1.0}, {2.0, -1.0}, {3.0, 0.0}}), 0, 2},
+      {golden, n / 3, 2 * n / 3 + 7},
+      {ellipse(1.0, 1.0, 8, true), 0, 0},
+  };
+}
+
+template <class V>
+void expect_every_window_of_the_pool() {
+  const std::vector<LaneCurve> pool = lane_pool();
+  const auto w = static_cast<std::size_t>(V::kWidth);
+  for (std::size_t shift = 0; shift < pool.size(); ++shift) {
+    std::vector<LaneCurve> lanes;
+    for (std::size_t k = 0; k < w; ++k) {
+      lanes.push_back(pool[(shift + k) % pool.size()]);
+    }
+    expect_lanes_match_scalar<V>(lanes);
+  }
+}
+
+}  // namespace
+
+TEST(LoopAccumulatorLanes, EveryLaneIsTheScalarWalkBitwise) {
+  expect_every_window_of_the_pool<fm::fastmath::VecD<1>>();
+#if defined(FERRO_FASTMATH_SIMD)
+  expect_every_window_of_the_pool<fm::fastmath::VecD<2>>();
+#endif
+  // A -march=native build (the native-widths CI job) compiles the wide op
+  // sets into this translation unit too.
+#if defined(__AVX2__)
+  expect_every_window_of_the_pool<fm::fastmath::VecD<4>>();
+#endif
+#if defined(__AVX512F__)
+  expect_every_window_of_the_pool<fm::fastmath::VecD<8>>();
+#endif
+}
+
+TEST(LoopAccumulatorLanes, CurveFinishFeedsOnlyItsRowsAndSeesEveryPoint) {
+  const fm::BhCurve curve = ellipse(50.0, 1.5, 90);
+  const std::size_t n = curve.size();
+  fa::CurveFinish finish;
+  finish.begin = 10;
+  finish.count = 41;
+  for (std::size_t j = 0; j < n; ++j) {
+    const auto& p = curve.points()[j];
+    finish.add(j, p.h, p.m, p.b);
+  }
+  EXPECT_TRUE(finish.finite);
+  expect_bitwise(finish.loop.metrics(), reference_metrics(curve, 10, 50));
+
+  // add_rows over arbitrary chunks is the same walk.
+  const fm::BhCurve golden = load_fig1_golden();
+  for (const std::size_t chunk : {1u, 7u, 64u, 100000u}) {
+    fa::CurveFinish rows;
+    rows.begin = 100;
+    rows.count = 4901;
+    for (std::size_t j = 0; j < golden.size(); j += chunk) {
+      rows.add_rows(golden.points().data(), j,
+                    std::min(golden.size(), j + chunk));
+    }
+    EXPECT_TRUE(rows.finite);
+    expect_bitwise(rows.loop.metrics(), reference_metrics(golden, 100, 5000));
+  }
+
+  // A non-finite m outside the metrics rows still flips the verdict.
+  fa::CurveFinish poisoned;
+  poisoned.count = 2;
+  poisoned.add(0, 1.0, 0.0, 1.0);
+  poisoned.add(1, 2.0, 0.0, 2.0);
+  poisoned.add(2, 3.0, std::numeric_limits<double>::infinity(), 3.0);
+  EXPECT_FALSE(poisoned.finite);
+  EXPECT_EQ(poisoned.loop.metrics().points, 2u);
+  const fm::BhPoint rows[] = {
+      {1.0, 0.0, 1.0},
+      {2.0, 0.0, 2.0},
+      {3.0, std::numeric_limits<double>::infinity(), 3.0}};
+  fa::CurveFinish poisoned_rows;
+  poisoned_rows.add_rows(rows, 0, 2);
+  EXPECT_TRUE(poisoned_rows.finite);
+  poisoned_rows.add_rows(rows, 2, 3);
+  EXPECT_FALSE(poisoned_rows.finite);
 }

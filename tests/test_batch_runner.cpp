@@ -2,11 +2,15 @@
 // fallback, per-job error capture, and the scenario unit itself.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <bit>
 #include <chrono>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 #include <memory>
+#include <string>
 #include <thread>
 
 #include "core/batch_runner.hpp"
@@ -816,4 +820,253 @@ TEST(BatchRunner, ValidateRejectsMalformedScenarios) {
   bad_flux.frontend = fc::Frontend::kAms;  // FluxDrive is kDirect-only
   bad_flux.drive = fc::FluxDrive{{0.1, 0.2}};
   EXPECT_EQ(fc::validate(bad_flux).code, fc::ErrorCode::kInvalidScenario);
+}
+
+// ---------------------------------------------------------------------------
+// The fused finish: every packed lane's metrics and non-finite verdict come
+// from its kernel's output pass (or, for kAms, the copy of its published
+// rows), and the sweep lane blocks scan their own drive samples.
+// ---------------------------------------------------------------------------
+
+namespace {
+
+/// Restores the automatic SIMD width when a test that pins one ends.
+struct SimdWidthGuard {
+  ~SimdWidthGuard() { fm::TimelessJaBatch::force_simd_width(0); }
+};
+
+void expect_same_bits(double got, double want, const std::string& what) {
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(got),
+            std::bit_cast<std::uint64_t>(want))
+      << what << ": " << got << " vs " << want;
+}
+
+/// finish_result applied to the curve a packed lane delivered must
+/// reproduce that lane's verdict and metrics bit for bit.
+void expect_finished_like_its_curve(const fc::Scenario& s,
+                                    const fc::ScenarioResult& packed) {
+  fc::ScenarioResult again;
+  again.curve = packed.curve;
+  fc::finish_result(again, s.metrics_window);
+  EXPECT_EQ(again.error, packed.error) << s.name;
+  const fa::LoopMetrics& a = again.metrics;
+  const fa::LoopMetrics& b = packed.metrics;
+  expect_same_bits(b.h_peak, a.h_peak, s.name + " h_peak");
+  expect_same_bits(b.b_peak, a.b_peak, s.name + " b_peak");
+  expect_same_bits(b.remanence, a.remanence, s.name + " remanence");
+  expect_same_bits(b.coercivity, a.coercivity, s.name + " coercivity");
+  expect_same_bits(b.area, a.area, s.name + " area");
+  EXPECT_EQ(b.points, a.points) << s.name;
+}
+
+/// `count` JA sweep lanes with ragged lengths (1-, 2- and 3-point curves,
+/// curves starting and ending on exact zeros of h and b, minor loops), each
+/// with its own metrics window — whole curve, [k, n-1], [0, k], or one
+/// that does not fit — plus energy and kAms lanes on the same windows.
+std::vector<fc::Scenario> finish_workload(std::size_t count) {
+  const auto& library = fm::material_library();
+  std::vector<fc::Scenario> scenarios;
+  for (std::size_t i = 0; i < count; ++i) {
+    const auto& material = library[i % library.size()];
+    const double amp = ts::saturation_amplitude(material.params);
+    fw::HSweep sweep;
+    switch (i % 6) {
+      case 0: sweep.h = {0.0}; break;
+      case 1: sweep.h = {0.0, 0.0}; break;
+      case 2: sweep.h = {0.0, 0.5 * amp, 0.0}; break;
+      case 3:
+        sweep = fw::SweepBuilder(amp / (40.0 + static_cast<double>(i)))
+                    .cycles(amp, 1)
+                    .to(0.0)
+                    .build();
+        break;
+      case 4:
+        sweep = fw::SweepBuilder(amp / 60.0)
+                    .to(amp)
+                    .to(0.3 * amp)
+                    .minor_loop(0.2 * amp, 0.1 * amp, 2)
+                    .build();
+        break;
+      default:
+        sweep = fw::SweepBuilder(amp / (30.0 + static_cast<double>(i)))
+                    .cycles(amp, 2)
+                    .build();
+        break;
+    }
+    const std::size_t n = sweep.size();
+    fc::Scenario s;
+    s.name = material.name + "#" + std::to_string(i);
+    s.ja().params = material.params;
+    s.ja().config.dhmax = amp / (90.0 + 10.0 * static_cast<double>(i % 3));
+    switch (i % 5) {
+      case 0: break;  // whole curve
+      case 1: s.metrics_window = fc::MetricsWindow{n / 3, n - 1}; break;
+      case 2: s.metrics_window = fc::MetricsWindow{0, n / 2}; break;
+      case 3: s.metrics_window = fc::MetricsWindow{1, n + 4}; break;  // misfit
+      default: s.metrics_window = fc::MetricsWindow{n / 4, (3 * n) / 4}; break;
+    }
+    s.drive = std::move(sweep);
+    if (i % 7 == 3) s.frontend = fc::Frontend::kSystemC;
+    scenarios.push_back(std::move(s));
+  }
+  for (std::size_t e = 0; e < 3; ++e) {
+    fc::Scenario s = scenarios[(e * 5 + 3) % scenarios.size()];
+    s.name = "energy#" + std::to_string(e);
+    s.frontend = fc::Frontend::kDirect;
+    s.model = fc::EnergySpec{fm::energy_reference_parameters()};
+    scenarios.push_back(std::move(s));
+  }
+  for (std::size_t a = 0; a < 2; ++a) {
+    fc::Scenario s;
+    s.name = "ams#" + std::to_string(a);
+    s.ja().params = fm::paper_parameters();
+    s.ja().config = ts::paper_config();
+    s.frontend = fc::Frontend::kAms;
+    s.drive = ts::major_loop(40.0 + 20.0 * static_cast<double>(a), 1);
+    if (a == 1) s.metrics_window = fc::MetricsWindow{3, 40};
+    scenarios.push_back(std::move(s));
+  }
+  return scenarios;
+}
+
+}  // namespace
+
+TEST(BatchRunner, PackedLaneMetricsAreFinishResultsOfTheirOwnCurves) {
+  const SimdWidthGuard restore;
+  for (const int width : fm::TimelessJaBatch::available_simd_widths()) {
+    ASSERT_EQ(fm::TimelessJaBatch::force_simd_width(width), width);
+    // Blocks of 1, 15, 16 and 17 sweep lanes: a lone lane, a block one
+    // short of two W = 8 tiles, exactly two, and two plus a scalar tail.
+    for (const std::size_t count : {1u, 15u, 16u, 17u}) {
+      const auto scenarios = finish_workload(count);
+      for (const auto packing : {fc::Packing::kExact, fc::Packing::kFast}) {
+        SCOPED_TRACE("width " + std::to_string(width) + ", " +
+                     std::to_string(count) + " lanes, " +
+                     (packing == fc::Packing::kFast ? "kFast" : "kExact"));
+        fc::BatchReport report;
+        const auto packed = fc::BatchRunner({.threads = 1})
+                                .run(scenarios, {.packing = packing}, &report);
+        ASSERT_EQ(packed.size(), scenarios.size());
+        std::size_t misfits = 0;
+        for (std::size_t i = 0; i < packed.size(); ++i) {
+          expect_finished_like_its_curve(scenarios[i], packed[i]);
+          if (!packed[i].ok()) ++misfits;
+        }
+        EXPECT_EQ(report.quarantined, 0u);
+        EXPECT_EQ(report.failed, misfits);
+        if (packing == fc::Packing::kExact) {
+          // And the exact lanes are run()'s results, verdicts included.
+          const auto reference = fc::BatchRunner({.threads = 1}).run(scenarios);
+          for (std::size_t i = 0; i < packed.size(); ++i) {
+            EXPECT_EQ(reference[i].error, packed[i].error) << packed[i].name;
+            expect_same_bits(packed[i].metrics.area, reference[i].metrics.area,
+                             packed[i].name + " area vs run()");
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(BatchRunner, NonFiniteSweepSamplesAreRejectedInTheirLaneBlocks) {
+  // NaN and +Inf drive samples in kDirect, kSystemC, energy and kAms sweep
+  // lanes, next to healthy lanes of the same tiles: each bad lane reports
+  // validate()'s verdict, nothing is quarantined, and every healthy lane is
+  // bitwise what it is without the bad ones around.
+  auto scenarios = finish_workload(17);
+  const auto poison = [&](std::size_t i, double value) {
+    auto& sweep = std::get<fw::HSweep>(scenarios[i].drive);
+    sweep.h[sweep.size() / 2] = value;
+  };
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  std::vector<std::size_t> bad = {5, 9, 10, 17, 20};
+  ASSERT_EQ(scenarios[10].frontend, fc::Frontend::kSystemC);
+  ASSERT_EQ(scenarios[17].kind(), fm::ModelKind::kEnergyBased);
+  ASSERT_EQ(scenarios[20].frontend, fc::Frontend::kAms);
+  poison(5, nan);
+  poison(9, inf);
+  poison(10, nan);
+  poison(17, inf);
+  poison(20, nan);
+
+  std::vector<fc::Scenario> healthy;
+  for (std::size_t i = 0; i < scenarios.size(); ++i) {
+    if (std::find(bad.begin(), bad.end(), i) == bad.end()) {
+      healthy.push_back(scenarios[i]);
+    }
+  }
+  for (const auto packing : {fc::Packing::kExact, fc::Packing::kFast}) {
+    for (const unsigned threads : {1u, 3u}) {
+      const fc::BatchRunner runner({.threads = threads});
+      fc::BatchReport report;
+      const auto packed =
+          runner.run(scenarios, {.packing = packing}, &report);
+      fc::BatchReport healthy_report;
+      const auto baseline =
+          runner.run(healthy, {.packing = packing}, &healthy_report);
+      ASSERT_EQ(packed.size(), scenarios.size());
+      for (std::size_t i = 0, j = 0; i < packed.size(); ++i) {
+        if (std::find(bad.begin(), bad.end(), i) != bad.end()) {
+          const fc::ScenarioResult solo = fc::run_scenario(scenarios[i]);
+          EXPECT_EQ(solo.error.code, fc::ErrorCode::kInvalidScenario);
+          EXPECT_EQ(packed[i].error, solo.error) << packed[i].name;
+          EXPECT_TRUE(packed[i].curve.empty());
+          continue;
+        }
+        const fc::ScenarioResult& want = baseline[j++];
+        EXPECT_EQ(packed[i].error, want.error) << packed[i].name;
+        ASSERT_EQ(packed[i].curve.size(), want.curve.size()) << packed[i].name;
+        for (std::size_t p = 0; p < want.curve.size(); ++p) {
+          const auto& x = packed[i].curve.points()[p];
+          const auto& y = want.curve.points()[p];
+          ASSERT_TRUE(x.h == y.h && x.m == y.m && x.b == y.b)
+              << packed[i].name << " point " << p;
+        }
+        expect_same_bits(packed[i].metrics.area, want.metrics.area,
+                         packed[i].name + " area");
+      }
+      EXPECT_EQ(report.failed, healthy_report.failed + bad.size()) << threads;
+      EXPECT_EQ(report.quarantined, 0u) << threads;
+      EXPECT_EQ(report.cancelled, 0u) << threads;
+    }
+  }
+}
+
+TEST(BatchRunner, PackedErrorBudgetBooksAnInvalidLaneWhenItsBlockRuns) {
+  // Packed runs book an invalid scenario when its unit runs (as kNone
+  // does): a non-finite sample is found by its lane block, which finishes
+  // its other lanes; the budget then stops every unit after it. One worker
+  // and identical lanes make the blocks [0, lane_block()) and the rest.
+  const std::size_t block = fc::BatchRunner::lane_block();
+  std::vector<fc::Scenario> scenarios(block + 3);
+  for (std::size_t i = 0; i < scenarios.size(); ++i) {
+    scenarios[i].name = "lane#" + std::to_string(i);
+    scenarios[i].ja().params = fm::paper_parameters();
+    scenarios[i].ja().config = ts::paper_config();
+    scenarios[i].drive = ts::major_loop(50.0, 1);
+  }
+  std::get<fw::HSweep>(scenarios[1].drive).h[5] =
+      std::numeric_limits<double>::quiet_NaN();
+
+  fc::RunLimits limits;
+  limits.max_errors = 1;
+  fc::BatchReport report;
+  const auto results =
+      fc::BatchRunner({.threads = 1})
+          .run(scenarios, {.packing = fc::Packing::kExact, .limits = limits},
+               &report);
+  ASSERT_EQ(results.size(), scenarios.size());
+  EXPECT_EQ(results[1].error, fc::run_scenario(scenarios[1]).error);
+  for (std::size_t i = 0; i < block; ++i) {
+    if (i != 1) EXPECT_TRUE(results[i].ok()) << i << ": " << results[i].error;
+  }
+  for (std::size_t i = block; i < results.size(); ++i) {
+    EXPECT_EQ(results[i].error.code, fc::ErrorCode::kCancelled) << i;
+    EXPECT_NE(results[i].error.detail.find("error budget"), std::string::npos)
+        << results[i].error;
+  }
+  EXPECT_EQ(report.failed, 1u);
+  EXPECT_EQ(report.cancelled, 3u);
+  EXPECT_EQ(report.stop.code, fc::ErrorCode::kCancelled);
 }

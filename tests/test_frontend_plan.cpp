@@ -5,7 +5,10 @@
 // solver-placed kAms curves through both the per-scenario and packed paths.
 #include <gtest/gtest.h>
 
+#include <iterator>
+#include <limits>
 #include <memory>
+#include <vector>
 
 #include "core/ams_ja.hpp"
 #include "core/batch_runner.hpp"
@@ -208,4 +211,103 @@ TEST(FrontendPlan, AmsMetricsWindowOverrunIsRejectedInBothPaths) {
   EXPECT_FALSE(packed[0].ok());
   EXPECT_EQ(packed[0].error, serial.error);
   EXPECT_EQ(packed[0].curve.size(), serial.curve.size());
+}
+
+TEST(FrontendPlan, KamsDedupNeverMergesANonFiniteSweepWithAValidOne) {
+  // A kAms sweep with a NaN sample must not share a trajectory with the
+  // same sweep without it, in either order: the planner scans each
+  // excitation before synthesising its Pwl (the NaN drive falls back, and
+  // run_scenario rejects it), and the dedup key compares bit patterns.
+  fc::Scenario valid = base_scenario(fc::Frontend::kAms);
+  valid.name = "valid";
+  fc::Scenario poisoned = valid;
+  poisoned.name = "poisoned";
+  std::get<fw::HSweep>(poisoned.drive).h[5] =
+      std::numeric_limits<double>::quiet_NaN();
+  const fc::ScenarioResult reference = fc::run_scenario(valid);
+  ASSERT_TRUE(reference.ok()) << reference.error;
+
+  for (const bool poisoned_first : {true, false}) {
+    SCOPED_TRACE(poisoned_first ? "[poisoned, valid]" : "[valid, poisoned]");
+    const std::vector<fc::Scenario> scenarios =
+        poisoned_first ? std::vector<fc::Scenario>{poisoned, valid}
+                       : std::vector<fc::Scenario>{valid, poisoned};
+    const std::size_t bad = poisoned_first ? 0 : 1;
+    const std::size_t good = 1 - bad;
+
+    const fc::FrontendPlanSet plans(scenarios);
+    EXPECT_EQ(plans.trajectory_jobs(), 1u);
+    EXPECT_EQ(plans.plan(bad).route, fc::PlanRoute::kFallback);
+    EXPECT_EQ(plans.plan(good).route, fc::PlanRoute::kPackedTrace);
+
+    fc::BatchReport report;
+    const auto packed = fc::BatchRunner({.threads = 1})
+                            .run(scenarios, {.packing = fc::Packing::kExact},
+                                 &report);
+    EXPECT_EQ(report.quarantined, 0u);
+    EXPECT_EQ(report.failed, 1u);
+    EXPECT_EQ(packed[bad].error, fc::run_scenario(poisoned).error);
+    ASSERT_TRUE(packed[good].ok()) << packed[good].error;
+    ASSERT_EQ(packed[good].curve.size(), reference.curve.size());
+    for (std::size_t j = 0; j < reference.curve.size(); ++j) {
+      const auto& p = packed[good].curve.points()[j];
+      const auto& q = reference.curve.points()[j];
+      ASSERT_TRUE(p.h == q.h && p.m == q.m && p.b == q.b) << "point " << j;
+    }
+    EXPECT_EQ(packed[good].metrics.area, reference.metrics.area);
+    EXPECT_EQ(packed[good].stats.field_events, reference.stats.field_events);
+  }
+}
+
+TEST(FrontendPlan, WhatValidateRejectsIsNeitherPackableNorPlanned) {
+  // Scenarios validate() rejects for their discretisation fall back, so
+  // run_scenario issues the verdict — none reaches a lane block or
+  // plans a trajectory solve.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  struct Case {
+    const char* name;
+    fc::Frontend frontend;
+    double dhmax;
+    double substep_max;
+  };
+  const Case cases[] = {
+      {"direct dhmax NaN", fc::Frontend::kDirect, nan, 0.0},
+      {"direct dhmax +Inf", fc::Frontend::kDirect, inf, 0.0},
+      {"ams dhmax +Inf", fc::Frontend::kAms, inf, 0.0},
+      {"ams substep -1", fc::Frontend::kAms, 25.0, -1.0},
+      {"ams substep NaN", fc::Frontend::kAms, 25.0, nan},
+      {"ams substep +Inf", fc::Frontend::kAms, 25.0, inf},
+  };
+  std::vector<fc::Scenario> scenarios;
+  for (const Case& c : cases) {
+    fc::Scenario s = base_scenario(c.frontend);
+    s.name = c.name;
+    s.ja().config.dhmax = c.dhmax;
+    s.ja().config.substep_max = c.substep_max;
+    EXPECT_FALSE(fc::validate(s).ok()) << c.name;
+    EXPECT_FALSE(fc::BatchRunner::packable(s)) << c.name;
+    EXPECT_EQ(fc::plan_route(s), fc::PlanRoute::kFallback) << c.name;
+    scenarios.push_back(std::move(s));
+  }
+  // Two valid kAms drives (one distinct excitation each) ride along.
+  scenarios.push_back(base_scenario(fc::Frontend::kAms));
+  scenarios.push_back(base_scenario(fc::Frontend::kAms));
+  std::get<fw::HSweep>(scenarios.back().drive) = ts::major_loop(20.0, 1);
+  EXPECT_EQ(fc::FrontendPlanSet(scenarios).trajectory_jobs(), 2u);
+
+  for (const auto packing : {fc::Packing::kExact, fc::Packing::kFast}) {
+    fc::BatchReport report;
+    const auto packed = fc::BatchRunner({.threads = 2})
+                            .run(scenarios, {.packing = packing}, &report);
+    for (std::size_t i = 0; i < std::size(cases); ++i) {
+      const fc::ScenarioResult solo = fc::run_scenario(scenarios[i]);
+      EXPECT_EQ(solo.error.code, fc::ErrorCode::kInvalidScenario);
+      EXPECT_EQ(packed[i].error, solo.error) << cases[i].name;
+    }
+    EXPECT_TRUE(packed[std::size(cases)].ok());
+    EXPECT_TRUE(packed[std::size(cases) + 1].ok());
+    EXPECT_EQ(report.failed, std::size(cases));
+    EXPECT_EQ(report.quarantined, 0u);
+  }
 }

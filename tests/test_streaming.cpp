@@ -442,18 +442,51 @@ TEST(Streaming, SummaryReportsQueueHighWaterWithinCapacity) {
       0u);
 
   // More results than the queue holds cross it: the high-water is at least
-  // one and never above the capacity, given or defaulted (2 x workers).
+  // one and never above the capacity, given or defaulted (one lane block
+  // plus 2 x workers).
+  const fc::BatchRunner runner({.threads = 4});
   for (const std::size_t capacity : {std::size_t{2}, std::size_t{0}}) {
     RecordingSink sink;
-    const auto summary = fc::BatchRunner({.threads = 4})
-                             .run(scenarios, sink,
-                                  {.packing = fc::Packing::kFast,
-                                   .stream = {.queue_capacity = capacity}});
+    const fc::StreamOptions stream{.queue_capacity = capacity};
+    const auto summary = runner.run(
+        scenarios, sink, {.packing = fc::Packing::kFast, .stream = stream});
     EXPECT_TRUE(summary.ok());
     EXPECT_GT(summary.queue_high_water, 0u) << "capacity " << capacity;
-    EXPECT_LE(summary.queue_high_water, capacity != 0 ? capacity : 8u)
+    EXPECT_LE(summary.queue_high_water,
+              runner.queue_capacity(stream, scenarios.size()))
         << "capacity " << capacity;
   }
+}
+
+TEST(Streaming, DefaultQueueBoundHoldsOneLaneBlockPlusTwicePerWorker) {
+  // A packed lane block emits its results back to back, so the default
+  // bound leaves room for one block's burst on top of 2 x workers; an
+  // explicit capacity is kept as given, whatever the packing.
+  const std::size_t block = fc::BatchRunner::lane_block();
+  EXPECT_EQ(block, 2u * static_cast<std::size_t>(
+                            fm::TimelessJaBatch::active_simd_width()));
+  for (const unsigned threads : {1u, 3u, 4u}) {
+    const fc::BatchRunner runner({.threads = threads});
+    EXPECT_EQ(runner.queue_capacity({}, 1000), block + 2u * threads)
+        << threads;
+    EXPECT_EQ(runner.queue_capacity({.queue_capacity = 5}, 1000), 5u)
+        << threads;
+  }
+  // The worker count is the run's: a two-job batch on four threads uses
+  // two workers.
+  EXPECT_EQ(fc::BatchRunner({.threads = 4}).queue_capacity({}, 2),
+            block + 4u);
+
+  // Streamed through the default bound, a packed batch never holds more.
+  const auto scenarios = mixed_frontend_workload(40);
+  const fc::BatchRunner runner({.threads = 3});
+  RecordingSink sink;
+  const auto summary =
+      runner.run(scenarios, sink, {.packing = fc::Packing::kFast});
+  EXPECT_TRUE(summary.ok());
+  EXPECT_EQ(summary.delivered, scenarios.size());
+  EXPECT_LE(summary.queue_high_water,
+            runner.queue_capacity({}, scenarios.size()));
 }
 
 TEST(Streaming, ThrowingSinkSurfacesErrorWithoutKillingTheBatch) {
