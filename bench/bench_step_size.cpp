@@ -1,9 +1,9 @@
-// ABL1 + ABL2 — ablations of the timeless scheme's discretisation choices:
+// ABL1 + ABL2b — ablations of the timeless scheme's discretisation choices:
 //
-//   ABL1: the event threshold dhmax trades accuracy against work (events
-//         taken); the paper fixes it implicitly via its `dhmax` constant.
-//   ABL2: Forward Euler (the paper's scheme) vs Heun vs RK4 in H at equal
-//         dhmax — how much accuracy the single-evaluation scheme gives up.
+//   ABL1:  the event threshold dhmax trades accuracy against work (events
+//          taken); the paper fixes it implicitly via its `dhmax` constant.
+//   ABL2b: sub-stepping of coarse events at a fixed dhmax — how much of the
+//          error integration inside an event can recover.
 #include <cmath>
 #include <cstdio>
 
@@ -21,16 +21,15 @@ wave::HSweep excitation(double step = 1.0) {
   return wave::SweepBuilder(step).cycles(10e3, 2).build();
 }
 
-/// Near-continuous reference trajectory (RK4 in H at 0.1 A/m events).
+/// Near-continuous reference trajectory: Forward Euler with an event on
+/// every 0.1 A/m sample.
 mag::BhCurve reference() {
   mag::TimelessConfig cfg;
-  cfg.dhmax = 0.1;
-  cfg.scheme = mag::HIntegrator::kRk4;
+  cfg.dhmax = 0.01;
   return core::run_dc_sweep(mag::paper_parameters(), cfg, excitation(0.1)).curve;
 }
 
-double rms_vs_reference(const mag::BhCurve& curve, const mag::BhCurve& ref,
-                        double sweep_step) {
+double rms_vs_reference(const mag::BhCurve& curve, const mag::BhCurve& ref) {
   // Both trajectories traverse the same H path; sample the coarse one and
   // look up the reference at the matching sample index ratio.
   const auto& a = curve.points();
@@ -45,12 +44,11 @@ double rms_vs_reference(const mag::BhCurve& curve, const mag::BhCurve& ref,
     acc += d * d;
     ++n;
   }
-  (void)sweep_step;
   return std::sqrt(acc / static_cast<double>(n));
 }
 
 void report() {
-  benchutil::header("ABL1/ABL2", "event threshold and H-integration scheme");
+  benchutil::header("ABL1/ABL2b", "event threshold and sub-stepping");
 
   const mag::BhCurve ref = reference();
 
@@ -65,22 +63,7 @@ void report() {
     std::printf("  %10.0f %12llu %12llu %14.5f\n", dhmax,
                 static_cast<unsigned long long>(result.stats.field_events),
                 static_cast<unsigned long long>(result.stats.integration_steps),
-                rms_vs_reference(result.curve, ref, 1.0));
-  }
-
-  std::printf("\n  ABL2 — integration scheme at dhmax = 100 A/m\n");
-  std::printf("  %16s %14s %16s\n", "scheme", "rmsB vs ref", "slope clamps");
-  for (const auto scheme :
-       {mag::HIntegrator::kForwardEuler, mag::HIntegrator::kHeun,
-        mag::HIntegrator::kRk4}) {
-    mag::TimelessConfig cfg;
-    cfg.dhmax = 100.0;
-    cfg.scheme = scheme;
-    const auto result = core::run_dc_sweep(mag::paper_parameters(), cfg, sweep);
-    std::printf("  %16s %14.5f %16llu\n",
-                std::string(mag::to_string(scheme)).c_str(),
-                rms_vs_reference(result.curve, ref, 1.0),
-                static_cast<unsigned long long>(result.stats.slope_clamps));
+                rms_vs_reference(result.curve, ref));
   }
 
   std::printf("\n  ABL2b — sub-stepping of coarse events (dhmax = 200 A/m)\n");
@@ -91,15 +74,14 @@ void report() {
     cfg.substep_max = sub;
     const auto result = core::run_dc_sweep(mag::paper_parameters(), cfg, sweep);
     std::printf("  %16.0f %14.5f\n", sub,
-                rms_vs_reference(result.curve, ref, 1.0));
+                rms_vs_reference(result.curve, ref));
   }
   benchutil::footnote(
       "ABL1: error scales ~linearly with dhmax — the threshold is the "
-      "discretisation control. ABL2/ABL2b: at fixed dhmax neither "
-      "higher-order schemes nor sub-stepping buy much, because the error is "
-      "dominated by the event lag (magnetisation frozen between events), "
-      "not by integration order — which validates the paper's choice of "
-      "plain Forward Euler.");
+      "discretisation control. ABL2b: at fixed dhmax sub-stepping does not "
+      "help, because the error is dominated by the event lag "
+      "(magnetisation frozen between events), not by integration inside an "
+      "event — which validates the paper's plain Forward Euler.");
 }
 
 void bm_dhmax(benchmark::State& state) {
@@ -115,22 +97,6 @@ void bm_dhmax(benchmark::State& state) {
                           static_cast<std::int64_t>(sweep.h.size()));
 }
 BENCHMARK(bm_dhmax)->Arg(5)->Arg(25)->Arg(100)->Arg(500);
-
-void bm_scheme(benchmark::State& state) {
-  const auto scheme = static_cast<mag::HIntegrator>(state.range(0));
-  const wave::HSweep sweep = excitation();
-  mag::TimelessConfig cfg;
-  cfg.dhmax = 100.0;
-  cfg.scheme = scheme;
-  for (auto _ : state) {
-    auto result = core::run_dc_sweep(mag::paper_parameters(), cfg, sweep);
-    benchmark::DoNotOptimize(result.curve);
-  }
-}
-BENCHMARK(bm_scheme)
-    ->Arg(static_cast<int>(mag::HIntegrator::kForwardEuler))
-    ->Arg(static_cast<int>(mag::HIntegrator::kHeun))
-    ->Arg(static_cast<int>(mag::HIntegrator::kRk4));
 
 }  // namespace
 

@@ -1,7 +1,5 @@
 #include "ams/integrator.hpp"
 
-#include <cassert>
-
 namespace ferro::ams {
 
 void OdeSystem::on_step_accepted(double, std::span<const double>) {}
@@ -13,36 +11,6 @@ std::string_view to_string(IntegrationMethod method) {
     case IntegrationMethod::kGear2: return "gear2";
   }
   return "?";
-}
-
-int method_order(IntegrationMethod method) {
-  return method == IntegrationMethod::kBackwardEuler ? 1 : 2;
-}
-
-void rk4_integrate(const OdeSystem& system, double t0, double t1,
-                   std::size_t n_steps, std::span<double> y,
-                   const std::function<void(double, std::span<const double>)>&
-                       on_step) {
-  assert(n_steps > 0);
-  const std::size_t n = system.size();
-  assert(y.size() == n);
-  const double dt = (t1 - t0) / static_cast<double>(n_steps);
-
-  std::vector<double> k1(n), k2(n), k3(n), k4(n), tmp(n);
-  for (std::size_t step = 0; step < n_steps; ++step) {
-    const double t = t0 + dt * static_cast<double>(step);
-    system.derivative(t, y, k1);
-    for (std::size_t i = 0; i < n; ++i) tmp[i] = y[i] + 0.5 * dt * k1[i];
-    system.derivative(t + 0.5 * dt, tmp, k2);
-    for (std::size_t i = 0; i < n; ++i) tmp[i] = y[i] + 0.5 * dt * k2[i];
-    system.derivative(t + 0.5 * dt, tmp, k3);
-    for (std::size_t i = 0; i < n; ++i) tmp[i] = y[i] + dt * k3[i];
-    system.derivative(t + dt, tmp, k4);
-    for (std::size_t i = 0; i < n; ++i) {
-      y[i] += dt * (k1[i] + 2.0 * k2[i] + 2.0 * k3[i] + k4[i]) / 6.0;
-    }
-    if (on_step) on_step(t + dt, y);
-  }
 }
 
 }  // namespace ferro::ams

@@ -1,10 +1,7 @@
-// Implicit integration formulas and a fixed-step explicit RK4 utility.
+// The transient engine's implicit integration formulas.
 #pragma once
 
-#include <functional>
-#include <span>
 #include <string_view>
-#include <vector>
 
 #include "ams/ode.hpp"
 
@@ -18,16 +15,5 @@ enum class IntegrationMethod {
 };
 
 [[nodiscard]] std::string_view to_string(IntegrationMethod method);
-
-/// Formula order (1 or 2) — used by the step controller's error exponent.
-[[nodiscard]] int method_order(IntegrationMethod method);
-
-/// Fixed-step classic RK4 over [t0, t1] in `n_steps` steps. `on_step` (if
-/// set) fires after every step with (t, y). Used for reference solutions in
-/// tests; production paths use the implicit TransientSolver.
-void rk4_integrate(const OdeSystem& system, double t0, double t1,
-                   std::size_t n_steps, std::span<double> y,
-                   const std::function<void(double, std::span<const double>)>&
-                       on_step = {});
 
 }  // namespace ferro::ams

@@ -55,7 +55,6 @@ NewtonResult NewtonSolver::solve(std::size_t n, ResidualFn residual,
       result.residual_norm = f_norm;
       return result;
     }
-    ++total_iterations_;
 
     if (jacobian) {
       jacobian(x, jac_);

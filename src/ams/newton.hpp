@@ -5,7 +5,6 @@
 // counts when the `'INTEG`-style JA model hits a field turning point.
 #pragma once
 
-#include <cstdint>
 #include <functional>
 #include <span>
 #include <vector>
@@ -44,17 +43,12 @@ class NewtonSolver {
   NewtonResult solve(std::size_t n, ResidualFn residual, std::span<double> x,
                      const JacobianFn& jacobian = {});
 
-  /// Cumulative iteration count across all solve() calls (for CLM2 stats).
-  [[nodiscard]] std::uint64_t total_iterations() const { return total_iterations_; }
-  void reset_counters() { total_iterations_ = 0; }
-
  private:
   void numeric_jacobian(std::size_t n, const ResidualFn& residual,
                         std::span<const double> x, std::span<const double> f0,
                         Matrix& j);
 
   NewtonOptions options_;
-  std::uint64_t total_iterations_ = 0;
   // scratch buffers reused across calls to avoid per-step allocation
   Matrix jac_;
   std::vector<double> f_, dx_, x_trial_, f_trial_, x_pert_, f_pert_;

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cctype>
 #include <charconv>
+#include <cmath>
+#include <limits>
 #include <map>
 #include <memory>
 
@@ -60,9 +62,8 @@ bool split_kv(std::string_view token, std::string& key, std::string& value) {
   return true;
 }
 
-}  // namespace
-
-std::optional<double> parse_spice_value(std::string_view token) {
+/// parse_spice_value without the finiteness check.
+std::optional<double> scaled_value(std::string_view token) {
   if (token.empty()) return std::nullopt;
   // Numeric prefix.
   double mantissa = 0.0;
@@ -100,6 +101,16 @@ std::optional<double> parse_spice_value(std::string_view token) {
   return std::nullopt;
 }
 
+}  // namespace
+
+std::optional<double> parse_spice_value(std::string_view token) {
+  // from_chars takes "nan" and "inf", and a scale suffix can overflow a
+  // finite mantissa ("1e305t"): no card has a use for either.
+  const auto value = scaled_value(token);
+  if (!value || !std::isfinite(*value)) return std::nullopt;
+  return value;
+}
+
 namespace {
 
 /// Parses a source expression: plain value, SIN(...), TRI(...), PWL(...).
@@ -131,6 +142,10 @@ std::optional<wave::WaveformPtr> parse_source(const std::string& token,
       error = "SIN needs (offset ampl freq)";
       return std::nullopt;
     }
+    if (!((*args)[2] > 0.0)) {
+      error = "SIN frequency must be > 0";
+      return std::nullopt;
+    }
     return std::make_shared<wave::Sine>((*args)[1], (*args)[2], 0.0, (*args)[0]);
   }
   if (!error.empty()) return std::nullopt;
@@ -138,6 +153,10 @@ std::optional<wave::WaveformPtr> parse_source(const std::string& token,
   if (auto args = call_args("TRI")) {
     if (args->size() != 2) {
       error = "TRI needs (ampl period)";
+      return std::nullopt;
+    }
+    if (!((*args)[1] > 0.0)) {
+      error = "TRI period must be > 0";
       return std::nullopt;
     }
     return std::make_shared<wave::Triangular>((*args)[0], (*args)[1]);
@@ -181,27 +200,59 @@ bool parse_options(const std::vector<std::string>& tokens, std::size_t first,
   return true;
 }
 
+/// The numeric option `key`, or nullopt when the card leaves it out. A value
+/// the card sets but that does not parse sets `error` (the first one wins)
+/// instead of falling back to the default.
 std::optional<double> option_value(const std::map<std::string, std::string>& kv,
-                                   const std::string& key) {
+                                   const std::string& key, std::string& error) {
   const auto it = kv.find(key);
   if (it == kv.end()) return std::nullopt;
-  return parse_spice_value(it->second);
+  const auto value = parse_spice_value(it->second);
+  if (!value && error.empty()) {
+    error = "bad value '" + it->second + "' for " + key + "=";
+  }
+  return value;
+}
+
+/// A winding count: a whole number in [1, INT_MAX].
+std::optional<int> whole_turns(double value) {
+  if (!(value >= 1.0 &&
+        value <= static_cast<double>(std::numeric_limits<int>::max())) ||
+      value != std::floor(value)) {
+    return std::nullopt;
+  }
+  return static_cast<int>(value);
 }
 
 /// Builds a JA core config from area/path/turns/material/dhmax options.
 bool parse_core_options(const std::map<std::string, std::string>& kv,
                         mag::CoreGeometry& geom, mag::JaParameters& params,
                         mag::TimelessConfig& config, std::string& error) {
-  const auto area = option_value(kv, "area");
-  const auto path = option_value(kv, "path");
-  const auto turns = option_value(kv, "turns");
+  const auto area = option_value(kv, "area", error);
+  const auto path = option_value(kv, "path", error);
+  const auto turns = option_value(kv, "turns", error);
+  const auto dhmax = option_value(kv, "dhmax", error);
+  if (!error.empty()) return false;
   if (!area || !path || !turns) {
     error = "core device needs area=, path=, turns=";
     return false;
   }
+  if (!(*area > 0.0) || !(*path > 0.0)) {
+    error = "area= and path= must be > 0";
+    return false;
+  }
+  const auto n = whole_turns(*turns);
+  if (!n) {
+    error = "turns= must be a whole number in [1, INT_MAX]";
+    return false;
+  }
+  if (dhmax && !(*dhmax > 0.0)) {
+    error = "dhmax= must be > 0";
+    return false;
+  }
   geom.area = *area;
   geom.path_length = *path;
-  geom.turns = static_cast<int>(*turns);
+  geom.turns = *n;
 
   const auto mat_it = kv.find("material");
   const std::string material =
@@ -213,11 +264,8 @@ bool parse_core_options(const std::map<std::string, std::string>& kv,
   }
   params = found->params;
 
-  if (const auto dhmax = option_value(kv, "dhmax")) {
-    config.dhmax = *dhmax;
-  } else {
-    config.dhmax = (params.a + params.k) / 1200.0;  // sensible default
-  }
+  // Without dhmax= the threshold defaults to (a + k) / 1200.
+  config.dhmax = dhmax ? *dhmax : (params.a + params.k) / 1200.0;
   return true;
 }
 
@@ -354,7 +402,11 @@ ParseResult parse_netlist(std::string_view text, const ScatterHook& hook) {
           break;
         }
         parse_options(tokens, 4, kv, flags, error);
-        const auto ic = option_value(kv, "ic");
+        const auto ic = option_value(kv, "ic", error);
+        if (!error.empty()) {
+          fail(name + ": " + error);
+          break;
+        }
         if (kind == 'c') {
           netlist.circuit.add<Capacitor>(name, node(1), node(2),
                                          scattered("value", *value), ic);
@@ -371,10 +423,14 @@ ParseResult parse_netlist(std::string_view text, const ScatterHook& hook) {
           break;
         }
         parse_options(tokens, 3, kv, flags, error);
-        const double i_sat =
-            scattered("is", option_value(kv, "is").value_or(1e-14));
-        const double emission =
-            scattered("n", option_value(kv, "n").value_or(1.0));
+        const auto is = option_value(kv, "is", error);
+        const auto n = option_value(kv, "n", error);
+        if (!error.empty()) {
+          fail(name + ": " + error);
+          break;
+        }
+        const double i_sat = scattered("is", is.value_or(1e-14));
+        const double emission = scattered("n", n.value_or(1.0));
         netlist.circuit.add<Diode>(name, node(1), node(2), i_sat, emission);
         netlist.device_names.push_back(name);
         break;
@@ -385,7 +441,11 @@ ParseResult parse_netlist(std::string_view text, const ScatterHook& hook) {
           break;
         }
         parse_options(tokens, 3, kv, flags, error);
-        const auto t_switch = option_value(kv, "t");
+        const auto t_switch = option_value(kv, "t", error);
+        if (!error.empty()) {
+          fail(name + ": " + error);
+          break;
+        }
         if (!t_switch) {
           fail(name + ": missing t=<switch-time>");
           break;
@@ -422,11 +482,19 @@ ParseResult parse_netlist(std::string_view text, const ScatterHook& hook) {
           break;
         }
         parse_options(tokens, 5, kv, flags, error);
-        const auto l1 = option_value(kv, "l1");
-        const auto l2 = option_value(kv, "l2");
-        const auto coupling = option_value(kv, "k");
+        const auto l1 = option_value(kv, "l1", error);
+        const auto l2 = option_value(kv, "l2", error);
+        const auto coupling = option_value(kv, "k", error);
+        if (!error.empty()) {
+          fail(name + ": " + error);
+          break;
+        }
         if (!l1 || !l2 || !coupling) {
           fail(name + ": needs l1=, l2=, k=");
+          break;
+        }
+        if (!(*l1 > 0.0) || !(*l2 > 0.0)) {
+          fail(name + ": l1= and l2= must be > 0");
           break;
         }
         if (!(*coupling >= 0.0 && *coupling < 1.0)) {
@@ -452,16 +520,24 @@ ParseResult parse_netlist(std::string_view text, const ScatterHook& hook) {
           fail(name + ": " + error);
           break;
         }
-        const auto ns = option_value(kv, "ns");
+        const auto ns = option_value(kv, "ns", error);
+        if (!error.empty()) {
+          fail(name + ": " + error);
+          break;
+        }
         if (!ns) {
           fail(name + ": missing ns=<secondary turns>");
           break;
         }
+        const auto secondary_turns = whole_turns(*ns);
+        if (!secondary_turns) {
+          fail(name + ": ns= must be a whole number in [1, INT_MAX]");
+          break;
+        }
         if (!scatter_core(geom, params, config)) break;
         netlist.circuit.add<JaTransformer>(name, node(1), node(2), node(3),
-                                           node(4), geom,
-                                           static_cast<int>(*ns), params,
-                                           config);
+                                           node(4), geom, *secondary_turns,
+                                           params, config);
         netlist.device_names.push_back(name);
         break;
       }

@@ -25,7 +25,9 @@
 //   .tran <dt_max> <t_end>
 //   .end                                        (optional)
 //
-// Node "0" (or gnd/GND) is ground. Unknown cards and malformed values are
+// Node "0" (or gnd/GND) is ground. Unknown cards, malformed or non-finite
+// values and values outside a card's domain (a SIN frequency or TRI period
+// <= 0, l1/l2/area/path/dhmax <= 0, turns/ns not a whole number >= 1) are
 // reported with line numbers; parsing is all-or-nothing.
 #pragma once
 
@@ -89,7 +91,8 @@ using ScatterHook = std::function<double(
                                         const ScatterHook& hook);
 
 /// Parses a SPICE-style number with optional suffix: "4.7k" -> 4700,
-/// "1meg" -> 1e6, "10u" -> 1e-5. Returns nullopt on malformed input.
+/// "1meg" -> 1e6, "10u" -> 1e-5. Returns nullopt on malformed input and on
+/// a non-finite result ("nan", "inf", or a scale that overflows).
 [[nodiscard]] std::optional<double> parse_spice_value(std::string_view token);
 
 }  // namespace ferro::ckt

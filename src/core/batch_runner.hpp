@@ -143,8 +143,8 @@ class BatchRunner {
   /// With Packing::kExact/kFast, routable scenarios (core/frontend_plan.hpp)
   /// are planned and packed into each model's SoA lane blocks —
   /// mag::TimelessJaBatch for JA lanes (all three frontends qualify: kDirect
-  /// and clamp-matching kSystemC sweeps and time drives on the kernel's
-  /// Forward-Euler subset, kAms drives with Forward Euler), and
+  /// and clamp-matching kSystemC sweeps and time drives without
+  /// sub-stepping, and every non-empty kAms drive), and
   /// mag::EnergyBasedBatch for quasi-static energy lanes — while the rest
   /// fall back to the per-scenario path. kAms planning solves the JA-free
   /// H(t) ODE once per distinct excitation and replays each material over

@@ -12,10 +12,6 @@ DcSweepResult run_dc_sweep(const mag::JaParameters& params,
   return result;
 }
 
-mag::BhCurve continue_dc_sweep(mag::TimelessJa& model, const wave::HSweep& sweep) {
-  return mag::run_sweep(model, sweep);
-}
-
 const std::vector<double>& fig1_amplitudes() {
   static const std::vector<double> kAmplitudes = {10000.0, 7500.0, 5000.0,
                                                   2500.0};

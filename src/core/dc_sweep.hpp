@@ -19,11 +19,6 @@ struct DcSweepResult {
                                          const mag::TimelessConfig& config,
                                          const wave::HSweep& sweep);
 
-/// Continues an existing model through `sweep` (used to chain major-loop
-/// initialisation with minor-loop excursions).
-[[nodiscard]] mag::BhCurve continue_dc_sweep(mag::TimelessJa& model,
-                                             const wave::HSweep& sweep);
-
 /// The paper's Fig. 1 excitation: a decaying triangular DC sweep producing
 /// the major loop plus nested non-biased minor loops.
 /// Amplitudes: 10, 7.5, 5, 2.5 kA/m; `step` is the sample spacing [A/m].

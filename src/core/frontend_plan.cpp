@@ -38,12 +38,8 @@ PlanRoute plan_route(const Scenario& scenario) {
 
   const JaSpec& ja = std::get<JaSpec>(scenario.model);
   if (scenario.frontend == Frontend::kAms) {
-    // Sub-stepping is unrolled by the trace planner, so only the extension
-    // integration schemes (which probe trial states no row program can
-    // express) force the serial frontend.
-    if (ja.config.scheme != mag::HIntegrator::kForwardEuler) {
-      return PlanRoute::kFallback;
-    }
+    // The trace planner unrolls sub-stepping too, so every kAms drive
+    // packs except an empty sweep.
     const auto* sweep = std::get_if<wave::HSweep>(&scenario.drive);
     return sweep != nullptr && sweep->empty() ? PlanRoute::kFallback
                                               : PlanRoute::kPackedTrace;

@@ -67,7 +67,7 @@ class FitObjective {
  public:
   /// Builds the objective from measured (h, b) samples in sweep order. The
   /// forward-model discretisation `config` is what every candidate runs
-  /// with; its default (Forward Euler, no sub-stepping) keeps the whole
+  /// with; its default (no sub-stepping) keeps the whole
   /// generation inside the packed SoA subset. Throws std::invalid_argument
   /// when the target has fewer than two samples, a non-finite sample, or a
   /// branch with fewer than two distinct field values.

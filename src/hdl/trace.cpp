@@ -1,7 +1,5 @@
 #include "hdl/trace.hpp"
 
-#include "util/csv.hpp"
-
 namespace ferro::hdl {
 
 VcdWriter::VcdWriter(const std::string& path, const std::string& timescale)
@@ -50,29 +48,6 @@ void VcdWriter::begin_time(SimTime t) {
 void VcdWriter::value(VarHandle var, double v) {
   if (!header_written_) write_header();
   stream_ << 'r' << v << ' ' << id_code(var) << '\n';
-}
-
-void CsvTracer::add(const Signal<double>& signal) {
-  signals_.push_back(&signal);
-}
-
-void CsvTracer::sample(SimTime t) {
-  std::vector<double> row;
-  row.reserve(signals_.size() + 1);
-  row.push_back(t.seconds());
-  for (const auto* sig : signals_) row.push_back(sig->read());
-  rows_.push_back(std::move(row));
-}
-
-bool CsvTracer::write() {
-  std::vector<std::string> columns;
-  columns.emplace_back("t");
-  for (const auto* sig : signals_) columns.push_back(sig->name());
-  util::CsvWriter writer(path_, columns);
-  for (const auto& row : rows_) {
-    writer.row(row);
-  }
-  return writer.ok();
 }
 
 }  // namespace ferro::hdl

@@ -1,11 +1,10 @@
-// Waveform tracing: VCD (for any EDA waveform viewer) and CSV.
+// Waveform tracing: VCD, readable by any EDA waveform viewer.
 #pragma once
 
 #include <fstream>
 #include <string>
 #include <vector>
 
-#include "hdl/signal.hpp"
 #include "hdl/time.hpp"
 
 namespace ferro::hdl {
@@ -46,26 +45,6 @@ class VcdWriter {
   std::vector<std::string> names_;
   bool header_written_ = false;
   std::int64_t last_time_fs_ = -1;
-};
-
-/// Samples a set of double signals into CSV rows on demand.
-class CsvTracer {
- public:
-  explicit CsvTracer(std::string path) : path_(std::move(path)) {}
-
-  /// Adds a column bound to `signal`; must precede the first sample().
-  void add(const Signal<double>& signal);
-
-  /// Appends one row: time in seconds followed by each signal's value.
-  void sample(SimTime t);
-
-  /// Flushes rows to disk; returns false on IO failure.
-  bool write();
-
- private:
-  std::string path_;
-  std::vector<const Signal<double>*> signals_;
-  std::vector<std::vector<double>> rows_;
 };
 
 }  // namespace ferro::hdl

@@ -8,7 +8,6 @@ namespace ferro::mag {
 JaTrace build_ja_trace(std::span<const double> samples,
                        const TimelessConfig& config) {
   assert(config.dhmax > 0.0);
-  assert(config.scheme == HIntegrator::kForwardEuler);
 
   JaTrace trace;
   if (samples.size() <= 1) return trace;

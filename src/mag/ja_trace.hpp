@@ -54,9 +54,7 @@ struct JaTrace {
 /// initial point, published from the virgin state) for a model configured
 /// with `config` — the event threshold, sub-step splitting, and counter
 /// arithmetic mirror TimelessJa::apply() expression for expression, so the
-/// planned rows replay bit-for-bit. `config.scheme` must be kForwardEuler
-/// (asserted): the higher-order extension schemes evaluate trial states the
-/// row program cannot express.
+/// planned rows replay bit-for-bit.
 [[nodiscard]] JaTrace build_ja_trace(std::span<const double> samples,
                                      const TimelessConfig& config);
 

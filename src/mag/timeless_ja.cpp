@@ -7,15 +7,6 @@
 
 namespace ferro::mag {
 
-std::string_view to_string(HIntegrator scheme) {
-  switch (scheme) {
-    case HIntegrator::kForwardEuler: return "forward-euler";
-    case HIntegrator::kHeun: return "heun";
-    case HIntegrator::kRk4: return "rk4";
-  }
-  return "?";
-}
-
 TimelessJa::TimelessJa(const JaParameters& params, const TimelessConfig& config)
     : params_(params),
       config_(config),
@@ -65,12 +56,6 @@ double TimelessJa::slope_from_deltam(double delta_m, double delta) {
   return dmdh;
 }
 
-double TimelessJa::slope(double h, double m_total, double delta) {
-  const double he = h + alpha_ms_ * m_total;
-  const double man = anhysteretic_.man(he);
-  return slope_from_deltam(man - m_total, delta);
-}
-
 void TimelessJa::refresh_algebraic(double h) {
   // The listing's core() process: He uses the *previous* m_total (a plain
   // member in the SystemC code — there is no fixed-point iteration), then
@@ -82,61 +67,17 @@ void TimelessJa::refresh_algebraic(double h) {
   state_.present_h = h;
 }
 
-double TimelessJa::m_total_at(double h, double m_irr) const {
-  // Algebraic total magnetisation for the extension schemes' trial states:
-  // a short fixed-point in the effective field (strongly contracting for
-  // all physical parameter sets).
-  double m = state_.m_total;  // warm start from the present state
-  for (int i = 0; i < 3; ++i) {
-    m = c_over_1pc_ * anhysteretic_.man(h + alpha_ms_ * m) + m_irr;
-  }
-  return m;
-}
-
-void TimelessJa::integrate_step(double h_target, double dh) {
+void TimelessJa::integrate_step(double dh) {
+  // Integral() consumes the man/mtotal pair that core() just published
+  // (man evaluated with the pre-update m_total), then m_irr steps by
+  // dh*slope.
   const double delta = dh > 0.0 ? 1.0 : -1.0;
-  double dm = 0.0;
-
-  switch (config_.scheme) {
-    case HIntegrator::kForwardEuler: {
-      // Paper-exact: Integral() consumes the man/mtotal pair that core()
-      // just published (man evaluated with the pre-update m_total), then
-      // m_irr steps by dh*slope.
-      const double s = slope_from_deltam(last_man_ - state_.m_total, delta);
-      dm = dh * s;
-      last_slope_ = s;
-      break;
-    }
-    case HIntegrator::kHeun: {
-      const double h0 = h_target - dh;
-      const auto f = [&](double h, double m_irr) {
-        return slope(h, m_total_at(h, m_irr), delta);
-      };
-      const double s1 = f(h0, state_.m_irr);
-      const double s2 = f(h_target, state_.m_irr + dh * s1);
-      const double s = 0.5 * (s1 + s2);
-      dm = dh * s;
-      last_slope_ = s;
-      break;
-    }
-    case HIntegrator::kRk4: {
-      const double h0 = h_target - dh;
-      const auto f = [&](double h, double m_irr) {
-        return slope(h, m_total_at(h, m_irr), delta);
-      };
-      const double s1 = f(h0, state_.m_irr);
-      const double s2 = f(h0 + 0.5 * dh, state_.m_irr + 0.5 * dh * s1);
-      const double s3 = f(h0 + 0.5 * dh, state_.m_irr + 0.5 * dh * s2);
-      const double s4 = f(h_target, state_.m_irr + dh * s3);
-      const double s = (s1 + 2.0 * s2 + 2.0 * s3 + s4) / 6.0;
-      dm = dh * s;
-      last_slope_ = s;
-      break;
-    }
-  }
+  const double s = slope_from_deltam(last_man_ - state_.m_total, delta);
+  double dm = dh * s;
+  last_slope_ = s;
 
   // The listing's second guard: if dm * dh < 0, dm = 0. With the slope
-  // clamp active this only triggers through the higher-order schemes.
+  // clamp active it never triggers.
   if (config_.clamp_direction && dm * dh < 0.0) {
     ++stats_.direction_clamps;
     dm = 0.0;
@@ -168,12 +109,12 @@ double TimelessJa::apply(double h, bool event) {
       for (std::int64_t i = 1; i <= n; ++i) {
         const double h_i = h0 + sub * static_cast<double>(i);
         refresh_algebraic(h_i);
-        integrate_step(h_i, sub);
+        integrate_step(sub);
       }
     } else {
       // Integral(): one step spanning the whole event, slope at the new
       // field — exactly the listing.
-      integrate_step(h, dh_total);
+      integrate_step(dh_total);
     }
     state_.anchor_h = h;
 

@@ -15,9 +15,8 @@
 // Negative slopes are clamped to zero (non-physical, Brown et al. 2001) and
 // steps where dm would oppose dh are rejected, exactly as in the listing.
 //
-// Extensions beyond the paper (all off by default so the default object is
-// paper-faithful): Heun and RK4 integration in H, and sub-stepping of large
-// field increments.
+// One extension beyond the paper (off by default so the default object is
+// paper-faithful): sub-stepping of large field increments.
 #pragma once
 
 #include <cmath>
@@ -29,15 +28,6 @@
 
 namespace ferro::mag {
 
-/// Integration scheme for the slope integral over H.
-enum class HIntegrator {
-  kForwardEuler,  ///< the paper's scheme: one explicit step per field event
-  kHeun,          ///< 2nd-order predictor-corrector in H
-  kRk4,           ///< classic 4th-order Runge-Kutta in H
-};
-
-[[nodiscard]] std::string_view to_string(HIntegrator scheme);
-
 /// Discretisation controls. Defaults reproduce the published model.
 struct TimelessConfig {
   /// Field event threshold [A/m]: integration fires only when the field has
@@ -47,8 +37,6 @@ struct TimelessConfig {
   /// When > 0, a field event of |dH| > substep_max is integrated in
   /// ceil(|dH|/substep_max) equal sub-steps. 0 = one step per event (paper).
   double substep_max = 0.0;
-
-  HIntegrator scheme = HIntegrator::kForwardEuler;
 
   /// Clamp negative dM/dH to zero ("to assure positive derivatives").
   bool clamp_negative_slope = true;
@@ -132,21 +120,13 @@ class TimelessJa {
   /// clamping is applied per config and counters are updated.
   double slope_from_deltam(double delta_m, double delta);
 
-  /// dm_irr/dH at (h, m_total) with direction delta = sign(dh), with He and
-  /// man evaluated fresh (used by the Heun/RK4 extension schemes).
-  double slope(double h, double m_total, double delta);
-
   /// Refreshes He, man, m_rev, m_total from the present field and m_irr —
   /// the listing's core() process.
   void refresh_algebraic(double h);
 
-  /// Algebraic m_total for a trial (h, m_irr) — used by the Heun/RK4
-  /// extension schemes' intermediate stages.
-  [[nodiscard]] double m_total_at(double h, double m_irr) const;
-
-  /// One integration step of m_irr over [h_target-dh, h_target] with the
-  /// active scheme (Euler evaluates at h_target, exactly like the listing).
-  void integrate_step(double h_target, double dh);
+  /// One Forward-Euler step of m_irr by dh, with the slope at the field
+  /// core() just published — exactly like the listing.
+  void integrate_step(double dh);
 
   JaParameters params_;
   TimelessConfig config_;

@@ -130,8 +130,7 @@ int TimelessJaBatch::force_simd_width(int width) {
 TimelessJaBatch::TimelessJaBatch(BatchMath math) : math_(math) {}
 
 bool TimelessJaBatch::supports(const TimelessConfig& config) {
-  return config.scheme == HIntegrator::kForwardEuler &&
-         config.substep_max == 0.0;
+  return config.substep_max == 0.0;
 }
 
 std::size_t TimelessJaBatch::add_lane(const JaParameters& params,

@@ -12,8 +12,8 @@
 //     select/copysign, and the precomputed reciprocal constants. Bounded
 //     deviation from exact, measured as an arc-RMS by the tests.
 //
-// The kernel covers the paper-faithful discretisation subset — Forward Euler,
-// no sub-stepping (`supports()`); BatchRunner's packed path routes scenarios
+// The kernel covers the paper-faithful discretisation subset — no
+// sub-stepping (`supports()`); BatchRunner's packed path routes scenarios
 // here when they qualify and falls back to scalar per-scenario jobs otherwise.
 #pragma once
 
@@ -47,8 +47,8 @@ class TimelessJaBatch {
  public:
   explicit TimelessJaBatch(BatchMath math = BatchMath::kExact);
 
-  /// True when `config` lies in the lockstep kernel's subset: the paper's
-  /// Forward-Euler scheme with no sub-stepping. (The clamp flags are free.)
+  /// True when `config` lies in the lockstep kernel's subset: no
+  /// sub-stepping. (The clamp flags are free.)
   [[nodiscard]] static bool supports(const TimelessConfig& config);
 
   /// Appends a lane in the demagnetised virgin state; returns its index.

@@ -47,13 +47,4 @@ std::vector<double> linspace(double lo, double hi, std::size_t n) {
   return out;
 }
 
-double trapezoid(std::span<const double> xs, std::span<const double> ys) {
-  assert(xs.size() == ys.size());
-  double area = 0.0;
-  for (std::size_t i = 1; i < xs.size(); ++i) {
-    area += 0.5 * (ys[i] + ys[i - 1]) * (xs[i] - xs[i - 1]);
-  }
-  return area;
-}
-
 }  // namespace ferro::util

@@ -25,9 +25,4 @@ namespace ferro::util {
 /// are well-defined: n == 0 gives an empty grid, n == 1 gives {lo}.
 [[nodiscard]] std::vector<double> linspace(double lo, double hi, std::size_t n);
 
-/// Trapezoidal integral of y dx over the sampled curve. The x values need
-/// not be monotone — this is what makes it usable as a loop-area (enclosed
-/// area) computation when (x, y) traces a closed hysteresis loop.
-[[nodiscard]] double trapezoid(std::span<const double> xs, std::span<const double> ys);
-
 }  // namespace ferro::util

@@ -62,13 +62,4 @@ double max_abs_diff(std::span<const double> a, std::span<const double> b) {
   return worst;
 }
 
-double max_abs(std::span<const double> values) {
-  double worst = 0.0;
-  for (const double v : values) {
-    const double a = std::fabs(v);
-    if (a > worst) worst = a;
-  }
-  return worst;
-}
-
 }  // namespace ferro::util

@@ -39,7 +39,4 @@ class RunningStats {
 /// Largest |a[i]-b[i]|; spans must be equal length.
 [[nodiscard]] double max_abs_diff(std::span<const double> a, std::span<const double> b);
 
-/// Largest |v| in the span (0 for an empty span).
-[[nodiscard]] double max_abs(std::span<const double> values);
-
 }  // namespace ferro::util

@@ -1,9 +1,6 @@
 #include "util/strings.hpp"
 
-#include <array>
 #include <cctype>
-#include <cmath>
-#include <cstdio>
 
 namespace ferro::util {
 
@@ -30,40 +27,6 @@ std::string_view trim(std::string_view text) {
     text.remove_suffix(1);
   }
   return text;
-}
-
-bool starts_with(std::string_view text, std::string_view prefix) {
-  return text.size() >= prefix.size() && text.substr(0, prefix.size()) == prefix;
-}
-
-std::string format_double(double value, int precision) {
-  std::array<char, 64> buf{};
-  const int written =
-      std::snprintf(buf.data(), buf.size(), "%.*g", precision, value);
-  return std::string(buf.data(), written > 0 ? static_cast<std::size_t>(written) : 0);
-}
-
-std::string format_engineering(double value, std::string_view unit, int precision) {
-  static constexpr struct {
-    double scale;
-    const char* prefix;
-  } kScales[] = {{1e9, "G"}, {1e6, "M"}, {1e3, "k"}, {1.0, ""},
-                 {1e-3, "m"}, {1e-6, "u"}, {1e-9, "n"}};
-  const double mag = std::fabs(value);
-  for (const auto& s : kScales) {
-    if (mag >= s.scale || (s.scale == 1e-9 && mag > 0.0)) {
-      std::array<char, 96> buf{};
-      const int written = std::snprintf(buf.data(), buf.size(), "%.*f %s%.*s",
-                                        precision, value / s.scale, s.prefix,
-                                        static_cast<int>(unit.size()), unit.data());
-      return std::string(buf.data(),
-                         written > 0 ? static_cast<std::size_t>(written) : 0);
-    }
-  }
-  std::array<char, 96> buf{};
-  const int written = std::snprintf(buf.data(), buf.size(), "%.*f %.*s", precision,
-                                    value, static_cast<int>(unit.size()), unit.data());
-  return std::string(buf.data(), written > 0 ? static_cast<std::size_t>(written) : 0);
 }
 
 }  // namespace ferro::util

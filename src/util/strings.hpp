@@ -1,5 +1,5 @@
-// Small string helpers shared by CSV parsing, report printing and the
-// command-line tools' flag parsing.
+// Small string helpers shared by CSV parsing and the command-line tools'
+// flag parsing.
 #pragma once
 
 #include <charconv>
@@ -19,9 +19,6 @@ namespace ferro::util {
 /// Strip leading/trailing ASCII whitespace.
 [[nodiscard]] std::string_view trim(std::string_view text);
 
-/// True if `text` begins with `prefix`.
-[[nodiscard]] bool starts_with(std::string_view text, std::string_view prefix);
-
 /// Strict number parsing for command-line values: std::from_chars must
 /// consume the whole token (no whitespace, no trailing garbage, no '+').
 /// An unsigned T takes no sign, an integer outside T's range is rejected
@@ -39,12 +36,5 @@ template <typename T>
   }
   return value;
 }
-
-/// Render a double with `precision` significant digits (for report tables).
-[[nodiscard]] std::string format_double(double value, int precision = 6);
-
-/// Render a double in engineering style with a unit suffix, e.g. "4.000 kA/m".
-[[nodiscard]] std::string format_engineering(double value, std::string_view unit,
-                                             int precision = 3);
 
 }  // namespace ferro::util

@@ -30,25 +30,6 @@ double Sine::derivative(double t) const {
   return amplitude_ * omega_ * std::cos(omega_ * t + phase_);
 }
 
-DampedSine::DampedSine(double amplitude, double frequency, double tau, double phase)
-    : amplitude_(amplitude),
-      omega_(2.0 * util::kPi * frequency),
-      tau_(tau),
-      phase_(phase) {
-  assert(frequency > 0.0);
-  assert(tau > 0.0);
-}
-
-double DampedSine::value(double t) const {
-  return amplitude_ * std::exp(-t / tau_) * std::sin(omega_ * t + phase_);
-}
-
-double DampedSine::derivative(double t) const {
-  const double e = std::exp(-t / tau_);
-  const double arg = omega_ * t + phase_;
-  return amplitude_ * e * (omega_ * std::cos(arg) - std::sin(arg) / tau_);
-}
-
 Triangular::Triangular(double amplitude, double period, double offset)
     : amplitude_(amplitude), period_(period), offset_(offset) {
   assert(period > 0.0);
@@ -74,22 +55,6 @@ double Triangular::derivative(double t) const {
   if (phase < 0.0) phase += 1.0;
   const double slope = 4.0 * amplitude_ / period_;
   return (phase < 0.25 || phase >= 0.75) ? slope : -slope;
-}
-
-Sawtooth::Sawtooth(double amplitude, double period, double offset)
-    : amplitude_(amplitude), period_(period), offset_(offset) {
-  assert(period > 0.0);
-}
-
-double Sawtooth::value(double t) const {
-  double phase = std::fmod(t / period_, 1.0);
-  if (phase < 0.0) phase += 1.0;
-  return offset_ + amplitude_ * (2.0 * phase - 1.0);
-}
-
-double Sawtooth::derivative(double t) const {
-  (void)t;
-  return 2.0 * amplitude_ / period_;
 }
 
 }  // namespace ferro::wave

@@ -1,5 +1,4 @@
-// Standard waveform shapes: constant, ramp, step, sine, damped sine,
-// triangular, sawtooth.
+// Standard waveform shapes: constant, step, sine, triangular.
 #pragma once
 
 #include "wave/waveform.hpp"
@@ -15,18 +14,6 @@ class Constant final : public Waveform {
 
  private:
   double level_;
-};
-
-/// value(t) = offset + slope * t.
-class Ramp final : public Waveform {
- public:
-  Ramp(double slope, double offset = 0.0) : slope_(slope), offset_(offset) {}
-  [[nodiscard]] double value(double t) const override { return offset_ + slope_ * t; }
-  [[nodiscard]] double derivative(double) const override { return slope_; }
-
- private:
-  double slope_;
-  double offset_;
 };
 
 /// value(t) = before for t < t_step, after for t >= t_step.
@@ -59,40 +46,12 @@ class Sine final : public Waveform {
   double offset_;
 };
 
-/// Exponentially decaying sine: amplitude * exp(-t/tau) * sin(w t + phase).
-/// Handy for generating shrinking excitation (demagnetisation-style sweeps).
-class DampedSine final : public Waveform {
- public:
-  DampedSine(double amplitude, double frequency, double tau, double phase = 0.0);
-  [[nodiscard]] double value(double t) const override;
-  [[nodiscard]] double derivative(double t) const override;
-
- private:
-  double amplitude_;
-  double omega_;
-  double tau_;
-  double phase_;
-};
-
 /// Symmetric triangle wave. Starts at `offset`, rises to offset+amplitude at
 /// T/4, falls to offset-amplitude at 3T/4, returns to offset at T.
 /// This is the paper's DC-sweep excitation shape.
 class Triangular final : public Waveform {
  public:
   Triangular(double amplitude, double period, double offset = 0.0);
-  [[nodiscard]] double value(double t) const override;
-  [[nodiscard]] double derivative(double t) const override;
-
- private:
-  double amplitude_;
-  double period_;
-  double offset_;
-};
-
-/// Rising sawtooth from offset-amplitude to offset+amplitude each period.
-class Sawtooth final : public Waveform {
- public:
-  Sawtooth(double amplitude, double period, double offset = 0.0);
   [[nodiscard]] double value(double t) const override;
   [[nodiscard]] double derivative(double t) const override;
 

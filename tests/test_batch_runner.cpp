@@ -211,12 +211,13 @@ TEST(BatchRunner, RunPackedExactMatchesRunBitwise) {
   // A mixed workload: packable kDirect and kSystemC sweeps — time drives
   // are planned onto the frontend's own uniform grid and pack too — plus
   // scenarios the planner must refuse (kSystemC with a clamp the process
-  // network hard-codes differently, extension schemes, sub-stepping on a
-  // sweep frontend, bad parameters). a packed run (kExact) must reproduce
-  // run() bit-for-bit on all of them.
+  // network hard-codes differently, a flux drive, sub-stepping on a sweep
+  // frontend, bad parameters). a packed run (kExact) must reproduce run()
+  // bit-for-bit on all of them.
   auto scenarios = material_workload(10);
   scenarios[2].frontend = fc::Frontend::kSystemC;
-  scenarios[3].ja().config.scheme = fm::HIntegrator::kHeun;
+  scenarios[3].drive = fc::FluxDrive{{0.1, 0.2, 0.3, 0.2, 0.1}};
+  scenarios[3].metrics_window.reset();
   scenarios[4].ja().config.substep_max = 50.0;
   scenarios[5].ja().params.c = 1.5;  // invalid -> per-job error via the fallback
   scenarios[6].drive = fc::TimeDrive{std::make_shared<fw::Triangular>(10e3, 0.02),
@@ -248,10 +249,10 @@ TEST(BatchRunner, RunPackedExactMatchesRunBitwise) {
 
 TEST(BatchRunner, RunPackedAllFallbackMatchesRunBitwise) {
   // A scenario list with NO packable lanes (kSystemC outside the kernel's
-  // clamp subset, kAms with an extension integration scheme the trace
-  // planner cannot express): the packed path must take the pure fallback path
-  // for everything and still reproduce run() bit-for-bit — previously this
-  // shape was only exercised implicitly through mixed workloads.
+  // clamp subset, time-driven kDirect with sub-stepping outside the
+  // kernel's lockstep subset): the packed path must take the pure fallback
+  // path for everything and still reproduce run() bit-for-bit — previously
+  // this shape was only exercised implicitly through mixed workloads.
   auto scenarios = material_workload(6);
   for (std::size_t i = 0; i < scenarios.size(); ++i) {
     if (i % 2 == 0) {
@@ -261,11 +262,11 @@ TEST(BatchRunner, RunPackedAllFallbackMatchesRunBitwise) {
       scenarios[i].ja().config.clamp_direction = false;
     } else {
       const double amp = ts::saturation_amplitude(scenarios[i].ja().params);
-      scenarios[i].frontend = fc::Frontend::kAms;
-      scenarios[i].ja().config.scheme = fm::HIntegrator::kHeun;
+      auto& config = scenarios[i].ja().config;
+      config.substep_max = config.dhmax / 4.0;
       scenarios[i].drive = fc::TimeDrive{
           std::make_shared<fw::Triangular>(amp, 0.02), 0.0, 0.04, 200};
-      scenarios[i].metrics_window.reset();  // kAms places its own steps
+      scenarios[i].metrics_window.reset();  // sized for the replaced sweep
     }
   }
   for (const auto& s : scenarios) {

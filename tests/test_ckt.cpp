@@ -2,6 +2,7 @@
 // operating points, and transients with closed-form solutions.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 #include <memory>
@@ -12,6 +13,7 @@
 #include "ckt/netlist.hpp"
 #include "ckt/rlc.hpp"
 #include "ckt/sources.hpp"
+#include "util/constants.hpp"
 #include "wave/standard.hpp"
 
 namespace fk = ferro::ckt;
@@ -283,6 +285,44 @@ TEST(Transient, SineSteadyStateAmplitude) {
     if (sol.t > 0.02) peak = std::max(peak, std::fabs(sol.v(out)));
   }).ok());
   EXPECT_NEAR(peak, 1.0, 0.02);
+}
+
+TEST(Transient, HalfWaveRectifierMeanAndPeak) {
+  // The one diode transient: a half-wave rectifier into a resistive load.
+  // Over two whole 50 Hz periods the output averages to under the ideal
+  // Vp/pi (the diode drop comes off) and peaks about one drop below Vp.
+  fk::Circuit ckt;
+  const auto in = ckt.node("in");
+  const auto out = ckt.node("out");
+  ckt.add<fk::VoltageSource>("V", in, fk::kGround,
+                             std::make_shared<fw::Sine>(5.0, 50.0));
+  ckt.add<fk::Diode>("D", in, out);
+  ckt.add<fk::Resistor>("R", out, fk::kGround, 100.0);
+
+  fk::TransientOptions options;
+  options.t_end = 0.08;
+  options.dt_initial = 1e-6;
+  options.dt_max = 5e-5;
+
+  std::vector<double> t, v;
+  ASSERT_TRUE(fk::run_transient(ckt, options, [&](const fk::Solution& sol) {
+    if (sol.t < 0.04) return;
+    t.push_back(sol.t);
+    v.push_back(sol.v(out));
+  }).ok());
+  ASSERT_GE(t.size(), 2u);
+
+  double area = 0.0;  // trapezoidal integral of v dt
+  double peak = std::fabs(v[0]);
+  for (std::size_t i = 1; i < t.size(); ++i) {
+    area += 0.5 * (v[i] + v[i - 1]) * (t[i] - t[i - 1]);
+    peak = std::max(peak, std::fabs(v[i]));
+  }
+  const double mean = area / (t.back() - t.front());
+  EXPECT_GT(mean, 0.8);
+  EXPECT_LT(mean, 5.0 / ferro::util::kPi);
+  EXPECT_GT(peak, 3.8);
+  EXPECT_LT(peak, 4.7);
 }
 
 TEST(Transient, StatsPopulated) {

@@ -144,11 +144,11 @@ TEST(DcSweep, StatsAndContinuation) {
 
   // Continuation keeps the magnetic state.
   fm::TimelessJa model(params, cfg);
-  (void)fc::continue_dc_sweep(model, sweep);
+  (void)fm::run_sweep(model, sweep);
   const double b_mid = model.flux_density();
   fw::SweepBuilder more(10.0, 10e3);
   more.to(9e3);
-  (void)fc::continue_dc_sweep(model, more.build());
+  (void)fm::run_sweep(model, more.build());
   EXPECT_NE(model.flux_density(), b_mid);
 }
 

@@ -60,19 +60,12 @@ TEST(FrontendPlan, RoutesEveryFrontendAndRefusesWhatItCannotReproduce) {
   }
 
   // The kernel's lockstep subset gates the sweep frontends; the trace
-  // planner unrolls sub-steps, so only the extension schemes gate kAms.
+  // planner unrolls sub-steps, so it does not gate kAms.
   fc::Scenario substep = base_scenario(fc::Frontend::kDirect);
   substep.ja().config.substep_max = 50.0;
   EXPECT_EQ(fc::plan_route(substep), fc::PlanRoute::kFallback);
   substep.frontend = fc::Frontend::kAms;
   EXPECT_EQ(fc::plan_route(substep), fc::PlanRoute::kPackedTrace);
-
-  for (const auto frontend : {fc::Frontend::kDirect, fc::Frontend::kSystemC,
-                              fc::Frontend::kAms}) {
-    fc::Scenario heun = base_scenario(frontend);
-    heun.ja().config.scheme = fm::HIntegrator::kHeun;
-    EXPECT_EQ(fc::plan_route(heun), fc::PlanRoute::kFallback);
-  }
 
   // kSystemC routability is the clamp pair the process network hard-codes.
   fc::Scenario clamps = base_scenario(fc::Frontend::kSystemC);

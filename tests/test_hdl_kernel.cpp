@@ -223,21 +223,3 @@ TEST(Trace, VcdWriterProducesValidStructure) {
   EXPECT_NE(text.find("r1 !"), std::string::npos);
   std::filesystem::remove(path);
 }
-
-TEST(Trace, CsvTracerSamplesSignals) {
-  const std::string path = "test_kernel_trace.csv";
-  fh::Kernel kernel;
-  fh::Signal<double> s(kernel, "sig", 1.5);
-  {
-    fh::CsvTracer tracer(path);
-    tracer.add(s);
-    tracer.sample(fh::SimTime::ns(0));
-    tracer.sample(fh::SimTime::ns(1));
-    EXPECT_TRUE(tracer.write());
-  }
-  std::ifstream in(path);
-  std::string header;
-  std::getline(in, header);
-  EXPECT_EQ(header, "t,sig");
-  std::filesystem::remove(path);
-}

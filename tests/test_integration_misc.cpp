@@ -1,31 +1,19 @@
-// Cross-cutting integration tests: VCD output from the SystemC frontend,
-// kernel edge cases, pulse sources inside the circuit engine, and the
-// measurement toolbox applied to simulated circuits.
+// Cross-cutting integration tests: VCD output from the SystemC frontend and
+// kernel edge cases.
 #include <gtest/gtest.h>
 
-#include <cmath>
 #include <filesystem>
 #include <fstream>
-#include <memory>
+#include <string>
 
-#include "analysis/measure.hpp"
-#include "ckt/diode.hpp"
-#include "ckt/engine.hpp"
-#include "ckt/netlist.hpp"
-#include "ckt/rlc.hpp"
-#include "ckt/sources.hpp"
 #include "core/systemc_ja.hpp"
 #include "hdl/kernel.hpp"
 #include "hdl/signal.hpp"
-#include "wave/pulse.hpp"
-#include "wave/standard.hpp"
 #include "wave/sweep.hpp"
 
 namespace fh = ferro::hdl;
-namespace fk = ferro::ckt;
 namespace fm = ferro::mag;
 namespace fw = ferro::wave;
-namespace fa = ferro::analysis;
 namespace fc = ferro::core;
 
 TEST(VcdIntegration, SystemCSweepWritesViewableTrace) {
@@ -90,95 +78,4 @@ TEST(KernelEdges, DoubleTriggerRunsOnce) {
   kernel.trigger(pid);  // dedup while queued
   kernel.settle();
   EXPECT_EQ(runs, 1);
-}
-
-TEST(PulseInCircuit, BreakpointsMakeCornersExact) {
-  // An RC driven by a PULSE: with source breakpoints the response peak
-  // lands on the analytic value.
-  fk::Circuit ckt;
-  const auto in = ckt.node("in");
-  const auto out = ckt.node("out");
-  auto pulse = std::make_shared<fw::Pulse>(0.0, 1.0, 1e-3, 1e-5, 1e-5, 2e-3,
-                                           10e-3);
-  ckt.add<fk::VoltageSource>("V", in, fk::kGround, pulse);
-  ckt.add<fk::Resistor>("R", in, out, 1000.0);
-  ckt.add<fk::Capacitor>("C", out, fk::kGround, 1e-7, 0.0);  // tau 0.1 ms
-
-  fk::TransientOptions options;
-  options.t_end = 5e-3;
-  options.dt_initial = 1e-6;
-  options.dt_max = 1e-5;
-
-  fa::Trace v_out;
-  ASSERT_TRUE(fk::run_transient(ckt, options, [&](const fk::Solution& sol) {
-    v_out.append(sol.t, sol.v(out));
-  }).ok());
-  // The pulse is ~20 tau wide: the capacitor fully charges.
-  EXPECT_NEAR(fa::peak(v_out, 0.0, 5e-3), 1.0, 5e-3);
-  // And fully discharges after the pulse ends at 3.02 ms.
-  EXPECT_NEAR(v_out.v.back(), 0.0, 5e-3);
-  // Before the delay nothing happens.
-  EXPECT_NEAR(fa::peak(v_out, 0.0, 0.9e-3), 0.0, 1e-9);
-}
-
-TEST(MeasureInCircuit, RectifierThdAndAverage) {
-  // Half-wave rectifier: the output across the load is strongly distorted;
-  // the measurement toolbox quantifies it from the recorded transient.
-  fk::Circuit ckt;
-  const auto in = ckt.node("in");
-  const auto out = ckt.node("out");
-  ckt.add<fk::VoltageSource>("V", in, fk::kGround,
-                             std::make_shared<fw::Sine>(5.0, 50.0));
-  ckt.add<fk::Diode>("D", in, out);
-  ckt.add<fk::Resistor>("R", out, fk::kGround, 100.0);
-
-  fk::TransientOptions options;
-  options.t_end = 0.08;
-  options.dt_initial = 1e-6;
-  options.dt_max = 5e-5;
-
-  fa::Trace v_out;
-  ASSERT_TRUE(fk::run_transient(ckt, options, [&](const fk::Solution& sol) {
-    v_out.append(sol.t, sol.v(out));
-  }).ok());
-
-  // Positive average (rectified), ideal half-wave mean = Vp/pi with the
-  // diode drop knocked off.
-  const double avg = fa::average(v_out, 0.04, 0.08);
-  EXPECT_GT(avg, 0.8);
-  EXPECT_LT(avg, 5.0 / 3.14159);
-
-  // Strong harmonic content: half-wave THD is ~0.44 ideal; diode knee adds
-  // more. Anything far above the pure-sine level proves the measurement.
-  const double distortion = fa::thd(v_out, 0.04, 0.02, 2);
-  EXPECT_GT(distortion, 0.3);
-
-  // Peak below the source peak by about one diode drop.
-  const double pk = fa::peak(v_out, 0.04, 0.08);
-  EXPECT_GT(pk, 3.8);
-  EXPECT_LT(pk, 4.7);
-}
-
-TEST(MeasureInCircuit, RlRiseTime) {
-  fk::Circuit ckt;
-  const auto in = ckt.node("in");
-  const auto mid = ckt.node("mid");
-  ckt.add<fk::VoltageSource>(
-      "V", in, fk::kGround,
-      std::make_shared<fw::Pulse>(0.0, 1.0, 1e-4, 1e-6, 1e-6, 50e-3, 100e-3));
-  ckt.add<fk::Resistor>("R", in, mid, 10.0);
-  ckt.add<fk::Inductor>("L", mid, fk::kGround, 10e-3, 0.0);  // tau = 1 ms
-
-  fk::TransientOptions options;
-  options.t_end = 10e-3;
-  options.dt_initial = 1e-6;
-  options.dt_max = 1e-5;
-
-  fa::Trace i_l;
-  ASSERT_TRUE(fk::run_transient(ckt, options, [&](const fk::Solution& sol) {
-    i_l.append(sol.t, sol.branch_current(1));
-  }).ok());
-  // First-order rise time = tau * ln(9) ~ 2.197 ms.
-  const double tr = fa::rise_time(i_l, 0.1);
-  EXPECT_NEAR(tr, 2.197e-3, 0.1e-3);
 }

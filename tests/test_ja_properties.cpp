@@ -133,15 +133,12 @@ INSTANTIATE_TEST_SUITE_P(
     });
 
 // ---------------------------------------------------------------------------
-// Sweep over integration schemes: scheme-independent invariants.
+// Virgin curve and loop closure of the paper's configuration.
 // ---------------------------------------------------------------------------
 
-class SchemeSweep : public ::testing::TestWithParam<fm::HIntegrator> {};
-
-TEST_P(SchemeSweep, BoundedAndMonotoneOnVirginCurve) {
+TEST(VirginAndClosure, BoundedAndMonotoneOnVirginCurve) {
   fm::TimelessConfig cfg;
   cfg.dhmax = 25.0;
-  cfg.scheme = GetParam();
   fm::TimelessJa ja(fm::paper_parameters(), cfg);
   double prev_m = 0.0;
   for (double h = 0.0; h <= 10e3; h += 10.0) {
@@ -152,10 +149,9 @@ TEST_P(SchemeSweep, BoundedAndMonotoneOnVirginCurve) {
   }
 }
 
-TEST_P(SchemeSweep, LoopClosesWithinTolerance) {
+TEST(VirginAndClosure, LoopClosesWithinTolerance) {
   fm::TimelessConfig cfg;
   cfg.dhmax = 25.0;
-  cfg.scheme = GetParam();
   fm::TimelessJa ja(fm::paper_parameters(), cfg);
   const fw::HSweep sweep = fw::SweepBuilder(10.0).cycles(10e3, 1).build();
   for (const double h : sweep.h) ja.apply(h);
@@ -165,18 +161,6 @@ TEST_P(SchemeSweep, LoopClosesWithinTolerance) {
   for (const double h : second.build().h) ja.apply(h);
   EXPECT_NEAR(ja.flux_density(), b1, 2e-3);
 }
-
-INSTANTIATE_TEST_SUITE_P(Schemes, SchemeSweep,
-                         ::testing::Values(fm::HIntegrator::kForwardEuler,
-                                           fm::HIntegrator::kHeun,
-                                           fm::HIntegrator::kRk4),
-                         [](const auto& info) {
-                           std::string name(fm::to_string(info.param));
-                           for (auto& ch : name) {
-                             if (ch == '-') ch = '_';
-                           }
-                           return name;
-                         });
 
 // ---------------------------------------------------------------------------
 // Minor-loop properties (CLM1): sizes x biases, all contained and closed.

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
 
 #include "ckt/engine.hpp"
 #include "ckt/netlist_parser.hpp"
@@ -41,6 +42,12 @@ TEST(SpiceValue, Malformed) {
   EXPECT_FALSE(fk::parse_spice_value("abc").has_value());
   EXPECT_FALSE(fk::parse_spice_value("1.2.3").has_value());
   EXPECT_FALSE(fk::parse_spice_value("4k7").has_value());
+  // Non-finite values, whatever the spelling, and a scale that overflows.
+  for (const char* token : {"nan", "NaN", "NAN", "inf", "Inf", "-inf", "+inf",
+                            "infinity", "INFINITY", "-Infinity", "1e305t",
+                            "-1e305t", "infk"}) {
+    EXPECT_FALSE(fk::parse_spice_value(token).has_value()) << token;
+  }
 }
 
 TEST(Parser, MinimalDivider) {
@@ -163,6 +170,59 @@ TEST(Parser, RejectsBadSin) {
   auto result = fk::parse_netlist("V1 a 0 SIN(1 2)\n");
   ASSERT_FALSE(result.ok());
   EXPECT_NE(result.errors[0].message.find("SIN"), std::string::npos);
+}
+
+TEST(Parser, RejectsNonFiniteAndOutOfDomainValues) {
+  // Each card sits on line 2 of its deck, behind a valid one; the deck
+  // must fail there instead of aborting on a device assert or building a
+  // circuit that simulates to non-finite node voltages.
+  const char* const kBadCards[] = {
+      "L1 b 0 nan",
+      "C1 b 0 inf",
+      "R1 b 0 1e305t",
+      "V1 b 0 NaN",
+      "V1 b 0 PWL(0 0 1m -inf)",
+      "C1 b 0 1u ic=nan",
+      "D1 a b is=inf",
+      "S1 b 0 t=nan",
+      "V1 b 0 SIN(0 1 0)",
+      "V1 b 0 SIN(0 1 -50)",
+      "V1 b 0 TRI(1 0)",
+      "K1 a 0 b 0 l1=0 l2=1 k=0.5",
+      "K1 a 0 b 0 l1=1 l2=-1m k=0.5",
+      "K1 a 0 b 0 l1=nan l2=1 k=0.5",
+      "Y1 b 0 area=1e-4 path=0.1 turns=100 dhmax=0",
+      "Y1 b 0 area=1e-4 path=0.1 turns=100 dhmax=nan",
+      "Y1 b 0 area=1e-4 path=0.1 turns=nan",
+      "Y1 b 0 area=1e-4 path=0.1 turns=1e30",
+      "Y1 b 0 area=1e-4 path=0.1 turns=2.7",
+      "Y1 b 0 area=1e-4 path=0.1 turns=0",
+      "Y1 b 0 area=1e-4 path=0 turns=100",
+      "Y1 b 0 area=-1e-4 path=0.1 turns=100",
+      "Y1 b 0 area=inf path=0.1 turns=100",
+      "T1 a 0 b 0 area=1e-4 path=0.1 turns=100 ns=nan",
+      "T1 a 0 b 0 area=1e-4 path=0.1 turns=100 ns=2.5",
+      "T1 a 0 b 0 area=1e-4 path=0.1 turns=100 ns=0",
+      "T1 a 0 b 0 area=1e-4 path=0.1 turns=100 ns=1e10",
+      "T1 a 0 b 0 area=1e-4 path=0 turns=100 ns=50",
+      "T1 a 0 b 0 area=1e-4 path=0.1 turns=100 ns=50 dhmax=-1",
+      ".tran 1u nan",
+  };
+  for (const char* card : kBadCards) {
+    const auto result = fk::parse_netlist(std::string("R0 a 0 1k\n") + card);
+    ASSERT_FALSE(result.ok()) << card;
+    ASSERT_EQ(result.errors.size(), 1u) << card;
+    EXPECT_EQ(result.errors[0].line, 2u) << card;
+  }
+}
+
+TEST(Parser, WholeTurnsAtTheirBoundsParse) {
+  const auto result = fk::parse_netlist(
+      "V1 a 0 SIN(0 1 50)\n"
+      "Y1 a 0 area=1e-4 path=0.1 turns=1\n"
+      "T1 a 0 b 0 area=1e-4 path=0.1 turns=2147483647 ns=1e3\n"
+      "R1 b 0 1k\n");
+  ASSERT_TRUE(result.ok()) << result.errors[0].message;
 }
 
 TEST(Parser, ParseThenSimulateRcStep) {

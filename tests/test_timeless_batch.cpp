@@ -112,9 +112,6 @@ TEST(TimelessJaBatch, SupportsOnlyTheLockstepSubset) {
   config.clamp_negative_slope = false;  // clamp flags are free
   EXPECT_TRUE(fm::TimelessJaBatch::supports(config));
   config = {};
-  config.scheme = fm::HIntegrator::kHeun;
-  EXPECT_FALSE(fm::TimelessJaBatch::supports(config));
-  config = {};
   config.substep_max = 100.0;
   EXPECT_FALSE(fm::TimelessJaBatch::supports(config));
 }

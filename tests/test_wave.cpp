@@ -1,29 +1,21 @@
-// Unit tests for ferro::wave — waveform shapes, PWL, combinators, sweeps.
+// Unit tests for ferro::wave — waveform shapes, PWL, sweeps.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
-#include <filesystem>
-#include <memory>
 
 #include "util/constants.hpp"
-#include "wave/composite.hpp"
 #include "wave/pwl.hpp"
-#include "wave/sampler.hpp"
 #include "wave/standard.hpp"
 #include "wave/sweep.hpp"
 
 namespace fw = ferro::wave;
 
-TEST(StandardWave, ConstantAndRamp) {
+TEST(StandardWave, Constant) {
   const fw::Constant c(5.0);
   EXPECT_DOUBLE_EQ(c.value(0.0), 5.0);
   EXPECT_DOUBLE_EQ(c.value(123.0), 5.0);
   EXPECT_DOUBLE_EQ(c.derivative(7.0), 0.0);
-
-  const fw::Ramp r(2.0, 1.0);
-  EXPECT_DOUBLE_EQ(r.value(0.0), 1.0);
-  EXPECT_DOUBLE_EQ(r.value(3.0), 7.0);
-  EXPECT_DOUBLE_EQ(r.derivative(100.0), 2.0);
 }
 
 TEST(StandardWave, Step) {
@@ -44,18 +36,6 @@ TEST(StandardWave, SineOffsetPhase) {
   EXPECT_NEAR(s.value(0.0), 11.0, 1e-12);
 }
 
-TEST(StandardWave, DampedSineDecays) {
-  const fw::DampedSine d(1.0, 10.0, 0.1);
-  const double early = std::fabs(d.value(0.025));
-  const double late = std::fabs(d.value(0.925));
-  EXPECT_GT(early, late);
-  // Numeric vs analytic derivative agreement.
-  const double t = 0.0371;
-  const double h = 1e-7;
-  const double numeric = (d.value(t + h) - d.value(t - h)) / (2.0 * h);
-  EXPECT_NEAR(d.derivative(t), numeric, 1e-4);
-}
-
 TEST(StandardWave, TriangularShape) {
   const fw::Triangular tri(1.0, 4.0);  // amplitude 1, period 4
   EXPECT_DOUBLE_EQ(tri.value(0.0), 0.0);
@@ -71,14 +51,6 @@ TEST(StandardWave, TriangularShape) {
 TEST(StandardWave, TriangularNegativeTime) {
   const fw::Triangular tri(1.0, 4.0);
   EXPECT_NEAR(tri.value(-1.0), -1.0, 1e-12);  // periodic extension
-}
-
-TEST(StandardWave, SawtoothShape) {
-  const fw::Sawtooth saw(2.0, 1.0);
-  EXPECT_DOUBLE_EQ(saw.value(0.0), -2.0);
-  EXPECT_NEAR(saw.value(0.5), 0.0, 1e-12);
-  EXPECT_NEAR(saw.value(0.999), 2.0, 1e-2);
-  EXPECT_DOUBLE_EQ(saw.derivative(0.3), 4.0);
 }
 
 TEST(Pwl, InterpolationAndClamping) {
@@ -107,28 +79,6 @@ TEST(Pwl, Breakpoints) {
   const auto bp = pwl.breakpoints();
   ASSERT_EQ(bp.size(), 3u);
   EXPECT_DOUBLE_EQ(bp[1], 1.0);
-}
-
-TEST(Composite, SumAffineProductClip) {
-  auto one = std::make_shared<fw::Constant>(1.0);
-  auto ramp = std::make_shared<fw::Ramp>(1.0);
-  const fw::Sum sum({one, ramp});
-  EXPECT_DOUBLE_EQ(sum.value(2.0), 3.0);
-  EXPECT_DOUBLE_EQ(sum.derivative(2.0), 1.0);
-
-  const fw::Affine affine(ramp, 3.0, -1.0);
-  EXPECT_DOUBLE_EQ(affine.value(2.0), 5.0);
-  EXPECT_DOUBLE_EQ(affine.derivative(2.0), 3.0);
-
-  const fw::Product product(ramp, ramp);  // t^2
-  EXPECT_DOUBLE_EQ(product.value(3.0), 9.0);
-  EXPECT_DOUBLE_EQ(product.derivative(3.0), 6.0);
-
-  const fw::Clip clip(ramp, 0.0, 1.5);
-  EXPECT_DOUBLE_EQ(clip.value(1.0), 1.0);
-  EXPECT_DOUBLE_EQ(clip.value(2.0), 1.5);
-  EXPECT_DOUBLE_EQ(clip.derivative(2.0), 0.0);
-  EXPECT_DOUBLE_EQ(clip.derivative(1.0), 1.0);
 }
 
 TEST(Sweep, ToSegmentSpacingAndEndpoint) {
@@ -196,14 +146,3 @@ TEST(Sweep, FindTurningPointsHandlesPlateaus) {
   EXPECT_EQ(turns[1], 5u);  // valley at index 5 (value 0.0)
 }
 
-TEST(Sampler, UniformSamplingAndCsv) {
-  const fw::Ramp ramp(2.0);
-  const auto samples = fw::sample_uniform(ramp, 0.0, 1.0, 11);
-  ASSERT_EQ(samples.size(), 11u);
-  EXPECT_DOUBLE_EQ(samples[5].t, 0.5);
-  EXPECT_DOUBLE_EQ(samples[5].v, 1.0);
-
-  const std::string path = "test_wave_samples.csv";
-  EXPECT_TRUE(fw::write_samples_csv(path, samples));
-  std::filesystem::remove(path);
-}
