@@ -1,17 +1,16 @@
-// BATCH — serial vs parallel scenario throughput through BatchRunner, and
-// the SoA packed path (TimelessJaBatch) against the per-scenario path.
+// BATCH — scenario throughput through BatchRunner (which plans and packs
+// every run into SoA lane blocks) against a serial run_scenario loop.
 //
 // Two workloads:
 //   * heterogeneous: the material library tiled with per-scenario dhmax
-//     jitter (the original PR-1 determinism workload);
+//     jitter (the original determinism workload);
 //   * homogeneous: 64 scenarios of one material and one sweep shape with
 //     dhmax jitter only — the shape the packed path is built for.
 //
-// The report section checks that every thread count reproduces the serial
-// results bit-for-bit and that Packing::kExact matches plain run() bit-for-bit;
-// the timing section measures scenarios/second for plain, packed-exact and
-// packed-fast runs. The PR acceptance threshold is the packed path at >= 1.5x
-// run() on the homogeneous workload at equal thread count.
+// The report section checks that run() at every thread count reproduces
+// run_scenario bit-for-bit; the timing section measures scenarios/second
+// for the serial run_scenario baseline and for packed-exact and
+// packed-fast runs.
 #include <cstdio>
 
 #include "bench_common.hpp"
@@ -88,31 +87,33 @@ bool identical(const std::vector<core::ScenarioResult>& a,
   return true;
 }
 
+/// The per-scenario oracle: run_scenario over the batch on this thread.
+std::vector<core::ScenarioResult> run_serial(
+    const std::vector<core::Scenario>& scenarios) {
+  std::vector<core::ScenarioResult> results;
+  results.reserve(scenarios.size());
+  for (const auto& s : scenarios) results.push_back(core::run_scenario(s));
+  return results;
+}
+
 void report() {
   benchutil::header("BATCH", "BatchRunner determinism across thread counts");
 
   const auto scenarios = heterogeneous_workload();
-  const auto serial = core::BatchRunner({.threads = 1}).run(scenarios);
+  const auto serial = run_serial(scenarios);
 
   std::printf("  %-16s %10s %10s\n", "threads", "jobs", "identical");
-  for (const unsigned threads : {2u, 4u, 8u, 0u}) {
+  for (const unsigned threads : {1u, 2u, 4u, 8u, 0u}) {
     const core::BatchRunner runner({.threads = threads});
-    const auto parallel = runner.run(scenarios);
+    const auto packed = runner.run(scenarios);
     std::printf("  %-16u %10zu %10s\n",
-                runner.resolved_threads(scenarios.size()), parallel.size(),
-                identical(serial, parallel) ? "yes" : "NO");
-  }
-  for (const unsigned threads : {1u, 4u}) {
-    const core::BatchRunner runner({.threads = threads});
-    const auto packed =
-        runner.run(scenarios, {.packing = core::Packing::kExact});
-    std::printf("  %-4u (packed)    %10zu %10s\n",
                 runner.resolved_threads(scenarios.size()), packed.size(),
                 identical(serial, packed) ? "yes" : "NO");
   }
   benchutil::footnote(
-      "jobs are claimed from per-worker deques (work-stealing) and write "
-      "their own result slots; Packing::kExact lanes execute the exact "
+      "rows are run() (packed, kExact) against a serial run_scenario loop: "
+      "lane blocks are claimed from per-worker deques (work-stealing) and "
+      "write their own result slots, and kExact lanes execute the exact "
       "scalar arithmetic, so every row must compare bitwise equal.");
 }
 
@@ -138,22 +139,18 @@ BENCHMARK(bm_batch)
     ->MeasureProcessCPUTime()
     ->UseRealTime();
 
-/// The acceptance workload: 64 homogeneous kDirect sweeps, per-scenario
-/// path vs the SoA packed path at the same thread count.
-void bm_homogeneous_run(benchmark::State& state) {
+/// The acceptance workload: 64 homogeneous kDirect sweeps, the serial
+/// run_scenario baseline vs the SoA packed path.
+void bm_homogeneous_serial(benchmark::State& state) {
   const auto scenarios = homogeneous_workload();
-  const core::BatchRunner runner(
-      {.threads = static_cast<unsigned>(state.range(0))});
   for (auto _ : state) {
-    auto results = runner.run(scenarios);
+    auto results = run_serial(scenarios);
     benchmark::DoNotOptimize(results);
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(scenarios.size()));
 }
-BENCHMARK(bm_homogeneous_run)
-    ->Arg(1)
-    ->Arg(0)
+BENCHMARK(bm_homogeneous_serial)
     ->Unit(benchmark::kMillisecond)
     ->MeasureProcessCPUTime()
     ->UseRealTime();
@@ -207,24 +204,19 @@ std::vector<core::Scenario> ams_workload() {
   return scenarios;
 }
 
-/// The kAms acceptance pair: per-scenario run() (solver re-run per lane)
-/// vs the packed plan/execute pipeline, exact and fast, at equal thread
-/// count. The acceptance bar is packed beating the fallback on this
-/// workload.
-void bm_ams_run(benchmark::State& state) {
+/// The kAms pair: the serial run_scenario baseline (solver re-run per
+/// scenario) vs the packed plan/execute pipeline, exact and fast. The bar
+/// is packed at one thread beating the baseline on this workload.
+void bm_ams_serial(benchmark::State& state) {
   const auto scenarios = ams_workload();
-  const core::BatchRunner runner(
-      {.threads = static_cast<unsigned>(state.range(0))});
   for (auto _ : state) {
-    auto results = runner.run(scenarios);
+    auto results = run_serial(scenarios);
     benchmark::DoNotOptimize(results);
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(scenarios.size()));
 }
-BENCHMARK(bm_ams_run)
-    ->Arg(1)
-    ->Arg(0)
+BENCHMARK(bm_ams_serial)
     ->Unit(benchmark::kMillisecond)
     ->MeasureProcessCPUTime()
     ->UseRealTime();

@@ -8,16 +8,22 @@
 // is monotonic within a process, any increase after the collect phase is
 // memory the streaming phase never needed.
 //
+// A first table streams time-driven batches of 4096 and 16384 scenarios,
+// each in a child forked before anything else ran, so its peak RSS is that
+// run's alone: each lane block samples its time drives just before its
+// kernel reads them, so the peak is the lane blocks and queue in flight,
+// the same at either size.
+//
 // The timing section compares collected run() against the sink overload with a
 // do-nothing sink (pure pipeline overhead: queue hand-off + consumer
 // thread), a JSONL file sink (a consumer slow enough to fill the queue, so
 // the bound meets the lane blocks' bursts), an OrderedSink (re-sequencing
 // cost), and a tiny queue (backpressure pressure-test). Both sections also
-// count minor page faults (getrusage ru_minflt) per scenario: the packed
-// streaming path reuses the curve storage of results the sink drops, so it
-// should fault close to nothing once warm, where fresh curves fault in
-// every page.
+// count minor page faults (getrusage ru_minflt) per scenario: the streaming
+// path reuses the curve storage of results the sink drops, so it should
+// fault close to nothing once warm, where fresh curves fault in every page.
 #include <sys/resource.h>
+#include <sys/wait.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -31,7 +37,9 @@
 #include "core/batch_runner.hpp"
 #include "core/result_sink.hpp"
 #include "core/stream_sinks.hpp"
+#include "mag/energy_based.hpp"
 #include "mag/ja_params.hpp"
+#include "wave/standard.hpp"
 #include "wave/sweep.hpp"
 
 namespace {
@@ -72,6 +80,38 @@ std::vector<core::Scenario> workload(std::size_t count,
   return scenarios;
 }
 
+/// `count` time drives of 4000 samples over two triangular cycles: kDirect
+/// and kSystemC JA lanes walking the material library, every eighth a
+/// quasi-static energy lane. Scenarios of one material share its waveform.
+std::vector<core::Scenario> time_workload(std::size_t count) {
+  const auto& library = mag::material_library();
+  std::vector<std::shared_ptr<const wave::Waveform>> waveforms;
+  for (const auto& material : library) {
+    waveforms.push_back(std::make_shared<wave::Triangular>(
+        5.0 * (material.params.a + material.params.k), 0.02));
+  }
+  std::vector<core::Scenario> scenarios;
+  scenarios.reserve(count);
+  for (std::size_t i = 0; i < count; ++i) {
+    const auto& material = library[i % library.size()];
+    const double amp = 5.0 * (material.params.a + material.params.k);
+    core::Scenario s;
+    s.name = material.name + "#t" + std::to_string(i);
+    if (i % 8 == 7) {
+      s.model = core::EnergySpec{mag::energy_reference_parameters()};
+    } else {
+      core::JaSpec spec;
+      spec.params = material.params;
+      spec.config.dhmax = amp / (300.0 + 10.0 * static_cast<double>(i % 8));
+      s.model = spec;
+      if (i % 2 == 1) s.frontend = core::Frontend::kSystemC;
+    }
+    s.drive = core::TimeDrive{waveforms[i % library.size()], 0.0, 0.04, 4000};
+    scenarios.push_back(std::move(s));
+  }
+  return scenarios;
+}
+
 /// The timing section's batch: 1024 sweeps of 3000 samples, the shape of a
 /// material sweep. A streaming run recycles at most one lane block per
 /// worker plus the queue's worth of curves, so with a batch this size most
@@ -90,9 +130,8 @@ long minor_faults() {
   return usage.ru_minflt;
 }
 
-void report() {
-  benchutil::header("STREAM", "streaming pipeline vs collect-then-return");
-
+/// The sweep table: one process, phases in order of growing peak RSS.
+void sweep_memory_table() {
   // Big enough that the collected results dominate RSS: 256 scenarios x
   // 2 cycles x 2000 samples/leg x 24 B/point ~ 49 MiB of curves.
   const auto scenarios = workload(256, 2000);
@@ -106,10 +145,10 @@ void report() {
   const long rss_stream = peak_rss_kb();
   const double faults_stream = static_cast<double>(minor_faults() - faults) / n;
   faults = minor_faults();
-  NullSink packed_sink;
-  (void)runner.run(scenarios, packed_sink, {.packing = core::Packing::kFast});
-  const long rss_packed = peak_rss_kb();
-  const double faults_packed = static_cast<double>(minor_faults() - faults) / n;
+  NullSink fast_sink;
+  (void)runner.run(scenarios, fast_sink, {.packing = core::Packing::kFast});
+  const long rss_fast = peak_rss_kb();
+  const double faults_fast = static_cast<double>(minor_faults() - faults) / n;
   faults = minor_faults();
   const auto collected = runner.run(scenarios);
   const long rss_collect = peak_rss_kb();
@@ -125,8 +164,8 @@ void report() {
   std::printf("  %-34s %9ld KiB\n", "before batches", rss_before);
   std::printf("  %-34s %9ld KiB %16.1f\n", "after streaming (NullSink)",
               rss_stream, faults_stream);
-  std::printf("  %-34s %9ld KiB %16.1f\n", "after packed kFast streaming",
-              rss_packed, faults_packed);
+  std::printf("  %-34s %9ld KiB %16.1f\n", "after kFast streaming",
+              rss_fast, faults_fast);
   std::printf("  %-34s %9ld KiB %16.1f\n", "after collect (run())",
               rss_collect, faults_collect);
   std::printf("  streamed %zu results ok=%d; curve payload %.1f MiB "
@@ -138,9 +177,63 @@ void report() {
       "ru_maxrss is monotonic: growth between the streaming and collect "
       "rows is memory only collect-then-return needed. Streaming keeps at "
       "most queue_capacity results in flight. faults/scenario is the "
-      "ru_minflt delta of each phase over its scenarios; the first packed "
-      "run of a process still maps its recycled set once, so "
+      "ru_minflt delta of each phase over its scenarios; the first "
+      "streaming run of a process still maps its recycled set once, so "
       "bm_stream_null_sink's steady-state counter is the figure to track.");
+}
+
+/// Streams time_workload(count) into a NullSink in a forked child and
+/// returns its scenarios/s and peak RSS (KiB): ru_maxrss only grows within
+/// a process, so each row needs a process of its own. Call with no other
+/// thread running and nothing large allocated.
+std::pair<double, long> time_drive_row(std::size_t count) {
+  int fds[2];
+  if (::pipe(fds) != 0) return {0.0, 0};
+  const pid_t pid = ::fork();
+  if (pid == 0) {
+    ::close(fds[0]);
+    const auto scenarios = time_workload(count);
+    NullSink sink;
+    const auto t0 = std::chrono::steady_clock::now();
+    (void)core::BatchRunner().run(scenarios, sink);
+    const double rate =
+        static_cast<double>(count) /
+        std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
+            .count();
+    const bool sent = ::write(fds[1], &rate, sizeof rate) == sizeof rate;
+    ::_exit(sent ? 0 : 1);
+  }
+  ::close(fds[1]);
+  double rate = 0.0;
+  if (pid < 0 || ::read(fds[0], &rate, sizeof rate) != sizeof rate) rate = 0.0;
+  ::close(fds[0]);
+  rusage usage{};
+  int status = 0;
+  if (pid > 0) ::wait4(pid, &status, 0, &usage);
+  return {rate, usage.ru_maxrss};
+}
+
+void time_drive_table() {
+  std::printf("  %-34s %12s %16s\n", "time-driven batch (streamed)",
+              "peak RSS", "scenarios/s");
+  for (const std::size_t count : {std::size_t{4096}, std::size_t{16384}}) {
+    const auto [rate, rss] = time_drive_row(count);
+    std::printf("  %-34s %9ld KiB %16.0f\n",
+                (std::to_string(count) + " x 4000 samples").c_str(), rss,
+                rate);
+  }
+  benchutil::footnote(
+      "one forked process per row, hardware threads, kExact, NullSink. "
+      "Lane blocks sample their time drives just before their kernels read "
+      "them, so the peak is the blocks and queue in flight, not the batch.");
+}
+
+void report() {
+  benchutil::header("STREAM", "streaming pipeline vs collect-then-return");
+  // The forks first: a child starts from its parent's resident set.
+  time_drive_table();
+  std::printf("\n");
+  sweep_memory_table();
 }
 
 void bm_collect(benchmark::State& state) {
@@ -161,17 +254,14 @@ BENCHMARK(bm_collect)
     ->MeasureProcessCPUTime()
     ->UseRealTime();
 
-/// Args: threads (0 = hardware), packing (0 = kNone, 1 = packed kFast).
-/// minflt_per_item is the process's minor page faults over the timed loop
-/// per streamed scenario — the curve-storage churn the packed path's
-/// recycling removes.
+/// Args: threads (0 = hardware); kFast. minflt_per_item is the process's
+/// minor page faults over the timed loop per streamed scenario — the
+/// curve-storage churn the streaming path's recycling removes.
 void bm_stream_null_sink(benchmark::State& state) {
   const auto scenarios = timed_workload();
   const core::BatchRunner runner(
       {.threads = static_cast<unsigned>(state.range(0))});
-  const core::RunOptions options{
-      .packing = state.range(1) != 0 ? core::Packing::kFast
-                                     : core::Packing::kNone};
+  const core::RunOptions options{.packing = core::Packing::kFast};
   const long faults = minor_faults();
   for (auto _ : state) {
     NullSink sink;
@@ -185,11 +275,9 @@ void bm_stream_null_sink(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(items));
 }
 BENCHMARK(bm_stream_null_sink)
-    ->Args({1, 0})
-    ->Args({0, 0})
-    ->Args({1, 1})
-    ->Args({0, 1})
-    ->ArgNames({"threads", "packed"})
+    ->Arg(1)
+    ->Arg(0)
+    ->ArgName("threads")
     ->Unit(benchmark::kMillisecond)
     ->MeasureProcessCPUTime()
     ->UseRealTime();

@@ -53,22 +53,20 @@ int main() {
     scenarios.push_back(std::move(s));
     scenarios.back().frontend = frontend;
   }
-  const core::BatchRunner runner({.threads = 0});
-  const auto serial = runner.run(scenarios);
-  const auto packed = runner.run(scenarios, {.packing = core::Packing::kExact});
+  const auto packed = core::BatchRunner({.threads = 0}).run(scenarios);
 
   std::printf("\npacked plan/execute pipeline vs the serial frontends:\n");
   const mag::BhCurve* reference[] = {&direct, &systemc, &ams};
   for (std::size_t i = 0; i < scenarios.size(); ++i) {
+    const core::ScenarioResult serial = core::run_scenario(scenarios[i]);
     const auto d = analysis::compare_pointwise(*reference[i],
                                                packed[i].curve);
     const bool stats_match =
-        serial[i].stats.samples == packed[i].stats.samples &&
-        serial[i].stats.field_events == packed[i].stats.field_events &&
-        serial[i].stats.integration_steps ==
-            packed[i].stats.integration_steps &&
-        serial[i].stats.slope_clamps == packed[i].stats.slope_clamps &&
-        serial[i].stats.direction_clamps == packed[i].stats.direction_clamps;
+        serial.stats.samples == packed[i].stats.samples &&
+        serial.stats.field_events == packed[i].stats.field_events &&
+        serial.stats.integration_steps == packed[i].stats.integration_steps &&
+        serial.stats.slope_clamps == packed[i].stats.slope_clamps &&
+        serial.stats.direction_clamps == packed[i].stats.direction_clamps;
     std::printf(
         "  %-8s: max dB vs serial = %.3e T%s | samples %llu, events %llu, "
         "steps %llu, clamps %llu (%s)\n",

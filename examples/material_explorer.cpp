@@ -2,11 +2,11 @@
 // loop and tabulates the figure-of-merit set an engineer reads off a BH
 // curve: saturation flux density, remanence, coercivity, loss per cycle.
 //
-// The materials are independent jobs, so they go through BatchRunner's
-// packed path: every scenario here is a plain kDirect sweep, so packed run()
-// routes the whole library through the SoA batch kernel (TimelessJaBatch)
-// in lane blocks — results in library order, bitwise identical to the
-// per-scenario path in the default exact mode.
+// The materials are independent jobs, so they go through BatchRunner:
+// every scenario here is a plain kDirect sweep, so run() routes the whole
+// library through the SoA batch kernel (TimelessJaBatch) in lane blocks —
+// results in library order, bitwise run_scenario's in the default exact
+// mode.
 //
 // Flags:
 //   --fast    opt into the FastMath lane (bounded error, ~2x throughput)

@@ -28,9 +28,10 @@ std::size_t layout_unknowns(Circuit& circuit) {
 }
 
 enum class NewtonOutcome {
-  kSingular,  ///< the MNA matrix did not factor; the iterate is unchanged
-  kMoving,    ///< the iterate moved past the tolerances
-  kSettled,   ///< converged, and past the seed iterate if the circuit is nonlinear
+  kSingular,   ///< the MNA matrix did not factor; the iterate is unchanged
+  kNonFinite,  ///< the solve came back NaN/Inf; the iterate is unchanged
+  kMoving,     ///< the iterate moved past the tolerances
+  kSettled,    ///< converged, and past the seed iterate if the circuit is nonlinear
 };
 
 /// The stamp half of one Newton (successive-linearisation) iteration at the
@@ -62,7 +63,9 @@ bool solve_system(detail::NewtonScratch& scratch) {
 }
 
 /// The conclude half: count the iteration, test convergence of `x_new`
-/// against `x`, and move `x` to the new iterate.
+/// against `x`, and move `x` to the new iterate. A non-finite `x_new` is a
+/// failed iteration that leaves `x` alone: the tolerance test below is
+/// false for NaN, so it would otherwise settle.
 NewtonOutcome conclude_iteration(const EvalContext& ctx,
                                  const EngineOptions& options, bool nonlinear,
                                  std::size_t nodes, bool solved,
@@ -74,6 +77,9 @@ NewtonOutcome conclude_iteration(const EvalContext& ctx,
     return NewtonOutcome::kSingular;
   }
   ++stats.newton_iterations;
+  for (const double v : x_new) {
+    if (!std::isfinite(v)) return NewtonOutcome::kNonFinite;
+  }
 
   // Convergence: voltages and currents checked against their own
   // tolerances (SPICE reltol simplified to absolute tolerances here).
@@ -105,6 +111,7 @@ bool solve_point(Circuit& circuit, EvalContext ctx, const EngineOptions& options
     switch (conclude_iteration(ctx, options, nonlinear, circuit.node_count(),
                                solved, x, scratch.x_new, stats)) {
       case NewtonOutcome::kSingular:
+      case NewtonOutcome::kNonFinite:
         return false;
       case NewtonOutcome::kSettled:
         return true;
@@ -266,10 +273,21 @@ void TransientMachine::accept_step() {
   prepare_step();
 }
 
-void TransientMachine::reject_step() {
+void TransientMachine::reject_step(bool non_finite) {
   ++stats_->steps_rejected;
   if (dt_ <= options_.dt_min * 4.0) {
     ++stats_->hard_failures;
+    if (non_finite) {
+      // A non-finite state is never accepted: the run ends here.
+      if (error_.ok()) {
+        error_ = core::make_error(
+            core::ErrorCode::kNonFinite,
+            "transient step produced a non-finite solution at dt_min (t = " +
+                std::to_string(ctx_.t) + " s); run stopped");
+      }
+      done_ = true;
+      return;
+    }
     ++stats_->forced_accepts;
     if (error_.ok()) {
       error_ = core::make_error(
@@ -298,7 +316,10 @@ void TransientMachine::conclude(bool solved) {
   switch (conclude_iteration(ctx_, options_.engine, needs_iteration_, nodes_,
                              solved, x_trial_, newton_.x_new, *stats_)) {
     case NewtonOutcome::kSingular:
-      reject_step();
+      reject_step(false);
+      return;
+    case NewtonOutcome::kNonFinite:
+      reject_step(true);
       return;
     case NewtonOutcome::kSettled:
       accept_step();
@@ -310,7 +331,7 @@ void TransientMachine::conclude(bool solved) {
     // A linear circuit is accepted after its single solve either way
     // (solve_point's `return !nonlinear` fall-through).
     if (needs_iteration_) {
-      reject_step();
+      reject_step(false);
     } else {
       accept_step();
     }

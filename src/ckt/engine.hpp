@@ -12,7 +12,8 @@
 // Two layers:
 //   * run_transient()/solve_dc() — the structured API: options validated up
 //     front (core::ErrorCode::kInvalidScenario), Newton non-convergence and
-//     dt-collapse latched as kSolverDiverged, RunLimits honoured as
+//     dt-collapse latched as kSolverDiverged, a persistently non-finite
+//     solution as kNonFinite, RunLimits honoured as
 //     kCancelled/kDeadlineExceeded. What the engine had to do along the way
 //     (singular matrices, forced accepts) is counted in CircuitStats, not
 //     logged.
@@ -64,7 +65,8 @@ struct CircuitStats {
   std::uint64_t steps_accepted = 0;
   std::uint64_t steps_rejected = 0;
   std::uint64_t newton_iterations = 0;
-  std::uint64_t hard_failures = 0;      ///< DC failures plus forced accepts
+  std::uint64_t hard_failures = 0;      ///< DC failures, forced accepts and
+                                        ///< non-finite stops
   std::uint64_t singular_matrices = 0;  ///< iterations on a singular MNA matrix
   std::uint64_t forced_accepts = 0;     ///< steps accepted unconverged at dt_min
 };
@@ -131,6 +133,9 @@ using SolutionCallback = std::function<void(const Solution&)>;
 ///     dt_min and was force-accepted (the waveform still completes — the
 ///     error reports that its accuracy is compromised; stats->forced_accepts
 ///     counts every such step);
+///   * kNonFinite — Newton iterates kept coming back NaN/Inf down to dt_min.
+///     A non-finite iterate never settles and is never force-accepted: the
+///     run stops at the last accepted (finite) point;
 ///   * kCancelled / kDeadlineExceeded — `limits` stopped the run at a step
 ///     boundary; the waveform up to that point was delivered;
 ///   * Error{} (ok) — clean run. stats->hard_failures counts every
@@ -171,8 +176,8 @@ class TransientMachine {
   TransientMachine(const TransientMachine&) = delete;
   TransientMachine& operator=(const TransientMachine&) = delete;
 
-  /// True once t_end was reached or the gate stopped the run; advance() is
-  /// a no-op afterwards.
+  /// True once t_end was reached, the gate stopped the run or a non-finite
+  /// solution persisted to dt_min; advance() is a no-op afterwards.
   [[nodiscard]] bool done() const { return done_; }
 
   /// First structured failure latched so far (ok while the run is clean).
@@ -216,7 +221,9 @@ class TransientMachine {
  private:
   void prepare_step();
   void accept_step();
-  void reject_step();
+  /// Shrinks dt, or at dt_min force-accepts — unless the failed iteration
+  /// was `non_finite`, which ends the run with kNonFinite instead.
+  void reject_step(bool non_finite);
 
   Circuit& circuit_;
   TransientOptions options_;

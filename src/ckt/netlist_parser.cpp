@@ -311,6 +311,10 @@ ParseResult parse_netlist(std::string_view text, const ScatterHook& hook) {
         fail(".tran has malformed numbers");
         continue;
       }
+      if (!(*dt > 0.0) || !(*t_end > 0.0)) {
+        fail(".tran <dt_max> and <t_end> must be > 0");
+        continue;
+      }
       netlist.tran = TranDirective{*dt, *t_end};
       continue;
     }
@@ -427,6 +431,10 @@ ParseResult parse_netlist(std::string_view text, const ScatterHook& hook) {
         const auto n = option_value(kv, "n", error);
         if (!error.empty()) {
           fail(name + ": " + error);
+          break;
+        }
+        if (!(is.value_or(1e-14) > 0.0) || !(n.value_or(1.0) > 0.0)) {
+          fail(name + ": is= and n= must be > 0");
           break;
         }
         const double i_sat = scattered("is", is.value_or(1e-14));

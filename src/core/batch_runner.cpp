@@ -14,6 +14,7 @@
 #include "core/result_sink.hpp"
 #include "mag/energy_based_batch.hpp"
 #include "mag/ja_trace.hpp"
+#include "wave/sweep.hpp"
 
 namespace ferro::core {
 
@@ -71,49 +72,6 @@ ThreadPool& BatchRunner::pool() const {
   return *pool_;
 }
 
-void BatchRunner::dispatch(const std::vector<Scenario>& scenarios,
-                           const EmitFn& emit, RunGate& gate) const {
-  if (scenarios.empty()) return;
-
-  // Every job emits its own index exactly once, whether it computed or was
-  // cancelled, so the result mapping never depends on scheduling OR on when
-  // the gate fired.
-  const auto run_one = [&](std::size_t i, bool stopped) {
-    if (stopped || gate.stopped()) {
-      gate.count_cancelled();
-      ScenarioResult r;
-      r.name = scenarios[i].name;
-      r.model = scenarios[i].kind();
-      r.error = gate.stop_error();
-      emit(i, std::move(r));
-      return;
-    }
-    ScenarioResult r = run_scenario(scenarios[i]);
-    if (!r.ok()) gate.count_failure();
-    emit(i, std::move(r));
-  };
-
-  if (resolved_threads(scenarios.size()) <= 1) {
-    for (std::size_t i = 0; i < scenarios.size(); ++i) run_one(i, false);
-    return;
-  }
-
-  // Scenario jobs are coarse, so one job per chunk lets the work-stealing
-  // deques balance heterogeneous runtimes — and gives cancellation
-  // per-scenario granularity.
-  pool().parallel_for(
-      scenarios.size(), 1,
-      [&](std::size_t begin, std::size_t end, bool stopped) {
-        for (std::size_t i = begin; i < end; ++i) run_one(i, stopped);
-      },
-      [&] { return gate.stopped(); });
-}
-
-std::vector<ScenarioResult> BatchRunner::run(
-    const std::vector<Scenario>& scenarios) const {
-  return run(scenarios, RunOptions{}, nullptr);
-}
-
 std::vector<ScenarioResult> BatchRunner::run(
     const std::vector<Scenario>& scenarios, const RunOptions& options,
     BatchReport* report) const {
@@ -125,25 +83,12 @@ std::vector<ScenarioResult> BatchRunner::run(
   };
   // The caller keeps every result, so no storage is recycled.
   CurveRecycler recycled(0);
-  execute(scenarios, options.packing, emit, gate, recycled);
+  dispatch_packed(scenarios, options.packing, emit, gate, recycled);
   if (report) {
     report->jobs = scenarios.size();
     gate.fill(*report);
   }
   return results;
-}
-
-void BatchRunner::execute(const std::vector<Scenario>& scenarios,
-                          Packing packing, const EmitFn& emit, RunGate& gate,
-                          CurveRecycler& recycled) const {
-  if (packing == Packing::kNone) {
-    dispatch(scenarios, emit, gate);
-  } else {
-    dispatch_packed(scenarios,
-                    packing == Packing::kFast ? mag::BatchMath::kFast
-                                              : mag::BatchMath::kExact,
-                    emit, gate, recycled);
-  }
 }
 
 bool BatchRunner::packable(const Scenario& scenario) {
@@ -154,15 +99,18 @@ bool BatchRunner::packable(const Scenario& scenario) {
 }
 
 void BatchRunner::dispatch_packed(const std::vector<Scenario>& scenarios,
-                                  mag::BatchMath math, const EmitFn& emit,
+                                  Packing packing, const EmitFn& emit,
                                   RunGate& gate,
                                   CurveRecycler& recycled) const {
   if (scenarios.empty()) return;
+  const mag::BatchMath math = packing == Packing::kFast
+                                  ? mag::BatchMath::kFast
+                                  : mag::BatchMath::kExact;
 
-  // Stage 1 (plan): route every scenario and collect the concrete H work —
-  // sweep samples for kDirect/kSystemC, deduplicated JA-free trajectory
-  // solves for kAms (core/frontend_plan.hpp). The solves themselves are
-  // work items fanned across the pool below, not done here.
+  // Stage 1 (plan): route every scenario and collect the deduplicated
+  // JA-free trajectory solves of the kAms lanes (core/frontend_plan.hpp).
+  // The solves themselves are work items fanned across the pool below, not
+  // done here; time drives are sampled in their lane blocks.
   FrontendPlanSet plans(scenarios);
 
   /// Emits an error-only result for scenario i, counting it against the
@@ -191,7 +139,7 @@ void BatchRunner::dispatch_packed(const std::vector<Scenario>& scenarios,
     // validate()'s checks run where each input is read: plan_route sent
     // whatever validate_setup rejects to the fallback, whose run_scenario
     // issues the verdict, and the lane blocks scan their sweeps' samples
-    // just before their kernels read them.
+    // (and sample their time drives) just before their kernels read them.
     switch (plans.plan(i).route) {
       case PlanRoute::kPackedSweep:
         (scenarios[i].kind() == mag::ModelKind::kEnergyBased ? energy_lanes
@@ -228,8 +176,13 @@ void BatchRunner::dispatch_packed(const std::vector<Scenario>& scenarios,
                        return rows_of(x) < rows_of(y);
                      });
   };
-  lane_sort(sweep_lanes,
-            [&](std::size_t i) { return plans.sweep(i).size(); });
+  // A lane's planned length: its sweep's, or the samples its lane block
+  // will take of its time drive.
+  const auto samples_of = [&](std::size_t i) {
+    const auto* time = std::get_if<TimeDrive>(&scenarios[i].drive);
+    return time != nullptr ? time->n_samples : plans.sweep(i).size();
+  };
+  lane_sort(sweep_lanes, samples_of);
 
   // Energy lanes have no vector lockstep to protect — grouping only serves
   // cache locality, so similar cell counts (state slab sizes) and planned
@@ -239,7 +192,7 @@ void BatchRunner::dispatch_packed(const std::vector<Scenario>& scenarios,
                      const auto& a = scenarios[x].energy().params;
                      const auto& b = scenarios[y].energy().params;
                      if (a.cells != b.cells) return a.cells < b.cells;
-                     return plans.sweep(x).size() < plans.sweep(y).size();
+                     return samples_of(x) < samples_of(y);
                    });
 
   const unsigned threads = resolved_threads(scenarios.size());
@@ -274,6 +227,13 @@ void BatchRunner::dispatch_packed(const std::vector<Scenario>& scenarios,
     emit_block_error(lanes, begin, end, gate.stop_error());
   };
 
+  /// A per-scenario job: run_scenario issues the result and its verdict.
+  const auto run_fallback = [&](std::size_t i) {
+    ScenarioResult r = run_scenario(scenarios[i]);
+    if (!r.ok()) gate.count_failure();
+    emit(i, std::move(r));
+  };
+
   /// Finishes a lane from the CurveFinish its kernel (or, for trace lanes,
   /// the copy of its published rows) accumulated, through finish_result as
   /// run_scenario's walk does, plus the non-finite quarantine (shared by
@@ -281,8 +241,8 @@ void BatchRunner::dispatch_packed(const std::vector<Scenario>& scenarios,
   /// through the scalar exact path (run_scenario — no recursion, no
   /// kernel), which either reproduces the garbage as a diagnosed kNonFinite
   /// error or, for FastMath-only blow-ups, recovers a clean exact result.
-  /// Either way the lane's verdict matches what run() reports for the same
-  /// scenario.
+  /// Either way the lane's verdict matches what run_scenario reports for the
+  /// same scenario.
   const auto finalize_lane = [&](std::size_t i, ScenarioResult&& r,
                                  analysis::CurveFinish& finish) {
     bool poison = false;
@@ -316,17 +276,19 @@ void BatchRunner::dispatch_packed(const std::vector<Scenario>& scenarios,
   // One SoA lane block of a sweep kernel — mag::TimelessJaBatch for JA
   // lanes, mag::EnergyBasedBatch (whose shared play update makes its lanes
   // bitwise run_scenario's by construction) for energy lanes: contiguous
-  // slice [begin, end) of a sorted lane list. Each lane's sweep samples are
-  // scanned first, where the kernel is about to read them; a lane with a
-  // non-finite one is emitted with validate()'s verdict and left out of the
-  // kernel. (A TimeDrive's planned grid is not scanned, as validate() does
-  // not scan it; a NaN waveform reaches the quarantine.) The kernel
-  // advances the other lanes together and finishes each in its output
-  // pass, so a failure there (allocation, fundamentally) is reported on
-  // every lane it held; the per-lane finalize step keeps per-job capture
-  // like run_scenario does. Each lane's result is emitted as soon as it is
-  // finished, so streaming consumers see lane results while other blocks
-  // are still computing.
+  // slice [begin, end) of a sorted lane list. Each lane's input is read
+  // first, where the kernel is about to read it: a sweep's samples are
+  // scanned, and a lane with a non-finite one is emitted with validate()'s
+  // verdict and left out of the kernel; a time drive is sampled onto the
+  // uniform grid run_scenario uses (not scanned, as validate() does not
+  // scan it; a NaN waveform reaches the quarantine), and a lane whose
+  // waveform throws there is finished by run_scenario, where it throws
+  // the same way. The kernel advances the other lanes together and
+  // finishes each in its output pass, so a failure there (allocation,
+  // fundamentally) is reported on every lane it held; the per-lane
+  // finalize step keeps per-job capture like run_scenario does. Each
+  // lane's result is emitted as soon as it is finished, so streaming
+  // consumers see lane results while other blocks are still computing.
   const auto run_sweep_block = [&](const std::vector<std::size_t>& lanes,
                                    std::size_t begin, std::size_t end,
                                    auto batch) {
@@ -337,6 +299,7 @@ void BatchRunner::dispatch_packed(const std::vector<Scenario>& scenarios,
       return;
     }
     std::vector<std::size_t> live;
+    std::vector<wave::HSweep> sampled;  // reserved: pointers stay valid
     std::vector<const wave::HSweep*> sweeps;
     std::vector<mag::BhCurve> curves;
     std::vector<analysis::CurveFinish> finish;
@@ -347,28 +310,42 @@ void BatchRunner::dispatch_packed(const std::vector<Scenario>& scenarios,
     };
     try {
       live.reserve(end - begin);
+      sampled.reserve(end - begin);
       sweeps.reserve(end - begin);
       curves.reserve(end - begin);
       finish.reserve(end - begin);
       for (; next < end; ++next) {
         const std::size_t i = lanes[next];
         const Scenario& s = scenarios[i];
-        const wave::HSweep& sweep = plans.sweep(i);
-        if (std::holds_alternative<wave::HSweep>(s.drive)) {
+        if (const auto* time = std::get_if<TimeDrive>(&s.drive)) {
+          bool threw = false;
+          try {
+            sampled.push_back(wave::sweep_from_waveform(
+                *time->waveform, time->t0, time->t1, time->n_samples));
+          } catch (...) {
+            threw = true;
+          }
+          if (threw) {
+            run_fallback(i);
+            continue;
+          }
+          sweeps.push_back(&sampled.back());
+        } else {
+          const wave::HSweep& sweep = plans.sweep(i);
           Error invalid = validate_samples(sweep);
           if (!invalid.ok()) {
             emit_error(i, std::move(invalid));
             continue;
           }
+          sweeps.push_back(&sweep);
         }
         if constexpr (kEnergy) {
           batch.add_lane(s.energy().params);
         } else {
           batch.add_lane(s.ja().params, s.ja().config);
         }
-        sweeps.push_back(&sweep);
         curves.emplace_back(recycled.take());
-        finish.push_back(start_finish(sweep.size(), s.metrics_window));
+        finish.push_back(start_finish(sweeps.back()->size(), s.metrics_window));
         live.push_back(i);  // reserved: cannot throw
       }
       if (!live.empty()) batch.run(sweeps, curves, finish);
@@ -405,7 +382,7 @@ void BatchRunner::dispatch_packed(const std::vector<Scenario>& scenarios,
   // by mag::build_ja_trace), replay the rows through the kernel, and keep
   // the published rows plus the initial virgin-state point exactly like the
   // serial frontend. The planned counters join the kernel's clamp counters
-  // to reproduce run()'s stats bit for bit.
+  // to reproduce run_scenario's stats bit for bit.
   const auto run_trace_block = [&](const std::vector<std::size_t>& lanes,
                                    std::size_t begin, std::size_t end) {
     if (gate.stopped()) {
@@ -559,9 +536,7 @@ void BatchRunner::dispatch_packed(const std::vector<Scenario>& scenarios,
             if (stopped || gate.stopped()) {
               emit_error(i, gate.stop_error());
             } else {
-              ScenarioResult r = run_scenario(scenarios[i]);
-              if (!r.ok()) gate.count_failure();
-              emit(i, std::move(r));
+              run_fallback(i);
             }
           } else if (u < fallback.size() + sweep_blocks.size()) {
             const auto& [b0, b1] = sweep_blocks[u - fallback.size()];
@@ -594,16 +569,14 @@ StreamSummary BatchRunner::run(const std::vector<Scenario>& scenarios,
   RunGate gate(options.limits);
   const unsigned workers = resolved_threads(scenarios.size());
   const std::size_t capacity = queue_capacity(options.stream, scenarios.size());
-  // Only packed lane blocks record into recycled storage, so only a packed
-  // run keeps what the sink hands back — at most what can be in flight: one
-  // block per worker, a full queue and the batch the consumer drained.
-  CurveRecycler recycled(options.packing == Packing::kNone
-                             ? 0
-                             : workers * lane_block() + 2 * capacity);
+  // Keeps what the sink hands back for the lane blocks to record into — at
+  // most what can be in flight: one block per worker, a full queue and the
+  // batch the consumer drained.
+  CurveRecycler recycled(workers * lane_block() + 2 * capacity);
   return stream_to_sink(
       sink, scenarios.size(), workers, capacity, gate,
       [&](const EmitFn& emit) {
-        execute(scenarios, options.packing, emit, gate, recycled);
+        dispatch_packed(scenarios, options.packing, emit, gate, recycled);
       },
       [&](ScenarioResult& left) { recycled.give(left.curve.release()); });
 }

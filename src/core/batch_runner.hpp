@@ -5,31 +5,47 @@
 // run(scenarios[, sink], RunOptions{packing, limits, stream}).
 //
 // Each scenario is an independent simulation (the frontends share no mutable
-// state): result index i always corresponds to scenarios[i] and the payload
-// is bitwise identical whatever the thread count, including the serial
-// fallback. Failures (invalid parameters, a throwing solver) are captured
-// per job as structured core::Error codes instead of aborting the batch.
+// state): result index i always corresponds to scenarios[i], and the payload
+// is bitwise identical whatever the thread count. Under Packing::kExact (the
+// default) it is bitwise run_scenario(scenarios[i]) — curve, metrics, stats
+// and error — which stays the fallback unit and the oracle. Failures
+// (invalid parameters, a throwing solver) are captured per job as
+// structured core::Error codes instead of aborting the batch.
 //
 // Fault tolerance (core/cancel.hpp): every run variant accepts RunLimits —
 // a shared CancelToken, a wall-clock deadline, and an error budget. The
-// limits are polled at chunk boundaries; when one fires the batch drains
-// gracefully: in-flight scenarios finish, every unfinished scenario is
-// emitted with a kCancelled/kDeadlineExceeded result, streaming sinks still
-// receive every index exactly once and then on_complete(). Packed lanes get
-// a non-finite guardrail on top: a lane whose curve came back NaN/Inf is
-// quarantined and retried once through the scalar exact path, so FastMath
-// garbage demotes to a per-scenario kNonFinite error (or a clean scalar
-// result), never a poisoned "success".
+// limits are polled per work unit; when one fires the batch drains
+// gracefully: in-flight units finish, every unfinished scenario is emitted
+// with a kCancelled/kDeadlineExceeded result, streaming sinks still receive
+// every index exactly once and then on_complete(). Packed lanes get a
+// non-finite guardrail on top: a lane whose curve came back NaN/Inf is
+// quarantined and retried once through run_scenario, so FastMath garbage
+// demotes to a per-scenario kNonFinite error (or a clean exact result),
+// never a poisoned "success".
 //
-// Validation happens where each path reads its input, with validate()'s
-// verdicts either way. kNone runs validate() inside run_scenario. A packed
-// run routes whatever validate_setup() rejects to the per-scenario
-// fallback, whose run_scenario issues the verdict; each sweep lane block
-// scans its lanes' samples just before its kernel reads them, and the
-// planner scans kAms sweeps as it synthesises their excitation. So under
-// RunLimits::max_errors a packed run, like kNone, books an invalid scenario
-// when the unit holding it runs — a fallback job or a lane block, which
-// still finishes its other lanes — not in scenario order up front.
+// Every run plans and packs (core/frontend_plan.hpp). Stage 1 routes each
+// scenario and, for kAms, collects one JA-free H(t) trajectory solve per
+// *distinct* excitation (shared by every material driving it, fanned
+// across the pool alongside the other work). Stage 2 executes the routed
+// scenarios as SoA lane blocks of one kernel tile (twice the active SIMD
+// width), with ragged lanes masked out of their vector groups as they
+// finish: JA lanes on mag::TimelessJaBatch, quasi-static energy-based
+// lanes on mag::EnergyBasedBatch, kAms lanes as planner-trace rows.
+// Scenarios outside the packed executors' bitwise-reproducible subset run
+// as per-scenario run_scenario jobs in the same dispatch.
+//
+// Inputs are read where they are used. What validate_setup() rejects
+// falls back, so run_scenario issues the verdict. Each sweep lane block
+// scans its sweep lanes' samples and samples its TimeDrive lanes onto the
+// uniform grid the frontend itself would use, on the worker, just before
+// its kernel reads them; the planner scans kAms sweeps as it synthesises
+// their excitation. So under RunLimits::max_errors an invalid scenario is
+// booked when the unit holding it runs — a fallback job or a lane block,
+// which still finishes its other lanes — not in scenario order up front.
+// Each kernel finishes its lanes in its output pass — the loop metrics and
+// the non-finite verdict accumulated as the points are recorded
+// (analysis::CurveFinish), bitwise what finish_result computes on the
+// delivered curve — so no result is walked a second time.
 //
 // The streaming path runs core::stream_to_sink (core/stream.hpp), the
 // streaming driver ckt::MonteCarlo uses too: workers push results into a
@@ -37,33 +53,18 @@
 // pending result at once and drives the sink serially, and a slow sink
 // backpressures the workers instead of buffering unboundedly. Results ARRIVE
 // in scheduling order but each carries its scenario index; wrap the sink in
-// OrderedSink (core/result_sink.hpp) to recover exactly run()'s order. A
-// sink callback that throws does not tear down the pool: the batch drains,
-// that one delivery is discarded, later results are still offered, and the
-// first error (plus counters) lands in the returned StreamSummary.
+// OrderedSink (core/result_sink.hpp) to recover exactly the collecting
+// order. A sink callback that throws does not tear down the pool: the batch
+// drains, that one delivery is discarded, later results are still offered,
+// and the first error (plus counters) lands in the returned StreamSummary.
+// A streaming run reuses the curve storage of every delivered result the
+// sink did not keep: the next lane block records into pages that are
+// already mapped instead of faulting fresh ones in. Its memory is bounded
+// by the lane blocks in flight and the queue, not by the batch.
 //
 // The pool (core/thread_pool.hpp) is constructed lazily on the first
 // multi-threaded run and reused across all run variants, so sweeping many
 // batches through one runner pays thread start-up exactly once.
-// Packing::kExact/kFast additionally route scenarios through a two-stage
-// plan/execute pipeline (core/frontend_plan.hpp): stage 1 turns each
-// scenario into concrete H work — sweep samples for kDirect and for
-// kSystemC configs matching what the process network hard-codes, and for
-// kAms one JA-free H(t) trajectory solve per *distinct* excitation (shared
-// by every material driving it, fanned across the pool alongside the other
-// work) — and stage 2 executes the planned sequences as SoA lane blocks
-// of one kernel tile (twice the active SIMD width), with ragged lanes
-// masked out of their vector groups as they finish. Lanes group by model:
-// JA lanes run on mag::TimelessJaBatch, quasi-static energy-based lanes on
-// mag::EnergyBasedBatch. Each kernel finishes its lanes in its output pass
-// — the loop metrics and the non-finite verdict accumulated as the points
-// are recorded (analysis::CurveFinish), bitwise what finish_result computes
-// on the delivered curve — so no result is walked a second time.
-// Scenarios outside the packed executors' bitwise-reproducible subset fall
-// back to the per-scenario path. A packed streaming run reuses the curve
-// storage of every delivered result the sink did not keep: the next lane
-// block records into pages that are already mapped instead of faulting
-// fresh ones in.
 #pragma once
 
 #include <cstddef>
@@ -88,16 +89,14 @@ struct BatchOptions {
   unsigned threads = 0;
 };
 
-/// How run() distributes a batch across the executors.
+/// The arithmetic of the packed JA lanes.
 enum class Packing {
-  /// Per-scenario dispatch: one run_scenario per job (the reference path).
-  kNone,
-  /// SoA lane packing with exact math — results (curve, metrics, stats) are
-  /// bitwise identical to kNone for every scenario, packable or not.
+  /// Exact math — results (curve, metrics, stats) are bitwise
+  /// run_scenario's for every scenario, packable or not.
   kExact,
-  /// SoA lane packing with the polynomial FastMath JA lanes (bounded error,
-  /// faster). Energy-based lanes have no approximate path and execute
-  /// exactly under either packing.
+  /// The polynomial FastMath JA lanes (bounded error, faster). Energy-based
+  /// lanes and fallback jobs have no approximate path and execute exactly
+  /// under either packing.
   kFast,
 };
 
@@ -119,7 +118,7 @@ struct StreamOptions {
 /// Everything one batch execution can be configured with: pick a Packing,
 /// attach RunLimits, and — for the streaming overload — size the queue.
 struct RunOptions {
-  Packing packing = Packing::kNone;
+  Packing packing = Packing::kExact;
   /// Fault-tolerance limits: shared CancelToken, wall-clock deadline, error
   /// budget. Default = run to completion.
   RunLimits limits{};
@@ -131,31 +130,26 @@ class BatchRunner {
  public:
   explicit BatchRunner(BatchOptions options = {});
 
-  /// Runs every scenario and returns results in scenario order.
-  [[nodiscard]] std::vector<ScenarioResult> run(
-      const std::vector<Scenario>& scenarios) const;
-
-  /// The configurable entry point. Results keep scenario order and length
+  /// Runs every scenario and returns results in scenario order and length
   /// whatever the options: unfinished scenarios hold their kCancelled/
   /// kDeadlineExceeded verdicts, and `report` (optional) receives the
   /// counters and stop cause.
   ///
-  /// With Packing::kExact/kFast, routable scenarios (core/frontend_plan.hpp)
-  /// are planned and packed into each model's SoA lane blocks —
-  /// mag::TimelessJaBatch for JA lanes (all three frontends qualify: kDirect
-  /// and clamp-matching kSystemC sweeps and time drives without
-  /// sub-stepping, and every non-empty kAms drive), and
+  /// Routable scenarios (core/frontend_plan.hpp) are packed into each
+  /// model's SoA lane blocks — mag::TimelessJaBatch for JA lanes (all three
+  /// frontends qualify: kDirect and clamp-matching kSystemC sweeps and time
+  /// drives without sub-stepping, and every non-empty kAms drive), and
   /// mag::EnergyBasedBatch for quasi-static energy lanes — while the rest
-  /// fall back to the per-scenario path. kAms planning solves the JA-free
-  /// H(t) ODE once per distinct excitation and replays each material over
-  /// the shared trajectory as a planner-trace lane. With Packing::kExact the
-  /// results — curve, metrics, AND stats — are bitwise identical to
-  /// Packing::kNone (the frontend-parity property is what licenses the
-  /// kSystemC routing; the trace expansion of TimelessJa::apply licenses
-  /// kAms; the shared play update licenses the energy lanes); kFast opts the
-  /// JA lanes into the polynomial FastMath path (bounded error, faster).
+  /// run as run_scenario jobs. kAms planning solves the JA-free H(t) ODE
+  /// once per distinct excitation and replays each material over the shared
+  /// trajectory as a planner-trace lane. With Packing::kExact every result
+  /// — curve, metrics, AND stats — is bitwise run_scenario's (the
+  /// frontend-parity property licenses the kSystemC routing; the trace
+  /// expansion of TimelessJa::apply licenses kAms; the shared play update
+  /// licenses the energy lanes); kFast opts the JA lanes into the
+  /// polynomial FastMath path (bounded error, faster).
   [[nodiscard]] std::vector<ScenarioResult> run(
-      const std::vector<Scenario>& scenarios, const RunOptions& options,
+      const std::vector<Scenario>& scenarios, const RunOptions& options = {},
       BatchReport* report = nullptr) const;
 
   /// Streaming twin: delivers every scenario's result to `sink` as it
@@ -167,7 +161,7 @@ class BatchRunner {
   StreamSummary run(const std::vector<Scenario>& scenarios, ResultSink& sink,
                     const RunOptions& options = {}) const;
 
-  /// True when a packed run() would route `scenario` to a SoA lane block:
+  /// True when run() would route `scenario` to a SoA lane block:
   /// validate_setup() accepts it and it lies in a packed executor's
   /// bitwise-reproducible subset. The per-sample scans are not part of it:
   /// a sweep lane with a non-finite sample is rejected by its lane block
@@ -201,24 +195,12 @@ class BatchRunner {
   /// lane blocks to record into (defined in batch_runner.cpp).
   class CurveRecycler;
 
-  /// The execution path both run() overloads share: dispatch() for
-  /// Packing::kNone, dispatch_packed() with the matching math otherwise.
-  /// The packed lane blocks take their storage from `recycled`.
-  void execute(const std::vector<Scenario>& scenarios, Packing packing,
-               const EmitFn& emit, RunGate& gate,
-               CurveRecycler& recycled) const;
-
-  /// Per-scenario dispatch (the Packing::kNone work distribution).
-  /// `gate` is polled per scenario; once it stops, remaining scenarios are
-  /// emitted with its verdict instead of computed.
-  void dispatch(const std::vector<Scenario>& scenarios, const EmitFn& emit,
-                RunGate& gate) const;
-
-  /// Packed dispatch: SoA lane blocks fused with per-scenario fallback jobs
-  /// (the Packing::kExact/kFast work distribution). `gate` is
-  /// polled per work unit (fallback job / lane block / trajectory solve).
+  /// The dispatch both run() overloads call: SoA lane blocks fused with
+  /// per-scenario fallback jobs. `gate` is polled per work unit (fallback
+  /// job / lane block / trajectory solve); the lane blocks take their
+  /// storage from `recycled`.
   void dispatch_packed(const std::vector<Scenario>& scenarios,
-                       mag::BatchMath math, const EmitFn& emit, RunGate& gate,
+                       Packing packing, const EmitFn& emit, RunGate& gate,
                        CurveRecycler& recycled) const;
 
   /// The persistent pool, created on first use and reused for the runner's

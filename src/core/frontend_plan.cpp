@@ -51,7 +51,7 @@ PlanRoute plan_route(const Scenario& scenario) {
   // kSystemC's process network wraps the same core update but hard-codes
   // both clamps, so only configs whose flags say what the network actually
   // does are routable — anything else must really run the network to
-  // reproduce run()'s bits.
+  // reproduce run_scenario's bits.
   if (scenario.frontend == Frontend::kSystemC &&
       !JaCoreModule::clamps_match(ja.config)) {
     return PlanRoute::kFallback;
@@ -100,13 +100,7 @@ FrontendPlanSet::FrontendPlanSet(const std::vector<Scenario>& scenarios)
     FrontendPlan& p = plans_[i];
     try {
       p.route = plan_route(s);
-      if (p.route == PlanRoute::kPackedSweep) {
-        if (const auto* drive = std::get_if<TimeDrive>(&s.drive)) {
-          // The uniform grid the frontend itself would sample.
-          p.owned_sweep = wave::sweep_from_waveform(
-              *drive->waveform, drive->t0, drive->t1, drive->n_samples);
-        }
-      } else if (p.route == PlanRoute::kPackedTrace) {
+      if (p.route == PlanRoute::kPackedTrace) {
         if (const auto* drive = std::get_if<TimeDrive>(&s.drive)) {
           const auto key = std::make_tuple(drive->waveform.get(), drive->t0,
                                            drive->t1);
@@ -155,12 +149,6 @@ FrontendPlanSet::FrontendPlanSet(const std::vector<Scenario>& scenarios)
       p = FrontendPlan{};
     }
   }
-}
-
-const wave::HSweep& FrontendPlanSet::sweep(std::size_t i) const {
-  const FrontendPlan& p = plans_[i];
-  if (p.owned_sweep) return *p.owned_sweep;
-  return std::get<wave::HSweep>((*scenarios_)[i].drive);
 }
 
 void FrontendPlanSet::solve_trajectory(std::size_t j) {

@@ -2,12 +2,14 @@
 //
 // The paper's timeless discretisation is solver-agnostic: every frontend
 // ultimately feeds the same JA update a sequence of accepted H values, and
-// nothing about that sequence depends on the hysteresis state. Planning
-// exploits this by turning each scenario into concrete H work up front:
+// nothing about that sequence depends on the hysteresis state. So where a
+// drive is turned into H work is a scheduling choice:
 //
-//   * kDirect / kSystemC — the sweep samples as-is (time drives are sampled
-//     onto the uniform grid the frontend itself would use), executed by the
-//     SoA kernel's threshold row program;
+//   * kDirect / kSystemC — the SoA kernel's threshold row program (energy
+//     lanes: their play update) over the sweep samples as-is; a time drive
+//     is sampled onto the uniform grid the frontend itself would use by its
+//     lane block, on the worker, just before the kernel reads it — the
+//     plan holds no samples;
 //   * kAms — the cheap JA-free H(t) ODE (plan_ams_trajectory) solved ONCE
 //     per distinct excitation and shared by every scenario that drives it
 //     (the trajectory cannot depend on the material), then unrolled per
@@ -24,6 +26,7 @@
 #include <cstddef>
 #include <optional>
 #include <string>
+#include <variant>
 #include <vector>
 
 #include "core/ams_ja.hpp"
@@ -64,28 +67,23 @@ struct TrajectoryJob {
   }
 };
 
-/// Stage-1 output for one scenario. Plain data, freely copyable; the
-/// planned sample sequence is reached through FrontendPlanSet::sweep(),
-/// which resolves to `owned_sweep` or the scenario's own drive.
+/// Stage-1 output for one scenario. Plain data, freely copyable.
 struct FrontendPlan {
   PlanRoute route = PlanRoute::kFallback;
-  /// kPackedSweep from a TimeDrive: the samples planned onto the uniform
-  /// grid the frontend itself would use (sweep drives pass through as-is).
-  std::optional<wave::HSweep> owned_sweep;
   /// kPackedTrace: index of the shared TrajectoryJob this scenario consumes.
   std::size_t trajectory = 0;
 };
 
-/// Plans a whole batch: per-scenario routes/sweeps immediately (cheap), and
-/// the deduplicated trajectory jobs as work items the caller fans across
+/// Plans a whole batch: per-scenario routes immediately (cheap), and the
+/// deduplicated trajectory jobs as work items the caller fans across
 /// its thread pool — solve_trajectory(j) touches only job j, so distinct
 /// jobs run concurrently; every job must be solved before the plans that
 /// reference it are executed. Sweep excitations dedup by the bit patterns
 /// of their samples, and each distinct one is scanned (validate_samples)
 /// before its Pwl is synthesised: a kAms scenario whose sweep holds a
 /// non-finite sample falls back, with no trajectory job. A scenario whose
-/// planning throws falls back to the per-scenario path too, which
-/// reproduces the failure as a per-job error exactly like run() would.
+/// planning throws falls back too: run_scenario reproduces the failure as
+/// its per-job error.
 class FrontendPlanSet {
  public:
   explicit FrontendPlanSet(const std::vector<Scenario>& scenarios);
@@ -93,10 +91,12 @@ class FrontendPlanSet {
   [[nodiscard]] const FrontendPlan& plan(std::size_t i) const {
     return plans_[i];
   }
-  /// The planned sample sequence of a kPackedSweep scenario: the plan's
-  /// owned TimeDrive sampling when present, else the scenario's own HSweep
-  /// drive (valid while the scenario vector the set was built from lives).
-  [[nodiscard]] const wave::HSweep& sweep(std::size_t i) const;
+  /// The HSweep drive of scenario i (valid while the scenario vector the
+  /// set was built from lives). Sweep drives only: a time drive has no
+  /// samples until its lane block takes them.
+  [[nodiscard]] const wave::HSweep& sweep(std::size_t i) const {
+    return std::get<wave::HSweep>((*scenarios_)[i].drive);
+  }
   [[nodiscard]] std::size_t trajectory_jobs() const { return jobs_.size(); }
   [[nodiscard]] const TrajectoryJob& trajectory(std::size_t j) const {
     return jobs_[j];

@@ -102,10 +102,8 @@ void run_energy(const Scenario& scenario, ScenarioResult& result) {
   if (const auto* time = std::get_if<TimeDrive>(&scenario.drive)) {
     const wave::HSweep sweep = wave::sweep_from_waveform(
         *time->waveform, time->t0, time->t1, time->n_samples);
-    const double dt = sweep.size() > 1
-                          ? (time->t1 - time->t0) /
-                                static_cast<double>(sweep.size() - 1)
-                          : 0.0;
+    const double dt =
+        (time->t1 - time->t0) / static_cast<double>(sweep.size() - 1);
     result.curve.reserve(sweep.size());
     for (const double h : sweep.h) {
       model.apply(h, dt);
@@ -199,6 +197,12 @@ Error validate_setup(const Scenario& scenario) {
         time->t1 <= time->t0) {
       return {ErrorCode::kInvalidScenario,
               "time-driven scenario needs a finite window with t1 > t0"};
+    }
+    // kAms places its own steps; every other frontend samples the uniform
+    // grid, which needs both ends.
+    if (scenario.frontend != Frontend::kAms && time->n_samples < 2) {
+      return {ErrorCode::kInvalidScenario,
+              "time-driven scenario needs n_samples >= 2"};
     }
   } else if (const auto* flux = std::get_if<FluxDrive>(&scenario.drive)) {
     if (scenario.frontend != Frontend::kDirect) {
@@ -383,7 +387,7 @@ ScenarioResult run_scenario(const Scenario& scenario) {
   // Post-run guardrail: a frontend that silently produced NaN/Inf (e.g. a
   // pathological waveform fed through the kernel) is a kNonFinite error,
   // never a "successful" garbage curve. The packed lane quarantine finishes
-  // through the same call, so run() and packed runs agree.
+  // through the same call, so the two agree.
   finish_result(result, scenario.metrics_window);
   return result;
 }

@@ -31,7 +31,7 @@
 namespace ferro::core {
 
 /// Time-driven excitation: sample `waveform` over [t0, t1] at `n_samples`
-/// uniform points (kAms lets the analogue solver pick its own steps).
+/// >= 2 uniform points (kAms lets the analogue solver pick its own steps).
 struct TimeDrive {
   std::shared_ptr<const wave::Waveform> waveform;
   double t0 = 0.0;
@@ -116,16 +116,17 @@ struct ScenarioResult {
 /// and drives before any solver runs. Returns kOk for a runnable scenario,
 /// else kInvalidScenario with the reason: validate_setup()'s verdict first,
 /// then the per-sample scan of a sweep drive (validate_samples) or of a
-/// flux drive's targets. run_scenario applies it first thing. The packed
-/// dispatcher applies the same checks where it reads the data: plan_route
-/// packs only scenarios validate_setup() accepts, and the lane blocks (or,
-/// for kAms sweeps, the planner) scan each sweep's samples just before
-/// using them, so both paths reject identically.
+/// flux drive's targets. run_scenario applies it first thing. BatchRunner
+/// applies the same checks where it reads the data: plan_route packs only
+/// scenarios validate_setup() accepts, and the lane blocks (or, for kAms
+/// sweeps, the planner) scan each sweep's samples just before using them,
+/// so both reject identically.
 [[nodiscard]] Error validate(const Scenario& scenario);
 
 /// validate() without the per-sample scans: the model parameters, the
-/// discretisation, the frontend/drive pairing, a time drive's waveform and
-/// window, and a flux drive's solver settings.
+/// discretisation, the frontend/drive pairing, a time drive's waveform,
+/// window and (for the frontends that sample it) n_samples >= 2, and a flux
+/// drive's solver settings.
 [[nodiscard]] Error validate_setup(const Scenario& scenario);
 
 /// validate()'s scan of a sweep drive: kOk, or kInvalidScenario naming the

@@ -1,5 +1,7 @@
 // Shared test fixtures: the paper-faithful configuration, the canonical
-// excitations the suites keep rebuilding, and curve-comparison helpers.
+// excitations the suites keep rebuilding, curve-comparison helpers, the
+// run_scenario oracle of the batch paths, and a circuit device that blows
+// up.
 // Header-only; include as "support/fixtures.hpp" (tests/ is on the include
 // path of every test target).
 #pragma once
@@ -8,8 +10,13 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <string>
+#include <utility>
+#include <vector>
 
+#include "ckt/device.hpp"
+#include "core/scenario.hpp"
 #include "mag/bh.hpp"
 #include "mag/ja_params.hpp"
 #include "mag/timeless_ja.hpp"
@@ -50,6 +57,19 @@ inline mag::BhCurve run_timeless(const mag::JaParameters& params,
   return mag::run_sweep(ja, sweep);
 }
 
+/// run_scenario over every scenario in order: the per-scenario oracle every
+/// BatchRunner path (collect or streaming, any thread count, SIMD width or
+/// partition) must reproduce bit for bit under Packing::kExact.
+inline std::vector<core::ScenarioResult> run_each(
+    const std::vector<core::Scenario>& scenarios) {
+  std::vector<core::ScenarioResult> results;
+  results.reserve(scenarios.size());
+  for (const core::Scenario& s : scenarios) {
+    results.push_back(core::run_scenario(s));
+  }
+  return results;
+}
+
 /// Worst pointwise |delta B| between two equal-length trajectories.
 inline double max_b_deviation(const mag::BhCurve& a, const mag::BhCurve& b) {
   EXPECT_EQ(a.size(), b.size());
@@ -60,6 +80,27 @@ inline double max_b_deviation(const mag::BhCurve& a, const mag::BhCurve& b) {
   }
   return worst;
 }
+
+/// A 1 mS conductance to ground that stamps a NaN current once the iterate
+/// puts its node above 0.5 V: a device model blowing up past its valid
+/// region.
+class NanAboveHalfVolt final : public ckt::Device {
+ public:
+  NanAboveHalfVolt(std::string name, ckt::NodeId node)
+      : Device(std::move(name)), node_(node) {}
+
+  void stamp(ckt::Stamper& s, const ckt::EvalContext& ctx) override {
+    s.conductance(node_, ckt::kGround, 1e-3);
+    if (ctx.v(node_) > 0.5) {
+      s.current_source(node_, ckt::kGround,
+                       std::numeric_limits<double>::quiet_NaN());
+    }
+  }
+  [[nodiscard]] bool nonlinear() const override { return true; }
+
+ private:
+  ckt::NodeId node_;
+};
 
 /// Absolute path of a committed data file under tests/data/.
 inline std::string data_path(const std::string& name) {

@@ -10,11 +10,13 @@
 #include <cstdint>
 #include <limits>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <thread>
 
 #include "core/batch_runner.hpp"
 #include "core/dc_sweep.hpp"
+#include "core/result_sink.hpp"
 #include "mag/ja_params.hpp"
 #include "support/fixtures.hpp"
 #include "wave/standard.hpp"
@@ -86,8 +88,8 @@ TEST(BatchRunner, ResultsArriveInScenarioOrder) {
 
 TEST(BatchRunner, ThreadCountInvariance) {
   const auto scenarios = material_workload(16);
-  const auto serial = fc::BatchRunner({.threads = 1}).run(scenarios);
-  for (const unsigned threads : {2u, 3u, 4u, 8u, 0u}) {
+  const auto serial = ts::run_each(scenarios);
+  for (const unsigned threads : {1u, 2u, 3u, 4u, 8u, 0u}) {
     const auto parallel = fc::BatchRunner({.threads = threads}).run(scenarios);
     expect_identical(serial, parallel);
   }
@@ -209,11 +211,11 @@ TEST(BatchRunner, FrontendsAgreeThroughTheBatchPath) {
 
 TEST(BatchRunner, RunPackedExactMatchesRunBitwise) {
   // A mixed workload: packable kDirect and kSystemC sweeps — time drives
-  // are planned onto the frontend's own uniform grid and pack too — plus
-  // scenarios the planner must refuse (kSystemC with a clamp the process
-  // network hard-codes differently, a flux drive, sub-stepping on a sweep
-  // frontend, bad parameters). a packed run (kExact) must reproduce run()
-  // bit-for-bit on all of them.
+  // are sampled onto the frontend's own uniform grid in their lane blocks
+  // and pack too — plus scenarios the planner must refuse (kSystemC with a
+  // clamp the process network hard-codes differently, a flux drive,
+  // sub-stepping on a sweep frontend, bad parameters). run() (kExact) must
+  // reproduce run_scenario bit-for-bit on all of them.
   auto scenarios = material_workload(10);
   scenarios[2].frontend = fc::Frontend::kSystemC;
   scenarios[3].drive = fc::FluxDrive{{0.1, 0.2, 0.3, 0.2, 0.1}};
@@ -231,14 +233,12 @@ TEST(BatchRunner, RunPackedExactMatchesRunBitwise) {
   EXPECT_FALSE(fc::BatchRunner::packable(scenarios[3]));
   EXPECT_FALSE(fc::BatchRunner::packable(scenarios[4]));
   EXPECT_FALSE(fc::BatchRunner::packable(scenarios[5]));
-  EXPECT_TRUE(fc::BatchRunner::packable(scenarios[6]));  // planned sampling
+  EXPECT_TRUE(fc::BatchRunner::packable(scenarios[6]));  // sampled in block
   EXPECT_FALSE(fc::BatchRunner::packable(scenarios[7]));
 
+  const auto plain = ts::run_each(scenarios);
   for (const unsigned threads : {1u, 3u}) {
-    const fc::BatchRunner runner({.threads = threads});
-    const auto plain = runner.run(scenarios);
-    const auto packed =
-        runner.run(scenarios, {.packing = fc::Packing::kExact});
+    const auto packed = fc::BatchRunner({.threads = threads}).run(scenarios);
     expect_identical(plain, packed);
     for (std::size_t i = 0; i < plain.size(); ++i) {
       EXPECT_EQ(plain[i].stats.field_events, packed[i].stats.field_events);
@@ -250,15 +250,15 @@ TEST(BatchRunner, RunPackedExactMatchesRunBitwise) {
 TEST(BatchRunner, RunPackedAllFallbackMatchesRunBitwise) {
   // A scenario list with NO packable lanes (kSystemC outside the kernel's
   // clamp subset, time-driven kDirect with sub-stepping outside the
-  // kernel's lockstep subset): the packed path must take the pure fallback
-  // path for everything and still reproduce run() bit-for-bit — previously
-  // this shape was only exercised implicitly through mixed workloads.
+  // kernel's lockstep subset): run() must take the pure fallback path for
+  // everything and still reproduce run_scenario bit-for-bit.
   auto scenarios = material_workload(6);
   for (std::size_t i = 0; i < scenarios.size(); ++i) {
     if (i % 2 == 0) {
       scenarios[i].frontend = fc::Frontend::kSystemC;
       // The network hard-codes the direction clamp; a config that says
-      // otherwise is not routable (run() ignores the flag either way).
+      // otherwise is not routable (run_scenario ignores the flag either
+      // way).
       scenarios[i].ja().config.clamp_direction = false;
     } else {
       const double amp = ts::saturation_amplitude(scenarios[i].ja().params);
@@ -273,15 +273,13 @@ TEST(BatchRunner, RunPackedAllFallbackMatchesRunBitwise) {
     ASSERT_FALSE(fc::BatchRunner::packable(s)) << s.name;
   }
 
+  const auto plain = ts::run_each(scenarios);
+  for (const auto& r : plain) {
+    EXPECT_TRUE(r.ok()) << r.name << ": " << r.error;
+  }
   for (const unsigned threads : {1u, 3u}) {
-    const fc::BatchRunner runner({.threads = threads});
-    const auto plain = runner.run(scenarios);
-    const auto packed =
-        runner.run(scenarios, {.packing = fc::Packing::kExact});
+    const auto packed = fc::BatchRunner({.threads = threads}).run(scenarios);
     expect_identical(plain, packed);
-    for (const auto& r : plain) {
-      EXPECT_TRUE(r.ok()) << r.name << ": " << r.error;
-    }
   }
 }
 
@@ -303,8 +301,8 @@ TEST(BatchRunner, RunPackedMixedDirectAndSystemCMatchesRunBitwise) {
   // The packed path covers the sweep frontends: alternating kDirect /
   // kSystemC sweeps all qualify for the SoA kernel (paper-subset configs,
   // both clamps on), land interleaved in the same lane blocks, and must
-  // reproduce run() bit-for-bit — curves, metrics, and stats (kSystemC
-  // results now carry the module's counters through both paths).
+  // reproduce run_scenario bit-for-bit — curves, metrics, and stats
+  // (kSystemC results carry the module's counters through both paths).
   auto scenarios = material_workload(12);
   for (std::size_t i = 0; i < scenarios.size(); ++i) {
     if (i % 2 == 1) scenarios[i].frontend = fc::Frontend::kSystemC;
@@ -313,29 +311,26 @@ TEST(BatchRunner, RunPackedMixedDirectAndSystemCMatchesRunBitwise) {
     EXPECT_TRUE(fc::BatchRunner::packable(s)) << s.name;
   }
 
+  const auto plain = ts::run_each(scenarios);
+  for (std::size_t i = 0; i < plain.size(); ++i) {
+    EXPECT_TRUE(plain[i].ok()) << plain[i].error;
+    // Non-kDirect frontends report real counters, not defaulted zeros.
+    EXPECT_GT(plain[i].stats.samples, 0u) << plain[i].name;
+    EXPECT_GT(plain[i].stats.field_events, 0u) << plain[i].name;
+  }
   for (const unsigned threads : {1u, 3u}) {
-    const fc::BatchRunner runner({.threads = threads});
-    const auto plain = runner.run(scenarios);
-    const auto packed =
-        runner.run(scenarios, {.packing = fc::Packing::kExact});
+    const auto packed = fc::BatchRunner({.threads = threads}).run(scenarios);
     expect_identical(plain, packed);
     expect_stats_identical(plain, packed);
-    for (std::size_t i = 0; i < plain.size(); ++i) {
-      EXPECT_TRUE(plain[i].ok()) << plain[i].error;
-      // The satellite contract: non-kDirect frontends report real counters
-      // now, not defaulted zeros.
-      EXPECT_GT(plain[i].stats.samples, 0u) << plain[i].name;
-      EXPECT_GT(plain[i].stats.field_events, 0u) << plain[i].name;
-    }
   }
 }
 
 TEST(BatchRunner, RunPackedMixedAllThreeFrontendsMatchesRunBitwise) {
   // The acceptance workload: kDirect, kSystemC, and kAms interleaved —
-  // sweep drives and time drives — through a packed run (kExact). The kAms
-  // lanes take the plan/execute pipeline (shared JA-free trajectory solve,
+  // sweep drives and time drives — through run() (kExact). The kAms lanes
+  // take the plan/execute pipeline (shared JA-free trajectory solve,
   // planner-trace replay with sub-steps unrolled) and everything must
-  // reproduce run() bit-for-bit: curves, metrics, AND stats.
+  // reproduce run_scenario bit-for-bit: curves, metrics, AND stats.
   auto scenarios = material_workload(15);
   for (std::size_t i = 0; i < scenarios.size(); ++i) {
     switch (i % 3) {
@@ -358,17 +353,15 @@ TEST(BatchRunner, RunPackedMixedAllThreeFrontendsMatchesRunBitwise) {
     EXPECT_TRUE(fc::BatchRunner::packable(scenarios[i])) << scenarios[i].name;
   }
 
+  const auto plain = ts::run_each(scenarios);
+  for (const auto& r : plain) {
+    EXPECT_TRUE(r.ok()) << r.name << ": " << r.error;
+    EXPECT_GT(r.stats.samples, 0u) << r.name;
+  }
   for (const unsigned threads : {1u, 2u, 3u, 8u}) {
-    const fc::BatchRunner runner({.threads = threads});
-    const auto plain = runner.run(scenarios);
-    const auto packed =
-        runner.run(scenarios, {.packing = fc::Packing::kExact});
+    const auto packed = fc::BatchRunner({.threads = threads}).run(scenarios);
     expect_identical(plain, packed);
     expect_stats_identical(plain, packed);
-    for (const auto& r : plain) {
-      EXPECT_TRUE(r.ok()) << r.name << ": " << r.error;
-      EXPECT_GT(r.stats.samples, 0u) << r.name;
-    }
   }
 }
 
@@ -390,17 +383,15 @@ TEST(BatchRunner, RunPackedAmsSharesTrajectoryAcrossMaterials) {
     s.drive = sweep;
     scenarios.push_back(std::move(s));
   }
+  const auto plain = ts::run_each(scenarios);
+  for (const auto& r : plain) {
+    EXPECT_TRUE(r.ok()) << r.name << ": " << r.error;
+    EXPECT_GT(r.curve.size(), 2u) << r.name;
+  }
   for (const unsigned threads : {1u, 3u}) {
-    const fc::BatchRunner runner({.threads = threads});
-    const auto plain = runner.run(scenarios);
-    const auto packed =
-        runner.run(scenarios, {.packing = fc::Packing::kExact});
+    const auto packed = fc::BatchRunner({.threads = threads}).run(scenarios);
     expect_identical(plain, packed);
     expect_stats_identical(plain, packed);
-    for (const auto& r : plain) {
-      EXPECT_TRUE(r.ok()) << r.name << ": " << r.error;
-      EXPECT_GT(r.curve.size(), 2u) << r.name;
-    }
   }
 }
 
@@ -455,8 +446,7 @@ TEST(BatchRunner, RunPackedFastMathStaysNearExact) {
 TEST(BatchRunner, PersistentPoolSurvivesManyTinyBatches) {
   // Pool stress: the same runner dispatches many small batches of tiny jobs;
   // the persistent pool is constructed once and every batch stays bitwise
-  // equal to the serial reference.
-  const fc::BatchRunner serial({.threads = 1});
+  // equal to run_scenario.
   const fc::BatchRunner pooled({.threads = 4});
 
   std::vector<fc::Scenario> tiny = material_workload(8);
@@ -466,11 +456,9 @@ TEST(BatchRunner, PersistentPoolSurvivesManyTinyBatches) {
     s.drive = fw::SweepBuilder(amp / 8.0).cycles(amp, 1).build();
     s.metrics_window.reset();
   }
-  const auto reference = serial.run(tiny);
-  for (int round = 0; round < 25; ++round) {
+  const auto reference = ts::run_each(tiny);
+  for (int round = 0; round < 50; ++round) {
     expect_identical(reference, pooled.run(tiny));
-    expect_identical(reference,
-                     pooled.run(tiny, {.packing = fc::Packing::kExact}));
   }
 }
 
@@ -527,7 +515,7 @@ TEST(BatchRunner, RunWithEmptyLimitsMatchesPlainRun) {
   fc::BatchReport report;
   const auto limited =
       runner.run(scenarios, fc::RunOptions{}, &report);
-  expect_identical(runner.run(scenarios), limited);
+  expect_identical(ts::run_each(scenarios), limited);
   EXPECT_TRUE(report.completed());
   EXPECT_EQ(report.jobs, scenarios.size());
   EXPECT_EQ(report.failed, 0u);
@@ -604,8 +592,9 @@ TEST(BatchRunner, ExpiredDeadlineStampsDeadlineExceeded) {
 }
 
 TEST(BatchRunner, ErrorBudgetStopsTheBatch) {
-  // Serial order makes the budget trip deterministic: scenario 0 fails,
-  // tripping max_errors=1, so every later scenario is cancelled rather
+  // One worker makes the budget trip deterministic: scenario 0's invalid
+  // parameters send it to a fallback job, which runs before the lane block
+  // and trips max_errors=1, so every later scenario is cancelled rather
   // than computed.
   auto scenarios = material_workload(4);
   scenarios[0].ja().params.c = 1.5;  // invalid
@@ -661,7 +650,7 @@ TEST(BatchRunner, PackedNanScenarioQuarantinesWithoutPoisoningNeighbours) {
     ASSERT_EQ(packed.size(), scenarios.size());
 
     // The poisoned lane: quarantined, retried through the scalar exact
-    // path, and diagnosed there — the same verdict run() reaches.
+    // path, and diagnosed there — the same verdict run_scenario reaches.
     EXPECT_EQ(packed[nan_at].error.code, fc::ErrorCode::kNonFinite)
         << packed[nan_at].error;
     EXPECT_GE(report.quarantined, 1u);
@@ -670,15 +659,15 @@ TEST(BatchRunner, PackedNanScenarioQuarantinesWithoutPoisoningNeighbours) {
     const auto solo = fc::run_scenario(scenarios[nan_at]);
     EXPECT_EQ(solo.error.code, fc::ErrorCode::kNonFinite);
 
-    // Healthy lanes: bitwise equal to the same-math baseline (run() for
-    // kExact; for kFast, the packed run of the healthy subset — lane
+    // Healthy lanes: bitwise equal to the same-math baseline (run_scenario
+    // for kExact; for kFast, the packed run of the healthy subset — lane
     // grouping invariance makes the partition irrelevant).
     auto healthy = scenarios;
     healthy.erase(healthy.begin() + static_cast<std::ptrdiff_t>(nan_at));
-    const auto baseline = math == fm::BatchMath::kExact
-                              ? runner.run(healthy)
-                              : runner.run(healthy,
-                                                 {.packing = fc::packing_for(math)});
+    const auto baseline =
+        math == fm::BatchMath::kExact
+            ? ts::run_each(healthy)
+            : runner.run(healthy, {.packing = fc::packing_for(math)});
     for (std::size_t i = 0, j = 0; i < packed.size(); ++i) {
       if (i == nan_at) continue;
       ASSERT_TRUE(packed[i].ok()) << packed[i].name << ": " << packed[i].error;
@@ -695,7 +684,7 @@ TEST(BatchRunner, PackedNanScenarioQuarantinesWithoutPoisoningNeighbours) {
 TEST(BatchRunner, PackedLanesFinishExactlyLikeRun) {
   // run_scenario and the packed lanes finish through one function: the
   // non-finite scan and the loop metrics in a single walk. Packed kExact
-  // must reproduce run() bit for bit on every lane and verdict: windowed
+  // must reproduce run_scenario bit for bit on every lane and verdict: windowed
   // and whole-curve metrics, a poisoned lane retried through the
   // quarantine, a window that does not fit, and a poisoned lane whose
   // window does not fit either (the non-finite verdict comes first).
@@ -713,7 +702,7 @@ TEST(BatchRunner, PackedLanesFinishExactlyLikeRun) {
   scenarios[7].metrics_window = fc::MetricsWindow{10, 1'000'000};
   scenarios[8].metrics_window.reset();
 
-  const auto reference = fc::BatchRunner({.threads = 1}).run(scenarios);
+  const auto reference = ts::run_each(scenarios);
   EXPECT_EQ(reference[2].error.code, fc::ErrorCode::kNonFinite);
   EXPECT_EQ(reference[5].error.code, fc::ErrorCode::kNonFinite);
   EXPECT_EQ(reference[7].error.code, fc::ErrorCode::kInvalidScenario);
@@ -816,6 +805,42 @@ TEST(BatchRunner, ValidateRejectsMalformedScenarios) {
   fc::Scenario bad_time = good;
   bad_time.drive = fc::TimeDrive{};  // null waveform
   EXPECT_EQ(fc::validate(bad_time).code, fc::ErrorCode::kInvalidScenario);
+
+  // A sampled time drive needs both ends of its grid, for every frontend
+  // that samples it — every one but kAms, which places its own steps.
+  fc::Scenario energy = good;
+  energy.model = fc::EnergySpec{fm::energy_reference_parameters()};
+  for (fc::Scenario s : {good, energy}) {
+    for (const auto frontend : {fc::Frontend::kDirect, fc::Frontend::kSystemC,
+                                fc::Frontend::kAms}) {
+      if (s.kind() == fm::ModelKind::kEnergyBased &&
+          frontend != fc::Frontend::kDirect) {
+        continue;  // energy runs the direct frontend only
+      }
+      s.frontend = frontend;
+      s.metrics_window.reset();
+      for (const std::size_t n : {0u, 1u, 2u}) {
+        s.drive = fc::TimeDrive{std::make_shared<fw::Triangular>(1e3, 0.02),
+                                0.0, 0.04, n};
+        SCOPED_TRACE(std::string(fc::to_string(frontend)) + " " +
+                     std::string(fm::to_string(s.kind())) + " n_samples " +
+                     std::to_string(n));
+        const fc::ScenarioResult solo = fc::run_scenario(s);
+        const auto batch = fc::BatchRunner({.threads = 1}).run({s});
+        EXPECT_EQ(batch[0].error, solo.error);
+        if (n < 2 && frontend != fc::Frontend::kAms) {
+          EXPECT_EQ(fc::validate(s).code, fc::ErrorCode::kInvalidScenario);
+          EXPECT_EQ(solo.error.code, fc::ErrorCode::kInvalidScenario);
+          EXPECT_NE(solo.error.detail.find("n_samples"), std::string::npos)
+              << solo.error;
+          EXPECT_FALSE(fc::BatchRunner::packable(s));
+        } else {
+          EXPECT_TRUE(fc::validate(s).ok());
+          EXPECT_TRUE(solo.ok()) << solo.error;
+        }
+      }
+    }
+  }
 
   fc::Scenario bad_flux = good;
   bad_flux.frontend = fc::Frontend::kAms;  // FluxDrive is kDirect-only
@@ -956,12 +981,13 @@ TEST(BatchRunner, PackedLaneMetricsAreFinishResultsOfTheirOwnCurves) {
         EXPECT_EQ(report.quarantined, 0u);
         EXPECT_EQ(report.failed, misfits);
         if (packing == fc::Packing::kExact) {
-          // And the exact lanes are run()'s results, verdicts included.
-          const auto reference = fc::BatchRunner({.threads = 1}).run(scenarios);
+          // And the exact lanes are run_scenario's results, verdicts
+          // included.
+          const auto reference = ts::run_each(scenarios);
           for (std::size_t i = 0; i < packed.size(); ++i) {
             EXPECT_EQ(reference[i].error, packed[i].error) << packed[i].name;
             expect_same_bits(packed[i].metrics.area, reference[i].metrics.area,
-                             packed[i].name + " area vs run()");
+                             packed[i].name + " area vs run_scenario");
           }
         }
       }
@@ -1035,10 +1061,10 @@ TEST(BatchRunner, NonFiniteSweepSamplesAreRejectedInTheirLaneBlocks) {
 }
 
 TEST(BatchRunner, PackedErrorBudgetBooksAnInvalidLaneWhenItsBlockRuns) {
-  // Packed runs book an invalid scenario when its unit runs (as kNone
-  // does): a non-finite sample is found by its lane block, which finishes
-  // its other lanes; the budget then stops every unit after it. One worker
-  // and identical lanes make the blocks [0, lane_block()) and the rest.
+  // run() books an invalid scenario when its unit runs: a non-finite sample
+  // is found by its lane block, which finishes its other lanes; the budget
+  // then stops every unit after it. One worker and identical lanes make the
+  // blocks [0, lane_block()) and the rest.
   const std::size_t block = fc::BatchRunner::lane_block();
   std::vector<fc::Scenario> scenarios(block + 3);
   for (std::size_t i = 0; i < scenarios.size(); ++i) {
@@ -1070,4 +1096,106 @@ TEST(BatchRunner, PackedErrorBudgetBooksAnInvalidLaneWhenItsBlockRuns) {
   EXPECT_EQ(report.failed, 1u);
   EXPECT_EQ(report.cancelled, 3u);
   EXPECT_EQ(report.stop.code, fc::ErrorCode::kCancelled);
+}
+
+// ---------------------------------------------------------------------------
+// Time drives: each lane block samples its TimeDrive lanes on the worker,
+// just before its kernel reads them.
+// ---------------------------------------------------------------------------
+
+namespace {
+
+class ThrowingWaveform final : public fw::Waveform {
+ public:
+  [[nodiscard]] double value(double) const override {
+    throw std::runtime_error("waveform exploded");
+  }
+};
+
+/// Two lane blocks and a ragged third of time drives: kDirect and kSystemC
+/// JA lanes over every library material with ragged n_samples and mixed
+/// metrics windows, quasi-static energy lanes, and at kThrowAt a kDirect
+/// lane whose waveform throws while its block samples it.
+constexpr std::size_t kThrowAt = 7;
+
+std::vector<fc::Scenario> time_drive_workload() {
+  const auto& library = fm::material_library();
+  const std::size_t count = 2 * fc::BatchRunner::lane_block() + 5;
+  std::vector<fc::Scenario> scenarios;
+  for (std::size_t i = 0; i < count; ++i) {
+    const auto& material = library[i % library.size()];
+    const double amp = ts::saturation_amplitude(material.params);
+    const std::size_t n = 300 + 37 * (i % 5);
+    fc::Scenario s;
+    s.name = "time#" + std::to_string(i);
+    s.ja().params = material.params;
+    s.ja().config.dhmax = amp / (120.0 + 20.0 * static_cast<double>(i % 3));
+    if (i % 3 == 1) s.frontend = fc::Frontend::kSystemC;
+    if (i % 5 == 4) {
+      s.model = fc::EnergySpec{fm::energy_reference_parameters()};
+      s.frontend = fc::Frontend::kDirect;
+    }
+    s.drive = fc::TimeDrive{std::make_shared<fw::Triangular>(amp, 0.02), 0.0,
+                            0.04, n};
+    if (i % 4 == 2) s.metrics_window = fc::MetricsWindow{n / 2, n - 1};
+    scenarios.push_back(std::move(s));
+  }
+  scenarios[kThrowAt].name = "throwing";
+  scenarios[kThrowAt].frontend = fc::Frontend::kDirect;
+  std::get<fc::TimeDrive>(scenarios[kThrowAt].drive).waveform =
+      std::make_shared<ThrowingWaveform>();
+  return scenarios;
+}
+
+void expect_energy_stats_identical(const std::vector<fc::ScenarioResult>& a,
+                                   const std::vector<fc::ScenarioResult>& b) {
+  ASSERT_EQ(a.size(), b.size());
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    EXPECT_EQ(a[i].energy_stats.samples, b[i].energy_stats.samples);
+    EXPECT_EQ(a[i].energy_stats.cell_updates, b[i].energy_stats.cell_updates);
+    expect_same_bits(a[i].energy_stats.dissipated_energy,
+                     b[i].energy_stats.dissipated_energy,
+                     a[i].name + " dissipated energy");
+  }
+}
+
+}  // namespace
+
+TEST(BatchRunner, TimeDriveLanesMatchRunScenarioAtEveryWidthAndThreadCount) {
+  const SimdWidthGuard restore;
+  const auto scenarios = time_drive_workload();
+  const auto reference = ts::run_each(scenarios);
+  for (std::size_t i = 0; i < scenarios.size(); ++i) {
+    // Routing never samples, so the throwing lane packs like the rest.
+    EXPECT_TRUE(fc::BatchRunner::packable(scenarios[i])) << scenarios[i].name;
+    if (i == kThrowAt) continue;
+    ASSERT_TRUE(reference[i].ok()) << reference[i].name << ": "
+                                   << reference[i].error;
+  }
+  EXPECT_EQ(reference[kThrowAt].error.code, fc::ErrorCode::kSolverDiverged);
+  EXPECT_NE(reference[kThrowAt].error.detail.find("waveform exploded"),
+            std::string::npos);
+
+  for (const int width : fm::TimelessJaBatch::available_simd_widths()) {
+    ASSERT_EQ(fm::TimelessJaBatch::force_simd_width(width), width);
+    for (const unsigned threads : {1u, 3u, 0u}) {
+      SCOPED_TRACE("width " + std::to_string(width) + ", threads " +
+                   std::to_string(threads));
+      const fc::BatchRunner runner({.threads = threads});
+      fc::BatchReport report;
+      const auto packed = runner.run(scenarios, {}, &report);
+      expect_identical(reference, packed);
+      expect_stats_identical(reference, packed);
+      expect_energy_stats_identical(reference, packed);
+      EXPECT_EQ(report.failed, 1u);
+      EXPECT_EQ(report.quarantined, 0u);
+
+      fc::CollectingSink sink;
+      const auto summary = runner.run(scenarios, sink);
+      EXPECT_EQ(summary.delivered, scenarios.size());
+      EXPECT_EQ(summary.failed_jobs, 1u);
+      expect_identical(reference, sink.results());
+      expect_stats_identical(reference, sink.results());
+    }
+  }
 }

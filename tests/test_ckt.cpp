@@ -13,11 +13,13 @@
 #include "ckt/netlist.hpp"
 #include "ckt/rlc.hpp"
 #include "ckt/sources.hpp"
+#include "support/fixtures.hpp"
 #include "util/constants.hpp"
 #include "wave/standard.hpp"
 
 namespace fk = ferro::ckt;
 namespace fw = ferro::wave;
+namespace ts = ferro::testsupport;
 
 TEST(Netlist, NodeNamingAndGround) {
   fk::Circuit ckt;
@@ -499,6 +501,41 @@ TEST(Transient, ForcedAcceptsAreCounted) {
   EXPECT_EQ(stats.forced_accepts, stats.hard_failures);  // DC converged
   EXPECT_EQ(stats.forced_accepts, stats.steps_accepted);
   EXPECT_EQ(stats.singular_matrices, 0u);
+}
+
+TEST(Transient, NonFiniteIterateNeverSettlesOrIsForceAccepted) {
+  // 2 V sine through 1 k into the 1 mS device: the node crosses 0.5 V at a
+  // twelfth of the period, after which every solve comes back NaN. Those
+  // iterations fail and reject the step; at dt_min the run stops with
+  // kNonFinite at the last finite point instead of accepting NaN.
+  fk::Circuit ckt;
+  const auto in = ckt.node("in");
+  const auto out = ckt.node("out");
+  ckt.add<fk::VoltageSource>("V", in, fk::kGround,
+                             std::make_shared<fw::Sine>(2.0, 50.0));
+  ckt.add<fk::Resistor>("R", in, out, 1000.0);
+  ckt.add<ts::NanAboveHalfVolt>("N", out);
+
+  fk::TransientOptions options;
+  options.t_end = 0.02;
+  std::size_t non_finite = 0;
+  double last_t = 0.0;
+  fk::CircuitStats stats;
+  const auto error = fk::run_transient(
+      ckt, options,
+      [&](const fk::Solution& sol) {
+        for (const double x : sol.x) {
+          if (!std::isfinite(x)) ++non_finite;
+        }
+        last_t = sol.t;
+      },
+      &stats);
+  EXPECT_EQ(error.code, ferro::core::ErrorCode::kNonFinite) << error;
+  EXPECT_EQ(non_finite, 0u);
+  EXPECT_NEAR(last_t, 0.02 / 12.0, 1e-6);  // stopped at the crossing
+  EXPECT_GT(stats.steps_rejected, 0u);
+  EXPECT_EQ(stats.forced_accepts, 0u);
+  EXPECT_EQ(stats.hard_failures, 1u);
 }
 
 TEST(Dc, InvalidEngineOptionsAreRejectedBeforeSolving) {

@@ -19,12 +19,14 @@
 #include "ckt/rlc.hpp"
 #include "ckt/scatter.hpp"
 #include "ckt/sources.hpp"
+#include "support/fixtures.hpp"
 #include "wave/standard.hpp"
 
 namespace fk = ferro::ckt;
 namespace fe = ferro::core;
 namespace fm = ferro::mag;
 namespace fw = ferro::wave;
+namespace ts = ferro::testsupport;
 
 namespace {
 
@@ -337,6 +339,44 @@ TEST(MonteCarlo, PoisonCornerIsIsolated) {
   for (std::size_t i = 0; i < 6; ++i) {
     if (i == 2) continue;
     EXPECT_TRUE(bitwise_equal(mixed[i], good[i])) << "corner " << i;
+  }
+}
+
+TEST(MonteCarlo, NonFiniteCornerIsReportedFailed) {
+  // Corner 2 carries a device that goes NaN once its node passes 0.5 V.
+  // Its transient stops with kNonFinite instead of running "clean", the
+  // sweep counts it failed, and its lockstep neighbours stay bitwise
+  // equal to a healthy sweep — scalar and packed alike.
+  const fk::MonteCarlo healthy = demo_mc();
+  const fk::MonteCarlo poisoned(
+      fk::CornerSampler(demo_spec(), 7),
+      [](const fk::CornerView& view, fk::Circuit& circuit) {
+        build_corner(view, circuit);
+        if (view.index() == 2) {
+          circuit.add<ts::NanAboveHalfVolt>("N", circuit.node("out"));
+        }
+      });
+
+  for (const auto packing :
+       {fk::McPacking::kScalar, fk::McPacking::kPackedExact}) {
+    auto options = demo_options(6);
+    options.packing = packing;
+    options.chunk = 6;  // one lockstep group
+    const auto good = healthy.run(options);
+    fe::BatchReport report;
+    const auto mixed = poisoned.run(options, &report);
+    ASSERT_EQ(mixed.size(), 6u);
+    EXPECT_EQ(mixed[2].error.code, fe::ErrorCode::kNonFinite)
+        << mixed[2].error;
+    EXPECT_EQ(mixed[2].stats.forced_accepts, 0u);
+    for (const auto& probe : mixed[2].probes) {
+      EXPECT_TRUE(std::isfinite(probe.final));
+    }
+    EXPECT_EQ(report.failed, 1u);
+    for (std::size_t i = 0; i < 6; ++i) {
+      if (i == 2) continue;
+      EXPECT_TRUE(bitwise_equal(mixed[i], good[i])) << "corner " << i;
+    }
   }
 }
 

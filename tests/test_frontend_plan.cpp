@@ -47,8 +47,9 @@ TEST(FrontendPlan, RoutesEveryFrontendAndRefusesWhatItCannotReproduce) {
   EXPECT_EQ(fc::plan_route(base_scenario(fc::Frontend::kAms)),
             fc::PlanRoute::kPackedTrace);
 
-  // Time drives pack too — planned onto the frontend's own grid (or the
-  // solver's own steps for kAms) — unless the waveform is missing.
+  // Time drives pack too — sampled onto the frontend's own grid by their
+  // lane block (or the solver's own steps for kAms) — unless the waveform
+  // is missing.
   for (const auto frontend : {fc::Frontend::kDirect, fc::Frontend::kSystemC,
                               fc::Frontend::kAms}) {
     fc::Scenario timed = base_scenario(frontend);
@@ -160,8 +161,8 @@ TEST(FrontendPlan, TraceExpansionCountsMatchTheScalarModel) {
 TEST(FrontendPlan, AmsMetricsWindowThatFitsIsHonouredInBothPaths) {
   // The solver places its own steps, so a valid window must be sized from
   // the curve kAms actually produces. Plan the trajectory first to learn
-  // that length, then run with a window over its second half — run() and
-  // the packed path must agree on the metrics exactly.
+  // that length, then run with a window over its second half — run_scenario
+  // and the packed path must agree on the metrics exactly.
   fc::Scenario s = base_scenario(fc::Frontend::kAms);
   const fc::AmsSweepDrive drive =
       fc::ams_drive_for_sweep(std::get<fw::HSweep>(s.drive), s.ja().config);
@@ -186,8 +187,8 @@ TEST(FrontendPlan, AmsMetricsWindowThatFitsIsHonouredInBothPaths) {
 TEST(FrontendPlan, AmsMetricsWindowOverrunIsRejectedInBothPaths) {
   // The documented reject-don't-clamp contract: a window sized from the
   // input sweep overruns the solver-placed curve and must surface as a
-  // per-job error (identically through run() and the packed path), never be
-  // clamped to the curve that exists.
+  // per-job error (identically through run_scenario and the packed path),
+  // never be clamped to the curve that exists.
   fc::Scenario s = base_scenario(fc::Frontend::kAms);
   const std::size_t sweep_len = std::get<fw::HSweep>(s.drive).size();
   s.metrics_window = fc::MetricsWindow{0, sweep_len * 10};

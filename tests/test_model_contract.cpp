@@ -338,9 +338,8 @@ void expect_results_identical(const fc::ScenarioResult& a,
 TEST(MixedBatchParity, RunPackedAndStreamedIdenticalAcrossThreadCounts) {
   const std::vector<fc::Scenario> scenarios = mixed_workload();
 
-  // The serial per-scenario path is the reference everything must match.
-  const fc::BatchRunner serial({.threads = 1});
-  const auto reference = serial.run(scenarios);
+  // run_scenario is the reference everything must match.
+  const auto reference = ts::run_each(scenarios);
   ASSERT_EQ(reference.size(), scenarios.size());
   // Sanity: the workload exercises both models and both outcomes.
   EXPECT_TRUE(reference[0].ok());
@@ -350,22 +349,17 @@ TEST(MixedBatchParity, RunPackedAndStreamedIdenticalAcrossThreadCounts) {
     const fc::BatchRunner runner({.threads = threads});
     const std::string label = "threads=" + std::to_string(threads);
 
-    const auto plain = runner.run(scenarios);
-    const auto packed =
-        runner.run(scenarios, {.packing = fc::Packing::kExact});
+    const auto packed = runner.run(scenarios);
 
     fc::CollectingSink collected;
-    const auto summary = runner.run(scenarios, collected,
-                                    {.packing = fc::Packing::kExact});
+    const auto summary = runner.run(scenarios, collected);
     EXPECT_TRUE(summary.ok());
     EXPECT_EQ(summary.delivered, scenarios.size());
 
-    ASSERT_EQ(plain.size(), scenarios.size());
     ASSERT_EQ(packed.size(), scenarios.size());
     ASSERT_EQ(collected.results().size(), scenarios.size());
     for (std::size_t i = 0; i < scenarios.size(); ++i) {
       const std::string where = label + " scenario " + scenarios[i].name;
-      expect_results_identical(plain[i], reference[i], where + " [run]");
       expect_results_identical(packed[i], reference[i], where + " [packed]");
       expect_results_identical(collected.results()[i], reference[i],
                                where + " [packed-streaming]");
@@ -383,7 +377,7 @@ TEST(MixedBatchParity, HomogeneousEnergyBatchPacksAndMatches) {
     scenarios.push_back(std::move(s));
   }
   const fc::BatchRunner runner({.threads = 2});
-  const auto reference = runner.run(scenarios);
+  const auto reference = ts::run_each(scenarios);
   const auto packed = runner.run(scenarios, {.packing = fc::Packing::kExact});
   // kFast has no approximate energy lane: still bitwise.
   const auto fast = runner.run(scenarios, {.packing = fc::Packing::kFast});

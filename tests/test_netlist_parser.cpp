@@ -184,6 +184,10 @@ TEST(Parser, RejectsNonFiniteAndOutOfDomainValues) {
       "V1 b 0 PWL(0 0 1m -inf)",
       "C1 b 0 1u ic=nan",
       "D1 a b is=inf",
+      "D1 a 0 n=0",
+      "D1 a b is=-1e-14",
+      "D1 a b is=0 n=1",
+      "D1 a b n=-2",
       "S1 b 0 t=nan",
       "V1 b 0 SIN(0 1 0)",
       "V1 b 0 SIN(0 1 -50)",
@@ -207,6 +211,10 @@ TEST(Parser, RejectsNonFiniteAndOutOfDomainValues) {
       "T1 a 0 b 0 area=1e-4 path=0 turns=100 ns=50",
       "T1 a 0 b 0 area=1e-4 path=0.1 turns=100 ns=50 dhmax=-1",
       ".tran 1u nan",
+      ".tran -1u 20m",
+      ".tran 0 20m",
+      ".tran 1u 0",
+      ".tran 1u -20m",
   };
   for (const char* card : kBadCards) {
     const auto result = fk::parse_netlist(std::string("R0 a 0 1k\n") + card);

@@ -259,12 +259,12 @@ TEST(ResultQueue, CloseReleasesBlockedProducersWithoutLosingAcceptedItems) {
 }
 
 // ---------------------------------------------------------------------------
-// streaming run(sink) — parity with run()
+// streaming run(sink) — parity with run_scenario and the collecting run()
 // ---------------------------------------------------------------------------
 
 TEST(Streaming, CollectedStreamMatchesRunBitwiseAcrossThreadCounts) {
   const auto scenarios = mixed_frontend_workload(10);
-  const auto reference = fc::BatchRunner({.threads = 1}).run(scenarios);
+  const auto reference = ts::run_each(scenarios);
   for (const unsigned threads : {1u, 2u, 4u, 0u}) {
     const fc::BatchRunner runner({.threads = threads});
     fc::CollectingSink sink;
@@ -298,7 +298,7 @@ TEST(Streaming, EveryIndexArrivesExactlyOnce) {
 
 TEST(Streaming, OrderedSinkReproducesRunOrderExactly) {
   const auto scenarios = mixed_frontend_workload(10);
-  const auto reference = fc::BatchRunner({.threads = 1}).run(scenarios);
+  const auto reference = ts::run_each(scenarios);
   for (const unsigned threads : {2u, 4u, 0u}) {
     RecordingSink inner;
     fc::OrderedSink ordered(inner);
@@ -519,9 +519,7 @@ TEST(Streaming, ThrowingSinkSurfacesErrorWithoutKillingTheBatch) {
   EXPECT_TRUE(sink.completed);              // lifecycle still closes
 
   // The pool survives a broken consumer: the same runner keeps working.
-  const auto after = runner.run(scenarios);
-  const auto reference = fc::BatchRunner({.threads = 1}).run(scenarios);
-  expect_identical(reference, after);
+  expect_identical(ts::run_each(scenarios), runner.run(scenarios));
 }
 
 TEST(Streaming, ThrowingOnStartDiscardsEverythingButStillCompletes) {
@@ -553,8 +551,9 @@ TEST(Streaming, ThrowingOnStartDiscardsEverythingButStillCompletes) {
 
 TEST(Streaming, SinkCancellationDrainsRemainderAsCancelled) {
   // A consumer that has seen enough cancels the batch from inside its own
-  // callback. Serial runner: the gate is polled before every scenario, so
-  // exactly one result computes and the remainder arrive as kCancelled —
+  // callback. Serial runner: the gate is polled before every work unit and
+  // the first unit is the one fallback job (the invalid "broken" scenario),
+  // so exactly one result computes and the remainder arrive as kCancelled —
   // still delivered, still one per index.
   const auto scenarios = mixed_frontend_workload(8);
   fc::RunLimits limits;
@@ -623,8 +622,8 @@ TEST(Streaming, ParallelCancellationMidStreamStaysAccounted) {
 TEST(Streaming, MixedOutcomeBatchKeepsHealthyLanesBitwise) {
   // Satellite: one batch mixing a throwing waveform, a NaN-producing
   // waveform, and healthy scenarios across all three frontends. Healthy
-  // results stay bitwise identical to run(); the sick ones carry the right
-  // code on the right index; the summary reconciles.
+  // results stay bitwise identical to run_scenario; the sick ones carry the
+  // right code on the right index; the summary reconciles.
   class ThrowingWaveform final : public fw::Waveform {
    public:
     [[nodiscard]] double value(double) const override {
@@ -650,7 +649,7 @@ TEST(Streaming, MixedOutcomeBatchKeepsHealthyLanesBitwise) {
       fc::TimeDrive{std::make_shared<NanWaveform>(), 0.0, 0.04, 100};
   scenarios[nan_at].metrics_window.reset();
 
-  const auto reference = fc::BatchRunner({.threads = 1}).run(scenarios);
+  const auto reference = ts::run_each(scenarios);
   ASSERT_EQ(reference[throw_at].error.code, fc::ErrorCode::kSolverDiverged);
   ASSERT_EQ(reference[nan_at].error.code, fc::ErrorCode::kNonFinite);
   ASSERT_EQ(reference[4].error.code, fc::ErrorCode::kInvalidScenario);
@@ -670,7 +669,8 @@ TEST(Streaming, MixedOutcomeBatchKeepsHealthyLanesBitwise) {
               std::string::npos)
         << results[throw_at].error;
     EXPECT_EQ(results[nan_at].error.code, fc::ErrorCode::kNonFinite);
-    // Healthy lanes (and the deterministic failures): bitwise vs run().
+    // Healthy lanes (and the deterministic failures): bitwise vs
+    // run_scenario.
     // The NaN lane is pinned by code above and excluded here only because
     // NaN payloads defeat ASSERT_EQ (NaN != NaN), not because it may drift.
     std::vector<fc::ScenarioResult> ref_cmp;
@@ -730,7 +730,7 @@ TEST(Streaming, TeeSinkDeliversToEverySink) {
 TEST(Streaming, CsvCurveSinkWritesEveryPointInScenarioOrder) {
   const std::string path = "test_streaming_curves.csv";
   const auto scenarios = mixed_frontend_workload(5);
-  const auto reference = fc::BatchRunner({.threads = 1}).run(scenarios);
+  const auto reference = ts::run_each(scenarios);
 
   {
     fc::CsvCurveSink csv(path);
