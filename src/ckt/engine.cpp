@@ -158,8 +158,14 @@ core::Error validate(const TransientOptions& o) {
     return invalid("explicit dt_max is below dt_initial; raise dt_max or "
                    "lower dt_initial (dt_max = 0 derives horizon/100)");
   }
+  if (!std::isfinite(o.t_start)) return invalid("t_start must be finite");
+  if (!std::isfinite(o.t_end)) return invalid("t_end must be finite");
   if (!(o.t_end > o.t_start)) return invalid("t_end must exceed t_start");
   if (!(o.dt_growth >= 1.0)) return invalid("dt_growth must be >= 1");
+  if (o.method == ams::IntegrationMethod::kGear2) {
+    return invalid("method gear2 is not supported by the circuit engine "
+                   "(use trapezoidal or backward-euler)");
+  }
   return validate(o.engine);
 }
 
@@ -247,11 +253,7 @@ void TransientMachine::prepare_step() {
   ctx_.dc = false;
   ctx_.t = t_ + dt_;
   ctx_.dt = dt_;
-  // Gear2 reduces to BE in the circuit engine (two-step history is kept
-  // per device only for trapezoidal).
-  ctx_.method = options_.method == ams::IntegrationMethod::kTrapezoidal
-                    ? ams::IntegrationMethod::kTrapezoidal
-                    : ams::IntegrationMethod::kBackwardEuler;
+  ctx_.method = options_.method;
   ctx_.node_count = nodes_;
 
   std::copy(x_.begin(), x_.end(), x_trial_.begin());  // iterate seed

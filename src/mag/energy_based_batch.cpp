@@ -35,23 +35,7 @@ std::size_t EnergyBasedBatch::add_lane(const EnergyBasedParams& params) {
   ms_.push_back(params.ms);
   an_.push_back(scalar.anhysteretic());
   stats_.emplace_back();
-  params_.push_back(params);
   return n_++;
-}
-
-void EnergyBasedBatch::reset() {
-  for (std::size_t i = 0; i < n_; ++i) {
-    const std::size_t off = offset_[i];
-    const auto cells = static_cast<std::size_t>(cells_[i]);
-    const double man0 = an_[i].man(0.0);
-    for (std::size_t k = off; k < off + cells; ++k) {
-      xi_[k] = 0.0;
-      man_[k] = man0;
-    }
-    m_total_[i] = 0.0;
-    present_h_[i] = 0.0;
-    stats_[i] = {};
-  }
 }
 
 void EnergyBasedBatch::step_lane(std::size_t i, double h) {
@@ -66,14 +50,6 @@ void EnergyBasedBatch::step_lane(std::size_t i, double h) {
   const double m_hyst = energy_detail::play_update(an_[i], h, cells, stats_[i]);
   m_total_[i] = c_rev_[i] * an_[i].man(h) + m_hyst;
   present_h_[i] = h;
-}
-
-void EnergyBasedBatch::apply(const double* h) {
-  for (std::size_t i = 0; i < n_; ++i) step_lane(i, h[i]);
-}
-
-void EnergyBasedBatch::apply_all(double h) {
-  for (std::size_t i = 0; i < n_; ++i) step_lane(i, h);
 }
 
 void EnergyBasedBatch::run(const std::vector<const wave::HSweep*>& sweeps,
@@ -116,20 +92,6 @@ void EnergyBasedBatch::run(const std::vector<const wave::HSweep*>& sweeps,
 
 double EnergyBasedBatch::flux_density(std::size_t lane) const {
   return util::kMu0 * (magnetisation(lane) + present_h_[lane]);
-}
-
-EnergyState EnergyBasedBatch::state(std::size_t lane) const {
-  EnergyState s;
-  const std::size_t off = offset_[lane];
-  const auto cells = static_cast<std::size_t>(cells_[lane]);
-  s.xi.assign(xi_.begin() + static_cast<std::ptrdiff_t>(off),
-              xi_.begin() + static_cast<std::ptrdiff_t>(off + cells));
-  s.man.assign(man_.begin() + static_cast<std::ptrdiff_t>(off),
-               man_.begin() + static_cast<std::ptrdiff_t>(off + cells));
-  s.m_total = m_total_[lane];
-  s.present_h = present_h_[lane];
-  s.rate = 0.0;
-  return s;
 }
 
 }  // namespace ferro::mag

@@ -50,15 +50,6 @@ class EnergyBasedBatch {
   [[nodiscard]] std::size_t lanes() const { return n_; }
   [[nodiscard]] BatchMath math() const { return math_; }
 
-  /// All lanes back to the virgin state, counters cleared.
-  void reset();
-
-  /// One step: lane i applies field h[i] (h has lanes() entries).
-  void apply(const double* h);
-
-  /// One step with a field sample shared by every lane.
-  void apply_all(double h);
-
   /// Drives lane i through sweeps[i] (ragged lengths allowed), recording
   /// every sample of lane i into curves[i]. `sweeps` must have lanes()
   /// entries; `curves` is resized to lanes(), and each curve's contents
@@ -76,17 +67,12 @@ class EnergyBasedBatch {
            std::vector<analysis::CurveFinish>& finish);
 
   // Per-lane views, mirroring the scalar accessors.
-  [[nodiscard]] double m_total(std::size_t lane) const { return m_total_[lane]; }
   [[nodiscard]] double magnetisation(std::size_t lane) const {
     return ms_[lane] * m_total_[lane];
   }
   [[nodiscard]] double flux_density(std::size_t lane) const;
-  [[nodiscard]] EnergyState state(std::size_t lane) const;
   [[nodiscard]] const EnergyStats& stats(std::size_t lane) const {
     return stats_[lane];
-  }
-  [[nodiscard]] const EnergyBasedParams& params(std::size_t lane) const {
-    return params_[lane];
   }
 
  private:
@@ -113,7 +99,6 @@ class EnergyBasedBatch {
   std::vector<double> ms_;
   std::vector<Anhysteretic> an_;
   std::vector<EnergyStats> stats_;
-  std::vector<EnergyBasedParams> params_;
 };
 
 }  // namespace ferro::mag

@@ -1,7 +1,6 @@
 // Branch-light polynomial kernels for the FastMath lane of the SoA batch
 // model (TimelessJaBatch). Each function trades a bounded absolute error for
-// straight-line code the compiler can keep in registers and vectorise across
-// lanes:
+// straight-line code that runs W lanes per instruction:
 //
 //   fast_atan  : |err| <= 5e-13   (Chebyshev degree-14 on |x|<=1 + reduction)
 //   fast_tanh  : |err| <= 5e-8    (degree-16 core on |x|<=2.25, two argument
@@ -9,17 +8,17 @@
 //   fast_langevin / fast_atan_langevin: the anhysteretic shapes built on top,
 //                                  same bounds up to the 2/pi scale.
 //
-// The coefficients are generated by tools/gen_fastmath_coeffs.py (pure-python
-// Chebyshev interpolation); the bounds are asserted against std::atan /
-// std::tanh by tests/test_timeless_batch.cpp. The exact lane of the batch
-// kernel never calls these — it goes through Anhysteretic so it stays bitwise
-// identical to the scalar TimelessJa.
+// There is one copy of each kernel, templated over the lane op set VecD<W>
+// below; VecD<1> (plain doubles) is the scalar path. The coefficients are
+// generated by tools/gen_fastmath_coeffs.py (pure-python Chebyshev
+// interpolation); the bounds are asserted against std::atan / std::tanh by
+// tests/test_timeless_batch.cpp through VecD<1>. The exact lane of the batch
+// kernel never calls these — it goes through Anhysteretic so it stays
+// bitwise identical to the scalar TimelessJa.
 #pragma once
 
-#include <algorithm>
 #include <cmath>
 #include <cstddef>
-#include <utility>
 
 #include "util/constants.hpp"
 
@@ -87,108 +86,28 @@ constexpr std::size_t estrin_split(std::size_t count) {
   return p;
 }
 
-template <std::size_t kPow>
-FERRO_ALWAYS_INLINE double upow(double u) {
-  if constexpr (kPow == 1) {
-    return u;
-  } else {
-    const double h = upow<kPow / 2>(u);
-    return h * h;
-  }
-}
-
-/// Estrin evaluation of coeffs[kLo .. kLo+kCount) in powers of u: same
-/// operation count as Horner but ~log-depth dependency chains, which is what
-/// lets the out-of-order core overlap several SoA lanes' polynomials. The
-/// recursion unrolls completely at compile time.
-template <std::size_t kLo, std::size_t kCount, std::size_t N>
-FERRO_ALWAYS_INLINE double estrin_range(const double (&coeffs)[N], double u) {
-  if constexpr (kCount == 1) {
-    return coeffs[kLo];
-  } else if constexpr (kCount == 2) {
-    return coeffs[kLo] + coeffs[kLo + 1] * u;
-  } else {
-    constexpr std::size_t kHalf = estrin_split(kCount);
-    return estrin_range<kLo, kHalf>(coeffs, u) +
-           upow<kHalf>(u) * estrin_range<kLo + kHalf, kCount - kHalf>(coeffs, u);
-  }
-}
-
-template <std::size_t N>
-FERRO_ALWAYS_INLINE double poly_eval(const double (&coeffs)[N], double u) {
-  return estrin_range<0, N>(coeffs, u);
-}
-
 }  // namespace detail
-
-/// atan with one divide, a polynomial, and selects — no data-dependent
-/// branches, so an SoA loop over lanes vectorises.
-FERRO_ALWAYS_INLINE double fast_atan(double x) {
-  const double w = std::fabs(x);
-  const double lo = std::min(w, 1.0);
-  const double hi = std::max(w, 1.0);
-  const double z = lo / hi;  // == w or 1/w; exactly w/1 when |x| <= 1
-  const double p = z * detail::poly_eval(detail::kAtanPoly, z * z);
-  const double r = w > 1.0 ? 0.5 * util::kPi - p : p;
-  return std::copysign(r, x);
-}
-
-/// tanh via a core polynomial on |x| <= 2.25 and two argument doublings
-/// tanh(2x) = 2 tanh(x) / (1 + tanh^2 x); saturates (|err| < 3e-8) at |x| = 9.
-FERRO_ALWAYS_INLINE double fast_tanh(double x) {
-  const double w = std::min(std::fabs(x), 9.0);
-  const double z = 0.25 * w;
-  double t = z * detail::poly_eval(detail::kTanhPoly, z * z);
-  t = 2.0 * t / (1.0 + t * t);
-  t = 2.0 * t / (1.0 + t * t);
-  return std::copysign(t, x);
-}
-
-/// Modified (atan) Langevin of Wilson et al.: (2/pi) * atan(x).
-FERRO_ALWAYS_INLINE double fast_atan_langevin(double x) {
-  return util::kTwoOverPi * fast_atan(x);
-}
-
-/// Classic Langevin L(x) = coth(x) - 1/x. Mirrors the series / saturation
-/// structure of mag::langevin but rides on fast_tanh in the mid range, using
-/// the cancellation-free form (x - tanh x) / (x * tanh x). Like the other
-/// kernels this is select-based rather than branch-based: all three regime
-/// candidates are computed and the right one picked, so an SoA loop over
-/// lanes stays straight-line. (The discarded candidates may be inf/NaN —
-/// IEEE default semantics make that harmless.)
-FERRO_ALWAYS_INLINE double fast_langevin(double x) {
-  const double ax = std::fabs(x);
-  const double x2 = ax * ax;
-  // L(x) = x/3 - x^3/45 + 2x^5/945 - x^7/4725 + ... (|err| < 1e-10 at 0.25)
-  const double series =
-      ax * (1.0 / 3.0 -
-            x2 * (1.0 / 45.0 - x2 * (2.0 / 945.0 - x2 * (1.0 / 4725.0))));
-  const double t = fast_tanh(std::min(ax, 9.0));
-  const double mid = (ax - t) / (ax * t);
-  const double tail = 1.0 - 1.0 / ax;
-  const double magnitude = ax < 0.25 ? series : (ax > 9.0 ? tail : mid);
-  return std::copysign(magnitude, x);
-}
 
 }  // namespace ferro::mag::fastmath
 
 // ---------------------------------------------------------------------------
-// Width-agnostic vector mirrors of the kernels above: VecD<W> wraps one
-// W-lane double vector (W = 1 plain double, 2 SSE2, 4 AVX2, 8 AVX-512F)
-// behind a uniform op set, and the fast_* kernels below are templated over
-// it. Hand-written with
-// intrinsics because gcc's scalar canonicalisations (division-by-one elision,
-// store sinking) put branches back into the straight-line code faster than
-// its vectoriser can if-convert them out.
+// The lane op set: VecD<W> wraps one W-lane double vector (W = 1 plain
+// double, 2 SSE2, 4 AVX2, 8 AVX-512F) behind a uniform op set, and the
+// fast_* kernels below are templated over it. Hand-written with intrinsics
+// because gcc's scalar canonicalisations (division-by-one elision, store
+// sinking) put branches back into the straight-line code faster than its
+// vectoriser can if-convert them out.
 //
 // Every op is lane-wise and either a correctly-rounded IEEE-754 operation or
 // a pure bit manipulation, applied in the same order at every width, so a
-// lane computed through any vector path is bitwise identical to the scalar
-// path — and therefore independent of the vector width and of how lanes are
-// grouped (asserted by TimelessJaBatch.FastSimdPairAndScalarTailAgreeBitwise
-// and .FastLaneBitwiseInvariantAcrossSimdWidths in
-// tests/test_timeless_batch.cpp). Deliberately absent: FMA and any
-// horizontal op, both of which would round differently per width.
+// lane's bits do not depend on the vector width or on how lanes are grouped
+// — W = 1 included, which is the batch kernel's scalar path, not a separate
+// copy of it. That holds for non-finite input too: min and max follow
+// MINPD/MAXPD at every width, NaN operands included (asserted by
+// TimelessJaBatch.FastSimdPairAndScalarTailAgreeBitwise and
+// .FastLaneBitwiseInvariantAcrossSimdWidths in tests/test_timeless_batch.cpp).
+// Deliberately absent: FMA and any horizontal op, both of which would round
+// differently per width.
 //
 // The wider specialisations only exist in translation units compiled with
 // the matching ISA flags (src/mag/timeless_ja_batch_{avx2,avx512}.cpp get
@@ -222,8 +141,7 @@ inline namespace FERRO_SIMD_NS {
 ///   set1 zero load store  broadcast, zero, unaligned load/store
 ///   add sub mul div       lane-wise IEEE arithmetic (correctly rounded)
 ///   min max               lane-wise MINPD/MAXPD semantics (second operand
-///                         returned on equality/NaN — matches std::min/max
-///                         argument order used by the scalar kernels)
+///                         returned on equality or when either is NaN)
 ///   abs neg copysign      sign-bit manipulation
 ///   cmp_gt/lt/eq/neq      lane compares to a Mask (neq is the unordered
 ///                         form, matching SSE2's CMPNEQPD)
@@ -235,9 +153,10 @@ inline namespace FERRO_SIMD_NS {
 template <int W>
 struct VecD;
 
-/// The W = 1 member: the same op set on plain doubles, so a kernel
-/// templated over VecD runs its scalar lanes through the vector passes'
-/// operation sequence (min/max spelled as the MINPD/MAXPD they mirror).
+/// The W = 1 member and the scalar path: the same op set on plain doubles,
+/// so a kernel templated over VecD runs its scalar lanes through the vector
+/// passes' operation sequence (min/max spelled as the MINPD/MAXPD they
+/// mirror, not as std::min/std::max, which return a NaN first operand).
 template <>
 struct VecD<1> {
   static constexpr int kWidth = 1;
@@ -472,8 +391,6 @@ struct VecD<8> {
 
 #endif  // __AVX512F__
 
-#if defined(FERRO_FASTMATH_SIMD)
-
 namespace vdetail {
 
 template <class V, std::size_t kPow>
@@ -486,8 +403,10 @@ FERRO_ALWAYS_INLINE typename V::Reg upow(typename V::Reg u) {
   }
 }
 
-/// Estrin evaluation with exactly the scalar detail::estrin_range grouping,
-/// so a vector lane rounds identically to the scalar kernel.
+/// Estrin evaluation of coeffs[kLo .. kLo+kCount) in powers of u: same
+/// operation count as Horner but ~log-depth dependency chains, which is what
+/// lets the out-of-order core overlap several lanes' polynomials. The
+/// recursion unrolls completely at compile time.
 template <class V, std::size_t kLo, std::size_t kCount, std::size_t N>
 FERRO_ALWAYS_INLINE typename V::Reg estrin_range(const double (&coeffs)[N],
                                                  typename V::Reg u) {
@@ -512,6 +431,8 @@ FERRO_ALWAYS_INLINE typename V::Reg poly_eval(const double (&coeffs)[N],
 
 }  // namespace vdetail
 
+/// atan with one divide, a polynomial, and selects — no data-dependent
+/// branches, so a lane group shares one instruction stream.
 template <class V>
 FERRO_ALWAYS_INLINE typename V::Reg fast_atan(typename V::Reg x) {
   using R = typename V::Reg;
@@ -519,13 +440,15 @@ FERRO_ALWAYS_INLINE typename V::Reg fast_atan(typename V::Reg x) {
   const R w = V::abs(x);
   const R lo = V::min(w, one);
   const R hi = V::max(w, one);
-  const R z = V::div(lo, hi);
+  const R z = V::div(lo, hi);  // == w or 1/w; exactly w/1 when |x| <= 1
   const R p = V::mul(z, vdetail::poly_eval<V>(detail::kAtanPoly, V::mul(z, z)));
   const R r = V::select(V::cmp_gt(w, one), p,
                         V::sub(V::set1(0.5 * util::kPi), p));
   return V::copysign(r, x);
 }
 
+/// tanh via a core polynomial on |x| <= 2.25 and two argument doublings
+/// tanh(2x) = 2 tanh(x) / (1 + tanh^2 x); saturates (|err| < 3e-8) at |x| = 9.
 template <class V>
 FERRO_ALWAYS_INLINE typename V::Reg fast_tanh(typename V::Reg x) {
   using R = typename V::Reg;
@@ -539,17 +462,24 @@ FERRO_ALWAYS_INLINE typename V::Reg fast_tanh(typename V::Reg x) {
   return V::copysign(t, x);
 }
 
+/// Modified (atan) Langevin of Wilson et al.: (2/pi) * atan(x).
 template <class V>
 FERRO_ALWAYS_INLINE typename V::Reg fast_atan_langevin(typename V::Reg x) {
   return V::mul(V::set1(util::kTwoOverPi), fast_atan<V>(x));
 }
 
+/// Classic Langevin L(x) = coth(x) - 1/x. Mirrors the series / saturation
+/// structure of mag::langevin but rides on fast_tanh in the mid range, using
+/// the cancellation-free form (x - tanh x) / (x * tanh x). All three regime
+/// candidates are computed and the right one selected, so the code stays
+/// straight-line. (The discarded candidates may be inf/NaN — IEEE default
+/// semantics make that harmless.)
 template <class V>
 FERRO_ALWAYS_INLINE typename V::Reg fast_langevin(typename V::Reg x) {
   using R = typename V::Reg;
   const R ax = V::abs(x);
   const R x2 = V::mul(ax, ax);
-  // Same nesting as the scalar series, term for term.
+  // L(x) = x/3 - x^3/45 + 2x^5/945 - x^7/4725 + ... (|err| < 1e-10 at 0.25)
   const R series = V::mul(
       ax, V::sub(V::set1(1.0 / 3.0),
                  V::mul(x2, V::sub(V::set1(1.0 / 45.0),
@@ -565,8 +495,6 @@ FERRO_ALWAYS_INLINE typename V::Reg fast_langevin(typename V::Reg x) {
   const R magnitude = V::select(V::cmp_lt(ax, V::set1(0.25)), inner, series);
   return V::copysign(magnitude, x);
 }
-
-#endif  // FERRO_FASTMATH_SIMD
 
 }  // inline namespace FERRO_SIMD_NS
 }  // namespace ferro::mag::fastmath

@@ -15,8 +15,8 @@ namespace ferro::mag {
 namespace detail {
 
 // Baseline width entry points (the ISA-flagged TUs define W4/W8). W1 is the
-// pure-scalar pass, always available; W2 rides the SSE2 VecD, which every
-// x86-64 target compiles.
+// tile pass over VecD<1>, always available; W2 rides the SSE2 VecD, which
+// every x86-64 target compiles.
 namespace {
 void run_w1(AnhystereticKind kind, const FastRunArgs& args) {
   fast_run<1>(kind, args);
@@ -62,7 +62,7 @@ bool entry_available(const SpanEntry& entry) {
          entry.width <= core::max_simd_width(core::cpu_features());
 }
 
-/// Widest available pass no wider than `cap` (the W1 scalar pass always
+/// Widest available pass no wider than `cap` (the W1 pass always
 /// qualifies, so this cannot fail).
 const SpanEntry* pick_span(int cap) {
   const SpanEntry* table = span_table();
@@ -121,11 +121,12 @@ int TimelessJaBatch::force_simd_width(int width) {
 // ---------------------------------------------------------------------------
 // The FastMath lane's per-sample step lives in timeless_ja_batch_span.hpp,
 // templated over the SIMD width; this TU instantiates the W = 1/2 baseline
-// passes above and routes every span through the per-process width selected
-// by active_span() (CPUID + FERRO_FORCE_SIMD_WIDTH, overridable via
-// force_simd_width()). The step is shared by run() spans and the public
-// apply() path, and its result is width-, pairing-, partition- and
-// thread-count-invariant by construction.
+// passes above and routes every rectangle through the per-process width
+// selected by active_span() (CPUID + FERRO_FORCE_SIMD_WIDTH, overridable via
+// force_simd_width()). run(), run_traces() and apply() all build their
+// rectangles through run_fast_pass(), and a lane's result is width-,
+// pairing-, partition- and thread-count-invariant by construction. The
+// exact lane has one step too, step_exact(), for threshold and trace rows.
 // ---------------------------------------------------------------------------
 TimelessJaBatch::TimelessJaBatch(BatchMath math) : math_(math) {}
 
@@ -212,8 +213,7 @@ void TimelessJaBatch::set_state(std::size_t lane, const TimelessState& s) {
   present_h_[lane] = s.present_h;
 }
 
-void TimelessJaBatch::dispatch_fast_rect(AnhystereticKind kind,
-                                         detail::FastRunArgs rect) {
+void TimelessJaBatch::run_fast_pass(detail::FastRunArgs rect) {
   rect.alpha_ms = alpha_ms_.data();
   rect.c_over_1pc = c_over_1pc_.data();
   rect.one_pc_k = one_pc_k_.data();
@@ -232,7 +232,28 @@ void TimelessJaBatch::dispatch_fast_rect(AnhystereticKind kind,
   rect.cnt_slope_clamps = cnt_slope_clamps_.data();
   rect.cnt_direction_clamps = cnt_direction_clamps_.data();
   rect.ms = ms_.data();
-  active_span().load(std::memory_order_relaxed)->fn(kind, rect);
+  const detail::FastRunFn fn =
+      active_span().load(std::memory_order_relaxed)->fn;
+
+  // Each maximal contiguous run of lanes sharing an anhysteretic kind is one
+  // rectangle over the whole row range: the pass keeps the lane state in
+  // registers across every row and masks ragged lanes out of their vector
+  // group as they finish (per-lane `len`). Per-lane trajectories are
+  // independent of the grouping and of where the masked tail begins (same
+  // op sequence per lane either way).
+  const double* const* h = rect.h;
+  const double* const* dh = rect.dh;
+  std::size_t i = 0;
+  while (i < n_) {
+    const std::size_t begin = i;
+    const AnhystereticKind kind = kind_[i];
+    while (i < n_ && kind_[i] == kind) ++i;
+    rect.begin = begin;
+    rect.end = i;
+    rect.h = h + begin;
+    if (dh != nullptr) rect.dh = dh + begin;
+    fn(kind, rect);
+  }
 }
 
 void TimelessJaBatch::fold_fast_counters(std::size_t i,
@@ -252,38 +273,29 @@ void TimelessJaBatch::fold_fast_counters(std::size_t i,
   cnt_direction_clamps_[i] = 0.0;
 }
 
-template <bool kFastMath>
-void TimelessJaBatch::step_lane(std::size_t i, double h) {
-  if constexpr (kFastMath) {
-    const double* stream = &h;
-    detail::FastRunArgs rect;
-    rect.begin = i;
-    rect.end = i + 1;
-    rect.j1 = 1;
-    rect.h = &stream;
-    dispatch_fast_rect(kind_[i], rect);
-    present_h_[i] = h;
-    ++stats_[i].samples;
-    fold_fast_counters(i);
-    return;
-  }
-
+template <bool kTrace>
+void TimelessJaBatch::step_exact(std::size_t i, double h, double dh) {
   TimelessStats& st = stats_[i];
-  ++st.samples;
 
   // core(): algebraic refresh from the previous total magnetisation.
   const double he = h + alpha_ms_[i] * m_total_[i];
   const double man = man_exact(i, he);
   double mt = c_over_1pc_[i] * man + m_irr_[i];
 
-  // monitorH(): integration fires only on sufficient field movement.
-  const double dh = h - anchor_h_[i];
-  if (std::fabs(dh) > dhmax_[i]) {
-    ++st.field_events;
-
-    // Integral(): one Forward-Euler step spanning the whole event, slope
-    // from the man/mtotal pair just published — the scalar model's exact
-    // operation sequence.
+  // monitorH(): a threshold row integrates only on sufficient field
+  // movement; a trace row integrates when the planner gave it a width.
+  bool event;
+  if constexpr (kTrace) {
+    event = dh != 0.0;
+  } else {
+    ++st.samples;
+    dh = h - anchor_h_[i];
+    event = std::fabs(dh) > dhmax_[i];
+  }
+  if (event) {
+    // Integral(): one Forward-Euler step of width dh, slope from the
+    // man/mtotal pair just published — the scalar model's exact operation
+    // sequence.
     const double delta = dh > 0.0 ? 1.0 : -1.0;
     const double delta_m = man - mt;
     const double denom = delta * one_pc_k_[i] - one_pc_alpha_ms_[i] * delta_m;
@@ -306,77 +318,40 @@ void TimelessJaBatch::step_lane(std::size_t i, double h) {
     }
 
     m_irr_[i] += dm;
-    ++st.integration_steps;
     last_slope_[i] = s;
-    anchor_h_[i] = h;
 
-    // Feedback refresh so the published total includes this event's dm;
-    // the effective field uses the pre-event total, exactly like the scalar
-    // model's second refresh_algebraic().
-    const double he2 = h + alpha_ms_[i] * mt;
-    const double man2 = man_exact(i, he2);
-    mt = c_over_1pc_[i] * man2 + m_irr_[i];
-  }
-
-  m_total_[i] = mt;
-  present_h_[i] = h;
-}
-
-void TimelessJaBatch::step_lane_trace(std::size_t i, double h, double dh) {
-  // core(): algebraic refresh from the previous total magnetisation. The
-  // planner's row program carries the refresh-only rows explicitly, so
-  // there is no threshold check and no feedback refresh here — this is
-  // TimelessJa::apply() unrolled one row at a time (mag/ja_trace.hpp).
-  const double he = h + alpha_ms_[i] * m_total_[i];
-  const double man = man_exact(i, he);
-  const double mt = c_over_1pc_[i] * man + m_irr_[i];
-  m_total_[i] = mt;
-  present_h_[i] = h;
-
-  if (dh == 0.0) return;
-
-  // Integral(): one Forward-Euler step of the planned width, slope from the
-  // man/mtotal pair just published — the scalar model's exact operation
-  // sequence inside its event/sub-step path.
-  TimelessStats& st = stats_[i];
-  const double delta = dh > 0.0 ? 1.0 : -1.0;
-  const double delta_m = man - mt;
-  const double denom = delta * one_pc_k_[i] - one_pc_alpha_ms_[i] * delta_m;
-  double s;
-  if (denom == 0.0) {
-    ++st.slope_clamps;
-    s = 0.0;
-  } else {
-    s = delta_m / denom;
-    if (clamp_slope_[i] != 0 && s < 0.0) {
-      ++st.slope_clamps;
-      s = 0.0;
+    if constexpr (!kTrace) {
+      ++st.field_events;
+      ++st.integration_steps;
+      anchor_h_[i] = h;
+      // Feedback refresh so the published total includes this event's dm;
+      // the effective field uses the pre-event total, exactly like the
+      // scalar model's second refresh_algebraic().
+      const double he2 = h + alpha_ms_[i] * mt;
+      mt = c_over_1pc_[i] * man_exact(i, he2) + m_irr_[i];
     }
   }
 
-  double dm = dh * s;
-  if (clamp_direction_[i] != 0 && dm * dh < 0.0) {
-    ++st.direction_clamps;
-    dm = 0.0;
-  }
-
-  m_irr_[i] += dm;
-  last_slope_[i] = s;
+  m_total_[i] = mt;
+  present_h_[i] = h;
 }
 
 void TimelessJaBatch::apply(const double* h) {
-  if (math_ == BatchMath::kFast) {
-    for (std::size_t i = 0; i < n_; ++i) step_lane<true>(i, h[i]);
-  } else {
-    for (std::size_t i = 0; i < n_; ++i) step_lane<false>(i, h[i]);
+  if (math_ == BatchMath::kExact) {
+    for (std::size_t i = 0; i < n_; ++i) step_exact<false>(i, h[i]);
+    return;
   }
-}
-
-void TimelessJaBatch::apply_all(double h) {
-  if (math_ == BatchMath::kFast) {
-    for (std::size_t i = 0; i < n_; ++i) step_lane<true>(i, h);
-  } else {
-    for (std::size_t i = 0; i < n_; ++i) step_lane<false>(i, h);
+  // One row per lane: lane i's sample stream is h[i] alone.
+  std::vector<const double*> streams(n_);
+  for (std::size_t i = 0; i < n_; ++i) streams[i] = h + i;
+  detail::FastRunArgs rect;
+  rect.j1 = 1;
+  rect.h = streams.data();
+  run_fast_pass(rect);
+  for (std::size_t i = 0; i < n_; ++i) {
+    present_h_[i] = h[i];
+    ++stats_[i].samples;
+    fold_fast_counters(i);
   }
 }
 
@@ -405,7 +380,7 @@ void TimelessJaBatch::run_exact(const std::vector<const wave::HSweep*>& sweeps,
         const std::vector<double>& hs = sweeps[i]->h;
         if (j >= hs.size()) continue;
         const double h = hs[j];
-        step_lane<false>(i, h);
+        step_exact<false>(i, h);
         const double m = ms_[i] * m_total_[i];
         curves[i].append(h, m, util::kMu0 * (m + h));
       }
@@ -452,31 +427,17 @@ void TimelessJaBatch::run_fast(const std::vector<const wave::HSweep*>& sweeps,
     max_len = std::max(max_len, len[i]);
   }
 
-  // Each maximal contiguous run of lanes sharing an anhysteretic kind
-  // sweeps the whole row range in a single dispatch — the pass keeps the
-  // lane state in registers across every row and masks ragged lanes out of
-  // their vector group as they finish (per-lane `len`). Per-lane
-  // trajectories are independent of the grouping and of where the masked
-  // tail begins (same op sequence per lane either way).
-  std::size_t i = 0;
-  while (i < n_) {
-    const std::size_t begin = i;
-    const AnhystereticKind kind = kind_[i];
-    while (i < n_ && kind_[i] == kind) ++i;
-    detail::FastRunArgs rect;
-    rect.begin = begin;
-    rect.end = i;
-    rect.j1 = max_len;
-    rect.h = h_ptr.data() + begin;
-    rect.len = len.data();
-    rect.out = out.data();
-    rect.finish_begin = finish_begin.data();
-    rect.finish_end = finish_end.data();
-    rect.loop_state = loop_state.data();
-    rect.loop_stride = n_;
-    rect.nonfinite = nonfinite.data();
-    dispatch_fast_rect(kind, rect);
-  }
+  detail::FastRunArgs rect;
+  rect.j1 = max_len;
+  rect.h = h_ptr.data();
+  rect.len = len.data();
+  rect.out = out.data();
+  rect.finish_begin = finish_begin.data();
+  rect.finish_end = finish_end.data();
+  rect.loop_state = loop_state.data();
+  rect.loop_stride = n_;
+  rect.nonfinite = nonfinite.data();
+  run_fast_pass(rect);
 
   for (std::size_t lane = 0; lane < n_; ++lane) {
     if (len[lane] > 0) present_h_[lane] = h_ptr[lane][len[lane] - 1];
@@ -500,7 +461,7 @@ void TimelessJaBatch::run_traces_exact(
     points[i].resize(t.rows);
     for (std::size_t j = 0; j < t.rows; ++j) {
       const double h = t.h[j];
-      step_lane_trace(i, h, t.dh[j]);
+      step_exact<true>(i, h, t.dh[j]);
       const double m = ms_[i] * m_total_[i];
       points[i][j] = BhPoint{h, m, util::kMu0 * (m + h)};
     }
@@ -525,23 +486,13 @@ void TimelessJaBatch::run_traces_fast(
     max_len = std::max(max_len, len[i]);
   }
 
-  // Same grouping as run_fast — contiguous same-kind runs, ragged lanes
-  // masked out as their row programs end — with the pass in trace mode.
-  std::size_t i = 0;
-  while (i < n_) {
-    const std::size_t begin = i;
-    const AnhystereticKind kind = kind_[i];
-    while (i < n_ && kind_[i] == kind) ++i;
-    detail::FastRunArgs rect;
-    rect.begin = begin;
-    rect.end = i;
-    rect.j1 = max_len;
-    rect.h = h_ptr.data() + begin;
-    rect.dh = dh_ptr.data() + begin;
-    rect.len = len.data();
-    rect.out = out.data();
-    dispatch_fast_rect(kind, rect);
-  }
+  detail::FastRunArgs rect;
+  rect.j1 = max_len;
+  rect.h = h_ptr.data();
+  rect.dh = dh_ptr.data();
+  rect.len = len.data();
+  rect.out = out.data();
+  run_fast_pass(rect);
 
   for (std::size_t lane = 0; lane < n_; ++lane) {
     if (len[lane] > 0) present_h_[lane] = h_ptr[lane][len[lane] - 1];

@@ -3,14 +3,19 @@
 // lockstep, one field sample per lane per step, over contiguous state arrays
 // (m_irr / m_total / anchor_h) with per-lane precomputed constants.
 //
-// Two arithmetic lanes:
+// Two arithmetic lanes, each with one step body:
 //   * kExact — bitwise-identical to running a scalar TimelessJa per lane
 //     (same constants, same operation order; asserted by the property tests
-//     and by the fig1 golden curve). This is the default.
+//     and by the fig1 golden curve). This is the default. One scalar step,
+//     step_exact(), serves threshold rows (run, apply) and planner trace
+//     rows (run_traces); run() advances its lanes in lockstep so their
+//     steps interleave.
 //   * kFast  — opt-in FastMath: polynomial atan/tanh (src/mag/fast_math.hpp,
 //     |err| <= 5e-13 / 5e-8), branch-free slope and direction clamps via
 //     select/copysign, and the precomputed reciprocal constants. Bounded
-//     deviation from exact, measured as an arc-RMS by the tests.
+//     deviation from exact, measured as an arc-RMS by the tests. One tile
+//     body (timeless_ja_batch_span.hpp) templated over the lane op set
+//     fastmath::VecD<W> runs it at every width; W = 1 is the scalar path.
 //
 // The kernel covers the paper-faithful discretisation subset — no
 // sub-stepping (`supports()`); BatchRunner's packed path routes scenarios
@@ -61,7 +66,7 @@ class TimelessJaBatch {
   [[nodiscard]] BatchMath math() const { return math_; }
 
   /// SIMD width (doubles per vector) the FastMath lane is dispatching to:
-  /// 1 scalar, 2 SSE2, 4 AVX2, 8 AVX-512F. Picked once per process as the
+  /// 1 scalar (VecD<1>), 2 SSE2, 4 AVX2, 8 AVX-512F. Picked once per process as the
   /// widest compiled-in path the CPU supports (core/cpu_features), capped
   /// by the FERRO_FORCE_SIMD_WIDTH environment variable when set. Lane
   /// results are bitwise identical at every width (property-tested), so
@@ -86,9 +91,6 @@ class TimelessJaBatch {
 
   /// One lockstep step: lane i applies field h[i] (h has lanes() entries).
   void apply(const double* h);
-
-  /// One lockstep step with a field sample shared by every lane.
-  void apply_all(double h);
 
   /// Drives lane i through sweeps[i] (ragged lengths allowed), recording
   /// every sample of lane i into curves[i]. `sweeps` must have lanes()
@@ -161,14 +163,16 @@ class TimelessJaBatch {
   }
 
  private:
-  template <bool kFastMath>
-  void step_lane(std::size_t i, double h);
-
-  /// One trace row for lane i on the exact path: algebraic refresh at h,
-  /// then (when dh != 0) one Forward-Euler step of width dh — the unrolled
-  /// body of TimelessJa::apply(), bitwise identical to the scalar model
-  /// replaying the same rows. Counts only the clamp counters.
-  void step_lane_trace(std::size_t i, double h, double dh);
+  /// One exact row for lane i at field h — the scalar model's operation
+  /// sequence, bitwise. A threshold row (kTrace false) is TimelessJa's
+  /// apply() without sub-steps: it integrates when |h - anchor| > dhmax,
+  /// then refreshes the total with the new m_irr; `dh` is ignored. A trace
+  /// row refreshes at h and, when dh != 0, takes one Forward-Euler step of
+  /// exactly that width, with no threshold test and no feedback refresh —
+  /// TimelessJa::apply() unrolled one row at a time (mag/ja_trace.hpp). A
+  /// trace row counts only the clamp counters.
+  template <bool kTrace>
+  void step_exact(std::size_t i, double h, double dh = 0.0);
 
   void run_exact(const std::vector<const wave::HSweep*>& sweeps,
                  std::vector<BhCurve>& curves,
@@ -181,12 +185,14 @@ class TimelessJaBatch {
   void run_traces_fast(const std::vector<TraceView>& traces,
                        std::vector<std::vector<BhPoint>>& points);
 
-  /// Runs the branch-free FastMath pass over `rect` — its lanes [begin,
-  /// end), rows [j0, j1), per-lane sample streams and row counts, and the
-  /// optional recording and finishing buffers (detail::FastRunArgs) —
-  /// through the per-process width-dispatched entry point, after pointing
-  /// it at this batch's SoA constants and state.
-  void dispatch_fast_rect(AnhystereticKind kind, detail::FastRunArgs rect);
+  /// Runs the FastMath pass over every lane through the per-process
+  /// width-dispatched entry point, one rectangle per contiguous run of
+  /// lanes sharing an anhysteretic kind. `rect` carries the rows [j0, j1),
+  /// the per-lane sample streams (h, and dh for trace rows, indexed from
+  /// lane 0) and row counts, and the optional recording and finishing
+  /// buffers (detail::FastRunArgs); this fills in the lane range and the
+  /// batch's SoA constants and state.
+  void run_fast_pass(detail::FastRunArgs rect);
 
   /// Folds the SoA event counters written by the FastMath pass into the
   /// per-lane TimelessStats and clears them. Threshold mode: one

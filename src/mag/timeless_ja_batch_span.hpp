@@ -8,11 +8,13 @@
 // The entry processes a rectangle of work — lanes [begin, end) over sample
 // rows [j0, j1) — tiled into W-lane groups that sweep ALL their rows in one
 // register-resident loop: per-lane state (m_irr / m_total / anchor_h /
-// slopes / counters) is loaded once per tile, lives in vector registers
-// across the whole row range, and is stored once at the end. That turns the
+// slopes / counters) is loaded once per tile, lives in registers across the
+// whole row range, and is stored once at the end. That turns the
 // per-sample cost into one gathered field load, the step arithmetic, and
 // (optionally) one curve-point store — no state traffic. Lanes left over
-// after the W-tiles cascade to the W/2 pass and finally a scalar loop.
+// after the W-tiles cascade to the W/2 pass and finally to W = 1, which is
+// the same tile body over fastmath::VecD<1>: there is one copy of each row
+// program, whatever the width.
 //
 // Two row programs share the pass:
 //   * threshold mode (dh == nullptr) — the classic sweep: each row applies
@@ -38,14 +40,15 @@
 // split so the shared prefix (rows every tile lane still owns) runs the
 // unmasked body; only the ragged tail pays for the per-lane active mask.
 //
-// The step body is fully branch-free (selects and copysign, the feedback
-// refresh computed unconditionally and masked by the event flag). Every
-// operation is lane-wise and identical in sequence at every width — scalar
-// tail included — so a lane's trajectory never depends on the vector width,
-// on which lanes share a register, on how lanes are grouped into tiles,
-// row segments or blocks, or on which lanes around it have already
-// finished: width, pairing, partition and thread-count invariance by
-// construction (property-tested in tests/test_timeless_batch.cpp).
+// The step body is branch-free within a tile (selects and copysign, the
+// feedback refresh masked by the event flag). Every operation is lane-wise
+// and identical in sequence at every width, W = 1 included, so a lane's
+// trajectory — NaN and infinite field samples included — never depends on
+// the vector width, on which lanes share a register, on how lanes are
+// grouped into tiles, row segments or blocks, or on which lanes around it
+// have already finished: width, pairing, partition and thread-count
+// invariance by construction (property-tested in
+// tests/test_timeless_batch.cpp).
 //
 // ABI note: FastRunArgs and FastRunFn sit OUTSIDE the ISA inline namespace
 // — their layout is flag-independent and the function-pointer type must
@@ -56,11 +59,7 @@
 #pragma once
 
 #include <algorithm>
-#include <bit>
-#include <cmath>
 #include <cstddef>
-#include <cstdint>
-#include <type_traits>
 
 #include "analysis/loop_accumulator.hpp"
 #include "mag/anhysteretic.hpp"
@@ -150,33 +149,11 @@ FERRO_ALWAYS_INLINE typename V::Reg probe_point(typename V::Reg probe,
   return V::add(probe, V::sub(b, b));
 }
 
-/// Bitwise select: returns `b` when `take_b`, else `a`, by blending the raw
-/// representations through an all-ones/all-zeros mask. Exact (the chosen
-/// value's bits pass through untouched) and opaque to the compiler's
-/// "sink computations into the rare branch" pass, which would otherwise turn
-/// the FastMath pass's selected stores back into control flow.
-FERRO_ALWAYS_INLINE double bit_select(bool take_b, double a, double b) {
-  const std::uint64_t mask = -static_cast<std::uint64_t>(take_b);
-  const std::uint64_t bits_a = std::bit_cast<std::uint64_t>(a);
-  const std::uint64_t bits_b = std::bit_cast<std::uint64_t>(b);
-  return std::bit_cast<double>((bits_a & ~mask) | (bits_b & mask));
-}
-
 template <AnhystereticKind kKind, int W>
 struct FastPass {
-  static FERRO_ALWAYS_INLINE double man(double he, double ia, double ia2,
-                                        double bl) {
-    if constexpr (kKind == AnhystereticKind::kClassicLangevin) {
-      (void)ia2, (void)bl;
-      return fastmath::fast_langevin(he * ia);
-    } else if constexpr (kKind == AnhystereticKind::kAtan) {
-      (void)ia2, (void)bl;
-      return fastmath::fast_atan_langevin(he * ia);
-    } else {
-      return bl * fastmath::fast_atan_langevin(he * ia) +
-             (1.0 - bl) * fastmath::fast_atan_langevin(he * ia2);
-    }
-  }
+  using V = fastmath::VecD<W>;
+  using R = typename V::Reg;
+  using M = typename V::Mask;
 
   static void run(const FastRunArgs& a) {
     if (a.dh != nullptr) {
@@ -190,24 +167,21 @@ struct FastPass {
 
   template <PassMode kMode>
   static void run_mode(const FastRunArgs& a) {
+    // Tiles interleaved per group: a single tile is one dependency chain
+    // per row (he -> man -> m_total, ~60 cycles), so the core would idle
+    // between samples; a second independent chain roughly doubles the
+    // occupancy. Vector tiles stop paying beyond two — the constants spill
+    // — while single-lane tiles keep paying up to four.
+    constexpr int kGroup = W == 1 ? 4 : 2;
     std::size_t i = a.begin;
-
-#if defined(FERRO_FASTMATH_SIMD)
-    if constexpr (W >= 2) {
-      // Two tiles interleaved: a single tile is one dependency chain per
-      // row (he -> man -> m_total, ~60 cycles), so the core would idle
-      // between samples; a second independent chain roughly doubles the
-      // occupancy. More tiles stop paying — the constants spill.
-      for (; i + 2 * W <= a.end; i += static_cast<std::size_t>(2 * W)) {
-        tile_dispatch<2, kMode>(a, i);
-      }
-      for (; i + W <= a.end; i += static_cast<std::size_t>(W)) {
-        tile_dispatch<1, kMode>(a, i);
-      }
+    for (; i + kGroup * W <= a.end; i += static_cast<std::size_t>(kGroup * W)) {
+      tile_dispatch<kGroup, kMode>(a, i);
     }
-#endif
+    for (; i + W <= a.end; i += static_cast<std::size_t>(W)) {
+      tile_dispatch<1, kMode>(a, i);
+    }
 
-    if constexpr (W > 2) {
+    if constexpr (W > 1) {
       // Leftover lanes: hand them to the next narrower pass (same IEEE
       // sequence, so the hand-off point changes no bits).
       FastRunArgs tail = a;
@@ -215,20 +189,10 @@ struct FastPass {
       tail.h = a.h + (i - a.begin);
       if constexpr (kMode == PassMode::kTrace) tail.dh = a.dh + (i - a.begin);
       FastPass<kKind, W / 2>::template run_mode<kMode>(tail);
-      return;
     }
-
-    // Scalar lanes, four at a time for the same latency-hiding reason.
-    for (; i + 4 <= a.end; i += 4) scalar_rows_n<4, kMode>(a, i);
-    for (; i < a.end; ++i) scalar_rows_n<1, kMode>(a, i);
   }
 
-#if defined(FERRO_FASTMATH_SIMD)
-  template <class V>
-  static FERRO_ALWAYS_INLINE typename V::Reg man_v(typename V::Reg he,
-                                                   typename V::Reg ia,
-                                                   typename V::Reg ia2,
-                                                   typename V::Reg bl) {
+  static FERRO_ALWAYS_INLINE R man(R he, R ia, R ia2, R bl) {
     if constexpr (kKind == AnhystereticKind::kClassicLangevin) {
       (void)ia2, (void)bl;
       return fastmath::fast_langevin<V>(V::mul(he, ia));
@@ -280,9 +244,6 @@ struct FastPass {
   template <int kTiles, PassMode kMode, bool kMasked>
   static void tile_rows_n(const FastRunArgs& a, std::size_t i,
                           std::size_t j0, std::size_t j1) {
-    using V = fastmath::VecD<W>;
-    using R = typename V::Reg;
-    using M = typename V::Mask;
     constexpr bool kTrace = kMode == PassMode::kTrace;
     constexpr bool kFinish = kMode == PassMode::kSweep;
     const R vzero = V::zero();
@@ -380,7 +341,7 @@ struct FastPass {
 
         // core(): algebraic refresh from the previous total magnetisation.
         const R he = V::add(h[t], V::mul(am[t], mt[t]));
-        const R m_an = man_v<V>(he, ia[t], ia2[t], bl[t]);
+        const R m_an = man(he, ia[t], ia2[t], bl[t]);
         const R mt1 = V::add(V::mul(c1[t], m_an), mi[t]);
 
         // Threshold mode detects the event from the anchored field motion;
@@ -427,7 +388,7 @@ struct FastPass {
           if constexpr (!kTrace) {
             const R he2 = V::add(h[t], V::mul(am[t], mt1));
             const R mt2 = V::add(
-                V::mul(c1[t], man_v<V>(he2, ia[t], ia2[t], bl[t])), mi_next);
+                V::mul(c1[t], man(he2, ia[t], ia2[t], bl[t])), mi_next);
             mt_new[t] = V::select(event, mt1, mt2);
             anchor[t] = V::select(event, anchor[t], h[t]);
           }
@@ -448,7 +409,7 @@ struct FastPass {
 
       // Fused sample recording: bounce the tiles' curve points through a
       // stack buffer (the stores forward straight from the registers);
-      // same m/b arithmetic as the scalar path. Finished lanes stop
+      // same m/b arithmetic as the scalar model. Finished lanes stop
       // storing — their out rows do not exist — and finishing.
       if constexpr (kMode != PassMode::kStep) {
         for (int t = 0; t < kTiles; ++t) {
@@ -498,162 +459,6 @@ struct FastPass {
       if constexpr (kFinish) {
         V::store(a.nonfinite + o, probe[t]);
         loop[t].store(a.loop_state + o, a.loop_stride);
-      }
-    }
-  }
-#endif  // FERRO_FASTMATH_SIMD
-
-  /// kLanes scalar lanes (lanes [i, i + kLanes)) through rows [j0, j1),
-  /// state in locals, lanes interleaved in the row loop — the same IEEE
-  /// operation sequence as the vector tiles (bitwise &/| and bit_select,
-  /// not &&/|| — short-circuit evaluation would reintroduce control flow).
-  /// Ragged lanes simply skip rows past their count, like the masked tiles.
-  template <int kLanes, PassMode kMode>
-  static void scalar_rows_n(const FastRunArgs& a, std::size_t i) {
-    using S = fastmath::VecD<1>;
-    constexpr bool kTrace = kMode == PassMode::kTrace;
-    constexpr bool kFinish = kMode == PassMode::kSweep;
-    double am[kLanes], c1[kLanes], opk[kLanes], opam[kLanes], ia[kLanes],
-        ia2[kLanes], bl[kLanes], dmax[kLanes], clamp_s[kLanes],
-        clamp_d[kLanes], msr[kLanes];
-    double mi[kLanes], mt[kLanes], anchor[kLanes], slope[kLanes], ce[kLanes],
-        csc[kLanes], cdc[kLanes];
-    double probe[kLanes];
-    analysis::BasicLoopAccumulator<S> loop[kLanes];
-    std::size_t fbegin[kLanes], fend[kLanes];
-    std::size_t lens[kLanes];
-    const double* hp[kLanes];
-    const double* dhp[kLanes];
-    BhPoint* op[kLanes];
-
-    for (int k = 0; k < kLanes; ++k) {
-      const std::size_t o = i + static_cast<std::size_t>(k);
-      am[k] = a.alpha_ms[o];
-      c1[k] = a.c_over_1pc[o];
-      opk[k] = a.one_pc_k[o];
-      opam[k] = a.one_pc_alpha_ms[o];
-      ia[k] = a.inv_a[o];
-      ia2[k] = a.inv_a2[o];
-      bl[k] = a.blend[o];
-      dmax[k] = a.dhmax[o];
-      clamp_s[k] = a.clamp_slope[o];
-      clamp_d[k] = a.clamp_direction[o];
-      msr[k] = a.ms[o];
-      mi[k] = a.m_irr[o];
-      mt[k] = a.m_total[o];
-      anchor[k] = a.anchor_h[o];
-      slope[k] = a.last_slope[o];
-      ce[k] = a.cnt_events[o];
-      csc[k] = a.cnt_slope_clamps[o];
-      cdc[k] = a.cnt_direction_clamps[o];
-      lens[k] = std::min(a.len != nullptr ? a.len[o] : a.j1, a.j1);
-      hp[k] = a.h[(i - a.begin) + k];
-      dhp[k] = kTrace ? a.dh[(i - a.begin) + k] : nullptr;
-      op[k] = a.out != nullptr ? a.out[o] : nullptr;
-      if constexpr (kFinish) {
-        fbegin[k] = static_cast<std::size_t>(a.finish_begin[o]);
-        fend[k] = static_cast<std::size_t>(a.finish_end[o]);
-        probe[k] = a.nonfinite[o];
-        loop[k].load(a.loop_state + o, a.loop_stride);
-      }
-    }
-    // The tiles' recording step for lane k's row j, point for point.
-    const auto record = [&](int k, std::size_t j, double h) {
-      if constexpr (kMode != PassMode::kStep) {
-        const double m = msr[k] * mt[k];
-        const double b = util::kMu0 * (m + h);
-        op[k][j] = BhPoint{h, m, b};
-        if constexpr (kFinish) {
-          if (j > fbegin[k] && j < fend[k]) {
-            loop[k].add_segment(h, b);
-          } else {
-            loop[k].add(h, b, j == fbegin[k] && j < fend[k]);
-          }
-          probe[k] = probe_point<S>(probe[k], b);
-        }
-      }
-    };
-    // Clamp the row range to this group's own longest lane — the
-    // rectangle's j1 is the whole dispatch's maximum, and spinning empty
-    // guard iterations past every local lane's end would waste the tail.
-    std::size_t j1 = a.j0;
-    for (int k = 0; k < kLanes; ++k) j1 = std::max(j1, lens[k]);
-    j1 = std::min(j1, a.j1);
-
-    for (std::size_t j = a.j0; j < j1; ++j) {
-      for (int k = 0; k < kLanes; ++k) {
-        if (j >= lens[k]) continue;
-        const double h = hp[k][j];
-
-        // core(): algebraic refresh from the previous total magnetisation.
-        const double he = h + am[k] * mt[k];
-        const double m_an = man(he, ia[k], ia2[k], bl[k]);
-        const double mt1 = c1[k] * m_an + mi[k];
-
-        // Event source: the planner's row program in trace mode, the
-        // anchored threshold otherwise. The non-event skip mirrors the
-        // vector tile's any(event) shortcut — only pure-discard work is
-        // elided, so the values written are the ones the select
-        // formulation would produce.
-        double dh;
-        bool event;
-        if constexpr (kTrace) {
-          dh = dhp[k][j];
-          event = dh != 0.0;
-        } else {
-          dh = h - anchor[k];
-          event = std::fabs(dh) > dmax[k];
-        }
-        if (!event) {
-          mt[k] = mt1;
-          record(k, j, h);
-          continue;
-        }
-
-        // Integral(): select-based clamps, then (threshold mode only) the
-        // feedback refresh with the effective field from the pre-event
-        // total, exactly like the scalar model's second
-        // refresh_algebraic(); trace rows leave the refresh to the
-        // planner's explicit follow-up row.
-        const double delta = std::copysign(1.0, dh);
-        const double delta_m = m_an - mt1;
-        const double denom = delta * opk[k] - opam[k] * delta_m;
-        const double raw = delta_m / denom;
-        const bool clamped =
-            (denom == 0.0) | ((raw < 0.0) & (clamp_s[k] != 0.0));
-        const double s = bit_select(clamped, raw, 0.0);
-        double dm = dh * s;
-        const bool rejected = (clamp_d[k] != 0.0) & (dm * dh < 0.0);
-        dm = bit_select(rejected, dm, 0.0);
-
-        mi[k] += dm;
-        if constexpr (kTrace) {
-          mt[k] = mt1;
-        } else {
-          const double he2 = h + am[k] * mt1;
-          mt[k] = c1[k] * man(he2, ia[k], ia2[k], bl[k]) + mi[k];
-          anchor[k] = h;
-        }
-        slope[k] = s;
-        ce[k] += 1.0;
-        csc[k] += clamped ? 1.0 : 0.0;
-        cdc[k] += rejected ? 1.0 : 0.0;
-        record(k, j, h);
-      }
-    }
-
-    for (int k = 0; k < kLanes; ++k) {
-      const std::size_t o = i + static_cast<std::size_t>(k);
-      a.m_irr[o] = mi[k];
-      a.m_total[o] = mt[k];
-      a.anchor_h[o] = anchor[k];
-      a.last_slope[o] = slope[k];
-      a.cnt_events[o] = ce[k];
-      a.cnt_slope_clamps[o] = csc[k];
-      a.cnt_direction_clamps[o] = cdc[k];
-      if constexpr (kFinish) {
-        a.nonfinite[o] = probe[k];
-        loop[k].store(a.loop_state + o, a.loop_stride);
       }
     }
   }

@@ -6,6 +6,7 @@
 #include <cmath>
 #include <limits>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "ckt/diode.hpp"
@@ -408,6 +409,29 @@ TEST(Validate, AcceptsDefaultsAndRejectsEachBadField) {
   o = {};
   o.engine.gmin = 0.0;  // no leak at all is allowed
   EXPECT_TRUE(fk::validate(o).ok());
+
+  // A non-finite horizon would make t_eps infinite (ok after one callback
+  // and no steps), and the engine has no Gear2 (it would run Backward Euler
+  // under that name): both are configuration errors naming the field.
+  const auto expect_invalid_field = [](fk::TransientOptions options,
+                                       const std::string& field) {
+    const auto error = fk::validate(options);
+    EXPECT_EQ(error.code, ferro::core::ErrorCode::kInvalidScenario) << field;
+    EXPECT_NE(error.detail.find(field), std::string::npos) << error.detail;
+  };
+  for (const double bad : {nan, inf, -inf}) {
+    o = {};
+    o.t_start = bad;
+    expect_invalid_field(o, "t_start");
+    o = {};
+    o.t_end = bad;
+    expect_invalid_field(o, "t_end");
+  }
+  o = {};
+  o.method = ferro::ams::IntegrationMethod::kGear2;
+  expect_invalid_field(o, "method");
+  o.method = ferro::ams::IntegrationMethod::kBackwardEuler;
+  EXPECT_TRUE(fk::validate(o).ok());
 }
 
 TEST(Validate, ExplicitDtMaxBelowDtInitialIsRejectedNotClamped) {
@@ -425,14 +449,18 @@ TEST(Validate, ExplicitDtMaxBelowDtInitialIsRejectedNotClamped) {
 }
 
 TEST(Transient, InvalidOptionsReportInvalidScenario) {
-  auto ckt = make_rc();
-  fk::TransientOptions options;
-  options.dt_max = options.dt_initial / 10.0;
-  std::size_t callbacks = 0;
-  const auto error = fk::run_transient(
-      ckt, options, [&](const fk::Solution&) { ++callbacks; });
-  EXPECT_EQ(error.code, ferro::core::ErrorCode::kInvalidScenario);
-  EXPECT_EQ(callbacks, 0u);  // rejected before any device is touched
+  fk::TransientOptions bad_dt_max;
+  bad_dt_max.dt_max = bad_dt_max.dt_initial / 10.0;
+  fk::TransientOptions infinite_horizon;
+  infinite_horizon.t_end = std::numeric_limits<double>::infinity();
+  for (const auto& options : {bad_dt_max, infinite_horizon}) {
+    auto ckt = make_rc();
+    std::size_t callbacks = 0;
+    const auto error = fk::run_transient(
+        ckt, options, [&](const fk::Solution&) { ++callbacks; });
+    EXPECT_EQ(error.code, ferro::core::ErrorCode::kInvalidScenario);
+    EXPECT_EQ(callbacks, 0u);  // rejected before any device is touched
+  }
 }
 
 TEST(Transient, PreCancelledLimitsReportCancelled) {

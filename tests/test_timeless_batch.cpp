@@ -5,7 +5,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <cstring>
 #include <limits>
 #include <string>
@@ -24,6 +26,7 @@ namespace fm = ferro::mag;
 namespace fw = ferro::wave;
 namespace fc = ferro::core;
 namespace ts = ferro::testsupport;
+using Scalar = fm::fastmath::VecD<1>;
 
 namespace {
 
@@ -72,11 +75,13 @@ TEST(FastMath, AtanStaysWithinDocumentedBound) {
   double worst = 0.0;
   for (int i = -200000; i <= 200000; ++i) {
     const double x = 1e-4 * double(i);  // [-20, 20] in 1e-4 steps
-    worst = std::max(worst, std::fabs(fm::fastmath::fast_atan(x) - std::atan(x)));
+    worst = std::max(
+        worst, std::fabs(fm::fastmath::fast_atan<Scalar>(x) - std::atan(x)));
   }
   // Huge arguments exercise the reciprocal reduction.
   for (const double x : {1e3, -1e6, 1e12, -1e15}) {
-    worst = std::max(worst, std::fabs(fm::fastmath::fast_atan(x) - std::atan(x)));
+    worst = std::max(
+        worst, std::fabs(fm::fastmath::fast_atan<Scalar>(x) - std::atan(x)));
   }
   EXPECT_LT(worst, fm::fastmath::kAtanMaxError);
 }
@@ -85,10 +90,12 @@ TEST(FastMath, TanhStaysWithinDocumentedBound) {
   double worst = 0.0;
   for (int i = -200000; i <= 200000; ++i) {
     const double x = 1e-4 * double(i);
-    worst = std::max(worst, std::fabs(fm::fastmath::fast_tanh(x) - std::tanh(x)));
+    worst = std::max(
+        worst, std::fabs(fm::fastmath::fast_tanh<Scalar>(x) - std::tanh(x)));
   }
   for (const double x : {25.0, -100.0, 1e6}) {
-    worst = std::max(worst, std::fabs(fm::fastmath::fast_tanh(x) - std::tanh(x)));
+    worst = std::max(
+        worst, std::fabs(fm::fastmath::fast_tanh<Scalar>(x) - std::tanh(x)));
   }
   EXPECT_LT(worst, fm::fastmath::kTanhMaxError);
 }
@@ -98,8 +105,8 @@ TEST(FastMath, LangevinTracksExactEvaluator) {
   for (int i = -200000; i <= 200000; ++i) {
     const double x = 1e-4 * double(i);
     if (x == 0.0) continue;
-    worst = std::max(worst,
-                     std::fabs(fm::fastmath::fast_langevin(x) - fm::langevin(x)));
+    worst = std::max(worst, std::fabs(fm::fastmath::fast_langevin<Scalar>(x) -
+                                      fm::langevin(x)));
   }
   // The (x - tanh)/(x*tanh) form amplifies the tanh error at small x; the
   // series below 0.25 and the saturated tail cap the whole axis at ~1e-7.
@@ -169,30 +176,6 @@ TEST(TimelessJaBatch, ExactModeReproducesFig1GoldenTrajectory) {
   expect_stats_eq(batch.stats(0), scalar.stats);
 }
 
-TEST(TimelessJaBatch, ApplyAllMatchesPerLaneApply) {
-  const fm::JaParameters params = fm::paper_parameters();
-  fm::TimelessConfig config;
-  config.dhmax = 25.0;
-
-  fm::TimelessJaBatch shared;
-  fm::TimelessJaBatch individual;
-  for (int i = 0; i < 4; ++i) {
-    shared.add_lane(params, config);
-    individual.add_lane(params, config);
-  }
-  const fw::HSweep sweep = ts::major_loop(40.0, 1);
-  std::vector<double> h_lanes(4);
-  for (const double h : sweep.h) {
-    shared.apply_all(h);
-    h_lanes.assign(4, h);
-    individual.apply(h_lanes.data());
-  }
-  for (std::size_t i = 0; i < 4; ++i) {
-    EXPECT_EQ(shared.m_total(i), individual.m_total(i));
-    EXPECT_EQ(shared.flux_density(i), individual.flux_density(i));
-  }
-}
-
 TEST(TimelessJaBatch, ResetReturnsEveryLaneToTheVirginState) {
   fm::TimelessJaBatch batch;
   batch.add_lane(fm::paper_parameters());
@@ -240,12 +223,12 @@ TEST(TimelessJaBatch, RaggedSweepsAdvanceIndependently) {
 }
 
 TEST(TimelessJaBatch, FastSimdPairAndScalarTailAgreeBitwise) {
-  // Three identical lanes through the FastMath run(): at any active width
+  // Three identical lanes through the FastMath run(): at any width above 1
   // the group cascades down to a two-lane vector tile for lanes {0, 1} and
-  // the scalar tail for lane 2 — and the apply() path is scalar per lane.
-  // Every route must produce bit-identical trajectories, for each
-  // anhysteretic kind; the packed kFast path's partition invariance rests on
-  // exactly this property.
+  // a VecD<1> tile for lane 2 — and a one-lane batch stepped by apply()
+  // runs one row per pass. Every route must produce bit-identical
+  // trajectories, for each anhysteretic kind; the packed kFast path's
+  // partition invariance rests on exactly this property.
   std::vector<fm::JaParameters> kinds = {fm::paper_parameters(),
                                          fm::paper_parameters_dual()};
   for (const auto& material : fm::material_library()) {
@@ -273,7 +256,7 @@ TEST(TimelessJaBatch, FastSimdPairAndScalarTailAgreeBitwise) {
           << to_string(params.kind) << " sample " << j;
       ASSERT_EQ(curves[1].points()[j].b, curves[2].points()[j].b)
           << to_string(params.kind) << " sample " << j;
-      stepped.apply_all(sweep.h[j]);
+      stepped.apply(&sweep.h[j]);
       ASSERT_EQ(stepped.magnetisation(0), curves[2].points()[j].m)
           << to_string(params.kind) << " sample " << j;
     }
@@ -303,9 +286,11 @@ TEST(TimelessJaBatch, FastLaneBitwiseInvariantAcrossSimdWidths) {
   // every recorded sample, the final state, the folded counters — is
   // bitwise identical whichever vector width (1/2/4/8, as compiled and
   // supported) processes it, including ragged sweeps whose lanes drop out
-  // mid-run and a lane group larger than the widest register. Mixed
-  // anhysteretic kinds keep the span grouping honest.
+  // mid-run, a lane group larger than the widest register, and sweeps with
+  // a NaN or infinite sample. Mixed anhysteretic kinds keep the span
+  // grouping honest.
   std::vector<LaneSpec> lanes = lane_fixtures();
+  const LaneSpec fig1 = lanes.back();
   // Grow past one AVX-512 register so the W=8 main loop plus the 4/2/1
   // cascade all execute: duplicate the first fixtures, then stagger the
   // sweep lengths (prefix-run property keeps every length valid).
@@ -313,6 +298,16 @@ TEST(TimelessJaBatch, FastLaneBitwiseInvariantAcrossSimdWidths) {
   for (std::size_t i = 0; i < lanes.size(); ++i) {
     auto& h = lanes[i].sweep.h;
     h.resize(h.size() - (h.size() / (8 + i)));
+  }
+  // Three dual-atan lanes in one kind run, so they share vector tiles
+  // above W = 1, each of whose sweeps holds one non-finite sample: NaN,
+  // +Inf and -Inf.
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const double poison :
+       {std::numeric_limits<double>::quiet_NaN(), inf, -inf}) {
+    LaneSpec lane = fig1;
+    lane.sweep.h[100] = poison;
+    lanes.push_back(std::move(lane));
   }
 
   std::vector<const fw::HSweep*> sweeps;
@@ -327,6 +322,8 @@ TEST(TimelessJaBatch, FastLaneBitwiseInvariantAcrossSimdWidths) {
     return std::make_pair(std::move(curves), std::move(batch));
   };
 
+  // By bit pattern: a NaN never compares equal to itself.
+  const auto bits = [](double x) { return std::bit_cast<std::uint64_t>(x); };
   const auto widths = fm::TimelessJaBatch::available_simd_widths();
   auto [ref_curves, ref_batch] = run_at_width(widths.front());
   for (std::size_t k = 1; k < widths.size(); ++k) {
@@ -337,17 +334,20 @@ TEST(TimelessJaBatch, FastLaneBitwiseInvariantAcrossSimdWidths) {
       for (std::size_t j = 0; j < curves[i].size(); ++j) {
         const auto& pa = curves[i].points()[j];
         const auto& pb = ref_curves[i].points()[j];
-        ASSERT_EQ(pa.h, pb.h) << "width " << widths[k] << " lane " << i
-                              << " sample " << j;
-        ASSERT_EQ(pa.m, pb.m) << "width " << widths[k] << " lane " << i
-                              << " sample " << j;
-        ASSERT_EQ(pa.b, pb.b) << "width " << widths[k] << " lane " << i
-                              << " sample " << j;
+        ASSERT_EQ(bits(pa.h), bits(pb.h))
+            << "width " << widths[k] << " lane " << i << " sample " << j;
+        ASSERT_EQ(bits(pa.m), bits(pb.m))
+            << "width " << widths[k] << " lane " << i << " sample " << j;
+        ASSERT_EQ(bits(pa.b), bits(pb.b))
+            << "width " << widths[k] << " lane " << i << " sample " << j;
       }
-      EXPECT_EQ(batch.state(i).m_irr, ref_batch.state(i).m_irr);
-      EXPECT_EQ(batch.state(i).m_total, ref_batch.state(i).m_total);
-      EXPECT_EQ(batch.state(i).anchor_h, ref_batch.state(i).anchor_h);
-      EXPECT_EQ(batch.last_slope(i), ref_batch.last_slope(i));
+      const fm::TimelessState a = batch.state(i);
+      const fm::TimelessState b = ref_batch.state(i);
+      EXPECT_EQ(bits(a.m_irr), bits(b.m_irr)) << "lane " << i;
+      EXPECT_EQ(bits(a.m_total), bits(b.m_total)) << "lane " << i;
+      EXPECT_EQ(bits(a.anchor_h), bits(b.anchor_h)) << "lane " << i;
+      EXPECT_EQ(bits(batch.last_slope(i)), bits(ref_batch.last_slope(i)))
+          << "lane " << i;
       expect_stats_eq(batch.stats(i), ref_batch.stats(i));
     }
   }
