@@ -8,10 +8,10 @@
 // and when the solution falls in the step no root exists. The companion
 // fixes the event decision for the whole trial step instead:
 //
-//   * decision   — taken at the step's seed iterate (the last accepted
-//                  solution); afterwards it may switch only from "no event"
-//                  to "event", once an iterate crosses |H - anchor| > dhmax,
-//                  never back;
+//   * decision   — taken at the step's seed iterate (the predicted
+//                  solution, TransientMachine); afterwards it may switch
+//                  only from "no event" to "event", once an iterate crosses
+//                  |H - anchor| > dhmax, never back;
 //   * evaluation — B, its slope and commit() all use the latched branch,
 //                  which is smooth in H, so each piecewise-smooth branch is
 //                  solved on its own (the argument Egger & Engertsberger
@@ -44,7 +44,8 @@ class CoreCompanion {
   [[nodiscard]] const mag::TimelessJa& model() const { return model_; }
 
   /// Takes the event decision at the field of the step's seed iterate
-  /// (`seed`), or lets a later iterate switch it to "event".
+  /// (`seed`: the predicted solution), or lets a later iterate switch it to
+  /// "event".
   void latch(double h, bool seed) { event_ = crosses(h) || (!seed && event_); }
 
   /// Central-difference step in H for the slope at iterate field h: wide on

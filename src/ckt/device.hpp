@@ -25,8 +25,10 @@ struct EvalContext {
   double t = 0.0;    ///< target time of the step [s]
   double dt = 0.0;   ///< step size [s]; 0 together with dc==true for DC
   bool dc = false;   ///< DC operating-point analysis
-  /// Newton iteration within the trial step. 0 is the seed iterate, which
-  /// is the last accepted solution bit for bit.
+  /// Newton iteration within the trial step. 0 is the seed iterate: for a
+  /// transient step of a nonlinear circuit the predicted solution (the last
+  /// accepted solution extrapolated along the step before it, see
+  /// TransientMachine), otherwise the last accepted solution bit for bit.
   int iteration = 0;
   ams::IntegrationMethod method = ams::IntegrationMethod::kTrapezoidal;
   std::size_t node_count = 0;  ///< unknown layout: nodes first, then branches

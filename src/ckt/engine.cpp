@@ -200,6 +200,7 @@ TransientMachine::TransientMachine(Circuit& circuit,
   const std::size_t n = layout_unknowns(circuit_);
   nodes_ = circuit_.node_count();
   x_.assign(n, 0.0);
+  x_prev_.assign(n, 0.0);
   x_trial_.assign(n, 0.0);
   newton_ = detail::NewtonScratch(n);
 
@@ -256,12 +257,25 @@ void TransientMachine::prepare_step() {
   ctx_.method = options_.method;
   ctx_.node_count = nodes_;
 
-  std::copy(x_.begin(), x_.end(), x_trial_.begin());  // iterate seed
+  // Iterate seed: the predictor, or the last accepted solution itself.
+  if (predict_) {
+    const double r = dt_ / dt_prev_;
+    for (std::size_t i = 0; i < x_.size(); ++i) {
+      x_trial_[i] = x_[i] + r * (x_[i] - x_prev_[i]);
+    }
+  } else {
+    std::copy(x_.begin(), x_.end(), x_trial_.begin());
+  }
   ctx_.iteration = 0;
 }
 
-void TransientMachine::accept_step() {
-  std::copy(x_trial_.begin(), x_trial_.end(), x_.begin());
+void TransientMachine::accept_step(bool converged) {
+  // x_prev_ <- x_ <- x_trial_; the old x_prev_ storage becomes the next
+  // iterate, which prepare_step() overwrites.
+  x_prev_.swap(x_);
+  x_.swap(x_trial_);
+  dt_prev_ = dt_;
+  predict_ = needs_iteration_ && converged;
   t_ += dt_;
   ++stats_->steps_accepted;
   ctx_.x = x_;
@@ -299,7 +313,7 @@ void TransientMachine::reject_step(bool non_finite) {
     }
     // Force-accept to make progress, as commercial solvers do following a
     // convergence warning.
-    accept_step();
+    accept_step(/*converged=*/false);
   } else {
     dt_ *= 0.25;
     prepare_step();
@@ -324,7 +338,7 @@ void TransientMachine::conclude(bool solved) {
       reject_step(true);
       return;
     case NewtonOutcome::kSettled:
-      accept_step();
+      accept_step(/*converged=*/true);
       return;
     case NewtonOutcome::kMoving:
       break;
@@ -335,7 +349,7 @@ void TransientMachine::conclude(bool solved) {
     if (needs_iteration_) {
       reject_step(false);
     } else {
-      accept_step();
+      accept_step(/*converged=*/true);
     }
   }
 }

@@ -9,6 +9,12 @@
 // field-event decision at the seed iterate (ckt/core_companion.hpp), which
 // is what makes their steps converge in a few iterations.
 //
+// A transient trial step of a nonlinear circuit is seeded at the predicted
+// solution, the linear extrapolation of the last two accepted solutions
+// (see TransientMachine); it still settles one iterate past its seed at
+// the earliest. Linear circuits seed at the last accepted solution, the DC
+// solve at zero.
+//
 // Two layers:
 //   * run_transient()/solve_dc() — the structured API: options validated up
 //     front (core::ErrorCode::kInvalidScenario), Newton non-convergence and
@@ -160,13 +166,32 @@ using SolutionCallback = std::function<void(const Solution&)>;
 ///
 /// The point of the decomposition is cross-instance batching: a caller
 /// holding N machines over a shared topology can, before each round of
-/// advance() calls, read every machine's iterate(), evaluate all their
-/// JaInductor cores as one TimelessJaBatch block, and arm the inductors with
-/// the batched trial evaluations (JaInductor::arm_trial) so the iteration's
+/// advance() calls, read every machine's iterate() and seeding(), evaluate
+/// all their JaInductor cores as one TimelessJaBatch block at the points
+/// stamp() will use (JaInductor::trial_di), and arm the inductors with the
+/// batched trial evaluations (JaInductor::arm_trial) so the iteration's
 /// stamps consume SoA results instead of three scalar model copies each.
 /// advance() also comes in halves — stamp(), then conclude() on a solution
 /// the caller computed — so the same caller can stamp every machine and
 /// solve their systems together (ckt::LaneLu) before concluding each.
+///
+/// The seed of each trial step (iterate() while seeding()) is the predicted
+/// solution: with x_n the last accepted solution, x_{n-1} the one before it
+/// and r = dt / dt_prev the ratio of the trial step to the step that led
+/// from x_{n-1} to x_n, every unknown is seeded at
+///
+///     x_trial[i] = x_n[i] + r * (x_n[i] - x_{n-1}[i]).
+///
+///   * First step after DC: no history, so the seed is the DC solution (the
+///     zero state when DC failed and the machine starts from it).
+///   * Retry after a rejection: the same history with the new, smaller r.
+///   * Step after a forced accept: the forced solution never converged, so
+///     the history is cleared and the seed is the forced solution itself
+///     until a step converges again.
+///   * Linear circuit: the single solve never reads the iterate, so the seed
+///     stays the last accepted solution and nothing is extrapolated.
+///
+/// The DC solve keeps its zero seed.
 ///
 /// `options` must satisfy validate() (run_transient enforces it; direct
 /// constructions assert via the DC solve behaving as documented only then).
@@ -190,8 +215,14 @@ class TransientMachine {
   [[nodiscard]] const core::Error& error() const { return error_; }
 
   /// The pending iteration's iterate (node voltages then branch currents):
-  /// what the next advance() will stamp devices at. Valid while !done().
+  /// what the next advance() will stamp devices at — the predicted solution
+  /// while seeding(). Valid while !done().
   [[nodiscard]] std::span<const double> iterate() const { return x_trial_; }
+
+  /// True while the pending iteration is a trial step's seed
+  /// (EvalContext::iteration 0), the iterate the JA cores latch their event
+  /// decision at and take their wide slope around.
+  [[nodiscard]] bool seeding() const { return !done_ && ctx_.iteration == 0; }
 
   [[nodiscard]] std::size_t node_count() const { return nodes_; }
   [[nodiscard]] const CircuitStats& stats() const { return *stats_; }
@@ -223,8 +254,11 @@ class TransientMachine {
   void conclude(bool solved);
 
  private:
+  /// Computes the next trial step's dt and seed (or ends the run).
   void prepare_step();
-  void accept_step();
+  /// Commits iterate() as the new accepted solution; `converged` false (a
+  /// forced accept) clears the predictor's history.
+  void accept_step(bool converged);
   /// Shrinks dt, or at dt_min force-accepts — unless the failed iteration
   /// was `non_finite`, which ends the run with kNonFinite instead.
   void reject_step(bool non_finite);
@@ -249,7 +283,12 @@ class TransientMachine {
 
   EvalContext ctx_;
   std::vector<double> x_;        ///< last accepted solution
+  std::vector<double> x_prev_;   ///< accepted solution before x_
   std::vector<double> x_trial_;  ///< current Newton iterate
+  double dt_prev_ = 0.0;         ///< the step that led from x_prev_ to x_
+  /// Seed trial steps by extrapolation: a nonlinear circuit whose last
+  /// accepted step converged (so x_prev_ and dt_prev_ are its history).
+  bool predict_ = false;
   detail::NewtonScratch newton_;
 };
 

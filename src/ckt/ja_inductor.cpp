@@ -17,13 +17,13 @@ JaInductor::JaInductor(std::string name, NodeId a, NodeId b,
   lambda_prev_ = geometry_.linkage_from_b(model().flux_density());
 }
 
-double JaInductor::difference_di(double i_k, bool seed) const {
+double JaInductor::trial_di(double i_k, bool seed) const {
   return geometry_.current_from_field(
       core_.difference_step(geometry_.field_from_current(i_k), seed));
 }
 
 double JaInductor::trial_di(double i_k) const {
-  return difference_di(i_k, i_k == i_prev_);
+  return trial_di(i_k, i_k == i_prev_);
 }
 
 void JaInductor::arm_trial(double b_at, double b_plus, double b_minus,
@@ -51,7 +51,7 @@ void JaInductor::stamp(Stamper& s, const EvalContext& ctx) {
   const double i_k = s.i(br);
   const bool seed = ctx.iteration == 0;
   core_.latch(geometry_.field_from_current(i_k), seed);
-  const double di = difference_di(i_k, seed);
+  const double di = trial_di(i_k, seed);
 
   // Packer-armed values stand in for the evaluations they equal (see
   // arm_trial); the slope pair only when it was taken at the same di.

@@ -38,17 +38,22 @@ class JaInductor final : public Device {
   [[nodiscard]] const mag::CoreGeometry& geometry() const { return geometry_; }
 
   /// The central-difference current perturbation stamp() uses around the
-  /// iterate current `i_k`: wide on a trial step's seed iterate, recognised
-  /// here as the committed current bit for bit, narrow afterwards. Exposed
-  /// so the Monte-Carlo packer evaluates the trial points the scalar path
-  /// would; where it guesses the iterate wrong, the stamp only loses the
-  /// armed slope pair.
+  /// iterate current `i_k`: wide on a trial step's seed iterate (`seed`,
+  /// TransientMachine::seeding()), narrow afterwards. Exposed so the
+  /// Monte-Carlo packer evaluates the trial points the scalar path will.
+  [[nodiscard]] double trial_di(double i_k, bool seed) const;
+
+  /// The same perturbation with the seed guessed from the iterate: a seed
+  /// when `i_k` is the committed current bit for bit. The seed is the
+  /// predicted solution, so the guess is wrong on almost every seed of a
+  /// moving circuit; a wrong guess never changes a result, it only costs
+  /// the armed slope pair, which stamp() then evaluates itself.
   [[nodiscard]] double trial_di(double i_k) const;
 
   /// Pre-arms the next (non-DC) stamp() with externally evaluated trial
   /// flux densities from the COMMITTED magnetic state, each with the event
   /// decision apply(h) takes at its own field: `b_at` at the iterate
-  /// current i_k, `b_plus`/`b_minus` at i_k +/- `di` (di from trial_di(i_k)).
+  /// current i_k, `b_plus`/`b_minus` at i_k +/- `di` (di from trial_di).
   /// The stamp uses a value wherever it lies on the branch the stamp
   /// evaluates and evaluates that branch itself otherwise, so arming never
   /// changes a result (TimelessJaBatch kExact is bitwise-equal to the
@@ -57,8 +62,6 @@ class JaInductor final : public Device {
   void arm_trial(double b_at, double b_plus, double b_minus, double di);
 
  private:
-  [[nodiscard]] double difference_di(double i_k, bool seed) const;
-
   NodeId a_, b_;
   mag::CoreGeometry geometry_;
   CoreCompanion core_;

@@ -281,7 +281,8 @@ void solve_and_conclude(const std::vector<TransientMachine*>& live,
 /// Runs corners [begin, end) as one lockstep group. kScalar: each corner's
 /// machine is driven to completion on its own (the serial reference).
 /// Packed: all machines of the group step together. Before every round of
-/// Newton iterations the JA cores' three trial points are evaluated as one
+/// Newton iterations the JA cores' three trial points (at the perturbation
+/// the machine's seeding() flag selects) are evaluated as one
 /// TimelessJaBatch block and armed into the inductors; each live corner
 /// then stamps its system, and solve_and_conclude() solves them lane-wise.
 void run_group(const SweepContext& ctx, std::size_t begin, std::size_t end) {
@@ -356,6 +357,7 @@ void run_group(const SweepContext& ctx, std::size_t begin, std::size_t end) {
     // refresh), so the lockstep apply stays well-defined for every lane.
     for (const auto& st : group) {
       const bool active = !st->machine->done();
+      const bool seed = st->machine->seeding();
       const std::span<const double> x = st->machine->iterate();
       const std::size_t nodes = st->machine->node_count();
       for (std::size_t j = 0; j < st->packed_cores.size(); ++j) {
@@ -368,7 +370,7 @@ void run_group(const SweepContext& ctx, std::size_t begin, std::size_t end) {
         }
         const double i_k = x[nodes + core->first_branch()];
         const mag::CoreGeometry& geom = core->geometry();
-        di[l] = core->trial_di(i_k);
+        di[l] = core->trial_di(i_k, seed);
         h_at[l] = geom.field_from_current(i_k);
         h_plus[l] = geom.field_from_current(i_k + di[l]);
         h_minus[l] = geom.field_from_current(i_k - di[l]);

@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 #include <memory>
 #include <string>
@@ -290,17 +292,29 @@ TEST(Transient, SineSteadyStateAmplitude) {
   EXPECT_NEAR(peak, 1.0, 0.02);
 }
 
-TEST(Transient, HalfWaveRectifierMeanAndPeak) {
-  // The one diode transient: a half-wave rectifier into a resistive load.
-  // Over two whole 50 Hz periods the output averages to under the ideal
-  // Vp/pi (the diode drop comes off) and peaks about one drop below Vp.
+namespace {
+
+/// A 5 V, 50 Hz half-wave rectifier into 100 Ohm: source node "in", output
+/// node "out"; the source sine starts at `phase`.
+fk::Circuit make_rectifier(double phase = 0.0) {
   fk::Circuit ckt;
   const auto in = ckt.node("in");
   const auto out = ckt.node("out");
   ckt.add<fk::VoltageSource>("V", in, fk::kGround,
-                             std::make_shared<fw::Sine>(5.0, 50.0));
+                             std::make_shared<fw::Sine>(5.0, 50.0, phase));
   ckt.add<fk::Diode>("D", in, out);
   ckt.add<fk::Resistor>("R", out, fk::kGround, 100.0);
+  return ckt;
+}
+
+}  // namespace
+
+TEST(Transient, HalfWaveRectifierMeanAndPeak) {
+  // The one diode transient: a half-wave rectifier into a resistive load.
+  // Over two whole 50 Hz periods the output averages to under the ideal
+  // Vp/pi (the diode drop comes off) and peaks about one drop below Vp.
+  fk::Circuit ckt = make_rectifier();
+  const auto out = ckt.node("out");
 
   fk::TransientOptions options;
   options.t_end = 0.08;
@@ -308,12 +322,22 @@ TEST(Transient, HalfWaveRectifierMeanAndPeak) {
   options.dt_max = 5e-5;
 
   std::vector<double> t, v;
-  ASSERT_TRUE(fk::run_transient(ckt, options, [&](const fk::Solution& sol) {
-    if (sol.t < 0.04) return;
-    t.push_back(sol.t);
-    v.push_back(sol.v(out));
-  }).ok());
+  fk::CircuitStats stats;
+  ASSERT_TRUE(fk::run_transient(
+                  ckt, options,
+                  [&](const fk::Solution& sol) {
+                    if (sol.t < 0.04) return;
+                    t.push_back(sol.t);
+                    v.push_back(sol.v(out));
+                  },
+                  &stats)
+                  .ok());
   ASSERT_GE(t.size(), 2u);
+  // The switching deck, where a linear predictor overshoots first, still
+  // settles every step, in about two iterations each.
+  EXPECT_EQ(stats.steps_rejected, 0u);
+  EXPECT_LE(static_cast<double>(stats.newton_iterations),
+            2.1 * static_cast<double>(stats.steps_accepted));
 
   double area = 0.0;  // trapezoidal integral of v dt
   double peak = std::fabs(v[0]);
@@ -490,21 +514,23 @@ TEST(Transient, TinyDeadlineReportsDeadlineExceeded) {
 namespace {
 
 /// A conductance to ground whose transient companion alternates between two
-/// values from one Newton iteration to the next, so no trial step settles.
-/// At DC it is an ordinary 1 mS conductance.
+/// values from one Newton iteration to the next, so no trial step longer
+/// than `calm_dt` settles (by default none). At DC and on steps no longer
+/// than `calm_dt` it is an ordinary 1 mS conductance.
 class ChatteringConductance final : public fk::Device {
  public:
-  ChatteringConductance(std::string name, fk::NodeId node)
-      : Device(std::move(name)), node_(node) {}
+  ChatteringConductance(std::string name, fk::NodeId node, double calm_dt = 0.0)
+      : Device(std::move(name)), node_(node), calm_dt_(calm_dt) {}
 
   void stamp(fk::Stamper& s, const fk::EvalContext& ctx) override {
-    s.conductance(node_, fk::kGround,
-                  ctx.dc || ctx.iteration % 2 == 0 ? 1e-3 : 2e-3);
+    const bool calm = ctx.dc || ctx.dt <= calm_dt_ || ctx.iteration % 2 == 0;
+    s.conductance(node_, fk::kGround, calm ? 1e-3 : 2e-3);
   }
   [[nodiscard]] bool nonlinear() const override { return true; }
 
  private:
   fk::NodeId node_;
+  double calm_dt_;
 };
 
 }  // namespace
@@ -590,4 +616,188 @@ TEST(Dc, SingularMatrixIsCounted) {
             ferro::core::ErrorCode::kSolverDiverged);
   EXPECT_EQ(stats.singular_matrices, 1u);
   EXPECT_EQ(stats.newton_iterations, 0u);
+}
+
+// --- Predictor seeds ---------------------------------------------------------
+
+namespace {
+
+/// Records the size of the transient trial step it was last stamped in.
+/// Stamps nothing.
+class StepSize final : public fk::Device {
+ public:
+  explicit StepSize(std::string name) : Device(std::move(name)) {}
+
+  void stamp(fk::Stamper&, const fk::EvalContext& ctx) override {
+    if (!ctx.dc) dt = ctx.dt;
+  }
+
+  double dt = 0.0;
+};
+
+/// A TransientMachine run with the seed of every trial step recorded.
+struct SeedLog {
+  struct Seed {
+    std::size_t history = 0;  ///< accepted solutions (DC first) before it
+    double dt = 0.0;          ///< the trial step's size
+    std::vector<double> x;    ///< iterate() while seeding()
+  };
+  std::vector<Seed> seeds;
+  std::vector<std::vector<double>> accepted;  ///< accept-callback snapshots
+  std::vector<double> accepted_dt;  ///< the step that led to accepted[k + 1]
+  std::vector<bool> forced;         ///< accepted[k] was force-accepted
+  fk::CircuitStats stats;
+};
+
+SeedLog run_seeds(fk::Circuit& ckt, const fk::TransientOptions& options) {
+  const auto& step = ckt.add<StepSize>("step");
+  SeedLog log;
+  fk::TransientMachine machine(
+      ckt, options,
+      [&](const fk::Solution& sol) {
+        log.accepted.emplace_back(sol.x.begin(), sol.x.end());
+        log.forced.push_back(false);
+      },
+      &log.stats);
+  while (!machine.done()) {
+    const std::size_t history = log.accepted.size();
+    const bool seeding = machine.seeding();
+    std::vector<double> seed;
+    if (seeding) seed.assign(machine.iterate().begin(), machine.iterate().end());
+    const std::uint64_t forced = log.stats.forced_accepts;
+    machine.advance();
+    // step.dt is now the size of the trial step this advance() iterated.
+    if (seeding) log.seeds.push_back({history, step.dt, std::move(seed)});
+    if (log.accepted.size() != history) log.accepted_dt.push_back(step.dt);
+    if (log.stats.forced_accepts != forced) log.forced.back() = true;
+  }
+  return log;
+}
+
+/// The seed TransientMachine documents for `seed`: the last accepted
+/// solution x_n, extrapolated along the step before it when the circuit is
+/// nonlinear and that step converged.
+std::vector<double> predicted(const SeedLog& log, const SeedLog::Seed& seed,
+                              bool nonlinear) {
+  const std::vector<double>& x = log.accepted[seed.history - 1];
+  if (!nonlinear || seed.history < 2 || log.forced[seed.history - 1]) return x;
+  const std::vector<double>& x_prev = log.accepted[seed.history - 2];
+  const double r = seed.dt / log.accepted_dt[seed.history - 2];
+  std::vector<double> out(x.size());
+  for (std::size_t i = 0; i < x.size(); ++i) {
+    out[i] = x[i] + r * (x[i] - x_prev[i]);
+  }
+  return out;
+}
+
+std::vector<std::uint64_t> bits(const std::vector<double>& x) {
+  std::vector<std::uint64_t> out(x.size());
+  std::transform(x.begin(), x.end(), out.begin(),
+                 [](double v) { return std::bit_cast<std::uint64_t>(v); });
+  return out;
+}
+
+/// Every seed of `log` is bitwise the documented one.
+void expect_documented_seeds(const SeedLog& log, bool nonlinear) {
+  ASSERT_FALSE(log.seeds.empty());
+  for (std::size_t k = 0; k < log.seeds.size(); ++k) {
+    EXPECT_EQ(bits(log.seeds[k].x), bits(predicted(log, log.seeds[k], nonlinear)))
+        << "seed " << k << " after " << log.seeds[k].history << " solutions";
+  }
+}
+
+fk::TransientOptions one_period() {
+  fk::TransientOptions options;
+  options.t_end = 0.02;
+  options.dt_initial = 1e-6;
+  options.dt_max = 5e-5;
+  return options;
+}
+
+}  // namespace
+
+TEST(Predictor, FirstSeedIsDcThenSeedsExtrapolateTheLastTwoSolutions) {
+  // Started at the crest, so the DC point the first step seeds at is not 0.
+  auto ckt = make_rectifier(ferro::util::kPi / 2.0);
+  const SeedLog log = run_seeds(ckt, one_period());
+  EXPECT_EQ(log.stats.forced_accepts, 0u);
+  ASSERT_EQ(log.seeds.front().history, 1u);
+  EXPECT_GT(log.accepted.front()[1], 3.0);  // v(out) at DC
+  EXPECT_EQ(bits(log.seeds.front().x), bits(log.accepted.front()));
+  expect_documented_seeds(log, /*nonlinear=*/true);
+  // Not vacuous: the extrapolated seeds are not the last accepted solutions.
+  const auto moved = std::count_if(
+      log.seeds.begin(), log.seeds.end(), [&](const SeedLog::Seed& seed) {
+        return seed.x != log.accepted[seed.history - 1];
+      });
+  EXPECT_GT(moved, static_cast<std::ptrdiff_t>(log.seeds.size() / 2));
+}
+
+TEST(Predictor, RetryAfterRejectionReusesTheHistoryWithTheSmallerRatio) {
+  // Steps longer than 4 us chatter and are rejected; each retry is a
+  // quarter as long and must extrapolate from the same two solutions.
+  fk::Circuit ckt;
+  const auto in = ckt.node("in");
+  const auto out = ckt.node("out");
+  ckt.add<fk::VoltageSource>("V", in, fk::kGround,
+                             std::make_shared<fw::Sine>(1.0, 1000.0));
+  ckt.add<fk::Resistor>("R", in, out, 1000.0);
+  ckt.add<ChatteringConductance>("G", out, /*calm_dt=*/4e-6);
+  fk::TransientOptions options;
+  options.t_end = 2e-4;
+  options.dt_initial = 1e-6;
+  options.dt_max = 2e-5;
+  options.engine.max_newton_iterations = 4;
+  const SeedLog log = run_seeds(ckt, options);
+  EXPECT_GT(log.stats.steps_rejected, 0u);
+  EXPECT_EQ(log.stats.forced_accepts, 0u);
+  expect_documented_seeds(log, /*nonlinear=*/true);
+
+  std::size_t retries = 0;
+  for (std::size_t k = 1; k < log.seeds.size(); ++k) {
+    if (log.seeds[k].history != log.seeds[k - 1].history) continue;
+    ++retries;
+    EXPECT_GE(log.seeds[k].history, 2u);  // with history, not the first step
+    EXPECT_EQ(log.seeds[k].dt, 0.25 * log.seeds[k - 1].dt);
+  }
+  EXPECT_EQ(retries, log.stats.steps_rejected);
+}
+
+TEST(Predictor, StepAfterForcedAcceptSeedsAtTheForcedSolution) {
+  // ForcedAcceptsAreCounted's deck: every step is force-accepted at a
+  // solution the chatter left 1/3 V from the 1/2 V DC point, so keeping the
+  // history would extrapolate away from it.
+  fk::Circuit ckt;
+  const auto in = ckt.node("in");
+  const auto out = ckt.node("out");
+  ckt.add<fk::VoltageSource>("V", in, fk::kGround, 1.0);
+  ckt.add<fk::Resistor>("R", in, out, 1000.0);
+  ckt.add<ChatteringConductance>("G", out);
+  fk::TransientOptions options;
+  options.t_end = 1e-5;
+  options.dt_initial = 1e-6;
+  options.dt_min = 1e-7;
+  options.engine.max_newton_iterations = 4;
+  const SeedLog log = run_seeds(ckt, options);
+  ASSERT_GE(log.stats.forced_accepts, 2u);
+  expect_documented_seeds(log, /*nonlinear=*/true);
+  for (const SeedLog::Seed& seed : log.seeds) {
+    if (seed.history < 2) continue;
+    ASSERT_TRUE(log.forced[seed.history - 1]);
+    EXPECT_EQ(bits(seed.x), bits(log.accepted[seed.history - 1]));
+  }
+  EXPECT_NE(log.accepted[1], log.accepted[0]);
+}
+
+TEST(Predictor, LinearDeckSeedsAtItsLastAcceptedSolution) {
+  fk::Circuit ckt;
+  const auto in = ckt.node("in");
+  const auto out = ckt.node("out");
+  ckt.add<fk::VoltageSource>("V", in, fk::kGround,
+                             std::make_shared<fw::Sine>(1.0, 50.0));
+  ckt.add<fk::Resistor>("R", in, out, 100.0);
+  ckt.add<fk::Capacitor>("C", out, fk::kGround, 1e-6);
+  const SeedLog log = run_seeds(ckt, one_period());
+  EXPECT_EQ(log.seeds.size(), log.stats.steps_accepted);
+  expect_documented_seeds(log, /*nonlinear=*/false);
 }

@@ -196,6 +196,21 @@ TEST(JaInductor, CoreSaturationClampsFluxNotCurrent) {
   EXPECT_LT(b_high / b_low, 2.4);
 }
 
+TEST(JaInductor, TrialDiTakesTheSeedFromTheCaller) {
+  // The Monte-Carlo packer must evaluate the perturbation stamp() will use.
+  // A predicted seed current is not the committed one (0 A here): the
+  // one-argument guess takes it for a later iterate, the flag does not.
+  const fm::CoreGeometry geom = small_core();
+  const fk::JaInductor core("L", 0, fk::kGround, geom, fm::paper_parameters(),
+                            core_config());
+  const double i_seed = 0.5;
+  const double wide = geom.current_from_field(1.5 * core_config().dhmax);
+  EXPECT_EQ(core.trial_di(i_seed, /*seed=*/true), wide);
+  EXPECT_LT(core.trial_di(i_seed, /*seed=*/false), 1e-3 * wide);
+  EXPECT_EQ(core.trial_di(i_seed), core.trial_di(i_seed, false));
+  EXPECT_EQ(core.trial_di(0.0), core.trial_di(0.0, true));
+}
+
 TEST(JaInductor, StateRewindOnRejectedStepsIsClean) {
   // Run the same circuit twice: once with generous steps (forces internal
   // retries) and once with tiny forced steps. The committed core state must
@@ -400,13 +415,18 @@ DeckRun transformer_deck(double dt_max) {
 }  // namespace
 
 TEST(CoreCompanion, BenchmarkDecksConvergeInFewIterations) {
-  for (const DeckRun& run : {inrush_deck(2e-5), transformer_deck(2e-5)}) {
+  // Seeded at the predicted solution, an inrush step settles in about two
+  // iterations (the seed and one past it), a transformer step in under 3.5.
+  const struct {
+    DeckRun run;
+    double iterations_per_step;
+  } decks[] = {{inrush_deck(2e-5), 2.2}, {transformer_deck(2e-5), 3.6}};
+  for (const auto& [run, iterations_per_step] : decks) {
     const fk::CircuitStats& st = run.stats;
     EXPECT_EQ(st.hard_failures, 0u);
+    EXPECT_EQ(st.steps_rejected, 0u);
     EXPECT_LE(static_cast<double>(st.newton_iterations),
-              5.0 * static_cast<double>(st.steps_accepted));
-    EXPECT_LT(static_cast<double>(st.steps_rejected),
-              0.02 * static_cast<double>(st.steps_accepted + st.steps_rejected));
+              iterations_per_step * static_cast<double>(st.steps_accepted));
   }
 }
 
@@ -416,8 +436,8 @@ TEST(CoreCompanion, PeaksConvergeInTheStepBound) {
   const double dt_max = 2e-5;
   const double inrush = inrush_deck(dt_max).peak;
   const double inrush_ref = inrush_deck(dt_max / 100.0).peak;
-  EXPECT_NEAR(inrush, inrush_ref, 0.01 * inrush_ref);
+  EXPECT_NEAR(inrush, inrush_ref, 0.001 * inrush_ref);
   const double primary = transformer_deck(dt_max).peak;
   const double primary_ref = transformer_deck(dt_max / 100.0).peak;
-  EXPECT_NEAR(primary, primary_ref, 0.02 * primary_ref);
+  EXPECT_NEAR(primary, primary_ref, 0.002 * primary_ref);
 }

@@ -19,6 +19,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -47,7 +48,7 @@ void usage(const char* argv0) {
       "\n"
       "transient (defaults from the deck's .tran card)\n"
       "  --dt-initial S    initial step (default: 1e-6)\n"
-      "  --t-end S         override the .tran horizon\n"
+      "  --t-end S         override the .tran horizon (> 0)\n"
       "\n"
       "output\n"
       "  --probe SPEC      v(node) | i(dev) | b(dev) | h(dev); repeatable\n"
@@ -68,12 +69,13 @@ const char* arg_value(int argc, char** argv, int& i) {
 }
 
 /// The value after flag argv[i] as a T (util::parse_number); exits 2 naming
-/// the flag when it is not one.
+/// the flag when it is not one, or when `in_domain` rejects it.
 template <typename T>
-T arg_number(int argc, char** argv, int& i) {
+T arg_number(int argc, char** argv, int& i, bool (*in_domain)(T) = nullptr) {
   const char* flag = argv[i];
   const char* text = arg_value(argc, argv, i);
-  if (const auto value = util::parse_number<T>(text)) return *value;
+  const auto value = util::parse_number<T>(text);
+  if (value && (in_domain == nullptr || in_domain(*value))) return *value;
   std::fprintf(stderr, "bad value '%s' for %s\n", text, flag);
   std::exit(2);
 }
@@ -187,7 +189,7 @@ int main(int argc, char** argv) {
   options.corners = 64;
   options.threads = 0;
   std::uint64_t seed = 1;
-  double t_end_override = 0.0;
+  std::optional<double> t_end_override;
   options.transient.dt_initial = 1e-6;
 
   for (int i = 1; i < argc; ++i) {
@@ -218,13 +220,15 @@ int main(int argc, char** argv) {
     } else if (std::strcmp(arg, "--dt-initial") == 0) {
       options.transient.dt_initial = arg_number<double>(argc, argv, i);
     } else if (std::strcmp(arg, "--t-end") == 0) {
-      t_end_override = arg_number<double>(argc, argv, i);
+      t_end_override = arg_number<double>(argc, argv, i,
+                                          [](double s) { return s > 0.0; });
     } else if (std::strcmp(arg, "--probe") == 0) {
       probe_specs.push_back(arg_value(argc, argv, i));
     } else if (std::strcmp(arg, "--out") == 0) {
       out_path = arg_value(argc, argv, i);
     } else if (std::strcmp(arg, "--deadline") == 0) {
-      options.limits.deadline_s = arg_number<double>(argc, argv, i);
+      options.limits.deadline_s = arg_number<double>(
+          argc, argv, i, [](double s) { return s >= 0.0; });
     } else if (std::strcmp(arg, "--max-errors") == 0) {
       options.limits.max_errors = arg_number<std::size_t>(argc, argv, i);
     } else if (arg[0] == '-') {
@@ -257,12 +261,12 @@ int main(int argc, char** argv) {
   if (nominal.netlist->tran) {
     options.transient.dt_max = nominal.netlist->tran->dt_max;
     options.transient.t_end = nominal.netlist->tran->t_end;
-  } else if (t_end_override <= 0.0) {
+  } else if (!t_end_override) {
     std::fprintf(stderr, "%s has no .tran card; pass --t-end\n",
                  netlist_path.c_str());
     return 1;
   }
-  if (t_end_override > 0.0) options.transient.t_end = t_end_override;
+  if (t_end_override) options.transient.t_end = *t_end_override;
 
   ckt::ScatterSpec spec;
   if (!scatter_path.empty()) {
