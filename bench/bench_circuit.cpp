@@ -135,29 +135,46 @@ void report() {
       "whole Newton solve, so every solve is on one smooth branch of B(H).");
 }
 
-void bm_ja_inductor_cycle(benchmark::State& state) {
+/// One mains cycle of `build`'s deck per benchmark iteration, with the
+/// Newton work behind the time: iterations per accepted step, and the
+/// transient's wall time per Newton iteration (everything a step costs,
+/// divided by its iterations).
+void run_cycles(benchmark::State& state, void (*build)(ckt::Circuit&)) {
+  ckt::CircuitStats total;
+  std::chrono::steady_clock::duration transient{};
   for (auto _ : state) {
     ckt::Circuit c;
-    build_ja_circuit(c);
+    build(c);
     ckt::TransientOptions options;
     options.t_end = 0.02;
     options.dt_initial = 1e-6;
     options.dt_max = 2e-5;
-    (void)ckt::run_transient(c, options, {});
+    ckt::CircuitStats stats;
+    const auto t0 = std::chrono::steady_clock::now();
+    (void)ckt::run_transient(c, options, {}, &stats);
+    transient += std::chrono::steady_clock::now() - t0;
+    total.steps_accepted += stats.steps_accepted;
+    total.newton_iterations += stats.newton_iterations;
   }
+  const double iterations = static_cast<double>(
+      std::max<std::uint64_t>(total.newton_iterations, 1));
+  state.counters["newton_iters_per_step"] =
+      static_cast<double>(total.newton_iterations) /
+      static_cast<double>(std::max<std::uint64_t>(total.steps_accepted, 1));
+  state.counters["ns_per_newton_iteration"] =
+      static_cast<double>(
+          std::chrono::duration_cast<std::chrono::nanoseconds>(transient)
+              .count()) /
+      iterations;
+}
+
+void bm_ja_inductor_cycle(benchmark::State& state) {
+  run_cycles(state, build_ja_circuit);
 }
 BENCHMARK(bm_ja_inductor_cycle)->Unit(benchmark::kMillisecond);
 
 void bm_transformer_cycle(benchmark::State& state) {
-  for (auto _ : state) {
-    ckt::Circuit c;
-    build_transformer_circuit(c);
-    ckt::TransientOptions options;
-    options.t_end = 0.02;
-    options.dt_initial = 1e-6;
-    options.dt_max = 2e-5;
-    (void)ckt::run_transient(c, options, {});
-  }
+  run_cycles(state, build_transformer_circuit);
 }
 BENCHMARK(bm_transformer_cycle)->Unit(benchmark::kMillisecond);
 

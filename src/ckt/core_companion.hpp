@@ -19,15 +19,15 @@
 //   * slope      — the seed iterate takes a wide central difference across
 //                  the threshold, natural evaluations on both sides, so the
 //                  first Newton step already sees a pending event; later
-//                  iterates take a narrow difference of the latched branch
-//                  itself, its own tangent, so Newton converges
-//                  quadratically instead of creeping under the engine's
-//                  relative step test.
+//                  iterates take the latched branch's exact tangent
+//                  (TimelessJa::evaluate: one evaluation, dB/dH by the
+//                  chain rule through apply's arithmetic), so Newton
+//                  converges quadratically. No evaluation copies the
+//                  model.
 #pragma once
 
 #include <algorithm>
 #include <cmath>
-#include <optional>
 
 #include "mag/ja_params.hpp"
 #include "mag/timeless_ja.hpp"
@@ -43,30 +43,36 @@ class CoreCompanion {
   /// The committed magnetic state.
   [[nodiscard]] const mag::TimelessJa& model() const { return model_; }
 
+  /// The latched decision: true when this trial step's iterates evaluate
+  /// the core on its event branch.
+  [[nodiscard]] bool event() const { return event_; }
+
   /// Takes the event decision at the field of the step's seed iterate
   /// (`seed`: the predicted solution), or lets a later iterate switch it to
   /// "event".
   void latch(double h, bool seed) { event_ = crosses(h) || (!seed && event_); }
 
-  /// Central-difference step in H for the slope at iterate field h: wide on
-  /// the seed iterate (at least one event threshold), narrow afterwards.
-  [[nodiscard]] double difference_step(double h, bool seed) const {
-    const double narrow = 1e-6 * (1.0 + std::fabs(h));
-    return seed ? std::max(1.5 * model_.config().dhmax, narrow) : narrow;
+  /// Central-difference step in H for the seed iterate's slope at field h:
+  /// at least one event threshold wide, so it spans a pending event.
+  [[nodiscard]] double difference_step(double h) const {
+    return std::max(1.5 * model_.config().dhmax, 1e-6 * (1.0 + std::fabs(h)));
   }
 
-  /// B [T] at trial field h from the committed state: on the latched
-  /// branch, or with `natural` on the branch apply(h) picks by itself.
-  /// `natural_b`, when given, is a natural evaluation at h made elsewhere
-  /// (the Monte-Carlo packer's SoA lanes); it is returned wherever the two
-  /// branches agree, which keeps packed and scalar runs bitwise identical.
-  [[nodiscard]] double b_at(double h, bool natural,
-                            std::optional<double> natural_b = {}) const {
-    const bool event = natural ? crosses(h) : event_;
-    if (natural_b && event == crosses(h)) return *natural_b;
-    mag::TimelessJa trial = model_;  // copy of the committed magnetic state
-    trial.apply(h, event);
-    return trial.flux_density();
+  /// Latches the decision at iterate field h (latch) and returns the B and
+  /// dB/dH a Newton iterate linearises the core with, both from the
+  /// committed state. The seed iterate takes B on the latched branch and a
+  /// central difference of natural evaluations difference_step(h) to either
+  /// side (three evaluations of B alone); later iterates take the latched
+  /// branch's tangent (one).
+  [[nodiscard]] mag::FluxTangent linearise(double h, bool seed) {
+    latch(h, seed);
+    if (!seed) return model_.evaluate(h, event_);
+    const double dh = difference_step(h);
+    const auto natural_b = [&](double hx) {
+      return model_.flux_density_at(hx, crosses(hx));
+    };
+    return {model_.flux_density_at(h, event_),
+            (natural_b(h + dh) - natural_b(h - dh)) / (2.0 * dh)};
   }
 
   /// Advances the committed state to field h on the latched branch, or

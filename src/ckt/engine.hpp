@@ -26,11 +26,10 @@
 //   * TransientMachine — the same transient loop decomposed into one Newton
 //     iteration per advance() call, bitwise identical to run_transient()
 //     (which is implemented on top of it). This is the seam the circuit
-//     Monte-Carlo uses to step many corners in lockstep and evaluate their
-//     JaInductor cores as one SoA batch per iteration. advance() is itself
-//     split into a stamp half and a conclude half around its ams::LuSolver
-//     call, so a lockstep group can solve the stamped systems of all its
-//     corners together instead (ckt::LaneLu, bitwise equal to LuSolver).
+//     Monte-Carlo uses to step many corners in lockstep. advance() is split
+//     into a stamp half and a conclude half around its ams::LuSolver call,
+//     so a lockstep group can solve the stamped systems of all its corners
+//     together instead (ckt::LaneLu, bitwise equal to LuSolver).
 #pragma once
 
 #include <cstdint>
@@ -164,16 +163,11 @@ using SolutionCallback = std::function<void(const Solution&)>;
 /// force-accept, RunLimits stop). Driving advance() to done() reproduces
 /// run_transient() bitwise — run_transient() IS this loop.
 ///
-/// The point of the decomposition is cross-instance batching: a caller
-/// holding N machines over a shared topology can, before each round of
-/// advance() calls, read every machine's iterate() and seeding(), evaluate
-/// all their JaInductor cores as one TimelessJaBatch block at the points
-/// stamp() will use (JaInductor::trial_di), and arm the inductors with the
-/// batched trial evaluations (JaInductor::arm_trial) so the iteration's
-/// stamps consume SoA results instead of three scalar model copies each.
-/// advance() also comes in halves — stamp(), then conclude() on a solution
-/// the caller computed — so the same caller can stamp every machine and
-/// solve their systems together (ckt::LaneLu) before concluding each.
+/// The point of the decomposition is cross-instance batching: advance()
+/// comes in halves — stamp(), then conclude() on a solution the caller
+/// computed — so a caller holding N machines over a shared topology can
+/// stamp every machine and solve their systems together (ckt::LaneLu)
+/// before concluding each.
 ///
 /// The seed of each trial step (iterate() while seeding()) is the predicted
 /// solution: with x_n the last accepted solution, x_{n-1} the one before it

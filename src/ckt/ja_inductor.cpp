@@ -1,6 +1,5 @@
 #include "ckt/ja_inductor.hpp"
 
-#include <optional>
 #include <utility>
 
 namespace ferro::ckt {
@@ -17,23 +16,12 @@ JaInductor::JaInductor(std::string name, NodeId a, NodeId b,
   lambda_prev_ = geometry_.linkage_from_b(model().flux_density());
 }
 
-double JaInductor::trial_di(double i_k, bool seed) const {
-  return geometry_.current_from_field(
-      core_.difference_step(geometry_.field_from_current(i_k), seed));
-}
-
 double JaInductor::trial_di(double i_k) const {
-  return trial_di(i_k, i_k == i_prev_);
+  return geometry_.current_from_field(
+      core_.difference_step(geometry_.field_from_current(i_k)));
 }
 
-void JaInductor::arm_trial(double b_at, double b_plus, double b_minus,
-                           double di) {
-  armed_ = true;
-  armed_b_at_ = b_at;
-  armed_b_plus_ = b_plus;
-  armed_b_minus_ = b_minus;
-  armed_di_ = di;
-}
+void JaInductor::arm_trial(double, double, double, double) {}
 
 void JaInductor::stamp(Stamper& s, const EvalContext& ctx) {
   const std::size_t br = first_branch();
@@ -49,24 +37,12 @@ void JaInductor::stamp(Stamper& s, const EvalContext& ctx) {
   }
 
   const double i_k = s.i(br);
-  const bool seed = ctx.iteration == 0;
-  core_.latch(geometry_.field_from_current(i_k), seed);
-  const double di = trial_di(i_k, seed);
-
-  // Packer-armed values stand in for the evaluations they equal (see
-  // arm_trial); the slope pair only when it was taken at the same di.
-  const bool armed = std::exchange(armed_, false);
-  const bool armed_pair = armed && armed_di_ == di;
-  const auto lambda_at = [&](double i, bool natural, bool use_armed,
-                             double armed_b) {
-    return geometry_.linkage_from_b(
-        core_.b_at(geometry_.field_from_current(i), natural,
-                   use_armed ? std::optional<double>(armed_b) : std::nullopt));
-  };
-  const double lambda_k = lambda_at(i_k, false, armed, armed_b_at_);
-  const double l_eff = (lambda_at(i_k + di, seed, armed_pair, armed_b_plus_) -
-                        lambda_at(i_k - di, seed, armed_pair, armed_b_minus_)) /
-                       (2.0 * di);
+  const mag::FluxTangent core = core_.linearise(
+      geometry_.field_from_current(i_k), ctx.iteration == 0);
+  const double n = static_cast<double>(geometry_.turns);
+  const double lambda_k = geometry_.linkage_from_b(core.b);
+  // d(lambda)/di = N * A * dB/dH * N / l
+  const double l_eff = n * geometry_.area * core.db_dh * n / geometry_.path_length;
 
   // Trapezoidal: v = (2/dt)(lambda - lambda_prev) - v_prev
   // Backward Euler: v = (lambda - lambda_prev)/dt
@@ -86,7 +62,6 @@ void JaInductor::commit(const EvalContext& ctx, std::span<const double> x) {
   const double va = a_ == kGround ? 0.0 : x[static_cast<std::size_t>(a_)];
   const double vb = b_ == kGround ? 0.0 : x[static_cast<std::size_t>(b_)];
 
-  armed_ = false;  // a pending arming must never outlive its iteration
   core_.commit(geometry_.field_from_current(i), ctx.dc);
   lambda_prev_ = geometry_.linkage_from_b(model().flux_density());
   i_prev_ = i;

@@ -8,8 +8,11 @@
 // current on the branch the CoreCompanion latched for the trial step: an
 // event fires only when an iterate of the step crosses |H - anchor| >
 // dhmax, and the decision then holds for the rest of the solve and for
-// the commit. The state advances only in commit(), so rejected steps
-// never pollute the hysteresis trajectory.
+// the commit. The seed iterate's slope is a wide central difference across
+// the threshold (three core evaluations); every later iterate evaluates the
+// core once, on the latched branch's exact tangent. The state advances
+// only in commit(), so rejected steps never pollute the hysteresis
+// trajectory.
 #pragma once
 
 #include "ckt/core_companion.hpp"
@@ -37,28 +40,14 @@ class JaInductor final : public Device {
   [[nodiscard]] const mag::TimelessJa& model() const { return core_.model(); }
   [[nodiscard]] const mag::CoreGeometry& geometry() const { return geometry_; }
 
-  /// The central-difference current perturbation stamp() uses around the
-  /// iterate current `i_k`: wide on a trial step's seed iterate (`seed`,
-  /// TransientMachine::seeding()), narrow afterwards. Exposed so the
-  /// Monte-Carlo packer evaluates the trial points the scalar path will.
-  [[nodiscard]] double trial_di(double i_k, bool seed) const;
-
-  /// The same perturbation with the seed guessed from the iterate: a seed
-  /// when `i_k` is the committed current bit for bit. The seed is the
-  /// predicted solution, so the guess is wrong on almost every seed of a
-  /// moving circuit; a wrong guess never changes a result, it only costs
-  /// the armed slope pair, which stamp() then evaluates itself.
+  /// The seed iterate's central-difference step around current `i_k`,
+  /// as a current: CoreCompanion::difference_step at i_k's field, at least
+  /// one event threshold wide. Later iterates take the exact tangent and
+  /// no difference.
   [[nodiscard]] double trial_di(double i_k) const;
 
-  /// Pre-arms the next (non-DC) stamp() with externally evaluated trial
-  /// flux densities from the COMMITTED magnetic state, each with the event
-  /// decision apply(h) takes at its own field: `b_at` at the iterate
-  /// current i_k, `b_plus`/`b_minus` at i_k +/- `di` (di from trial_di).
-  /// The stamp uses a value wherever it lies on the branch the stamp
-  /// evaluates and evaluates that branch itself otherwise, so arming never
-  /// changes a result (TimelessJaBatch kExact is bitwise-equal to the
-  /// scalar model). One-shot: consumed by the next stamp(), so the packer
-  /// re-arms before every Newton iteration.
+  /// Does nothing: stamp() evaluates its core itself. Kept because the
+  /// repository benchmark's traced Monte-Carlo replay calls it.
   void arm_trial(double b_at, double b_plus, double b_minus, double di);
 
  private:
@@ -68,12 +57,6 @@ class JaInductor final : public Device {
   double i_prev_ = 0.0;
   double v_prev_ = 0.0;
   double lambda_prev_;
-
-  bool armed_ = false;
-  double armed_b_at_ = 0.0;
-  double armed_b_plus_ = 0.0;
-  double armed_b_minus_ = 0.0;
-  double armed_di_ = 0.0;
 };
 
 }  // namespace ferro::ckt

@@ -10,7 +10,6 @@
 #include "ckt/ja_inductor.hpp"
 #include "ckt/lane_lu.hpp"
 #include "core/thread_pool.hpp"
-#include "mag/timeless_ja_batch.hpp"
 
 namespace ferro::ckt {
 namespace {
@@ -128,10 +127,6 @@ struct CornerState {
   CornerResult result;
   bool has_sample = false;
   std::unique_ptr<TransientMachine> machine;
-
-  // Packing: cores the SoA kernel covers, parallel to their lane indices.
-  std::vector<JaInductor*> packed_cores;
-  std::vector<std::size_t> lane_of_core;
 };
 
 void record_sample(CornerState& st, bool record_waveforms,
@@ -280,11 +275,9 @@ void solve_and_conclude(const std::vector<TransientMachine*>& live,
 
 /// Runs corners [begin, end) as one lockstep group. kScalar: each corner's
 /// machine is driven to completion on its own (the serial reference).
-/// Packed: all machines of the group step together. Before every round of
-/// Newton iterations the JA cores' three trial points (at the perturbation
-/// the machine's seeding() flag selects) are evaluated as one
-/// TimelessJaBatch block and armed into the inductors; each live corner
-/// then stamps its system, and solve_and_conclude() solves them lane-wise.
+/// Packed: all machines of the group step together, one Newton iteration
+/// each per round: every live corner stamps its system, and
+/// solve_and_conclude() solves them lane-wise.
 void run_group(const SweepContext& ctx, std::size_t begin, std::size_t end) {
   const bool packed = ctx.options.packing != McPacking::kScalar;
 
@@ -303,98 +296,18 @@ void run_group(const SweepContext& ctx, std::size_t begin, std::size_t end) {
     }
     group.push_back(std::move(st));
   }
-  if (group.empty()) return;
-
-  // Lane assembly: one SoA batch for the whole group, one lane per
-  // packable core. Cores outside the kernel's subset (and every other
-  // device) keep their scalar stamp path inside the same lockstep loop.
-  mag::TimelessJaBatch batch(mag::BatchMath::kExact);
-  for (auto& st : group) {
-    for (const auto& device : st->circuit.devices()) {
-      auto* core = dynamic_cast<JaInductor*>(device.get());
-      if (core == nullptr) continue;
-      if (!mag::TimelessJaBatch::supports(core->model().config())) continue;
-      st->packed_cores.push_back(core);
-      st->lane_of_core.push_back(
-          batch.add_lane(core->model().params(), core->model().config()));
-    }
-  }
-
-  const std::size_t lanes = batch.lanes();
-  std::vector<double> h_at(lanes), h_plus(lanes), h_minus(lanes), di(lanes);
-  std::vector<double> b_at(lanes), b_plus(lanes), b_minus(lanes);
-
-  // Rewinds every lane to its core's committed state — run before each of
-  // the three trial passes, exactly as the scalar stamp copies the
-  // committed model for each trial evaluation.
-  const auto rewind = [&] {
-    for (const auto& st : group) {
-      for (std::size_t j = 0; j < st->packed_cores.size(); ++j) {
-        batch.set_state(st->lane_of_core[j],
-                        st->packed_cores[j]->model().state());
-      }
-    }
-  };
-  const auto trial_pass = [&](const std::vector<double>& h,
-                              std::vector<double>& b) {
-    rewind();
-    batch.apply(h.data());
-    for (std::size_t l = 0; l < lanes; ++l) b[l] = batch.flux_density(l);
-  };
 
   std::vector<TransientMachine*> live;
   live.reserve(group.size());
   LaneLu lu;
-
-  const auto any_active = [&] {
-    return std::any_of(group.begin(), group.end(),
-                       [](const auto& st) { return !st->machine->done(); });
-  };
-
-  while (any_active()) {
-    // Phase 1: each active corner's trial field points, one lane per core.
-    // Done corners park their lanes at the committed field (a dh = 0
-    // refresh), so the lockstep apply stays well-defined for every lane.
-    for (const auto& st : group) {
-      const bool active = !st->machine->done();
-      const bool seed = st->machine->seeding();
-      const std::span<const double> x = st->machine->iterate();
-      const std::size_t nodes = st->machine->node_count();
-      for (std::size_t j = 0; j < st->packed_cores.size(); ++j) {
-        const JaInductor* core = st->packed_cores[j];
-        const std::size_t l = st->lane_of_core[j];
-        if (!active) {
-          h_at[l] = h_plus[l] = h_minus[l] = core->model().state().present_h;
-          di[l] = 1.0;
-          continue;
-        }
-        const double i_k = x[nodes + core->first_branch()];
-        const mag::CoreGeometry& geom = core->geometry();
-        di[l] = core->trial_di(i_k, seed);
-        h_at[l] = geom.field_from_current(i_k);
-        h_plus[l] = geom.field_from_current(i_k + di[l]);
-        h_minus[l] = geom.field_from_current(i_k - di[l]);
-      }
-    }
-
-    // Phase 2: the three batched trial evaluations, all lanes in lockstep.
-    trial_pass(h_at, b_at);
-    trial_pass(h_plus, b_plus);
-    trial_pass(h_minus, b_minus);
-
-    // Phase 3: arm and stamp every active corner's Newton system.
+  for (;;) {
     live.clear();
     for (const auto& st : group) {
       if (st->machine->done()) continue;
-      for (std::size_t j = 0; j < st->packed_cores.size(); ++j) {
-        const std::size_t l = st->lane_of_core[j];
-        st->packed_cores[j]->arm_trial(b_at[l], b_plus[l], b_minus[l], di[l]);
-      }
       st->machine->stamp();
       live.push_back(st->machine.get());
     }
-
-    // Phase 4: solve the stamped systems and conclude every iteration.
+    if (live.empty()) break;
     solve_and_conclude(live, lu);
   }
 

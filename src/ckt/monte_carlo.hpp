@@ -1,5 +1,5 @@
 // ckt::MonteCarlo — tolerance corner sweeps over one circuit topology,
-// fanned across core::ThreadPool and (optionally) SoA-packed.
+// fanned across core::ThreadPool, with (optionally) lane-wise linear solves.
 //
 // A sweep is: a CornerSampler (which quantities scatter, under which seed)
 // plus a CornerBuilder (how one corner's factors become a Circuit). Each
@@ -21,27 +21,19 @@
 //     never materialises all waveforms at once (leave record_waveforms off
 //     and each corner carries only its probe summaries and stats).
 //
-// Packing (the perf tentpole): corners share a topology, so the lockstep
-// group inside one chunk steps together, one Newton iteration per live
-// corner per round, and each round batches two things across the group:
-//
-//   * the JA cores: the runner reads each machine's iterate, evaluates ALL
-//     their JaInductor trial points (3 per core: at, +di, -di) as one
-//     mag::TimelessJaBatch block, and arms the inductors so their stamps
-//     consume the batched flux densities wherever those lie on the event
-//     branch the core latched for the trial step (the stamp evaluates the
-//     branch itself elsewhere, see ckt/core_companion.hpp). The SoA lanes
-//     run BatchMath::kExact, bitwise identical to the scalar model. Cores
-//     whose config the batch kernel does not cover (and every
-//     non-JaInductor device) keep their scalar stamp path.
-//   * the linear solves: each live corner stamps its MNA system
-//     (TransientMachine::stamp), and the systems are factored and solved
-//     together by ckt::LaneLu, up to W per vector pass, where W is the
-//     process-wide SIMD width (mag::TimelessJaBatch::active_simd_width,
-//     capped by FERRO_FORCE_SIMD_WIDTH); a block with fewer live corners
-//     runs at the narrowest width that covers them. A lone live corner, and
-//     one whose unknown count differs from its block's, keep their own
-//     ams::LuSolver. Every lane is bitwise what LuSolver computes.
+// Packing: corners share a topology, so the lockstep group inside one
+// chunk steps together, one Newton iteration per live corner per round.
+// Each round batches the group's linear solves: each live corner stamps its
+// MNA system (TransientMachine::stamp), and the systems are factored and
+// solved together by ckt::LaneLu, up to W per vector pass, where W is the
+// process-wide SIMD width (mag::TimelessJaBatch::active_simd_width, capped
+// by FERRO_FORCE_SIMD_WIDTH); a block with fewer live corners runs at the
+// narrowest width that covers them. A lone live corner, and one whose
+// unknown count differs from its block's, keep their own ams::LuSolver.
+// Every lane is bitwise what LuSolver computes. The JA cores are not
+// batched: after a trial step's seed, a core's stamp evaluates it once, on
+// its exact tangent (ckt/core_companion.hpp), which SoA trial passes would
+// not make cheaper.
 //
 // So kPackedExact equals kScalar equals a direct ckt::run_transient —
 // verified down to the last waveform bit by the tests, at every SIMD width.
@@ -63,10 +55,11 @@
 
 namespace ferro::ckt {
 
-/// How the corners of one lockstep group evaluate their JA cores.
+/// How the corners of one lockstep group are stepped.
 enum class McPacking {
   kScalar,       ///< one plain run_transient per corner (the reference)
-  kPackedExact,  ///< SoA TimelessJaBatch lanes, bitwise-equal to kScalar
+  kPackedExact,  ///< in lockstep, linear solves in LaneLu lanes; bitwise-equal
+                 ///< to kScalar
 };
 
 [[nodiscard]] std::string_view to_string(McPacking packing);

@@ -52,20 +52,13 @@ void JaTransformer::stamp(Stamper& s, const EvalContext& ctx) {
   const double ip_k = s.i(brp);
   const double is_k = s.i(brs);
   const double h_k = field_at(ip_k, is_k);
-  const bool seed = ctx.iteration == 0;
-  core_.latch(h_k, seed);
-  const double b_k = core_.b_at(h_k, false);
-  const double lambda_p_k = np * geometry_.area * b_k;
-  const double lambda_s_k = ns_ * geometry_.area * b_k;
-
-  // Differential permeability from the committed state (central difference,
-  // wide across the event threshold on the seed iterate, see CoreCompanion).
-  const double dh = core_.difference_step(h_k, seed);
-  const double db_dh =
-      (core_.b_at(h_k + dh, seed) - core_.b_at(h_k - dh, seed)) / (2.0 * dh);
+  // Differential permeability from the committed state (see CoreCompanion).
+  const mag::FluxTangent core = core_.linearise(h_k, ctx.iteration == 0);
+  const double lambda_p_k = np * geometry_.area * core.b;
+  const double lambda_s_k = ns_ * geometry_.area * core.b;
 
   // d(lambda_w)/d(i_u) = N_w * A * dB/dH * N_u / l
-  const double common = geometry_.area * db_dh / geometry_.path_length;
+  const double common = geometry_.area * core.db_dh / geometry_.path_length;
   const double lpp = np * common * np;
   const double lps = np * common * ns_;
   const double lsp = ns_ * common * np;

@@ -6,7 +6,8 @@
 // two branch rows through the core's differential permeability, taken on
 // the branch the CoreCompanion latched for the trial step (an event fires
 // only when an iterate crosses |H - anchor| > dhmax, and the decision then
-// holds for the rest of the solve and for the commit).
+// holds for the rest of the solve and for the commit): a wide central
+// difference on the seed iterate, the branch's exact tangent afterwards.
 #pragma once
 
 #include "ckt/core_companion.hpp"

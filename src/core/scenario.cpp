@@ -144,15 +144,7 @@ Error validate_ja_spec(const JaSpec& ja) {
   if (!violations.empty()) {
     return {ErrorCode::kInvalidScenario, join_violations(violations)};
   }
-  if (!std::isfinite(ja.config.dhmax) || ja.config.dhmax <= 0.0) {
-    return {ErrorCode::kInvalidScenario,
-            "invalid config: dhmax must be finite and > 0"};
-  }
-  if (!std::isfinite(ja.config.substep_max) || ja.config.substep_max < 0.0) {
-    return {ErrorCode::kInvalidScenario,
-            "invalid config: substep_max must be finite and >= 0"};
-  }
-  return {};
+  return validate_config(ja.config);
 }
 
 Error validate_energy_spec(const Scenario& scenario, const EnergySpec& spec) {
@@ -214,6 +206,18 @@ Error validate_setup(const Scenario& scenario) {
       return {ErrorCode::kInvalidScenario,
               "flux drive needs tolerance_b > 0 and max_iterations >= 1"};
     }
+  }
+  return {};
+}
+
+Error validate_config(const mag::TimelessConfig& config) {
+  if (!std::isfinite(config.dhmax) || config.dhmax <= 0.0) {
+    return {ErrorCode::kInvalidScenario,
+            "invalid config: dhmax must be finite and > 0"};
+  }
+  if (!std::isfinite(config.substep_max) || config.substep_max < 0.0) {
+    return {ErrorCode::kInvalidScenario,
+            "invalid config: substep_max must be finite and >= 0"};
   }
   return {};
 }

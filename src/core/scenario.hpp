@@ -129,6 +129,10 @@ struct ScenarioResult {
 /// drive's solver settings.
 [[nodiscard]] Error validate_setup(const Scenario& scenario);
 
+/// The JA discretisation check validate_setup() applies: dhmax finite and
+/// > 0, substep_max finite and >= 0; kInvalidScenario naming the field.
+[[nodiscard]] Error validate_config(const mag::TimelessConfig& config);
+
 /// validate()'s scan of a sweep drive: kOk, or kInvalidScenario naming the
 /// first non-finite sample. (A TimeDrive's samples are not scanned: a NaN
 /// waveform surfaces as the kNonFinite curve it produces.)

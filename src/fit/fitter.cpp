@@ -204,16 +204,23 @@ FitResult fit_ja_parameters(const FitObjective& objective,
   // Model-contract gate: this entry point identifies JA parameters, so an
   // objective built over any other ModelSpec is a structured mismatch (the
   // candidates it would score cannot run on that spec), reported like every
-  // other pre-run rejection rather than thrown.
+  // other pre-run rejection rather than thrown. So is a JA discretisation
+  // no candidate could run with: every evaluation would fail validation.
+  core::Error rejected;
   if (!std::holds_alternative<core::JaSpec>(objective.model())) {
-    FitResult mismatch;
-    mismatch.residual = std::numeric_limits<double>::infinity();
-    mismatch.stop = {core::ErrorCode::kInvalidScenario,
-                     "fit_ja_parameters: objective is built over model '" +
-                         std::string(mag::to_string(
-                             core::model_kind(objective.model()))) +
-                         "', not 'ja'"};
-    return mismatch;
+    rejected = {core::ErrorCode::kInvalidScenario,
+                "objective is built over model '" +
+                    std::string(mag::to_string(
+                        core::model_kind(objective.model()))) +
+                    "', not 'ja'"};
+  } else {
+    rejected = core::validate_config(objective.config());
+  }
+  if (!rejected.ok()) {
+    FitResult none;
+    none.residual = std::numeric_limits<double>::infinity();
+    none.stop = {rejected.code, "fit_ja_parameters: " + rejected.detail};
+    return none;
   }
 
   // Start points: the template first (clamped into the box), then seeded

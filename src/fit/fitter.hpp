@@ -90,7 +90,10 @@ struct FitResult {
   bool converged = false;       ///< the winner's simplex met the tolerances
   /// kOk when the search ran to its natural end; kCancelled /
   /// kDeadlineExceeded when FitOptions::limits stopped it early (params
-  /// then hold the best point seen before the stop).
+  /// then hold the best point seen before the stop); kInvalidScenario when
+  /// no candidate could run (an objective over a non-JA model, or a
+  /// discretisation core::validate_config rejects), with no evaluation made
+  /// and an infinite residual.
   core::Error stop;
 };
 

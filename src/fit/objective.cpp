@@ -91,6 +91,12 @@ FitObjective::FitObjective(std::vector<double> h, std::vector<double> b,
   bounds.push_back(sweep_.h.size() - 1);
 
   const FitWeights& w = options_.weights;
+  // A negative weight would reward misfit in its region.
+  if (!(std::isfinite(w.tip) && w.tip >= 0.0 && std::isfinite(w.coercive) &&
+        w.coercive >= 0.0)) {
+    throw std::invalid_argument(
+        "fit objective: weights must be finite and >= 0");
+  }
   std::vector<std::size_t> branch;
   for (std::size_t s = 0; s + 1 < bounds.size(); ++s) {
     Segment seg;

@@ -70,7 +70,8 @@ class FitObjective {
   /// with; its default (no sub-stepping) keeps the whole
   /// generation inside the packed SoA subset. Throws std::invalid_argument
   /// when the target has fewer than two samples, a non-finite sample, or a
-  /// branch with fewer than two distinct field values.
+  /// branch with fewer than two distinct field values, and when a region
+  /// weight is negative or non-finite or the weights sum to zero.
   FitObjective(std::vector<double> h, std::vector<double> b,
                mag::TimelessConfig config = {}, FitObjectiveOptions options = {});
 

@@ -64,6 +64,12 @@ struct TimelessState {
   double present_h = 0.0;///< most recently applied field
 };
 
+/// B and its derivative in H at one field (TimelessJa::evaluate).
+struct FluxTangent {
+  double b = 0.0;      ///< flux density [T]
+  double db_dh = 0.0;  ///< dB/dH [T/(A/m)]
+};
+
 /// The timeless Jiles-Atherton hysteresis model.
 ///
 /// Typical use:
@@ -93,6 +99,18 @@ class TimelessJa {
   /// for a whole Newton solve (ckt/core_companion.hpp).
   double apply(double h, bool event);
 
+  /// What apply(h, event) would leave, without applying it: B bitwise
+  /// apply(h, event) then flux_density(), from the same operations, with
+  /// each quantity's derivative in H carried next to it (chain rule). A
+  /// clamped slope or a rejected step contributes no derivative, and the
+  /// sub-step count is held constant. The circuit devices linearise a core
+  /// with it (ckt/core_companion.hpp).
+  [[nodiscard]] FluxTangent evaluate(double h, bool event) const;
+
+  /// B [T] that apply(h, event) would leave, bitwise, without applying it:
+  /// evaluate() without the derivative, for callers that need only B.
+  [[nodiscard]] double flux_density_at(double h, bool event) const;
+
   /// Magnetisation M [A/m] = Ms * m_total.
   [[nodiscard]] double magnetisation() const;
 
@@ -116,17 +134,31 @@ class TimelessJa {
   void set_state(const TimelessState& s);
 
  private:
-  /// The listing's slope expression from a precomputed (man - mtotal);
-  /// clamping is applied per config and counters are updated.
-  double slope_from_deltam(double delta_m, double delta);
+  /// m_irr, m_total, man and the slope through one apply(), in `Real`:
+  /// double for apply(), a value with its derivative for evaluate()
+  /// (defined in timeless_ja.cpp).
+  template <class Real>
+  struct Walk;
 
-  /// Refreshes He, man, m_rev, m_total from the present field and m_irr —
-  /// the listing's core() process.
-  void refresh_algebraic(double h);
+  /// apply(h, event)'s arithmetic on `w`, counting into `stats`; the anchor
+  /// is read, not moved.
+  template <class Real>
+  void walk(Walk<Real>& w, Real h, bool event, TimelessStats& stats) const;
+
+  /// The listing's slope expression from a precomputed (man - mtotal);
+  /// clamping is applied per config and counted.
+  template <class Real>
+  Real slope_from_deltam(Real delta_m, double delta, TimelessStats& stats) const;
+
+  /// Refreshes He, man, m_rev, m_total at field h from m_irr — the
+  /// listing's core() process.
+  template <class Real>
+  void refresh_algebraic(Walk<Real>& w, Real h) const;
 
   /// One Forward-Euler step of m_irr by dh, with the slope at the field
   /// core() just published — exactly like the listing.
-  void integrate_step(double dh);
+  template <class Real>
+  void integrate_step(Walk<Real>& w, Real dh, TimelessStats& stats) const;
 
   JaParameters params_;
   TimelessConfig config_;
@@ -134,7 +166,6 @@ class TimelessJa {
   TimelessState state_;
   TimelessStats stats_;
   double last_slope_ = 0.0;
-  double last_man_ = 0.0;  ///< man published by the last core() refresh
   double c_over_1pc_;   ///< c/(1+c), the reversible weighting of the listing
   double alpha_ms_;     ///< alpha*Ms, the effective-field coupling [A/m]
   double one_pc_k_;        ///< (1+c)*k — slope denominator, pinning term

@@ -147,10 +147,10 @@ class TimelessJaBatch {
   }
   [[nodiscard]] TimelessState state(std::size_t lane) const;
   /// Restores lane `lane` to an explicit scalar-model snapshot, verbatim —
-  /// the lane-side twin of TimelessJa::set_state. The circuit Monte-Carlo
-  /// packer rewinds its trial lanes to each device's committed state before
-  /// every batched evaluation, exactly as the scalar stamp copies the
-  /// committed model. (last_slope is untouched: a step never reads it.)
+  /// the lane-side twin of TimelessJa::set_state, for rewinding trial lanes
+  /// to a circuit device's committed state before a batched evaluation (the
+  /// repository benchmark's traced Monte-Carlo replay does). (last_slope is
+  /// untouched: a step never reads it.)
   void set_state(std::size_t lane, const TimelessState& s);
   [[nodiscard]] const TimelessStats& stats(std::size_t lane) const {
     return stats_[lane];

@@ -12,6 +12,7 @@
 #include <utility>
 #include <vector>
 
+#include "ckt/diode.hpp"
 #include "ckt/engine.hpp"
 #include "ckt/ja_inductor.hpp"
 #include "ckt/monte_carlo.hpp"
@@ -19,6 +20,7 @@
 #include "ckt/rlc.hpp"
 #include "ckt/scatter.hpp"
 #include "ckt/sources.hpp"
+#include "ckt/transformer.hpp"
 #include "support/fixtures.hpp"
 #include "wave/standard.hpp"
 
@@ -203,27 +205,59 @@ TEST(MonteCarlo, ThreadCountAndPartitionInvariance) {
 
 namespace {
 
+/// What the sweep records for `probe` at an accepted step, read off a
+/// circuit run directly.
+double direct_probe_value(const fk::Probe& probe, const fk::Circuit& circuit,
+                          const fk::Solution& sol) {
+  std::size_t branch = 0;
+  for (const auto& d : circuit.devices()) {
+    if (d->name() == probe.target) {
+      const auto* core = dynamic_cast<const fk::JaInductor*>(d.get());
+      switch (probe.kind) {
+        case fk::Probe::Kind::kBranchCurrent:
+          return sol.branch_current(branch);
+        case fk::Probe::Kind::kCoreFluxDensity:
+          if (core != nullptr) return core->flux_density();
+          break;
+        case fk::Probe::Kind::kCoreField:
+          if (core != nullptr) return core->field();
+          break;
+        case fk::Probe::Kind::kNodeVoltage:
+          break;
+      }
+    }
+    branch += d->branch_count();
+  }
+  for (std::size_t id = 0; id < circuit.node_count(); ++id) {
+    const auto node = static_cast<fk::NodeId>(id);
+    if (probe.kind == fk::Probe::Kind::kNodeVoltage &&
+        circuit.node_name(node) == probe.target) {
+      return sol.v(node);
+    }
+  }
+  ADD_FAILURE() << "probe target " << probe.target << " not found";
+  return 0.0;
+}
+
 /// Builds `mc`'s corner by hand and runs it through run_transient: the
 /// reference a sweep's corner must equal bit for bit, waveforms included.
 void expect_matches_direct_run(const fk::CornerResult& mc,
                                const fk::CornerSampler& sampler,
                                const fk::CornerBuilder& builder,
-                               const fk::TransientOptions& transient) {
+                               const fk::MonteCarloOptions& options) {
   fk::Circuit circuit;
   const auto draws = sampler.corner(mc.index);
   builder(fk::CornerView(sampler.spec(), draws, mc.index), circuit);
-  std::vector<double> i_wave, b_wave, t_wave;
-  const fk::JaInductor* core = nullptr;
-  for (const auto& d : circuit.devices()) {
-    if ((core = dynamic_cast<const fk::JaInductor*>(d.get()))) break;
-  }
+  std::vector<double> t_wave;
+  std::vector<std::vector<double>> waves(options.probes.size());
   fk::CircuitStats stats;
   const fe::Error error = fk::run_transient(
-      circuit, transient,
+      circuit, options.transient,
       [&](const fk::Solution& sol) {
         t_wave.push_back(sol.t);
-        i_wave.push_back(sol.branch_current(1));
-        b_wave.push_back(core->flux_density());
+        for (std::size_t p = 0; p < options.probes.size(); ++p) {
+          waves[p].push_back(direct_probe_value(options.probes[p], circuit, sol));
+        }
       },
       &stats);
   ASSERT_TRUE(error.ok()) << error;
@@ -231,26 +265,77 @@ void expect_matches_direct_run(const fk::CornerResult& mc,
   EXPECT_EQ(std::memcmp(&mc.stats, &stats, sizeof(stats)), 0)
       << "corner " << mc.index;
   ASSERT_EQ(mc.t.size(), t_wave.size()) << "corner " << mc.index;
+  ASSERT_EQ(mc.waveforms.size(), waves.size());
   for (std::size_t k = 0; k < t_wave.size(); ++k) {
     ASSERT_EQ(mc.t[k], t_wave[k]);
-    ASSERT_EQ(mc.waveforms[0][k], i_wave[k]);  // bitwise: == on doubles
-    ASSERT_EQ(mc.waveforms[1][k], b_wave[k]);
+    for (std::size_t p = 0; p < waves.size(); ++p) {
+      ASSERT_EQ(mc.waveforms[p][k], waves[p][k])  // bitwise: == on doubles
+          << "corner " << mc.index << " probe " << p << " step " << k;
+    }
   }
+}
+
+/// The repository benchmark's JA transformer deck on demo_spec's keys:
+/// r.value scales the load, lcore.* the core.
+void build_transformer(const fk::CornerView& view, fk::Circuit& circuit) {
+  const auto p = circuit.node("p");
+  const auto s = circuit.node("s");
+  circuit.add<fk::VoltageSource>("V", p, fk::kGround,
+                                 std::make_shared<fw::Sine>(1.5, 50.0));
+  fm::CoreGeometry geom;
+  geom.area = view.value("lcore.area", 1e-4);
+  fm::TimelessConfig config;
+  config.dhmax = 0.5;
+  fm::JaParameters params = fm::find_material("grain-oriented-si")->params;
+  params.ms = view.value("lcore.ms", params.ms);
+  circuit.add<fk::JaTransformer>("T", p, fk::kGround, s, fk::kGround, geom, 50,
+                                 params, config);
+  circuit.add<fk::Resistor>("Rload", s, fk::kGround,
+                            view.value("r.value", 100.0));
+}
+
+/// A half-wave rectifier into an RC load: the diode's stamps share the
+/// output node's diagonal with the resistor, the capacitor and gmin.
+void build_rectifier(const fk::CornerView& view, fk::Circuit& circuit) {
+  const auto in = circuit.node("in");
+  const auto out = circuit.node("out");
+  circuit.add<fk::VoltageSource>("V", in, fk::kGround,
+                                 std::make_shared<fw::Sine>(8.0, 50.0));
+  circuit.add<fk::Diode>("D", in, out);
+  circuit.add<fk::Resistor>("R", out, fk::kGround, view.value("r.value", 100.0));
+  circuit.add<fk::Capacitor>("C", out, fk::kGround,
+                             view.value("lcore.area", 1e-5));
 }
 
 }  // namespace
 
 TEST(MonteCarlo, PackedScalarAndDirectRunsAgreeBitwise) {
   // Corner i of a sweep is bit for bit the run you get by building the
-  // same circuit by hand and calling run_transient, with its cores packed
-  // or scalar. At the coarse 50 A/m threshold the iterates that cross it
-  // are often pulled back inside, so the packed stamp finds many of its
-  // pre-evaluated values off the latched branch and evaluates the branch
-  // itself.
-  for (const double dhmax : {5.0, 50.0}) {
+  // same circuit by hand and calling run_transient, stepped in a lockstep
+  // group (its linear solves in lanes) or on its own. The decks cover the
+  // JA inductor at a fine and a coarse (50 A/m) threshold, the JA
+  // transformer, and a diode rectifier whose nonlinear stamps share matrix
+  // entries with several linear ones.
+  const struct {
+    const char* name;
+    fk::CornerBuilder builder;
+    std::vector<fk::Probe> probes;
+  } decks[] = {
+      {"inrush dhmax 5", corner_builder(5.0), demo_options(0).probes},
+      {"inrush dhmax 50", corner_builder(50.0), demo_options(0).probes},
+      {"transformer", build_transformer,
+       {{fk::Probe::Kind::kBranchCurrent, "T"},
+        {fk::Probe::Kind::kNodeVoltage, "s"}}},
+      {"rectifier", build_rectifier,
+       {{fk::Probe::Kind::kNodeVoltage, "out"},
+        {fk::Probe::Kind::kBranchCurrent, "V"}}},
+  };
+  for (const auto& deck : decks) {
+    SCOPED_TRACE(deck.name);
     const fk::CornerSampler sampler(demo_spec(), 7);
-    const fk::MonteCarlo mc(sampler, corner_builder(dhmax));
+    const fk::MonteCarlo mc(sampler, deck.builder);
     auto options = demo_options(10);
+    options.probes = deck.probes;
     options.record_waveforms = true;
     options.packing = fk::McPacking::kScalar;
     const auto scalar = mc.run(options);
@@ -263,10 +348,10 @@ TEST(MonteCarlo, PackedScalarAndDirectRunsAgreeBitwise) {
     ASSERT_EQ(scalar.size(), packed.size());
     for (std::size_t i = 0; i < scalar.size(); ++i) {
       ASSERT_TRUE(packed[i].ok()) << packed[i].error;
-      EXPECT_TRUE(bitwise_equal(scalar[i], packed[i]))
-          << "dhmax " << dhmax << " corner " << i;
-      expect_matches_direct_run(packed[i], sampler, corner_builder(dhmax),
-                                options.transient);
+      EXPECT_GT(packed[i].stats.newton_iterations,
+                packed[i].stats.steps_accepted);  // the deck iterates
+      EXPECT_TRUE(bitwise_equal(scalar[i], packed[i])) << "corner " << i;
+      expect_matches_direct_run(packed[i], sampler, deck.builder, options);
     }
   }
 }
@@ -296,7 +381,7 @@ TEST(MonteCarlo, MixedUnknownCountsMatchDirectRuns) {
     for (const auto& r : results) {
       ASSERT_TRUE(r.ok()) << r.error;
       SCOPED_TRACE("chunk " + std::to_string(chunk));
-      expect_matches_direct_run(r, sampler, builder, options.transient);
+      expect_matches_direct_run(r, sampler, builder, options);
     }
   }
 }

@@ -286,6 +286,26 @@ TEST(FitObjective, RejectsDegenerateTargets) {
   }
 }
 
+TEST(FitObjective, RejectsNegativeAndNonFiniteWeights) {
+  // A negative weight would reward misfit in its region; a non-finite one
+  // poisons every score.
+  const fm::BhCurve target = simulate(ground_truth());
+  for (const double bad : {-1.0, -1e-300, std::nan(""), kInf}) {
+    ff::FitObjectiveOptions tip;
+    tip.weights.tip = bad;
+    EXPECT_THROW(ff::FitObjective(target, {}, tip), std::invalid_argument)
+        << "tip " << bad;
+    ff::FitObjectiveOptions coercive;
+    coercive.weights.coercive = bad;
+    EXPECT_THROW(ff::FitObjective(target, {}, coercive), std::invalid_argument)
+        << "coercive " << bad;
+  }
+  // Zero is a valid weight: the region simply does not count.
+  ff::FitObjectiveOptions no_tips;
+  no_tips.weights.tip = 0.0;
+  EXPECT_NO_THROW(ff::FitObjective(target, {}, no_tips));
+}
+
 TEST(FitObjective, ResidualMatchesTheLerpReference) {
   const fm::BhCurve target = simulate(ground_truth());
   ff::FitObjectiveOptions weighted;
@@ -579,6 +599,31 @@ TEST(FitJaParameters, CancellationMidSearchKeepsBestSoFar) {
     EXPECT_EQ(result.stop.code, fc::ErrorCode::kCancelled);
     EXPECT_FALSE(std::isnan(result.residual));
   }
+}
+
+TEST(FitJaParameters, RejectsAConfigNoCandidateCanRunWith) {
+  // Every candidate would fail validation: the fit stops before evaluating
+  // one, the way it stops on a non-JA objective, instead of simulating
+  // every generation and returning the start point.
+  const fm::BhCurve target = simulate(ground_truth());
+  for (const double dhmax : {0.0, -5.0, std::nan("")}) {
+    fm::TimelessConfig config;
+    config.dhmax = dhmax;
+    const ff::FitObjective objective(target, config);
+    const ff::FitResult result = ff::fit_ja_parameters(objective, {});
+    EXPECT_EQ(result.stop.code, fc::ErrorCode::kInvalidScenario)
+        << "dhmax " << dhmax;
+    EXPECT_NE(result.stop.detail.find("dhmax"), std::string::npos);
+    EXPECT_EQ(result.evaluations, 0u);
+    EXPECT_EQ(result.generations, 0u);
+    EXPECT_TRUE(std::isinf(result.residual));
+  }
+  fm::TimelessConfig negative_substep;
+  negative_substep.substep_max = -1.0;
+  const ff::FitResult result =
+      ff::fit_ja_parameters(ff::FitObjective(target, negative_substep), {});
+  EXPECT_EQ(result.stop.code, fc::ErrorCode::kInvalidScenario);
+  EXPECT_EQ(result.evaluations, 0u);
 }
 
 TEST(FitJaParameters, RejectsMalformedOptions) {

@@ -42,10 +42,10 @@ void usage(const char* argv0) {
       "  --b-col NAME        flux-density column name (default: b)\n"
       "\n"
       "objective\n"
-      "  --dhmax V           candidate-model event threshold [A/m] (default: 25)\n"
+      "  --dhmax V           candidate-model event threshold > 0 [A/m] (default: 25)\n"
       "  --grid N            resample points per monotone branch (default: 64)\n"
-      "  --tip-weight W      weight of |H| >= 0.75*Hmax points (default: 1)\n"
-      "  --coercive-weight W weight of |H| <= 0.15*Hmax points (default: 1)\n"
+      "  --tip-weight W      weight >= 0 of |H| >= 0.75*Hmax points (default: 1)\n"
+      "  --coercive-weight W weight >= 0 of |H| <= 0.15*Hmax points (default: 1)\n"
       "\n"
       "search\n"
       "  --multistarts N     independent searches (default: 6)\n"
@@ -68,16 +68,21 @@ const char* arg_string(int argc, char** argv, int& i) {
   return argv[++i];
 }
 
-/// The value after flag argv[i] as a T (util::parse_number); exits 2 naming
-/// the flag when it is not one.
+/// The value after flag argv[i] as a T (util::parse_number) inside the
+/// flag's domain (`in_domain`, when given); exits 2 naming the flag when it
+/// is not one.
 template <typename T>
-T arg_number(int argc, char** argv, int& i) {
+T arg_number(int argc, char** argv, int& i, bool (*in_domain)(T) = nullptr) {
   const char* flag = argv[i];
   const char* text = arg_string(argc, argv, i);
-  if (const auto value = ferro::util::parse_number<T>(text)) return *value;
+  const auto value = ferro::util::parse_number<T>(text);
+  if (value && (in_domain == nullptr || in_domain(*value))) return *value;
   std::fprintf(stderr, "bad value '%s' for %s\n", text, flag);
   std::exit(2);
 }
+
+bool positive(double v) { return v > 0.0; }
+bool non_negative(double v) { return v >= 0.0; }
 
 }  // namespace
 
@@ -99,13 +104,14 @@ int main(int argc, char** argv) {
     } else if (std::strcmp(arg, "--b-col") == 0) {
       b_col = arg_string(argc, argv, i);
     } else if (std::strcmp(arg, "--dhmax") == 0) {
-      config.dhmax = arg_number<double>(argc, argv, i);
+      config.dhmax = arg_number<double>(argc, argv, i, positive);
     } else if (std::strcmp(arg, "--grid") == 0) {
       obj_opts.grid_per_segment = arg_number<std::size_t>(argc, argv, i);
     } else if (std::strcmp(arg, "--tip-weight") == 0) {
-      obj_opts.weights.tip = arg_number<double>(argc, argv, i);
+      obj_opts.weights.tip = arg_number<double>(argc, argv, i, non_negative);
     } else if (std::strcmp(arg, "--coercive-weight") == 0) {
-      obj_opts.weights.coercive = arg_number<double>(argc, argv, i);
+      obj_opts.weights.coercive =
+          arg_number<double>(argc, argv, i, non_negative);
     } else if (std::strcmp(arg, "--multistarts") == 0) {
       fit_opts.multistarts = arg_number<int>(argc, argv, i);
     } else if (std::strcmp(arg, "--restarts") == 0) {
@@ -186,6 +192,10 @@ int main(int argc, char** argv) {
                 objective.grid_size(), objective.h_max());
 
     const fit::FitResult result = fit::fit_ja_parameters(objective, fit_opts);
+    if (!result.stop.ok()) {
+      std::fprintf(stderr, "fit stopped: %s\n", result.stop.message().c_str());
+      return 1;
+    }
 
     std::printf("\nfitted parameters (%s math, %zu curves over %zu packed "
                 "generations, start %d%s):\n",

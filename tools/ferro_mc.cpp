@@ -2,7 +2,8 @@
 //
 // Takes a netlist plus a scatter spec (which device parameters vary, by how
 // much, under which distribution), fans N corners across the thread pool
-// with the JA cores SoA-packed (ckt::MonteCarlo), and streams one JSONL
+// in lockstep groups that solve their Newton systems in SIMD lanes
+// (ckt::MonteCarlo), and streams one JSONL
 // record per corner — per-corner metrics and probe summaries, never the
 // full waveform set, so corner counts in the tens of thousands run in
 // bounded memory.
