@@ -39,6 +39,7 @@
 #include "core/stream_sinks.hpp"
 #include "mag/energy_based.hpp"
 #include "mag/ja_params.hpp"
+#include "util/rng.hpp"
 #include "wave/standard.hpp"
 #include "wave/sweep.hpp"
 
@@ -107,6 +108,44 @@ std::vector<core::Scenario> time_workload(std::size_t count) {
       if (i % 2 == 1) s.frontend = core::Frontend::kSystemC;
     }
     s.drive = core::TimeDrive{waveforms[i % library.size()], 0.0, 0.04, 4000};
+    scenarios.push_back(std::move(s));
+  }
+  return scenarios;
+}
+
+/// 1024 kDirect sweeps of mixed length, the JA mix of the repository
+/// benchmark's material sweep: half single major loops (3 751 samples at
+/// amp/750), half biased minor loops (~1 600 to ~2 900 samples), each with
+/// its own seeded amplitude (±20 % around 5 (a + k)) and dhmax (amp/400 to
+/// amp/250), walking the six library materials. No two lanes share a
+/// drive, so the lane order decides how full each lane block's rows are.
+std::vector<core::Scenario> mixed_length_workload() {
+  const auto& library = mag::material_library();
+  util::SplitMix64 rng(2718);
+  const auto uniform = [&](double lo, double hi) {
+    return lo + (hi - lo) * rng.next_unit();
+  };
+  std::vector<core::Scenario> scenarios;
+  scenarios.reserve(1024);
+  for (std::size_t i = 0; i < 1024; ++i) {
+    const auto& material = library[i % library.size()];
+    const double amp =
+        5.0 * (material.params.a + material.params.k) * uniform(0.8, 1.2);
+    core::Scenario s;
+    s.name = material.name + "#m" + std::to_string(i);
+    core::JaSpec spec;
+    spec.params = material.params;
+    spec.config.dhmax = amp / uniform(250.0, 400.0);
+    s.model = spec;
+    wave::SweepBuilder sweep(amp / 750.0);
+    if (i % 2 == 0) {
+      sweep.cycles(amp, 1);
+    } else {
+      const double bias = amp * uniform(0.2, 0.6);
+      const double hw = amp * uniform(0.1, 0.3);
+      sweep.to(amp).to(bias + hw).minor_loop(bias, hw, 2);
+    }
+    s.drive = sweep.build();
     scenarios.push_back(std::move(s));
   }
   return scenarios;
@@ -275,6 +314,30 @@ void bm_stream_null_sink(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(items));
 }
 BENCHMARK(bm_stream_null_sink)
+    ->Arg(1)
+    ->Arg(0)
+    ->ArgName("threads")
+    ->Unit(benchmark::kMillisecond)
+    ->MeasureProcessCPUTime()
+    ->UseRealTime();
+
+/// Args: threads (0 = hardware). bm_stream_null_sink's pipeline over
+/// mixed_length_workload(), whose lanes differ in length and dhmax alike:
+/// the row to read for how the packed lane order fills vector groups.
+void bm_stream_mixed_lengths(benchmark::State& state) {
+  const auto scenarios = mixed_length_workload();
+  const core::BatchRunner runner(
+      {.threads = static_cast<unsigned>(state.range(0))});
+  const core::RunOptions options{.packing = core::Packing::kFast};
+  for (auto _ : state) {
+    NullSink sink;
+    auto summary = runner.run(scenarios, sink, options);
+    benchmark::DoNotOptimize(summary);
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(scenarios.size()));
+}
+BENCHMARK(bm_stream_mixed_lengths)
     ->Arg(1)
     ->Arg(0)
     ->ArgName("threads")

@@ -50,7 +50,9 @@ class CoreCompanion {
   /// Takes the event decision at the field of the step's seed iterate
   /// (`seed`: the predicted solution), or lets a later iterate switch it to
   /// "event".
-  void latch(double h, bool seed) { event_ = crosses(h) || (!seed && event_); }
+  void latch(double h, bool seed) {
+    event_ = model_.crosses(h) || (!seed && event_);
+  }
 
   /// Central-difference step in H for the seed iterate's slope at field h:
   /// at least one event threshold wide, so it spans a pending event.
@@ -69,7 +71,7 @@ class CoreCompanion {
     if (!seed) return model_.evaluate(h, event_);
     const double dh = difference_step(h);
     const auto natural_b = [&](double hx) {
-      return model_.flux_density_at(hx, crosses(hx));
+      return model_.flux_density_at(hx, model_.crosses(hx));
     };
     return {model_.flux_density_at(h, event_),
             (natural_b(h + dh) - natural_b(h - dh)) / (2.0 * dh)};
@@ -79,15 +81,10 @@ class CoreCompanion {
   /// with `natural` on the branch apply(h) picks (a DC commit, which no
   /// Newton solve of the core preceded).
   void commit(double h, bool natural) {
-    model_.apply(h, natural ? crosses(h) : event_);
+    model_.apply(h, natural ? model_.crosses(h) : event_);
   }
 
  private:
-  /// The decision apply(h) takes by itself from the committed state.
-  [[nodiscard]] bool crosses(double h) const {
-    return std::fabs(h - model_.state().anchor_h) > model_.config().dhmax;
-  }
-
   mag::TimelessJa model_;
   bool event_ = false;
 };

@@ -31,7 +31,9 @@ class BatchRunner::CurveRecycler {
   /// on the delivering thread and must not throw).
   explicit CurveRecycler(std::size_t cap) : cap_(cap) { free_.reserve(cap); }
 
-  /// An empty buffer with the capacity it last had, or a new one.
+  /// A buffer as it was given back, stale points included, or a new one.
+  /// Whoever records into it overwrites it in place (the kernels' storage
+  /// contract, mag/timeless_ja_batch.hpp) or clears it before appending.
   std::vector<mag::BhPoint> take() {
     std::lock_guard<std::mutex> lk(mutex_);
     if (free_.empty()) return {};
@@ -44,9 +46,8 @@ class BatchRunner::CurveRecycler {
   /// caller's buffer is freed as usual).
   void give(std::vector<mag::BhPoint>&& points) {
     if (cap_ == 0 || points.capacity() == 0) return;
-    // Emptied, so a too-short buffer grows to exactly what its next lane
-    // needs without copying stale points across.
-    points.clear();
+    // Kept with its points: clearing here would only make the next
+    // recording zero-fill what it then overwrites.
     std::lock_guard<std::mutex> lk(mutex_);
     if (free_.size() < cap_) free_.push_back(std::move(points));
   }
@@ -138,8 +139,9 @@ void BatchRunner::dispatch_packed(const std::vector<Scenario>& scenarios,
     }
     // validate()'s checks run where each input is read: plan_route sent
     // whatever validate_setup rejects to the fallback, whose run_scenario
-    // issues the verdict, and the lane blocks scan their sweeps' samples
-    // (and sample their time drives) just before their kernels read them.
+    // issues the verdict, and the lane blocks sample their time drives just
+    // before their kernels read them and scan a sweep's samples only when
+    // its kernel finish reports a non-finite point.
     switch (plans.plan(i).route) {
       case PlanRoute::kPackedSweep:
         (scenarios[i].kind() == mag::ModelKind::kEnergyBased ? energy_lanes
@@ -152,15 +154,17 @@ void BatchRunner::dispatch_packed(const std::vector<Scenario>& scenarios,
   }
 
   // Group kindred lanes into the same vector registers: same anhysteretic
-  // kind keeps kernel spans long, similar dhmax keeps field events roughly
-  // synchronised inside a vector group — desynchronised events drag a whole
-  // group through the expensive integration path for one lane's threshold
-  // crossing — and similar planned length keeps a group's masked-out ragged
-  // tail short (a lone long lane would otherwise drag its group through
-  // rows every other lane has finished). Pure scheduling: lanes are
-  // independent and grouping-invariant, so results (emitted under their
-  // original scenario indices) are bitwise unchanged; stable sort keeps the
-  // order deterministic whatever the thread count.
+  // kind keeps kernel spans long, and similar planned length keeps a
+  // group's masked-out ragged tail short (a lone long lane would otherwise
+  // drag its group through rows every other lane has finished). dhmax comes
+  // last: a field event depends only on the drive and dhmax, so two lanes'
+  // events coincide only when they share both, and lanes sharing a drive
+  // share its length; length first still keeps them together, sorted by
+  // dhmax, while lanes of different drives fire out of step whatever their
+  // dhmax. Pure scheduling: lanes are independent and grouping-invariant,
+  // so results (emitted under their original scenario indices) are bitwise
+  // unchanged; stable sort keeps the order deterministic whatever the
+  // thread count.
   const auto lane_sort = [&](std::vector<std::size_t>& lanes,
                              const auto& rows_of) {
     std::stable_sort(lanes.begin(), lanes.end(),
@@ -170,10 +174,10 @@ void BatchRunner::dispatch_packed(const std::vector<Scenario>& scenarios,
                        if (a.params.kind != b.params.kind) {
                          return a.params.kind < b.params.kind;
                        }
-                       if (a.config.dhmax != b.config.dhmax) {
-                         return a.config.dhmax < b.config.dhmax;
-                       }
-                       return rows_of(x) < rows_of(y);
+                       const std::size_t rx = rows_of(x);
+                       const std::size_t ry = rows_of(y);
+                       if (rx != ry) return rx < ry;
+                       return a.config.dhmax < b.config.dhmax;
                      });
   };
   // A lane's planned length: its sweep's, or the samples its lane block
@@ -276,19 +280,21 @@ void BatchRunner::dispatch_packed(const std::vector<Scenario>& scenarios,
   // One SoA lane block of a sweep kernel — mag::TimelessJaBatch for JA
   // lanes, mag::EnergyBasedBatch (whose shared play update makes its lanes
   // bitwise run_scenario's by construction) for energy lanes: contiguous
-  // slice [begin, end) of a sorted lane list. Each lane's input is read
-  // first, where the kernel is about to read it: a sweep's samples are
-  // scanned, and a lane with a non-finite one is emitted with validate()'s
-  // verdict and left out of the kernel; a time drive is sampled onto the
-  // uniform grid run_scenario uses (not scanned, as validate() does not
-  // scan it; a NaN waveform reaches the quarantine), and a lane whose
-  // waveform throws there is finished by run_scenario, where it throws
-  // the same way. The kernel advances the other lanes together and
+  // slice [begin, end) of a sorted lane list. A time drive is sampled onto
+  // the uniform grid run_scenario uses just before the kernel reads it, and
+  // a lane whose waveform throws there is finished by run_scenario, where
+  // it throws the same way. The kernel advances the lanes together and
   // finishes each in its output pass, so a failure there (allocation,
   // fundamentally) is reported on every lane it held; the per-lane
-  // finalize step keeps per-job capture like run_scenario does. Each
-  // lane's result is emitted as soon as it is finished, so streaming
-  // consumers see lane results while other blocks are still computing.
+  // finalize step keeps per-job capture like run_scenario does. A sweep's
+  // samples are scanned only when its lane's finish reports a non-finite
+  // point, which a non-finite sample always causes (b = mu0 (m + h)): a
+  // lane validate_samples rejects is emitted with validate()'s verdict and
+  // not quarantined, and lanes never interact, so its neighbours are as
+  // they would be without it. (A time drive is not scanned, as validate()
+  // does not scan it; a NaN waveform reaches the quarantine.) Each lane's
+  // result is emitted as soon as it is finished, so streaming consumers
+  // see lane results while other blocks are still computing.
   const auto run_sweep_block = [&](const std::vector<std::size_t>& lanes,
                                    std::size_t begin, std::size_t end,
                                    auto batch) {
@@ -331,13 +337,7 @@ void BatchRunner::dispatch_packed(const std::vector<Scenario>& scenarios,
           }
           sweeps.push_back(&sampled.back());
         } else {
-          const wave::HSweep& sweep = plans.sweep(i);
-          Error invalid = validate_samples(sweep);
-          if (!invalid.ok()) {
-            emit_error(i, std::move(invalid));
-            continue;
-          }
-          sweeps.push_back(&sweep);
+          sweeps.push_back(&plans.sweep(i));
         }
         if constexpr (kEnergy) {
           batch.add_lane(s.energy().params);
@@ -358,6 +358,14 @@ void BatchRunner::dispatch_packed(const std::vector<Scenario>& scenarios,
     }
     for (std::size_t l = 0; l < live.size(); ++l) {
       const std::size_t i = live[l];
+      if (!finish[l].finite &&
+          !std::holds_alternative<TimeDrive>(scenarios[i].drive)) {
+        Error invalid = validate_samples(plans.sweep(i));
+        if (!invalid.ok()) {
+          emit_error(i, std::move(invalid));
+          continue;
+        }
+      }
       ScenarioResult r;
       r.name = scenarios[i].name;
       r.model = scenarios[i].kind();
@@ -434,8 +442,12 @@ void BatchRunner::dispatch_packed(const std::vector<Scenario>& scenarios,
         // grow then lands between the row programs, so their storage, freed
         // with the block, is reused by the next block instead of coalescing
         // into one free run at the heap top that the allocator trims.
-        points.push_back(recycled.take());
-        points.back().reserve(views.back().rows);
+        // Cleared first, so the growth copies no stale points.
+        std::vector<mag::BhPoint>& rows = points.emplace_back(recycled.take());
+        if (rows.capacity() < views.back().rows) {
+          rows.clear();
+          rows.reserve(views.back().rows);
+        }
       }
       batch.run_traces(views, points);
     } catch (const std::exception& e) {
@@ -455,7 +467,9 @@ void BatchRunner::dispatch_packed(const std::vector<Scenario>& scenarios,
         const mag::JaTrace& trace = traces[l];
         const AmsTrajectory& trajectory =
             plans.trajectory(plans.plan(i).trajectory).result;
+        // Assembled by appending, so the taken buffer's stale points go.
         r.curve = mag::BhCurve(recycled.take());
+        r.curve.clear();
         r.curve.reserve(trajectory.h.size());
         if (!trajectory.h.empty()) {
           // The copy of the published rows is this lane's output pass: it

@@ -117,10 +117,12 @@ struct ScenarioResult {
 /// else kInvalidScenario with the reason: validate_setup()'s verdict first,
 /// then the per-sample scan of a sweep drive (validate_samples) or of a
 /// flux drive's targets. run_scenario applies it first thing. BatchRunner
-/// applies the same checks where it reads the data: plan_route packs only
-/// scenarios validate_setup() accepts, and the lane blocks (or, for kAms
-/// sweeps, the planner) scan each sweep's samples just before using them,
-/// so both reject identically.
+/// reaches the same verdicts without scanning every sample up front:
+/// plan_route packs only scenarios validate_setup() accepts; a sweep lane
+/// block scans a lane's samples only after its kernel, when the lane's
+/// finish reports a non-finite point (which a non-finite sample always
+/// causes), and emits validate()'s verdict for it; the kAms planner scans
+/// each distinct sweep before solving it. So both reject identically.
 [[nodiscard]] Error validate(const Scenario& scenario);
 
 /// validate() without the per-sample scans: the model parameters, the

@@ -53,8 +53,9 @@ class EnergyBasedBatch {
   /// Drives lane i through sweeps[i] (ragged lengths allowed), recording
   /// every sample of lane i into curves[i]. `sweeps` must have lanes()
   /// entries; `curves` is resized to lanes(), and each curve's contents
-  /// are replaced in the storage it already holds — the reuse contract of
-  /// TimelessJaBatch::run, bitwise the same whatever the curves held.
+  /// are replaced in the storage it already holds (cleared, then appended
+  /// to) — the storage contract of TimelessJaBatch::run, bitwise the same
+  /// whatever the curves held.
   void run(const std::vector<const wave::HSweep*>& sweeps,
            std::vector<BhCurve>& curves);
 

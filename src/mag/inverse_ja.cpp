@@ -43,9 +43,7 @@ void InverseTimelessJa::reset() {
 }
 
 double InverseTimelessJa::trial_b(double h) const {
-  TimelessJa trial = model_;
-  trial.apply(h);
-  return trial.flux_density();
+  return model_.flux_density_at(h, model_.crosses(h));
 }
 
 double InverseTimelessJa::apply_b(double b) {
@@ -94,7 +92,7 @@ double InverseTimelessJa::apply_b(double b) {
     // No interval provably contains the target: running the bisection
     // anyway would commit a field whose flux is arbitrarily wrong. Leave
     // the model untouched at its present state and surface the failure
-    // (trial_b only ever probed copies, so no commit has happened).
+    // (trial_b never moves the model, so no commit has happened).
     ++bracket_failures_;
     converged_ = false;
     return h_lo;

@@ -7,9 +7,9 @@
 //
 //     mu0 * (H + M(H)) = B_target
 //
-// where M(H) is evaluated through a *trial copy* of the forward model, so
-// the hysteresis state only advances once per accepted sample — the same
-// commit discipline the circuit devices use.
+// where M(H) is evaluated without moving the forward model
+// (TimelessJa::flux_density_at), so the hysteresis state only advances once
+// per accepted sample — the same commit discipline the circuit devices use.
 #pragma once
 
 #include "mag/timeless_ja.hpp"
@@ -57,7 +57,9 @@ class InverseTimelessJa {
   void reset();
 
  private:
-  /// Flux density reached by a trial copy when stepped to field h.
+  /// Flux density apply(h) would reach from the committed state, bitwise,
+  /// without applying it (TimelessJa::flux_density_at on apply's own
+  /// event decision).
   [[nodiscard]] double trial_b(double h) const;
 
   JaParameters params_;

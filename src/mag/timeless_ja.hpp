@@ -89,8 +89,12 @@ class TimelessJa {
   /// Applies a new field sample H [A/m]: refreshes the algebraic part and,
   /// when |H - anchor| exceeds dhmax, integrates the slope. Returns the
   /// normalised total magnetisation after the update.
-  double apply(double h) {
-    return apply(h, std::fabs(h - state_.anchor_h) > config_.dhmax);
+  double apply(double h) { return apply(h, crosses(h)); }
+
+  /// The field-event decision apply(h) takes by itself: true when h lies
+  /// more than dhmax from the field of the last accepted event.
+  [[nodiscard]] bool crosses(double h) const {
+    return std::fabs(h - state_.anchor_h) > config_.dhmax;
   }
 
   /// apply() with the field-event decision made by the caller: `event`

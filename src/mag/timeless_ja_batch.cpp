@@ -397,6 +397,15 @@ namespace {
 /// finished lane's row index to its last row, which for an empty lane must
 /// still be a readable element (the value is computed and discarded).
 constexpr double kEmptyLaneRow[1] = {0.0};
+
+/// Sizes a lane's storage for a pass that writes each of its `rows` rows by
+/// index: what it holds is overwritten in place, not zero-filled first. It
+/// is emptied only when it must grow, so a reallocation copies no stale
+/// points.
+void size_for_rows(std::vector<BhPoint>& points, std::size_t rows) {
+  if (points.capacity() < rows) points.clear();
+  points.resize(rows);
+}
 }  // namespace
 
 void TimelessJaBatch::run_fast(const std::vector<const wave::HSweep*>& sweeps,
@@ -419,7 +428,7 @@ void TimelessJaBatch::run_fast(const std::vector<const wave::HSweep*>& sweeps,
   for (std::size_t i = 0; i < n_; ++i) {
     len[i] = sweeps[i]->size();
     store[i] = curves[i].release();
-    store[i].resize(len[i]);
+    size_for_rows(store[i], len[i]);
     out[i] = store[i].data();
     h_ptr[i] = len[i] != 0 ? sweeps[i]->h.data() : kEmptyLaneRow;
     finish_begin[i] = static_cast<double>(finish[i].begin);
@@ -458,7 +467,7 @@ void TimelessJaBatch::run_traces_exact(
   // never interact, so the loop order is a pure scheduling choice.
   for (std::size_t i = 0; i < n_; ++i) {
     const TraceView& t = traces[i];
-    points[i].resize(t.rows);
+    size_for_rows(points[i], t.rows);
     for (std::size_t j = 0; j < t.rows; ++j) {
       const double h = t.h[j];
       step_exact<true>(i, h, t.dh[j]);
@@ -479,7 +488,7 @@ void TimelessJaBatch::run_traces_fast(
   std::size_t max_len = 0;
   for (std::size_t i = 0; i < n_; ++i) {
     len[i] = traces[i].rows;
-    points[i].resize(len[i]);
+    size_for_rows(points[i], len[i]);
     out[i] = points[i].data();
     h_ptr[i] = len[i] != 0 ? traces[i].h : kEmptyLaneRow;
     dh_ptr[i] = len[i] != 0 ? traces[i].dh : kEmptyLaneRow;

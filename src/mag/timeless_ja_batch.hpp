@@ -94,11 +94,19 @@ class TimelessJaBatch {
 
   /// Drives lane i through sweeps[i] (ragged lengths allowed), recording
   /// every sample of lane i into curves[i]. `sweeps` must have lanes()
-  /// entries; `curves` is resized to lanes(). Each curve's contents are
-  /// replaced, but the storage it already holds is written into (grown
-  /// when too short), so a caller handing back curves it is done with
-  /// records the next run into memory that is already mapped. The result
-  /// is bitwise the same whatever the containers held.
+  /// entries; `curves` is resized to lanes().
+  ///
+  /// Storage contract (run_traces() too): a caller may hand in storage
+  /// that still holds stale points, such as the curves of results it is
+  /// done with, and the pass records into it, so the next run writes into
+  /// memory that is already mapped. A recording pass writes every row
+  /// [0, len) of every lane before its result leaves the call: run()'s
+  /// FastMath pass and both run_traces() passes overwrite the storage in
+  /// place, without zero-filling it first, and run()'s exact pass clears it
+  /// and appends. Storage that must grow is emptied first, so a
+  /// reallocation copies no stale point. So no stale point reaches a
+  /// result, and the result is bitwise the same whatever the containers
+  /// held.
   void run(const std::vector<const wave::HSweep*>& sweeps,
            std::vector<BhCurve>& curves);
 
@@ -128,8 +136,8 @@ class TimelessJaBatch {
   /// EVERY row of lane i into points[i] — callers keep only the rows their
   /// trace marks as published samples (JaTrace::record_rows). `traces`
   /// must have lanes() entries; `points` is resized to lanes(), and each
-  /// lane's rows are written into the storage it already holds, as run()
-  /// does with its curves. Only the clamp counters are added to stats():
+  /// lane's rows overwrite the storage it already holds (run()'s storage
+  /// contract). Only the clamp counters are added to stats():
   /// samples / field_events / integration_steps are plan-time facts the
   /// rows alone cannot reconstruct (one event may span several sub-step
   /// rows), so the caller folds in JaTrace::planned.

@@ -1056,6 +1056,29 @@ TEST(BatchRunner, NonFiniteSweepSamplesAreRejectedInTheirLaneBlocks) {
       EXPECT_EQ(report.failed, healthy_report.failed + bad.size()) << threads;
       EXPECT_EQ(report.quarantined, 0u) << threads;
       EXPECT_EQ(report.cancelled, 0u) << threads;
+
+      // Streamed: the same verdicts, nothing quarantined, and every result
+      // bitwise run()'s.
+      fc::CollectingSink sink;
+      const auto summary = runner.run(scenarios, sink, {.packing = packing});
+      EXPECT_TRUE(summary.ok()) << summary.sink_error;
+      EXPECT_EQ(summary.failed_jobs, report.failed) << threads;
+      EXPECT_EQ(summary.quarantined, 0u) << threads;
+      const auto& streamed = sink.results();
+      ASSERT_EQ(streamed.size(), packed.size());
+      for (std::size_t i = 0; i < packed.size(); ++i) {
+        EXPECT_EQ(streamed[i].error, packed[i].error) << packed[i].name;
+        ASSERT_EQ(streamed[i].curve.size(), packed[i].curve.size())
+            << packed[i].name;
+        for (std::size_t p = 0; p < packed[i].curve.size(); ++p) {
+          const auto& x = streamed[i].curve.points()[p];
+          const auto& y = packed[i].curve.points()[p];
+          ASSERT_TRUE(x.h == y.h && x.m == y.m && x.b == y.b)
+              << packed[i].name << " point " << p;
+        }
+        expect_same_bits(streamed[i].metrics.area, packed[i].metrics.area,
+                         packed[i].name + " streamed area");
+      }
     }
   }
 }

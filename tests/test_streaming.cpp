@@ -389,6 +389,77 @@ TEST(Streaming, KeptResultsSurviveCurveStorageReuse) {
   }
 }
 
+TEST(Streaming, RecycledCurvesAreOverwrittenWithoutStalePoints) {
+  // Recycled storage keeps its points until a kernel overwrites it. A sink
+  // that copies every arrival and leaves the original to be recycled makes
+  // every curve after the first blocks record into stale storage. JA sweeps
+  // of five lengths over every library material sort into short-to-long
+  // runs per anhysteretic kind, so a kind's first lanes can take the
+  // longest buffers of the kind before; energy lanes, kAms lanes (whose
+  // trace rows, longer than their curves, come back as scratch) and time
+  // drives take and hand back storage too. Every copy must be bitwise
+  // run()'s result.
+  const auto& library = fm::material_library();
+  std::vector<fc::Scenario> scenarios;
+  for (std::size_t i = 0; i < 90; ++i) {
+    const auto& material = library[i % library.size()];
+    const double amp = ts::saturation_amplitude(material.params);
+    fc::Scenario s;
+    s.name = material.name + "#" + std::to_string(i);
+    s.ja().params = material.params;
+    s.ja().config.dhmax = amp / (150.0 + 25.0 * static_cast<double>(i % 4));
+    const double step = amp / (60.0 + 70.0 * static_cast<double>(i % 5));
+    s.drive = fw::SweepBuilder(step).cycles(amp, 1).build();
+    if (i % 7 == 3) {
+      s.drive = fc::TimeDrive{std::make_shared<fw::Triangular>(amp, 0.02),
+                              0.0, 0.04, 250 + 100 * (i % 3)};
+    } else if (i % 7 == 5) {
+      s.frontend = fc::Frontend::kAms;
+      s.drive = fc::TimeDrive{std::make_shared<fw::Triangular>(amp, 0.02),
+                              0.0, 0.04, 200};
+    } else if (i % 9 == 4) {
+      fc::EnergySpec spec{fm::energy_reference_parameters()};
+      spec.params.cells = 8 + 4 * static_cast<int>(i % 3);
+      s.model = spec;
+      s.drive = fw::SweepBuilder(40.0 + 10.0 * static_cast<double>(i % 5))
+                    .cycles(10e3, 1)
+                    .build();
+    }
+    scenarios.push_back(std::move(s));
+  }
+
+  class CopyEverySink : public fc::ResultSink {
+   public:
+    void on_start(std::size_t total) override {
+      arrivals.assign(total, 0);
+      copies.assign(total, {});
+    }
+    void on_result(std::size_t index, fc::ScenarioResult&& result) override {
+      ++arrivals.at(index);
+      copies.at(index) = result;  // the original goes back to be recycled
+    }
+    std::vector<int> arrivals;
+    std::vector<fc::ScenarioResult> copies;
+  };
+
+  for (const unsigned threads : {1u, 3u}) {
+    const fc::BatchRunner runner({.threads = threads});
+    for (const auto math : {fm::BatchMath::kExact, fm::BatchMath::kFast}) {
+      const fc::RunOptions options{.packing = fc::packing_for(math)};
+      const auto reference = runner.run(scenarios, options);
+      CopyEverySink sink;
+      const auto summary = runner.run(scenarios, sink, options);
+      EXPECT_TRUE(summary.ok()) << summary.sink_error;
+      EXPECT_EQ(summary.failed_jobs, 0u);
+      ASSERT_EQ(sink.copies.size(), scenarios.size());
+      for (std::size_t i = 0; i < scenarios.size(); ++i) {
+        EXPECT_EQ(sink.arrivals[i], 1) << "index " << i;
+        expect_same_result(reference[i], sink.copies[i]);
+      }
+    }
+  }
+}
+
 TEST(Streaming, EmptyBatchStillRunsTheSinkLifecycle) {
   RecordingSink sink;
   const auto summary = fc::BatchRunner().run({}, sink);

@@ -83,6 +83,7 @@ T arg_number(int argc, char** argv, int& i, bool (*in_domain)(T) = nullptr) {
 
 bool positive(double v) { return v > 0.0; }
 bool non_negative(double v) { return v >= 0.0; }
+bool at_least_one(int n) { return n >= 1; }
 
 }  // namespace
 
@@ -106,18 +107,21 @@ int main(int argc, char** argv) {
     } else if (std::strcmp(arg, "--dhmax") == 0) {
       config.dhmax = arg_number<double>(argc, argv, i, positive);
     } else if (std::strcmp(arg, "--grid") == 0) {
-      obj_opts.grid_per_segment = arg_number<std::size_t>(argc, argv, i);
+      obj_opts.grid_per_segment = arg_number<std::size_t>(
+          argc, argv, i, [](std::size_t n) { return n >= 2; });
     } else if (std::strcmp(arg, "--tip-weight") == 0) {
       obj_opts.weights.tip = arg_number<double>(argc, argv, i, non_negative);
     } else if (std::strcmp(arg, "--coercive-weight") == 0) {
       obj_opts.weights.coercive =
           arg_number<double>(argc, argv, i, non_negative);
     } else if (std::strcmp(arg, "--multistarts") == 0) {
-      fit_opts.multistarts = arg_number<int>(argc, argv, i);
+      fit_opts.multistarts = arg_number<int>(argc, argv, i, at_least_one);
     } else if (std::strcmp(arg, "--restarts") == 0) {
-      fit_opts.restarts = arg_number<int>(argc, argv, i);
+      fit_opts.restarts =
+          arg_number<int>(argc, argv, i, [](int n) { return n >= 0; });
     } else if (std::strcmp(arg, "--generations") == 0) {
-      fit_opts.max_generations = arg_number<int>(argc, argv, i);
+      fit_opts.max_generations =
+          arg_number<int>(argc, argv, i, at_least_one);
     } else if (std::strcmp(arg, "--seed") == 0) {
       fit_opts.seed = arg_number<std::uint32_t>(argc, argv, i);
     } else if (std::strcmp(arg, "--threads") == 0) {

@@ -219,7 +219,8 @@ int main(int argc, char** argv) {
         return 2;
       }
     } else if (std::strcmp(arg, "--dt-initial") == 0) {
-      options.transient.dt_initial = arg_number<double>(argc, argv, i);
+      options.transient.dt_initial = arg_number<double>(
+          argc, argv, i, [](double s) { return s > 0.0; });
     } else if (std::strcmp(arg, "--t-end") == 0) {
       t_end_override = arg_number<double>(argc, argv, i,
                                           [](double s) { return s > 0.0; });
