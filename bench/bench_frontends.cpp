@@ -6,7 +6,7 @@
 
 #include "analysis/curve_compare.hpp"
 #include "bench_common.hpp"
-#include "core/facade.hpp"
+#include "core/scenario.hpp"
 
 namespace {
 
@@ -14,19 +14,32 @@ using namespace ferro;
 
 constexpr double kDhmax = 25.0;
 
-wave::HSweep excitation() {
-  return wave::SweepBuilder(10.0).cycles(10e3, 2).build();
+core::Scenario excitation(core::Frontend frontend) {
+  core::Scenario s;
+  s.name = std::string(core::to_string(frontend));
+  s.model = core::JaSpec{mag::paper_parameters(), {kDhmax}};
+  s.drive = wave::SweepBuilder(10.0).cycles(10e3, 2).build();
+  s.frontend = frontend;
+  return s;
 }
 
 void report() {
   benchutil::header("CLM4", "frontend equivalence (SystemC / VHDL-AMS / direct)");
 
-  const core::Facade facade(mag::paper_parameters(), {kDhmax});
-  const wave::HSweep sweep = excitation();
-
-  const mag::BhCurve direct = facade.run(sweep, core::Frontend::kDirect);
-  const mag::BhCurve systemc = facade.run(sweep, core::Frontend::kSystemC);
-  const mag::BhCurve ams = facade.run(sweep, core::Frontend::kAms);
+  const core::ScenarioResult results[] = {
+      core::run_scenario(excitation(core::Frontend::kDirect)),
+      core::run_scenario(excitation(core::Frontend::kSystemC)),
+      core::run_scenario(excitation(core::Frontend::kAms))};
+  for (const core::ScenarioResult& r : results) {
+    if (!r.ok()) {
+      std::printf("  %s failed: %s\n", r.name.c_str(),
+                  r.error.message().c_str());
+      return;
+    }
+  }
+  const mag::BhCurve& direct = results[0].curve;
+  const mag::BhCurve& systemc = results[1].curve;
+  const mag::BhCurve& ams = results[2].curve;
 
   const auto d_sc = analysis::compare_pointwise(direct, systemc);
   const auto d_ams = analysis::compare_by_arc(direct, ams);
@@ -45,35 +58,34 @@ void report() {
 }
 
 void bm_frontend_direct(benchmark::State& state) {
-  const core::Facade facade(mag::paper_parameters(), {kDhmax});
-  const wave::HSweep sweep = excitation();
+  const core::Scenario s = excitation(core::Frontend::kDirect);
   for (auto _ : state) {
-    auto curve = facade.run(sweep, core::Frontend::kDirect);
-    benchmark::DoNotOptimize(curve);
+    auto result = core::run_scenario(s);
+    benchmark::DoNotOptimize(result);
   }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(sweep.h.size()));
+  state.SetItemsProcessed(
+      static_cast<std::int64_t>(state.iterations()) *
+      static_cast<std::int64_t>(std::get<wave::HSweep>(s.drive).h.size()));
 }
 BENCHMARK(bm_frontend_direct)->Unit(benchmark::kMillisecond);
 
 void bm_frontend_systemc(benchmark::State& state) {
-  const core::Facade facade(mag::paper_parameters(), {kDhmax});
-  const wave::HSweep sweep = excitation();
+  const core::Scenario s = excitation(core::Frontend::kSystemC);
   for (auto _ : state) {
-    auto curve = facade.run(sweep, core::Frontend::kSystemC);
-    benchmark::DoNotOptimize(curve);
+    auto result = core::run_scenario(s);
+    benchmark::DoNotOptimize(result);
   }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(sweep.h.size()));
+  state.SetItemsProcessed(
+      static_cast<std::int64_t>(state.iterations()) *
+      static_cast<std::int64_t>(std::get<wave::HSweep>(s.drive).h.size()));
 }
 BENCHMARK(bm_frontend_systemc)->Unit(benchmark::kMillisecond);
 
 void bm_frontend_ams(benchmark::State& state) {
-  const core::Facade facade(mag::paper_parameters(), {kDhmax});
-  const wave::HSweep sweep = excitation();
+  const core::Scenario s = excitation(core::Frontend::kAms);
   for (auto _ : state) {
-    auto curve = facade.run(sweep, core::Frontend::kAms);
-    benchmark::DoNotOptimize(curve);
+    auto result = core::run_scenario(s);
+    benchmark::DoNotOptimize(result);
   }
 }
 BENCHMARK(bm_frontend_ams)->Unit(benchmark::kMillisecond);

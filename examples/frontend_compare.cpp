@@ -9,20 +9,40 @@
 
 #include "analysis/curve_compare.hpp"
 #include "core/batch_runner.hpp"
-#include "core/facade.hpp"
 
 int main() {
   using namespace ferro;
 
-  const core::Facade facade(mag::paper_parameters(), {/*dhmax=*/25.0});
   const wave::HSweep sweep = wave::SweepBuilder(10.0).cycles(10e3, 2).build();
+
+  // One scenario per frontend: the same material, discretisation and sweep.
+  std::vector<core::Scenario> scenarios;
+  for (const auto frontend :
+       {core::Frontend::kDirect, core::Frontend::kSystemC,
+        core::Frontend::kAms}) {
+    core::Scenario s;
+    s.name = std::string(core::to_string(frontend));
+    s.model = core::JaSpec{mag::paper_parameters(), {/*dhmax=*/25.0}};
+    s.drive = sweep;
+    s.frontend = frontend;
+    scenarios.push_back(std::move(s));
+  }
 
   std::printf("running three frontends over a %zu-sample major-loop sweep\n",
               sweep.h.size());
 
-  const mag::BhCurve direct = facade.run(sweep, core::Frontend::kDirect);
-  const mag::BhCurve systemc = facade.run(sweep, core::Frontend::kSystemC);
-  const mag::BhCurve ams = facade.run(sweep, core::Frontend::kAms);
+  std::vector<core::ScenarioResult> serial;
+  for (const core::Scenario& s : scenarios) {
+    serial.push_back(core::run_scenario(s));
+    if (!serial.back().ok()) {
+      std::fprintf(stderr, "%s frontend failed: %s\n", s.name.c_str(),
+                   serial.back().error.message().c_str());
+      return 1;
+    }
+  }
+  const mag::BhCurve& direct = serial[0].curve;
+  const mag::BhCurve& systemc = serial[1].curve;
+  const mag::BhCurve& ams = serial[2].curve;
 
   direct.write_csv("frontend_direct.csv");
   systemc.write_csv("frontend_systemc.csv");
@@ -39,34 +59,22 @@ int main() {
   std::printf("  (paper: \"both implementations produce virtually identical "
               "results\")\n");
 
-  // The same comparison through the packed pipeline: one scenario per
-  // frontend, planned and executed as SoA lanes (the kAms lane replays the
-  // solver-placed trajectory as planner-trace rows).
-  std::vector<core::Scenario> scenarios;
-  for (const auto frontend :
-       {core::Frontend::kDirect, core::Frontend::kSystemC,
-        core::Frontend::kAms}) {
-    core::Scenario s;
-    s.name = std::string(core::to_string(frontend));
-    s.model = core::JaSpec{facade.params(), facade.config()};
-    s.drive = sweep;
-    scenarios.push_back(std::move(s));
-    scenarios.back().frontend = frontend;
-  }
+  // The same scenarios through the packed pipeline, planned and executed as
+  // SoA lanes (the kAms lane replays the solver-placed trajectory as
+  // planner-trace rows).
   const auto packed = core::BatchRunner({.threads = 0}).run(scenarios);
 
   std::printf("\npacked plan/execute pipeline vs the serial frontends:\n");
-  const mag::BhCurve* reference[] = {&direct, &systemc, &ams};
   for (std::size_t i = 0; i < scenarios.size(); ++i) {
-    const core::ScenarioResult serial = core::run_scenario(scenarios[i]);
-    const auto d = analysis::compare_pointwise(*reference[i],
+    const mag::TimelessStats& stats = serial[i].stats;
+    const auto d = analysis::compare_pointwise(serial[i].curve,
                                                packed[i].curve);
     const bool stats_match =
-        serial.stats.samples == packed[i].stats.samples &&
-        serial.stats.field_events == packed[i].stats.field_events &&
-        serial.stats.integration_steps == packed[i].stats.integration_steps &&
-        serial.stats.slope_clamps == packed[i].stats.slope_clamps &&
-        serial.stats.direction_clamps == packed[i].stats.direction_clamps;
+        stats.samples == packed[i].stats.samples &&
+        stats.field_events == packed[i].stats.field_events &&
+        stats.integration_steps == packed[i].stats.integration_steps &&
+        stats.slope_clamps == packed[i].stats.slope_clamps &&
+        stats.direction_clamps == packed[i].stats.direction_clamps;
     std::printf(
         "  %-8s: max dB vs serial = %.3e T%s | samples %llu, events %llu, "
         "steps %llu, clamps %llu (%s)\n",

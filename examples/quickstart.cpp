@@ -2,8 +2,7 @@
 // print the headline numbers. This is the smallest complete use of the API.
 #include <cstdio>
 
-#include "analysis/loop_metrics.hpp"
-#include "core/facade.hpp"
+#include "core/scenario.hpp"
 #include "wave/sweep.hpp"
 
 int main() {
@@ -18,14 +17,22 @@ int main() {
   mag::TimelessConfig config;
   config.dhmax = 25.0;
 
-  const wave::HSweep sweep = wave::SweepBuilder(10.0).cycles(10e3, 1).build();
+  core::Scenario scenario;
+  scenario.name = "quickstart";
+  scenario.model = core::JaSpec{params, config};
+  scenario.drive = wave::SweepBuilder(10.0).cycles(10e3, 1).build();
 
-  const core::Facade facade(params, config);
-  const mag::BhCurve curve = facade.run(sweep);
-
+  // One scenario on the direct frontend; a failure comes back as an Error.
+  const core::ScenarioResult result = core::run_scenario(scenario);
+  if (!result.ok()) {
+    std::fprintf(stderr, "quickstart failed: %s\n",
+                 result.error.message().c_str());
+    return 1;
+  }
+  const mag::BhCurve& curve = result.curve;
   curve.write_csv("quickstart_bh.csv");
 
-  const analysis::LoopMetrics metrics = analysis::analyze_loop(curve);
+  const analysis::LoopMetrics& metrics = result.metrics;
   std::printf("quickstart: timeless Jiles-Atherton major loop\n");
   std::printf("  points        : %zu\n", curve.size());
   std::printf("  peak H        : %.1f kA/m\n", metrics.h_peak / 1e3);

@@ -4,8 +4,6 @@
 #include <cassert>
 #include <cmath>
 
-#include "util/log.hpp"
-
 namespace ferro::ams {
 
 TransientSolver::TransientSolver(TransientOptions options)
@@ -138,11 +136,7 @@ bool TransientSolver::run(OdeSystem& system, const StepCallback& on_accept) {
       // Force-accept the best iterate and move on (commercial-solver
       // behaviour after a convergence warning) — but give up entirely when
       // failures persist back to back.
-      if (++consecutive_failures > kMaxConsecutiveFailures) {
-        util::log_error("ams.transient",
-                        "persistent non-convergence; giving up");
-        return false;
-      }
+      if (++consecutive_failures > kMaxConsecutiveFailures) return false;
     } else {
       consecutive_failures = 0;
     }

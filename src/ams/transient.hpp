@@ -57,8 +57,10 @@ class TransientSolver {
  public:
   explicit TransientSolver(TransientOptions options = {});
 
-  /// Integrates `system` from t_start to t_end. Returns false only when an
-  /// abort-on-failure run hit a hard failure.
+  /// Integrates `system` from t_start to t_end. Returns false when it stops
+  /// short of t_end: at a hard failure (no Newton convergence at dt_min)
+  /// under abort_on_failure, or otherwise when 25 consecutive hard failures
+  /// have been force-accepted and the next step fails as well.
   bool run(OdeSystem& system, const StepCallback& on_accept = {});
 
   [[nodiscard]] const TransientStats& stats() const { return stats_; }

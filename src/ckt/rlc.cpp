@@ -42,7 +42,7 @@ void Capacitor::stamp(Stamper& s, const EvalContext& ctx) {
   if (ctx.method == ams::IntegrationMethod::kTrapezoidal) {
     geq = 2.0 * farads_ / ctx.dt;
     ieq = -geq * v_prev_ - i_prev_;
-  } else {  // backward Euler (Gear2 falls back to BE inside the ckt engine)
+  } else {  // backward Euler (ckt::validate rejects kGear2)
     geq = farads_ / ctx.dt;
     ieq = -geq * v_prev_;
   }

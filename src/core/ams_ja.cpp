@@ -1,5 +1,8 @@
 #include "core/ams_ja.hpp"
 
+#include <stdexcept>
+#include <string>
+
 namespace ferro::core {
 
 namespace {
@@ -43,10 +46,19 @@ AmsTrajectory plan_ams_trajectory(const wave::Waveform& h_of_t,
   options.t_end = config.t_end;
 
   ams::TransientSolver solver(options);
-  trajectory.completed =
-      solver.run(system, [&](double, std::span<const double> y) {
+  double t_reached = config.t_start;
+  const bool completed =
+      solver.run(system, [&](double t, std::span<const double> y) {
+        t_reached = t;
         trajectory.h.push_back(y[0]);
       });
+  if (!completed) {
+    throw std::runtime_error(
+        "analogue solver gave up at t = " + std::to_string(t_reached) +
+        " s of " + std::to_string(config.t_end) + " s (H = " +
+        std::to_string(trajectory.h.back()) + " A/m) after " +
+        std::to_string(solver.stats().hard_failures) + " hard failures");
+  }
   trajectory.solver_stats = solver.stats();
   return trajectory;
 }
@@ -85,7 +97,6 @@ AmsJaResult run_ams_timeless(const mag::JaParameters& params,
 
   const AmsTrajectory trajectory = plan_ams_trajectory(h_of_t, config);
   result.solver_stats = trajectory.solver_stats;
-  result.completed = trajectory.completed;
 
   mag::TimelessJa ja(params, ams_effective_timeless(config.timeless));
 

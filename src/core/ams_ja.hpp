@@ -38,7 +38,6 @@ struct AmsJaResult {
   /// Discretisation counters of the timeless model replayed over the
   /// solver-placed trajectory.
   mag::TimelessStats stats;
-  bool completed = false;
 };
 
 /// The field trajectory the analogue solver placed: H at the initial point
@@ -50,12 +49,15 @@ struct AmsJaResult {
 struct AmsTrajectory {
   std::vector<double> h;
   ams::TransientStats solver_stats;
-  bool completed = false;
 };
 
 /// Stage 1 of the VHDL-AMS frontend: integrates the excitation quantity
 /// H(t) over [config.t_start, config.t_end] with the analogue solver and no
-/// hysteresis riding along. `config.timeless` is not consulted.
+/// hysteresis riding along. `config.timeless` is not consulted. Throws
+/// std::runtime_error when the solver gives up short of t_end
+/// (TransientSolver::run returns false), so no truncated trajectory ever
+/// reaches a caller; run_scenario and the packed planner both report the
+/// throw as kSolverDiverged with its message.
 [[nodiscard]] AmsTrajectory plan_ams_trajectory(const wave::Waveform& h_of_t,
                                                 const AmsJaConfig& config);
 
@@ -67,10 +69,10 @@ struct AmsTrajectory {
 [[nodiscard]] mag::TimelessConfig ams_effective_timeless(
     const mag::TimelessConfig& timeless);
 
-/// The excitation core::Facade synthesises for a timeless sweep handed to the
-/// kAms frontend: a 1 s piecewise-linear traversal of the sweep samples,
-/// with the corners as solver breakpoints. One definition so the facade and
-/// the packed planner cannot drift. `sweep` must be non-empty.
+/// The excitation run_scenario synthesises for a timeless sweep handed to
+/// the kAms frontend: a 1 s piecewise-linear traversal of the sweep samples,
+/// with the corners as solver breakpoints. One definition so run_scenario
+/// and the packed planner cannot drift. `sweep` must be non-empty.
 struct AmsSweepDrive {
   wave::Pwl pwl;
   AmsJaConfig config;
@@ -79,11 +81,11 @@ struct AmsSweepDrive {
     const wave::HSweep& sweep, const mag::TimelessConfig& timeless);
 
 /// Runs the VHDL-AMS-style timeless model over the excitation `h_of_t`:
-/// plan_ams_trajectory() for the solver-placed H sequence, then the JA
-/// update replayed over the accepted increments (stage 2). The split is
-/// behaviour-preserving bit for bit — the solver's decisions never depended
-/// on the JA state, and the replay applies the same fields in the same
-/// order the riding-along hook did.
+/// plan_ams_trajectory() for the solver-placed H sequence (throwing as it
+/// does), then the JA update replayed over the accepted increments
+/// (stage 2). The split is behaviour-preserving bit for bit — the solver's
+/// decisions never depended on the JA state, and the replay applies the
+/// same fields in the same order the riding-along hook did.
 [[nodiscard]] AmsJaResult run_ams_timeless(const mag::JaParameters& params,
                                            const wave::Waveform& h_of_t,
                                            const AmsJaConfig& config);

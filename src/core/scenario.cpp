@@ -30,8 +30,8 @@ std::string join_violations(const std::vector<std::string>& violations) {
 
 /// Runs a sweep-driven JA frontend, keeping each one's discretisation
 /// counters: the direct model's, the SystemC module's, or the stats of the
-/// AMS replay. kAms synthesises the same 1 s excitation core::Facade does
-/// (ams_drive_for_sweep — one definition for both).
+/// AMS replay. kAms synthesises a 1 s excitation from the sweep
+/// (ams_drive_for_sweep, which the packed planner shares).
 void run_sweep_frontend(const Scenario& scenario, const wave::HSweep& sweep,
                         ScenarioResult& result) {
   const JaSpec& ja = scenario.ja();
@@ -170,6 +170,15 @@ Error validate_energy_spec(const Scenario& scenario, const EnergySpec& spec) {
 }
 
 }  // namespace
+
+std::string_view to_string(Frontend f) {
+  switch (f) {
+    case Frontend::kDirect: return "direct";
+    case Frontend::kSystemC: return "systemc";
+    case Frontend::kAms: return "ams";
+  }
+  return "?";
+}
 
 Error validate_setup(const Scenario& scenario) {
   Error spec_error;

@@ -18,7 +18,6 @@
 
 #include "analysis/loop_metrics.hpp"
 #include "core/error.hpp"
-#include "core/facade.hpp"
 #include "core/model_spec.hpp"
 #include "mag/bh.hpp"
 #include "mag/energy_based.hpp"
@@ -29,6 +28,15 @@
 #include "wave/waveform.hpp"
 
 namespace ferro::core {
+
+/// Which implementation executes the discretisation.
+enum class Frontend {
+  kDirect,   ///< plain in-process model object (fastest)
+  kSystemC,  ///< the paper's process network on the event kernel (JA only)
+  kAms,      ///< VHDL-AMS-style: analogue solver drives H(t) (JA only)
+};
+
+[[nodiscard]] std::string_view to_string(Frontend f);
 
 /// Time-driven excitation: sample `waveform` over [t0, t1] at `n_samples`
 /// >= 2 uniform points (kAms lets the analogue solver pick its own steps).

@@ -1,9 +1,7 @@
 #include "core/systemc_ja.hpp"
 
 #include <cmath>
-#include <memory>
 
-#include "hdl/trace.hpp"
 #include "util/constants.hpp"
 
 namespace ferro::core {
@@ -99,28 +97,10 @@ void JaCoreModule::integral() {
 
 SystemCSweepResult run_systemc_sweep(const mag::JaParameters& params,
                                      double dhmax, const wave::HSweep& sweep,
-                                     hdl::SimTime sample_period,
-                                     const std::string& vcd_path) {
+                                     hdl::SimTime sample_period) {
   SystemCSweepResult result;
   hdl::Kernel kernel;
   JaCoreModule module(kernel, "ja", params, dhmax);
-
-  std::unique_ptr<hdl::VcdWriter> vcd;
-  hdl::VcdWriter::VarHandle vcd_h = 0, vcd_m = 0, vcd_b = 0;
-  if (!vcd_path.empty()) {
-    vcd = std::make_unique<hdl::VcdWriter>(vcd_path);
-    vcd_h = vcd->add_real("H");
-    vcd_m = vcd->add_real("Msig");
-    vcd_b = vcd->add_real("Bsig");
-  }
-  std::size_t vcd_frame = 0;
-  const auto trace_sample = [&]() {
-    if (!vcd) return;
-    vcd->begin_time(hdl::SimTime::ns(static_cast<std::int64_t>(vcd_frame++)));
-    vcd->value(vcd_h, module.H.read());
-    vcd->value(vcd_m, module.Msig.read());
-    vcd->value(vcd_b, module.Bsig.read());
-  };
 
   // One sample per sweep entry applied, like TimelessJa counts apply()
   // calls — the module cannot observe writes its signal deduplicates.
@@ -152,7 +132,6 @@ SystemCSweepResult run_systemc_sweep(const mag::JaParameters& params,
     module.H.write(h);
     kernel.settle();
     result.curve.append(h, params.ms * module.Msig.read(), module.Bsig.read());
-    trace_sample();
   }
   finish();
   return result;

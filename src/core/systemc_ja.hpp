@@ -101,11 +101,8 @@ struct SystemCSweepResult {
 ///
 /// When `sample_period` is nonzero the samples are scheduled on the timed
 /// queue instead (one per period) — same results, exercising the timed path.
-/// When `vcd_path` is nonempty, H/Msig/Bsig are traced to an IEEE-1364 VCD
-/// file (one frame per sample) for any waveform viewer.
 [[nodiscard]] SystemCSweepResult run_systemc_sweep(
     const mag::JaParameters& params, double dhmax, const wave::HSweep& sweep,
-    hdl::SimTime sample_period = hdl::SimTime{},
-    const std::string& vcd_path = {});
+    hdl::SimTime sample_period = hdl::SimTime{});
 
 }  // namespace ferro::core

@@ -1,6 +1,6 @@
 #include "hdl/kernel.hpp"
 
-#include "util/log.hpp"
+#include <stdexcept>
 
 namespace ferro::hdl {
 
@@ -71,9 +71,9 @@ std::size_t Kernel::settle(std::size_t max_deltas) {
   std::size_t deltas = 0;
   while (!runnable_.empty() || !update_queue_.empty()) {
     if (deltas >= max_deltas) {
-      util::log_error("hdl.kernel",
-                      "delta-cycle limit reached; combinational oscillation?");
-      break;
+      throw std::runtime_error(
+          "delta-cycle limit of " + std::to_string(max_deltas) +
+          " reached without settling (combinational oscillation?)");
     }
     run_one_delta();
     ++deltas;

@@ -85,8 +85,9 @@ class Kernel {
   void schedule_at(SimTime t, std::function<void()> fn);
 
   /// Runs delta cycles at the current time until no process is runnable.
-  /// Returns the number of delta cycles executed. Aborts (with an error log)
-  /// after `max_deltas` cycles — a combinational oscillation guard.
+  /// Returns the number of delta cycles executed. Throws std::runtime_error
+  /// once `max_deltas` cycles have run without settling — a combinational
+  /// oscillation guard (run_scenario reports it as kSolverDiverged).
   std::size_t settle(std::size_t max_deltas = 1'000'000);
 
   /// Advances through all timed events up to and including `t_end`,

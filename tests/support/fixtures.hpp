@@ -70,6 +70,21 @@ inline std::vector<core::ScenarioResult> run_each(
   return results;
 }
 
+/// run_scenario on one JA scenario, `params`/`config` over `sweep` on
+/// `frontend`: how the frontend-parity suites obtain the curves they
+/// compare.
+inline core::ScenarioResult run_ja_frontend(const mag::JaParameters& params,
+                                            const mag::TimelessConfig& config,
+                                            const wave::HSweep& sweep,
+                                            core::Frontend frontend) {
+  core::Scenario s;
+  s.name = std::string(core::to_string(frontend));
+  s.model = core::JaSpec{params, config};
+  s.drive = sweep;
+  s.frontend = frontend;
+  return core::run_scenario(s);
+}
+
 /// Worst pointwise |delta B| between two equal-length trajectories.
 inline double max_b_deviation(const mag::BhCurve& a, const mag::BhCurve& b) {
   EXPECT_EQ(a.size(), b.size());

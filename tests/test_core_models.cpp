@@ -1,15 +1,16 @@
 // Frontend-equivalence tests (CLM4): the SystemC-style process network must
 // match the direct TimelessJa bit-for-bit; the VHDL-AMS-style frontend must
-// match within solver tolerance; the facade wires them all identically.
+// match within solver tolerance; run_scenario wires them all identically.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <memory>
 
 #include "analysis/curve_compare.hpp"
 #include "analysis/loop_metrics.hpp"
 #include "core/ams_ja.hpp"
 #include "core/dc_sweep.hpp"
-#include "core/facade.hpp"
+#include "core/scenario.hpp"
 #include "core/systemc_ja.hpp"
 #include "util/constants.hpp"
 #include "wave/standard.hpp"
@@ -21,6 +22,7 @@ namespace fw = ferro::wave;
 namespace fa = ferro::analysis;
 namespace fc = ferro::core;
 namespace fh = ferro::hdl;
+namespace ts = ferro::testsupport;
 
 namespace {
 constexpr double kDhmax = 25.0;
@@ -103,7 +105,6 @@ TEST(AmsModel, MatchesDirectWithinTolerance) {
   cfg.solver.dt_initial = 1e-6;
   cfg.solver.rel_tol = 1e-5;
   const auto ams = fc::run_ams_timeless(params, tri, cfg);
-  ASSERT_TRUE(ams.completed);
   EXPECT_EQ(ams.solver_stats.hard_failures, 0u);
 
   fm::TimelessConfig tcfg;
@@ -125,7 +126,6 @@ TEST(AmsModel, JaNeverEntersSolverResidual) {
   cfg.t_end = 0.04;
   cfg.timeless.dhmax = kDhmax;
   const auto result = fc::run_ams_timeless(params, tri, cfg);
-  ASSERT_TRUE(result.completed);
   EXPECT_EQ(result.solver_stats.steps_rejected_newton, 0u);
   EXPECT_EQ(result.solver_stats.hard_failures, 0u);
   EXPECT_GT(result.stats.field_events, 0u);
@@ -166,33 +166,41 @@ TEST(DcSweep, Fig1SweepShape) {
   EXPECT_EQ(fc::fig1_amplitudes().size(), 4u);
 }
 
-TEST(Facade, FrontendsAgreeOnSweep) {
-  const fc::Facade facade(fm::paper_parameters(), {kDhmax});
+TEST(RunScenario, FrontendsAgreeOnSweep) {
+  const fm::JaParameters params = fm::paper_parameters();
   const fw::HSweep sweep = fw::SweepBuilder(25.0).cycles(8e3, 1).build();
 
-  const fm::BhCurve direct = facade.run(sweep, fc::Frontend::kDirect);
-  const fm::BhCurve systemc = facade.run(sweep, fc::Frontend::kSystemC);
-  ASSERT_EQ(direct.size(), systemc.size());
-  const fa::CurveDelta d = fa::compare_pointwise(direct, systemc);
+  const fc::ScenarioResult direct =
+      ts::run_ja_frontend(params, {kDhmax}, sweep, fc::Frontend::kDirect);
+  const fc::ScenarioResult systemc =
+      ts::run_ja_frontend(params, {kDhmax}, sweep, fc::Frontend::kSystemC);
+  ASSERT_TRUE(direct.ok()) << direct.error;
+  ASSERT_TRUE(systemc.ok()) << systemc.error;
+  ASSERT_EQ(direct.curve.size(), systemc.curve.size());
+  const fa::CurveDelta d = fa::compare_pointwise(direct.curve, systemc.curve);
   EXPECT_DOUBLE_EQ(d.max_b, 0.0);
 
-  const fm::BhCurve ams = facade.run(sweep, fc::Frontend::kAms);
-  ASSERT_GT(ams.size(), 10u);
-  const fa::CurveDelta da = fa::compare_by_arc(direct, ams);
+  const fc::ScenarioResult ams =
+      ts::run_ja_frontend(params, {kDhmax}, sweep, fc::Frontend::kAms);
+  ASSERT_TRUE(ams.ok()) << ams.error;
+  ASSERT_GT(ams.curve.size(), 10u);
+  const fa::CurveDelta da = fa::compare_by_arc(direct.curve, ams.curve);
   EXPECT_LT(da.rms_b, 0.05);
 }
 
-TEST(Facade, WaveformEntryPoint) {
-  const fc::Facade facade(fm::paper_parameters(), {kDhmax});
-  const fw::Triangular tri(10e3, 0.02);
-  const fm::BhCurve curve =
-      facade.run(tri, 0.0, 0.02, 2001, fc::Frontend::kDirect);
-  EXPECT_EQ(curve.size(), 2001u);
-  const fa::LoopMetrics metrics = fa::analyze_loop(curve);
+TEST(RunScenario, WaveformEntryPoint) {
+  fc::Scenario s;
+  s.model = fc::JaSpec{fm::paper_parameters(), {kDhmax}};
+  s.drive = fc::TimeDrive{std::make_shared<fw::Triangular>(10e3, 0.02), 0.0,
+                          0.02, 2001};
+  const fc::ScenarioResult result = fc::run_scenario(s);
+  ASSERT_TRUE(result.ok()) << result.error;
+  EXPECT_EQ(result.curve.size(), 2001u);
+  const fa::LoopMetrics metrics = fa::analyze_loop(result.curve);
   EXPECT_GT(metrics.b_peak, 1.0);
 }
 
-TEST(Facade, FrontendNames) {
+TEST(Frontend, Names) {
   EXPECT_EQ(fc::to_string(fc::Frontend::kDirect), "direct");
   EXPECT_EQ(fc::to_string(fc::Frontend::kSystemC), "systemc");
   EXPECT_EQ(fc::to_string(fc::Frontend::kAms), "ams");

@@ -9,7 +9,7 @@
 
 #include "analysis/curve_compare.hpp"
 #include "core/dc_sweep.hpp"
-#include "core/facade.hpp"
+#include "core/scenario.hpp"
 #include "support/fixtures.hpp"
 #include "wave/sweep.hpp"
 
@@ -53,30 +53,37 @@ ParityCase sub_threshold_case() {
 
 class FrontendParity : public ::testing::TestWithParam<ParityCase> {};
 
+fc::ScenarioResult run_case(const ParityCase& c, fc::Frontend frontend) {
+  return ts::run_ja_frontend(fm::paper_parameters(), ts::paper_config(),
+                             c.sweep, frontend);
+}
+
 }  // namespace
 
 TEST_P(FrontendParity, SystemCMatchesDirectExactly) {
   const ParityCase& c = GetParam();
-  const fc::Facade facade(fm::paper_parameters(), ts::paper_config());
-  const fm::BhCurve direct = facade.run(c.sweep, fc::Frontend::kDirect);
-  const fm::BhCurve systemc = facade.run(c.sweep, fc::Frontend::kSystemC);
+  const fc::ScenarioResult direct = run_case(c, fc::Frontend::kDirect);
+  const fc::ScenarioResult systemc = run_case(c, fc::Frontend::kSystemC);
+  ASSERT_TRUE(direct.ok()) << c.name << ": " << direct.error;
+  ASSERT_TRUE(systemc.ok()) << c.name << ": " << systemc.error;
 
-  ASSERT_EQ(direct.size(), systemc.size());
+  ASSERT_EQ(direct.curve.size(), systemc.curve.size());
   // Same arithmetic sequence on both paths: bit-exact.
-  const fa::CurveDelta d = fa::compare_pointwise(direct, systemc);
+  const fa::CurveDelta d = fa::compare_pointwise(direct.curve, systemc.curve);
   EXPECT_EQ(d.max_b, 0.0) << c.name;
   EXPECT_EQ(d.max_m, 0.0) << c.name;
 }
 
 TEST_P(FrontendParity, AmsMatchesDirectWithinTolerance) {
   const ParityCase& c = GetParam();
-  const fc::Facade facade(fm::paper_parameters(), ts::paper_config());
-  const fm::BhCurve direct = facade.run(c.sweep, fc::Frontend::kDirect);
-  const fm::BhCurve ams = facade.run(c.sweep, fc::Frontend::kAms);
+  const fc::ScenarioResult direct = run_case(c, fc::Frontend::kDirect);
+  const fc::ScenarioResult ams = run_case(c, fc::Frontend::kAms);
+  ASSERT_TRUE(direct.ok()) << c.name << ": " << direct.error;
+  ASSERT_TRUE(ams.ok()) << c.name << ": " << ams.error;
 
-  ASSERT_GT(ams.size(), 0u);
+  ASSERT_GT(ams.curve.size(), 0u);
   // The AMS solver picks its own steps; compare by arc position.
-  const fa::CurveDelta d = fa::compare_by_arc(direct, ams);
+  const fa::CurveDelta d = fa::compare_by_arc(direct.curve, ams.curve);
   EXPECT_LT(d.rms_b, c.ams_rms_tol) << c.name;
 }
 

@@ -1,13 +1,15 @@
 // FrontendPlan: the plan stage of the packed pipeline — routability of
 // every (frontend, drive, config) combination, the deduplicated JA-free
 // trajectory solves, the trace expansion's equivalence to the serial AMS
-// frontend, and the MetricsWindow reject-don't-clamp contract on
-// solver-placed kAms curves through both the per-scenario and packed paths.
+// frontend, a trajectory solve that gives up as one error on both paths,
+// and the MetricsWindow reject-don't-clamp contract on solver-placed kAms
+// curves through both the per-scenario and packed paths.
 #include <gtest/gtest.h>
 
 #include <iterator>
 #include <limits>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "core/ams_ja.hpp"
@@ -128,11 +130,48 @@ TEST(FrontendPlan, PlannedTrajectoryMatchesTheRidingAlongSolve) {
   for (std::size_t j = 0; j < trajectory.h.size(); ++j) {
     ASSERT_EQ(trajectory.h[j], reference.curve.points()[j].h) << "step " << j;
   }
-  EXPECT_EQ(trajectory.completed, reference.completed);
   EXPECT_EQ(trajectory.solver_stats.steps_accepted,
             reference.solver_stats.steps_accepted);
   EXPECT_EQ(trajectory.solver_stats.newton_iterations,
             reference.solver_stats.newton_iterations);
+}
+
+TEST(FrontendPlan, AmsSolveThatGivesUpIsTheSameErrorInBothPaths) {
+  // On a 50 Hz sine of a few MA/m the analogue solver's Newton iteration
+  // stops converging at dt_min; after 25 forced accepts in a row the solver
+  // gives up short of t_end. That is a kSolverDiverged error without a
+  // curve, identical from run_scenario and from every BatchRunner path,
+  // never an ok result carrying the truncated curve.
+  std::vector<fc::Scenario> scenarios;
+  for (const double amplitude : {3e6, 1e7}) {
+    fc::Scenario s = base_scenario(fc::Frontend::kAms);
+    s.name = "sine " + std::to_string(amplitude) + " A/m";
+    s.drive = fc::TimeDrive{std::make_shared<fw::Sine>(amplitude, 50.0), 0.0,
+                            0.02, 1000};
+    scenarios.push_back(std::move(s));
+  }
+  const std::vector<fc::ScenarioResult> serial = ts::run_each(scenarios);
+  for (const fc::ScenarioResult& r : serial) {
+    EXPECT_EQ(r.error.code, fc::ErrorCode::kSolverDiverged) << r.name;
+    EXPECT_NE(r.error.detail.find("gave up"), std::string::npos) << r.error;
+    EXPECT_EQ(r.curve.size(), 0u) << r.name;
+  }
+
+  for (const unsigned threads : {1u, 4u}) {
+    for (const auto packing : {fc::Packing::kExact, fc::Packing::kFast}) {
+      SCOPED_TRACE("threads " + std::to_string(threads) +
+                   (packing == fc::Packing::kExact ? ", kExact" : ", kFast"));
+      fc::BatchReport report;
+      const auto packed = fc::BatchRunner({.threads = threads})
+                              .run(scenarios, {.packing = packing}, &report);
+      ASSERT_EQ(packed.size(), serial.size());
+      for (std::size_t i = 0; i < serial.size(); ++i) {
+        EXPECT_EQ(packed[i].error, serial[i].error) << serial[i].name;
+        EXPECT_EQ(packed[i].curve.size(), 0u) << serial[i].name;
+      }
+      EXPECT_EQ(report.failed, serial.size());
+    }
+  }
 }
 
 TEST(FrontendPlan, TraceExpansionCountsMatchTheScalarModel) {

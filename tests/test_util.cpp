@@ -1,4 +1,4 @@
-// Unit tests for ferro::util — constants, strings, CSV, stats, interp, log.
+// Unit tests for ferro::util — constants, strings, CSV, stats, interp.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -8,16 +8,13 @@
 #include <fstream>
 #include <limits>
 #include <optional>
-#include <sstream>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "util/constants.hpp"
 #include "util/csv.hpp"
 #include "util/stream_writer.hpp"
 #include "util/interp.hpp"
-#include "util/log.hpp"
 #include "util/stats.hpp"
 #include "util/strings.hpp"
 
@@ -242,47 +239,6 @@ TEST(Interp, LerpPropagatesNanQueries) {
   EXPECT_DOUBLE_EQ(out[0], 5.0);
   EXPECT_TRUE(std::isnan(out[1]));
   EXPECT_DOUBLE_EQ(out[2], 25.0);
-}
-
-TEST(Log, LevelFiltering) {
-  const fu::LogLevel saved = fu::log_level();
-  fu::set_log_level(fu::LogLevel::kError);
-  EXPECT_EQ(fu::log_level(), fu::LogLevel::kError);
-  // Below threshold: must not crash, output suppressed.
-  fu::log_debug("test", "hidden");
-  fu::log_info("test", "hidden");
-  fu::log_warning("test", "hidden");
-  fu::set_log_level(saved);
-}
-
-TEST(Log, ConcurrentLinesStayWholeWhileTheLevelChanges) {
-  // The circuit engine logs from pool workers: reading the level must not
-  // race a set_log_level, and every line must reach stderr whole.
-  const fu::LogLevel saved = fu::log_level();
-  fu::set_log_level(fu::LogLevel::kWarning);
-  testing::internal::CaptureStderr();
-  std::vector<std::thread> loggers;
-  for (int t = 0; t < 4; ++t) {
-    loggers.emplace_back([t] {
-      const std::string message = "line from thread " + std::to_string(t);
-      for (int k = 0; k < 200; ++k) fu::log_warning("test", message);
-    });
-  }
-  // Both levels let warnings through, so the line count is fixed.
-  for (int k = 0; k < 200; ++k) {
-    fu::set_log_level(k % 2 ? fu::LogLevel::kWarning : fu::LogLevel::kDebug);
-  }
-  for (std::thread& t : loggers) t.join();
-  fu::set_log_level(saved);
-
-  std::istringstream lines(testing::internal::GetCapturedStderr());
-  const std::string prefix = "[warning] test: line from thread ";
-  std::size_t count = 0;
-  for (std::string line; std::getline(lines, line); ++count) {
-    EXPECT_EQ(line.rfind(prefix, 0), 0u) << line;
-    EXPECT_EQ(line.size(), prefix.size() + 1) << line;
-  }
-  EXPECT_EQ(count, 800u);
 }
 
 TEST(StreamWriter, CsvRowsAreOnDiskBeforeTheWriterCloses) {
