@@ -18,17 +18,6 @@ void Matrix::resize(std::size_t rows, std::size_t cols) {
   data_.assign(rows * cols, 0.0);
 }
 
-void Matrix::multiply(std::span<const double> x, std::span<double> y) const {
-  assert(x.size() == cols_);
-  assert(y.size() == rows_);
-  for (std::size_t r = 0; r < rows_; ++r) {
-    double acc = 0.0;
-    const double* row = &data_[r * cols_];
-    for (std::size_t c = 0; c < cols_; ++c) acc += row[c] * x[c];
-    y[r] = acc;
-  }
-}
-
 bool LuSolver::factor(const Matrix& a) {
   assert(a.rows() == a.cols());
   n_ = a.rows();

@@ -1,7 +1,7 @@
-// Small dense linear algebra: the analogue solver and the MNA engine only
-// ever factor matrices of a few dozen rows, so a cache-friendly dense LU
-// with partial pivoting is the right tool (this mirrors what compact
-// AMS/SPICE kernels do before sparse techniques pay off).
+// Small dense linear algebra: the MNA engine only ever factors matrices of
+// a few dozen rows, so a cache-friendly dense LU with partial pivoting is
+// the right tool (this mirrors what compact AMS/SPICE kernels do before
+// sparse techniques pay off).
 #pragma once
 
 #include <cstddef>
@@ -28,9 +28,6 @@ class Matrix {
 
   void fill(double value);
   void resize(std::size_t rows, std::size_t cols);
-
-  /// y = A*x (sizes must match).
-  void multiply(std::span<const double> x, std::span<double> y) const;
 
   [[nodiscard]] std::span<double> data() { return data_; }
   [[nodiscard]] std::span<const double> data() const { return data_; }

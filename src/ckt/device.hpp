@@ -11,7 +11,6 @@
 #include <span>
 #include <string>
 
-#include "ams/integrator.hpp"
 #include "ams/matrix.hpp"
 
 namespace ferro::ckt {
@@ -30,7 +29,6 @@ struct EvalContext {
   /// accepted solution extrapolated along the step before it, see
   /// TransientMachine), otherwise the last accepted solution bit for bit.
   int iteration = 0;
-  ams::IntegrationMethod method = ams::IntegrationMethod::kTrapezoidal;
   std::size_t node_count = 0;  ///< unknown layout: nodes first, then branches
   std::span<const double> x;  ///< present iterate: node voltages then branch currents
 

@@ -162,10 +162,6 @@ core::Error validate(const TransientOptions& o) {
   if (!std::isfinite(o.t_end)) return invalid("t_end must be finite");
   if (!(o.t_end > o.t_start)) return invalid("t_end must exceed t_start");
   if (!(o.dt_growth >= 1.0)) return invalid("dt_growth must be >= 1");
-  if (o.method == ams::IntegrationMethod::kGear2) {
-    return invalid("method gear2 is not supported by the circuit engine "
-                   "(use trapezoidal or backward-euler)");
-  }
   return validate(o.engine);
 }
 
@@ -254,7 +250,6 @@ void TransientMachine::prepare_step() {
   ctx_.dc = false;
   ctx_.t = t_ + dt_;
   ctx_.dt = dt_;
-  ctx_.method = options_.method;
   ctx_.node_count = nodes_;
 
   // Iterate seed: the predictor, or the last accepted solution itself.

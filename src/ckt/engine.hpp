@@ -37,7 +37,6 @@
 #include <span>
 #include <vector>
 
-#include "ams/integrator.hpp"
 #include "ams/matrix.hpp"
 #include "ckt/netlist.hpp"
 #include "core/cancel.hpp"
@@ -59,9 +58,6 @@ struct TransientOptions {
   double dt_min = 1e-12;
   double dt_max = 0.0;  ///< 0 = (t_end - t_start)/100; an explicit value must
                         ///< be >= dt_initial (validate() rejects it otherwise)
-  /// kTrapezoidal or kBackwardEuler; the devices keep no two-step history,
-  /// so validate() rejects kGear2.
-  ams::IntegrationMethod method = ams::IntegrationMethod::kTrapezoidal;
   EngineOptions engine;
   /// Grow factor applied to dt after an accepted step (shrink on rejection
   /// is fixed at 1/4).
@@ -119,10 +115,9 @@ using SolutionCallback = std::function<void(const Solution&)>;
 /// Checks a transient configuration before any device is touched. Rejects
 /// non-positive or inconsistent step bounds — in particular an explicit
 /// dt_max below dt_initial, which the engine used to clamp silently — a
-/// non-finite t_start or t_end, the Gear2 method the engine does not run,
-/// and the engine settings validate(EngineOptions) rejects, with
-/// kInvalidScenario naming the field; Error{} (ok) when the options are
-/// runnable.
+/// non-finite t_start or t_end, and the engine settings
+/// validate(EngineOptions) rejects, with kInvalidScenario naming the field;
+/// Error{} (ok) when the options are runnable.
 [[nodiscard]] core::Error validate(const TransientOptions& options);
 
 /// Computes the DC operating point into `x` (resized). kInvalidScenario

@@ -44,17 +44,11 @@ void JaInductor::stamp(Stamper& s, const EvalContext& ctx) {
   // d(lambda)/di = N * A * dB/dH * N / l
   const double l_eff = n * geometry_.area * core.db_dh * n / geometry_.path_length;
 
-  // Trapezoidal: v = (2/dt)(lambda - lambda_prev) - v_prev
-  // Backward Euler: v = (lambda - lambda_prev)/dt
-  const double scale =
-      ctx.method == ams::IntegrationMethod::kTrapezoidal ? 2.0 / ctx.dt
-                                                         : 1.0 / ctx.dt;
-  const double hist =
-      ctx.method == ams::IntegrationMethod::kTrapezoidal ? -v_prev_ : 0.0;
-
-  // v_a - v_b - scale*l_eff*i = scale*(lambda_k - l_eff*i_k - lambda_prev) + hist
+  // Trapezoidal: v = (2/dt)(lambda - lambda_prev) - v_prev, so
+  // v_a - v_b - scale*l_eff*i = scale*(lambda_k - l_eff*i_k - lambda_prev) - v_prev
+  const double scale = 2.0 / ctx.dt;
   s.branch_branch(br, br, -scale * l_eff);
-  s.branch_rhs(br, scale * (lambda_k - l_eff * i_k - lambda_prev_) + hist);
+  s.branch_rhs(br, scale * (lambda_k - l_eff * i_k - lambda_prev_) - v_prev_);
 }
 
 void JaInductor::commit(const EvalContext& ctx, std::span<const double> x) {

@@ -45,24 +45,18 @@ void MutualInductor::stamp(Stamper& s, const EvalContext& ctx) {
   // vp = L1 dip/dt + M dis/dt ; vs = M dip/dt + L2 dis/dt
   // Trapezoidal: v = (2/dt)(lambda - lambda_prev) - v_prev, with
   // lambda_p = L1 ip + M is (linear, so the companion is exact).
-  const double scale =
-      ctx.method == ams::IntegrationMethod::kTrapezoidal ? 2.0 / ctx.dt
-                                                         : 1.0 / ctx.dt;
-  const double hist_p =
-      ctx.method == ams::IntegrationMethod::kTrapezoidal ? -vp_prev_ : 0.0;
-  const double hist_s =
-      ctx.method == ams::IntegrationMethod::kTrapezoidal ? -vs_prev_ : 0.0;
+  const double scale = 2.0 / ctx.dt;
 
   const double lambda_p_prev = l1_ * ip_prev_ + m_ * is_prev_;
   const double lambda_s_prev = m_ * ip_prev_ + l2_ * is_prev_;
 
   s.branch_branch(brp, brp, -scale * l1_);
   s.branch_branch(brp, brs, -scale * m_);
-  s.branch_rhs(brp, -scale * lambda_p_prev + hist_p);
+  s.branch_rhs(brp, -scale * lambda_p_prev - vp_prev_);
 
   s.branch_branch(brs, brp, -scale * m_);
   s.branch_branch(brs, brs, -scale * l2_);
-  s.branch_rhs(brs, -scale * lambda_s_prev + hist_s);
+  s.branch_rhs(brs, -scale * lambda_s_prev - vs_prev_);
 }
 
 void MutualInductor::commit(const EvalContext& ctx, std::span<const double> x) {

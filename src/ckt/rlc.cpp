@@ -37,15 +37,9 @@ void Capacitor::stamp(Stamper& s, const EvalContext& ctx) {
     }
     return;
   }
-  double geq = 0.0;
-  double ieq = 0.0;  // history current of the Norton companion
-  if (ctx.method == ams::IntegrationMethod::kTrapezoidal) {
-    geq = 2.0 * farads_ / ctx.dt;
-    ieq = -geq * v_prev_ - i_prev_;
-  } else {  // backward Euler (ckt::validate rejects kGear2)
-    geq = farads_ / ctx.dt;
-    ieq = -geq * v_prev_;
-  }
+  // Trapezoidal Norton companion; ieq is its history current.
+  const double geq = 2.0 * farads_ / ctx.dt;
+  const double ieq = -geq * v_prev_ - i_prev_;
   s.conductance(a_, b_, geq);
   s.current_source(a_, b_, ieq);
 }
@@ -55,12 +49,8 @@ void Capacitor::commit(const EvalContext& ctx, std::span<const double> x) {
   const double vb = b_ == kGround ? 0.0 : x[static_cast<std::size_t>(b_)];
   const double v = va - vb;
   if (!ctx.dc && ctx.dt > 0.0) {
-    if (ctx.method == ams::IntegrationMethod::kTrapezoidal) {
-      const double geq = 2.0 * farads_ / ctx.dt;
-      i_prev_ = geq * (v - v_prev_) - i_prev_;
-    } else {
-      i_prev_ = farads_ / ctx.dt * (v - v_prev_);
-    }
+    const double geq = 2.0 * farads_ / ctx.dt;
+    i_prev_ = geq * (v - v_prev_) - i_prev_;
   }
   v_prev_ = v;
 }
@@ -97,16 +87,10 @@ void Inductor::stamp(Stamper& s, const EvalContext& ctx) {
   }
   s.branch_node(br, a_, +1.0);
   s.branch_node(br, b_, -1.0);
-  if (ctx.method == ams::IntegrationMethod::kTrapezoidal) {
-    // (v + v_prev)/2 = L (i - i_prev)/dt
-    const double req = 2.0 * henries_ / ctx.dt;
-    s.branch_branch(br, br, -req);
-    s.branch_rhs(br, -req * i_prev_ - v_prev_);
-  } else {
-    const double req = henries_ / ctx.dt;
-    s.branch_branch(br, br, -req);
-    s.branch_rhs(br, -req * i_prev_);
-  }
+  // Trapezoidal: (v + v_prev)/2 = L (i - i_prev)/dt
+  const double req = 2.0 * henries_ / ctx.dt;
+  s.branch_branch(br, br, -req);
+  s.branch_rhs(br, -req * i_prev_ - v_prev_);
 }
 
 void Inductor::commit(const EvalContext& ctx, std::span<const double> x) {

@@ -19,7 +19,7 @@ class Resistor final : public Device {
   double ohms_;
 };
 
-/// Capacitor with trapezoidal/backward-Euler companion model.
+/// Capacitor with a trapezoidal companion model.
 ///
 /// An explicit initial condition (SPICE `IC=`) is enforced during the DC
 /// operating point through a stiff Norton equivalent; without one the

@@ -64,27 +64,22 @@ void JaTransformer::stamp(Stamper& s, const EvalContext& ctx) {
   const double lsp = ns_ * common * np;
   const double lss = ns_ * common * ns_;
 
-  const double scale =
-      ctx.method == ams::IntegrationMethod::kTrapezoidal ? 2.0 / ctx.dt
-                                                         : 1.0 / ctx.dt;
-  const double hist_p =
-      ctx.method == ams::IntegrationMethod::kTrapezoidal ? -vp_prev_ : 0.0;
-  const double hist_s =
-      ctx.method == ams::IntegrationMethod::kTrapezoidal ? -vs_prev_ : 0.0;
+  // Trapezoidal, per winding: v = (2/dt)(lambda - lambda_prev) - v_prev.
+  const double scale = 2.0 / ctx.dt;
 
   // vp - scale*(lpp*ip + lps*is) = scale*(lambda_p_k - lpp*ip_k - lps*is_k
-  //                                       - lambda_p_prev) + hist_p
+  //                                       - lambda_p_prev) - vp_prev
   s.branch_branch(brp, brp, -scale * lpp);
   s.branch_branch(brp, brs, -scale * lps);
   s.branch_rhs(brp, scale * (lambda_p_k - lpp * ip_k - lps * is_k -
-                             lambda_p_prev_) +
-                        hist_p);
+                             lambda_p_prev_) -
+                        vp_prev_);
 
   s.branch_branch(brs, brp, -scale * lsp);
   s.branch_branch(brs, brs, -scale * lss);
   s.branch_rhs(brs, scale * (lambda_s_k - lsp * ip_k - lss * is_k -
-                             lambda_s_prev_) +
-                        hist_s);
+                             lambda_s_prev_) -
+                        vs_prev_);
 }
 
 void JaTransformer::commit(const EvalContext& ctx, std::span<const double> x) {

@@ -17,15 +17,12 @@ class ExcitationQuantity final : public ams::OdeSystem {
   ExcitationQuantity(const wave::Waveform& h_of_t, double t_start)
       : h_of_t_(h_of_t), t_start_(t_start) {}
 
-  [[nodiscard]] std::size_t size() const override { return 1; }
-
-  void initial(std::span<double> y0) const override {
-    y0[0] = h_of_t_.value(t_start_);
+  [[nodiscard]] double initial() const override {
+    return h_of_t_.value(t_start_);
   }
 
-  void derivative(double t, std::span<const double>,
-                  std::span<double> dydt) const override {
-    dydt[0] = h_of_t_.derivative(t);
+  [[nodiscard]] double derivative(double t, double) const override {
+    return h_of_t_.derivative(t);
   }
 
  private:
@@ -47,11 +44,10 @@ AmsTrajectory plan_ams_trajectory(const wave::Waveform& h_of_t,
 
   ams::TransientSolver solver(options);
   double t_reached = config.t_start;
-  const bool completed =
-      solver.run(system, [&](double t, std::span<const double> y) {
-        t_reached = t;
-        trajectory.h.push_back(y[0]);
-      });
+  const bool completed = solver.run(system, [&](double t, double h) {
+    t_reached = t;
+    trajectory.h.push_back(h);
+  });
   if (!completed) {
     throw std::runtime_error(
         "analogue solver gave up at t = " + std::to_string(t_reached) +

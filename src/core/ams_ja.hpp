@@ -1,15 +1,16 @@
-// VHDL-AMS-style frontend of the timeless model, plus the `'INTEG`-style
-// baseline re-export.
+// VHDL-AMS-style frontend of the timeless model.
 //
 // In the paper's VHDL-AMS implementation the analogue solver owns simulated
 // time and the continuous quantities, while the model integrates dM/dH
 // itself at solver steps ("the integral is calculated using increments of
-// the magnetic field H rather than time steps"). We reproduce that split:
-// the TransientSolver integrates the excitation quantity H(t) (a smooth,
-// JA-free ODE), and the TimelessJa updates at every *accepted* step via the
-// OdeSystem::on_step_accepted hook. The JA equations never enter the
-// solver's residual, so turning points cannot cause Newton failures — that
-// is the whole point of the technique.
+// the magnetic field H rather than time steps"). We reproduce that split in
+// two stages: the TransientSolver integrates the excitation quantity H(t)
+// (a smooth, JA-free ODE) and records H at every *accepted* step
+// (plan_ams_trajectory), then the TimelessJa replays those fields in order
+// (run_ams_timeless). The JA equations never enter the solver's residual,
+// so turning points cannot cause Newton failures — that is the whole point
+// of the technique. The `'INTEG`-style route it is compared with is
+// mag::run_time_domain_ja.
 #pragma once
 
 #include <vector>
@@ -17,7 +18,6 @@
 #include "ams/transient.hpp"
 #include "mag/bh.hpp"
 #include "mag/ja_params.hpp"
-#include "mag/time_domain_ja.hpp"
 #include "mag/timeless_ja.hpp"
 #include "wave/pwl.hpp"
 #include "wave/sweep.hpp"
@@ -42,10 +42,10 @@ struct AmsJaResult {
 
 /// The field trajectory the analogue solver placed: H at the initial point
 /// and at every accepted step. Because the H(t) ODE is JA-free — the model
-/// only observes accepted increments through on_step_accepted and never
-/// enters the residual — this sequence is independent of the hysteresis
-/// state, so one solve serves any number of materials driven by the same
-/// excitation (the plan stage of BatchRunner's packed kAms pipeline).
+/// only replays the accepted fields and never enters the residual — this
+/// sequence is independent of the hysteresis state, so one solve serves any
+/// number of materials driven by the same excitation (the plan stage of
+/// BatchRunner's packed kAms pipeline).
 struct AmsTrajectory {
   std::vector<double> h;
   ams::TransientStats solver_stats;
@@ -83,22 +83,11 @@ struct AmsSweepDrive {
 /// Runs the VHDL-AMS-style timeless model over the excitation `h_of_t`:
 /// plan_ams_trajectory() for the solver-placed H sequence (throwing as it
 /// does), then the JA update replayed over the accepted increments
-/// (stage 2). The split is behaviour-preserving bit for bit — the solver's
-/// decisions never depended on the JA state, and the replay applies the
-/// same fields in the same order the riding-along hook did.
+/// (stage 2). The solver's decisions never depend on the JA state, so the
+/// replay applies exactly the fields a model riding along with the solver
+/// would see, in the same order.
 [[nodiscard]] AmsJaResult run_ams_timeless(const mag::JaParameters& params,
                                            const wave::Waveform& h_of_t,
                                            const AmsJaConfig& config);
-
-/// The criticised conversion route (dM/dt = dM/dH * dH/dt inside the
-/// solver), re-exported from ferro_mag under the name the experiments use.
-using IntegStyleConfig = mag::TimeDomainConfig;
-using IntegStyleResult = mag::TimeDomainResult;
-
-[[nodiscard]] inline IntegStyleResult run_integ_style(
-    const mag::JaParameters& params, const wave::Waveform& h_of_t,
-    const IntegStyleConfig& config) {
-  return mag::run_time_domain_ja(params, h_of_t, config);
-}
 
 }  // namespace ferro::core

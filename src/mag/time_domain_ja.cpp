@@ -16,8 +16,6 @@ TimeDomainJaSystem::TimeDomainJaSystem(const JaParameters& params,
       alpha_ms_(params.alpha * params.ms),
       clamp_(clamp_negative_slope) {}
 
-void TimeDomainJaSystem::initial(std::span<double> y0) const { y0[0] = 0.0; }
-
 double TimeDomainJaSystem::total_m(double h, double m_irr) const {
   // m = c/(1+c)*man(h + alpha*ms*m) + m_irr; strongly contracting, so a few
   // fixed-point sweeps reach float accuracy.
@@ -43,14 +41,13 @@ double TimeDomainJaSystem::slope(double h, double m_total, double delta) const {
   return dmdh;
 }
 
-void TimeDomainJaSystem::derivative(double t, std::span<const double> y,
-                                    std::span<double> dydt) const {
+double TimeDomainJaSystem::derivative(double t, double m_irr) const {
   const double h = h_of_t_.value(t);
   const double dhdt = h_of_t_.derivative(t);
   // The discontinuity the paper's technique avoids: delta flips with dH/dt.
   const double delta = dhdt >= 0.0 ? 1.0 : -1.0;
-  const double m_total = total_m(h, y[0]);
-  dydt[0] = slope(h, m_total, delta) * dhdt;
+  const double m_total = total_m(h, m_irr);
+  return slope(h, m_total, delta) * dhdt;
 }
 
 TimeDomainResult run_time_domain_ja(const JaParameters& params,
@@ -64,9 +61,9 @@ TimeDomainResult run_time_domain_ja(const JaParameters& params,
   options.t_end = config.t_end;
 
   ams::TransientSolver solver(options);
-  result.completed = solver.run(system, [&](double t, std::span<const double> y) {
+  result.completed = solver.run(system, [&](double t, double m_irr) {
     const double h = h_of_t.value(t);
-    const double m = params.ms * system.total_m(h, y[0]);
+    const double m = params.ms * system.total_m(h, m_irr);
     const double b = util::kMu0 * (m + h);
     result.curve.append(h, m, b);
   });

@@ -34,20 +34,21 @@ struct TimeDomainConfig {
 struct TimeDomainResult {
   BhCurve curve;               ///< (H, M, B) at accepted solver steps
   ams::TransientStats stats;   ///< the CLM2 observables
-  bool completed = false;      ///< false only when abort_on_failure tripped
+  /// False when the solver gave up short of t_end (25 consecutive forced
+  /// accepts, then one more hard failure); the curve stops there.
+  bool completed = false;
 };
 
-/// ODE view of the JA model for the analogue solver: state y = [m_irr]
-/// (normalised irreversible magnetisation).
+/// ODE view of the JA model for the analogue solver: the state is m_irr
+/// (normalised irreversible magnetisation), starting from 0.
 class TimeDomainJaSystem final : public ams::OdeSystem {
  public:
   TimeDomainJaSystem(const JaParameters& params, const wave::Waveform& h_of_t,
                      bool clamp_negative_slope);
 
-  [[nodiscard]] std::size_t size() const override { return 1; }
-  void initial(std::span<double> y0) const override;
-  void derivative(double t, std::span<const double> y,
-                  std::span<double> dydt) const override;
+  [[nodiscard]] double initial() const override { return 0.0; }
+  /// dm_irr/dt = dM/dH * dH/dt at field H(t).
+  [[nodiscard]] double derivative(double t, double m_irr) const override;
 
   /// Normalised total magnetisation for state m_irr at field h (explicit
   /// fixed-point in the effective field, same equations as TimelessJa).

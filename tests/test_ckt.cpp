@@ -199,25 +199,6 @@ TEST(Transient, RlCurrentRise) {
   EXPECT_LT(worst, 1e-3);
 }
 
-TEST(Transient, RcDischargeBackwardEuler) {
-  fk::Circuit ckt;
-  const auto out = ckt.node("out");
-  ckt.add<fk::Capacitor>("C", out, fk::kGround, 1e-6, /*v_initial=*/1.0);
-  ckt.add<fk::Resistor>("R", out, fk::kGround, 1000.0);
-
-  fk::TransientOptions options;
-  options.t_end = 3e-3;
-  options.dt_initial = 1e-6;
-  options.dt_max = 1e-5;
-  options.method = ferro::ams::IntegrationMethod::kBackwardEuler;
-
-  double v_end = 1.0;
-  ASSERT_TRUE(fk::run_transient(ckt, options, [&](const fk::Solution& sol) {
-    v_end = sol.v(out);
-  }).ok());
-  EXPECT_NEAR(v_end, std::exp(-3.0), 2e-2);
-}
-
 TEST(Transient, RlcRingingFrequency) {
   // Series RLC: L = 1 mH, C = 1 uF, R = 1 Ohm (underdamped).
   // f0 = 1/(2 pi sqrt(LC)) ~ 5.03 kHz.
@@ -435,8 +416,7 @@ TEST(Validate, AcceptsDefaultsAndRejectsEachBadField) {
   EXPECT_TRUE(fk::validate(o).ok());
 
   // A non-finite horizon would make t_eps infinite (ok after one callback
-  // and no steps), and the engine has no Gear2 (it would run Backward Euler
-  // under that name): both are configuration errors naming the field.
+  // and no steps): a configuration error naming the field.
   const auto expect_invalid_field = [](fk::TransientOptions options,
                                        const std::string& field) {
     const auto error = fk::validate(options);
@@ -451,11 +431,6 @@ TEST(Validate, AcceptsDefaultsAndRejectsEachBadField) {
     o.t_end = bad;
     expect_invalid_field(o, "t_end");
   }
-  o = {};
-  o.method = ferro::ams::IntegrationMethod::kGear2;
-  expect_invalid_field(o, "method");
-  o.method = ferro::ams::IntegrationMethod::kBackwardEuler;
-  EXPECT_TRUE(fk::validate(o).ok());
 }
 
 TEST(Validate, ExplicitDtMaxBelowDtInitialIsRejectedNotClamped) {

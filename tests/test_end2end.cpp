@@ -131,7 +131,7 @@ TEST(Claims, TimelessAvoidsSolverStressAtTurningPoints) {
   td_cfg.solver.dt_initial = 1e-7;
   td_cfg.solver.rel_tol = 1e-5;
   td_cfg.solver.abs_tol = 1e-10;
-  const auto integ = fc::run_integ_style(params, tri, td_cfg);
+  const auto integ = fm::run_time_domain_ja(params, tri, td_cfg);
   ASSERT_TRUE(integ.completed);
 
   fc::AmsJaConfig ams_cfg;

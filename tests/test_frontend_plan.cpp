@@ -2,7 +2,7 @@
 // every (frontend, drive, config) combination, the deduplicated JA-free
 // trajectory solves, the trace expansion's equivalence to the serial AMS
 // frontend, a trajectory solve that gives up as one error on both paths,
-// and the MetricsWindow reject-don't-clamp contract on solver-placed kAms
+// trajectories of a few MA/m that complete, and the MetricsWindow reject-don't-clamp contract on solver-placed kAms
 // curves through both the per-scenario and packed paths.
 #include <gtest/gtest.h>
 
@@ -136,17 +136,35 @@ TEST(FrontendPlan, PlannedTrajectoryMatchesTheRidingAlongSolve) {
             reference.solver_stats.newton_iterations);
 }
 
+/// A 10 kA/m, 50 Hz sine whose time derivative turns NaN from `t_nan` on:
+/// no step of the H(t) solve converges there, at any step size.
+class SineWithNanSlope final : public fw::Waveform {
+ public:
+  explicit SineWithNanSlope(double t_nan) : t_nan_(t_nan) {}
+  [[nodiscard]] double value(double t) const override {
+    return sine_.value(t);
+  }
+  [[nodiscard]] double derivative(double t) const override {
+    return t < t_nan_ ? sine_.derivative(t)
+                      : std::numeric_limits<double>::quiet_NaN();
+  }
+
+ private:
+  fw::Sine sine_{10e3, 50.0};
+  double t_nan_;
+};
+
 TEST(FrontendPlan, AmsSolveThatGivesUpIsTheSameErrorInBothPaths) {
-  // On a 50 Hz sine of a few MA/m the analogue solver's Newton iteration
-  // stops converging at dt_min; after 25 forced accepts in a row the solver
+  // Where the excitation's slope is NaN the analogue solver's Newton
+  // iteration fails at dt_min; after 25 forced accepts in a row the solver
   // gives up short of t_end. That is a kSolverDiverged error without a
   // curve, identical from run_scenario and from every BatchRunner path,
   // never an ok result carrying the truncated curve.
   std::vector<fc::Scenario> scenarios;
-  for (const double amplitude : {3e6, 1e7}) {
+  for (const double t_nan : {0.005, 0.0}) {
     fc::Scenario s = base_scenario(fc::Frontend::kAms);
-    s.name = "sine " + std::to_string(amplitude) + " A/m";
-    s.drive = fc::TimeDrive{std::make_shared<fw::Sine>(amplitude, 50.0), 0.0,
+    s.name = "NaN slope from " + std::to_string(t_nan) + " s";
+    s.drive = fc::TimeDrive{std::make_shared<SineWithNanSlope>(t_nan), 0.0,
                             0.02, 1000};
     scenarios.push_back(std::move(s));
   }
@@ -154,6 +172,9 @@ TEST(FrontendPlan, AmsSolveThatGivesUpIsTheSameErrorInBothPaths) {
   for (const fc::ScenarioResult& r : serial) {
     EXPECT_EQ(r.error.code, fc::ErrorCode::kSolverDiverged) << r.name;
     EXPECT_NE(r.error.detail.find("gave up"), std::string::npos) << r.error;
+    EXPECT_NE(r.error.detail.find("after 26 hard failures"),
+              std::string::npos)
+        << r.error;
     EXPECT_EQ(r.curve.size(), 0u) << r.name;
   }
 
@@ -171,6 +192,46 @@ TEST(FrontendPlan, AmsSolveThatGivesUpIsTheSameErrorInBothPaths) {
       }
       EXPECT_EQ(report.failed, serial.size());
     }
+  }
+}
+
+TEST(FrontendPlan, AmsSolveOfAFewMegaAmperesPerMetreCompletes) {
+  // Past |H| = 2^21 A/m the spacing of doubles exceeds 1e-10, so a fixed
+  // 1e-10 Newton tolerance can never be met there: these sines used to
+  // force-accept 25 steps and give up. The tolerance grows with the
+  // iterate, so they complete without a hard failure on every path.
+  std::vector<fc::Scenario> scenarios;
+  for (const double amplitude : {3e6, 1e7}) {
+    const auto sine = std::make_shared<fw::Sine>(amplitude, 50.0);
+    fc::AmsJaConfig config;
+    config.t_start = 0.0;
+    config.t_end = 0.02;
+    const fc::AmsTrajectory trajectory = fc::plan_ams_trajectory(*sine, config);
+    EXPECT_EQ(trajectory.solver_stats.hard_failures, 0u) << amplitude;
+    EXPECT_EQ(trajectory.solver_stats.steps_rejected_newton, 0u) << amplitude;
+
+    fc::Scenario s = base_scenario(fc::Frontend::kAms);
+    s.name = "sine " + std::to_string(amplitude) + " A/m";
+    s.drive = fc::TimeDrive{sine, 0.0, 0.02, 1000};
+    scenarios.push_back(std::move(s));
+  }
+  const std::vector<fc::ScenarioResult> serial = ts::run_each(scenarios);
+  for (const fc::ScenarioResult& r : serial) {
+    ASSERT_TRUE(r.ok()) << r.error;
+    EXPECT_GT(r.curve.size(), 100u) << r.name;
+  }
+  for (const unsigned threads : {1u, 4u}) {
+    SCOPED_TRACE("threads " + std::to_string(threads));
+    fc::BatchReport report;
+    const auto packed =
+        fc::BatchRunner({.threads = threads}).run(scenarios, {}, &report);
+    ASSERT_EQ(packed.size(), serial.size());
+    for (std::size_t i = 0; i < serial.size(); ++i) {
+      ASSERT_TRUE(packed[i].ok()) << packed[i].error;
+      EXPECT_EQ(ts::max_b_deviation(packed[i].curve, serial[i].curve), 0.0)
+          << serial[i].name;
+    }
+    EXPECT_EQ(report.failed, 0u);
   }
 }
 

@@ -1,8 +1,10 @@
 // Edge-case and failure-injection tests for the analogue solver substrate:
-// abort paths, breakpoint corner cases, counter behaviour, Gear2 startup.
+// the give-up path, breakpoint corner cases, counter behaviour.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <limits>
 #include <vector>
 
 #include "ams/transient.hpp"
@@ -16,82 +18,48 @@ namespace {
 class Hostile final : public fa::OdeSystem {
  public:
   explicit Hostile(double t_break) : t_break_(t_break) {}
-  [[nodiscard]] std::size_t size() const override { return 1; }
-  void initial(std::span<double> y0) const override { y0[0] = 1.0; }
-  void derivative(double t, std::span<const double> y,
-                  std::span<double> dydt) const override {
-    if (t > t_break_) {
-      dydt[0] = std::numeric_limits<double>::quiet_NaN();
-    } else {
-      dydt[0] = -y[0];
-    }
+  [[nodiscard]] double initial() const override { return 1.0; }
+  [[nodiscard]] double derivative(double t, double y) const override {
+    if (t > t_break_) return std::numeric_limits<double>::quiet_NaN();
+    return -y;
   }
 
  private:
   double t_break_;
 };
 
+/// y' = -k y, y(0) = 1.
 class Decay final : public fa::OdeSystem {
  public:
-  [[nodiscard]] std::size_t size() const override { return 1; }
-  void initial(std::span<double> y0) const override { y0[0] = 1.0; }
-  void derivative(double, std::span<const double> y,
-                  std::span<double> dydt) const override {
-    dydt[0] = -y[0];
+  explicit Decay(double k = 1.0) : k_(k) {}
+  [[nodiscard]] double initial() const override { return 1.0; }
+  [[nodiscard]] double derivative(double, double y) const override {
+    return -k_ * y;
   }
-};
 
-/// Counts on_step_accepted invocations (must fire only for accepted steps).
-class CountingDecay final : public fa::OdeSystem {
- public:
-  [[nodiscard]] std::size_t size() const override { return 1; }
-  void initial(std::span<double> y0) const override { y0[0] = 1.0; }
-  void derivative(double, std::span<const double> y,
-                  std::span<double> dydt) const override {
-    dydt[0] = -10.0 * y[0];
-  }
-  void on_step_accepted(double, std::span<const double>) override {
-    ++accepted_hooks;
-  }
-  int accepted_hooks = 0;
+ private:
+  double k_;
 };
 
 }  // namespace
 
-TEST(TransientEdges, AbortOnFailureStopsTheRun) {
-  Hostile sys(0.5);
-  fa::TransientOptions options;
-  options.t_end = 1.0;
-  options.dt_initial = 1e-2;
-  options.abort_on_failure = true;
-
-  fa::TransientSolver solver(options);
-  double last_t = 0.0;
-  const bool ok = solver.run(
-      sys, [&](double t, std::span<const double>) { last_t = t; });
-  EXPECT_FALSE(ok);
-  EXPECT_GT(solver.stats().hard_failures, 0u);
-  EXPECT_LT(last_t, 1.0);  // never reached the horizon
-}
-
 TEST(TransientEdges, PersistentFailuresEventuallyGiveUp) {
-  // Non-abort mode tolerates isolated convergence failures (force-accept
-  // with a warning), but a permanently hostile system must not crawl at
-  // dt_min forever: the engine gives up after a bounded streak.
+  // The solver tolerates isolated convergence failures (force-accept, as a
+  // commercial solver does after a warning), but a permanently hostile
+  // system must not crawl at dt_min forever: the engine gives up after 25
+  // forced accepts in a row, at the 26th hard failure.
   Hostile sys(0.5);
   fa::TransientOptions options;
   options.t_end = 1.0;
   options.dt_initial = 1e-2;
-  options.abort_on_failure = false;  // commercial-solver behaviour
 
   fa::TransientSolver solver(options);
   double last_t = 0.0;
-  const bool ok = solver.run(
-      sys, [&](double t, std::span<const double>) { last_t = t; });
-  EXPECT_FALSE(ok);                             // gave up, reported
-  EXPECT_GT(solver.stats().hard_failures, 1u);  // tried more than once
-  EXPECT_GT(last_t, 0.4);                       // got to the hostile region
-  EXPECT_LT(last_t, 1.0);                       // but not through it
+  const bool ok = solver.run(sys, [&](double t, double) { last_t = t; });
+  EXPECT_FALSE(ok);                               // gave up, reported
+  EXPECT_EQ(solver.stats().hard_failures, 26u);  // 25 forced accepts + 1
+  EXPECT_GT(last_t, 0.4);                         // got to the hostile region
+  EXPECT_LT(last_t, 1.0);                         // but not through it
 }
 
 TEST(TransientEdges, BreakpointAtStartIsIgnored) {
@@ -115,8 +83,7 @@ TEST(TransientEdges, DuplicateAndOutOfRangeBreakpoints) {
 
   fa::TransientSolver solver(options);
   std::vector<double> times;
-  ASSERT_TRUE(solver.run(
-      sys, [&](double t, std::span<const double>) { times.push_back(t); }));
+  ASSERT_TRUE(solver.run(sys, [&](double t, double) { times.push_back(t); }));
   bool hit = false;
   for (const double t : times) {
     if (std::fabs(t - 0.5) < 1e-9) hit = true;
@@ -126,20 +93,24 @@ TEST(TransientEdges, DuplicateAndOutOfRangeBreakpoints) {
 }
 
 TEST(TransientEdges, AcceptHookFiresOncePerAcceptedStep) {
-  CountingDecay sys;
+  // on_accept sees t_start and then each accepted step once, in time
+  // order: rejected trial steps never reach it.
+  Decay sys(10.0);
   fa::TransientOptions options;
   options.t_end = 0.5;
   options.dt_initial = 1e-3;
+  options.rel_tol = 1e-6;  // tight enough to reject some trial steps
 
   fa::TransientSolver solver(options);
-  int callbacks = 0;
-  ASSERT_TRUE(solver.run(
-      sys, [&](double, std::span<const double>) { ++callbacks; }));
-  // One initial callback at t_start plus one per accepted step.
-  EXPECT_EQ(static_cast<std::uint64_t>(callbacks),
+  std::vector<double> times;
+  ASSERT_TRUE(solver.run(sys, [&](double t, double) { times.push_back(t); }));
+  EXPECT_GT(solver.stats().steps_rejected_lte, 0u);
+  ASSERT_EQ(static_cast<std::uint64_t>(times.size()),
             solver.stats().steps_accepted + 1);
-  EXPECT_EQ(static_cast<std::uint64_t>(sys.accepted_hooks),
-            solver.stats().steps_accepted);
+  EXPECT_EQ(times.front(), 0.0);
+  for (std::size_t i = 1; i < times.size(); ++i) {
+    EXPECT_GT(times[i], times[i - 1]) << i;
+  }
 }
 
 TEST(TransientEdges, DtMaxDefaultsToFiftiethOfHorizon) {
@@ -167,23 +138,6 @@ TEST(TransientEdges, TightAccuracyCostsSteps) {
     return solver.stats().steps_accepted;
   };
   EXPECT_GT(steps_at(1e-7), steps_at(1e-3));
-}
-
-TEST(TransientEdges, Gear2StartsWithBackwardEuler) {
-  // BDF2 needs two history points; the engine must fall back to BE on the
-  // first step instead of dividing by a zero previous step.
-  Decay sys;
-  fa::TransientOptions options;
-  options.t_end = 0.1;
-  options.dt_initial = 1e-3;
-  options.method = fa::IntegrationMethod::kGear2;
-
-  fa::TransientSolver solver(options);
-  double y_end = 1.0;
-  ASSERT_TRUE(solver.run(sys, [&](double, std::span<const double> y) {
-    y_end = y[0];
-  }));
-  EXPECT_NEAR(y_end, std::exp(-0.1), 1e-3);
 }
 
 TEST(TransientEdges, StatsMinMaxDtOrdered) {
