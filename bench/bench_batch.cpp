@@ -112,7 +112,7 @@ void report() {
   }
   benchutil::footnote(
       "rows are run() (packed, kExact) against a serial run_scenario loop: "
-      "lane blocks are claimed from per-worker deques (work-stealing) and "
+      "lane blocks are claimed in order from one shared cursor and "
       "write their own result slots, and kExact lanes execute the exact "
       "scalar arithmetic, so every row must compare bitwise equal.");
 }

@@ -163,19 +163,6 @@ BENCHMARK(bm_soa_fast_width)
     ->Arg(8)
     ->Unit(benchmark::kMillisecond);
 
-void bm_timed_queue(benchmark::State& state) {
-  for (auto _ : state) {
-    hdl::Kernel kernel;
-    for (int i = 0; i < 1000; ++i) {
-      kernel.schedule_at(hdl::SimTime::ns(i), [] {});
-    }
-    kernel.run_until(hdl::SimTime::us(1));
-    benchmark::DoNotOptimize(kernel.stats().timed_events);
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * 1000);
-}
-BENCHMARK(bm_timed_queue);
-
 }  // namespace
 
 FERRO_BENCH_MAIN(report)

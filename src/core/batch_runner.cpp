@@ -4,6 +4,7 @@
 #include <cmath>
 #include <exception>
 #include <limits>
+#include <mutex>
 #include <new>
 #include <type_traits>
 #include <utility>
@@ -58,19 +59,12 @@ class BatchRunner::CurveRecycler {
   std::vector<std::vector<mag::BhPoint>> free_;
 };
 
-BatchRunner::BatchRunner(BatchOptions options) : options_(options) {}
+BatchRunner::BatchRunner(BatchOptions options)
+    : options_(options), pool_(resolve_workers(options.threads)) {}
 
 std::size_t BatchRunner::lane_block() {
   return 2 * static_cast<std::size_t>(
                  mag::TimelessJaBatch::active_simd_width());
-}
-
-ThreadPool& BatchRunner::pool() const {
-  std::lock_guard<std::mutex> lk(pool_mutex_);
-  if (!pool_) {
-    pool_ = std::make_unique<ThreadPool>(resolve_workers(options_.threads));
-  }
-  return *pool_;
 }
 
 std::vector<ScenarioResult> BatchRunner::run(
@@ -90,13 +84,6 @@ std::vector<ScenarioResult> BatchRunner::run(
     gate.fill(*report);
   }
   return results;
-}
-
-bool BatchRunner::packable(const Scenario& scenario) {
-  // Routability lives on the FrontendPlan (core/frontend_plan.hpp) — one
-  // definition shared with dispatch_packed, no per-frontend special cases
-  // here.
-  return plan_route(scenario) != PlanRoute::kFallback;
 }
 
 void BatchRunner::dispatch_packed(const std::vector<Scenario>& scenarios,
@@ -161,10 +148,11 @@ void BatchRunner::dispatch_packed(const std::vector<Scenario>& scenarios,
   // events coincide only when they share both, and lanes sharing a drive
   // share its length; length first still keeps them together, sorted by
   // dhmax, while lanes of different drives fire out of step whatever their
-  // dhmax. Pure scheduling: lanes are independent and grouping-invariant,
-  // so results (emitted under their original scenario indices) are bitwise
-  // unchanged; stable sort keeps the order deterministic whatever the
-  // thread count.
+  // dhmax. Within a kind the longest lanes come first, so their blocks
+  // start first (see the schedule below). Pure scheduling: lanes are
+  // independent and grouping-invariant, so results (emitted under their
+  // original scenario indices) are bitwise unchanged; stable sort keeps
+  // ties in scenario order whatever the thread count.
   const auto lane_sort = [&](std::vector<std::size_t>& lanes,
                              const auto& rows_of) {
     std::stable_sort(lanes.begin(), lanes.end(),
@@ -176,7 +164,7 @@ void BatchRunner::dispatch_packed(const std::vector<Scenario>& scenarios,
                        }
                        const std::size_t rx = rows_of(x);
                        const std::size_t ry = rows_of(y);
-                       if (rx != ry) return rx < ry;
+                       if (rx != ry) return rx > ry;
                        return a.config.dhmax < b.config.dhmax;
                      });
   };
@@ -190,31 +178,15 @@ void BatchRunner::dispatch_packed(const std::vector<Scenario>& scenarios,
 
   // Energy lanes have no vector lockstep to protect — grouping only serves
   // cache locality, so similar cell counts (state slab sizes) and planned
-  // lengths suffice. Stable sort keeps determinism like the JA sort.
+  // lengths suffice; the most cells and the longest first, ties in
+  // scenario order, like the JA sort.
   std::stable_sort(energy_lanes.begin(), energy_lanes.end(),
                    [&](std::size_t x, std::size_t y) {
                      const auto& a = scenarios[x].energy().params;
                      const auto& b = scenarios[y].energy().params;
-                     if (a.cells != b.cells) return a.cells < b.cells;
-                     return samples_of(x) < samples_of(y);
+                     if (a.cells != b.cells) return a.cells > b.cells;
+                     return samples_of(x) > samples_of(y);
                    });
-
-  const unsigned threads = resolved_threads(scenarios.size());
-
-  // Lane blocks of one kernel tile at every thread count: a worker holds
-  // one tile of curves at a time, so a streaming run's recycled storage
-  // stays small, and the partition never splits a vector group
-  // mid-register. Lanes are independent, so any block partition yields
-  // identical per-lane results: thread-count and chunk-size invariance for
-  // free.
-  const auto make_blocks = [&](std::size_t n) {
-    const std::size_t block = lane_block();
-    std::vector<std::pair<std::size_t, std::size_t>> blocks;
-    for (std::size_t b = 0; b < n; b += block) {
-      blocks.emplace_back(b, std::min(n, b + block));
-    }
-    return blocks;
-  };
 
   const auto emit_block_error = [&](const std::vector<std::size_t>& lanes,
                                     std::size_t begin, std::size_t end,
@@ -500,75 +472,75 @@ void BatchRunner::dispatch_packed(const std::vector<Scenario>& scenarios,
     }
   };
 
-  // Dispatch shape. The trace blocks need their trajectory solves done
-  // (and the ragged-row sort key needs the solved lengths), so when kAms
-  // lanes are present the solves run as their own small parallel_for
-  // first — they are bounded, JA-free, and deduplicated, so the barrier is
-  // one cheap ODE solve wide — and EVERYTHING else (fallback jobs, sweep
-  // blocks, trace blocks) fuses into one dispatch behind it. That way no
-  // unbounded-latency unit (a whole serial frontend in a fallback job)
-  // ever gates other work, and the trace replay overlaps both block kinds
-  // and the fallbacks. Every work unit emits or writes disjoint state, so
-  // the phase split changes nothing about determinism.
-  const auto run_units = [&](std::size_t n,
-                             const ThreadPool::StoppableRangeFn& fn) {
-    if (n == 0) return;
-    if (threads <= 1) {
-      fn(0, n, gate.stopped());
-    } else {
-      pool().parallel_for(n, 1, fn, [&] { return gate.stopped(); });
-    }
-  };
-
-  run_units(plans.trajectory_jobs(),
-            [&](std::size_t begin, std::size_t end, bool stopped) {
-              for (std::size_t u = begin; u < end; ++u) {
-                if (stopped || gate.stopped()) {
-                  // The scenarios referencing this job report the verdict
-                  // when their trace block runs.
-                  plans.skip_trajectory(u, gate.stop_error());
-                } else {
-                  plans.solve_trajectory(u);
-                }
-              }
-            });
+  // The schedule (see the header). The trace blocks need their trajectory
+  // solves done (and their sort key needs the solved lengths), so the
+  // solves run as their own small parallel_for first — bounded, JA-free and
+  // deduplicated, so the barrier is one cheap ODE solve wide — and every
+  // other unit runs in one dispatch behind it, in the order of the unit
+  // list below. Every unit emits or writes disjoint state, so no result
+  // depends on the order.
+  const ThreadPool::StopQuery stop = [&] { return gate.stopped(); };
+  pool_.parallel_for(
+      plans.trajectory_jobs(), 1,
+      [&](std::size_t begin, std::size_t end, bool stopped) {
+        for (std::size_t u = begin; u < end; ++u) {
+          if (stopped || gate.stopped()) {
+            // The scenarios referencing this job report the verdict when
+            // their trace block runs.
+            plans.skip_trajectory(u, gate.stop_error());
+          } else {
+            plans.solve_trajectory(u);
+          }
+        }
+      },
+      stop);
 
   // Planned lengths (the trajectories' accepted step counts) exist now.
   lane_sort(trace_lanes, [&](std::size_t i) {
     return plans.trajectory(plans.plan(i).trajectory).result.h.size();
   });
-  const auto sweep_blocks = make_blocks(sweep_lanes.size());
-  const auto energy_blocks = make_blocks(energy_lanes.size());
-  const auto trace_blocks = make_blocks(trace_lanes.size());
-  run_units(
-      fallback.size() + sweep_blocks.size() + energy_blocks.size() +
-          trace_blocks.size(),
+
+  // A unit is [begin, end) of one list: a fallback job, or a lane block of
+  // one kernel tile at every thread count — a worker holds one tile of
+  // curves at a time, so a streaming run's recycled storage stays small,
+  // and no partition splits a vector group mid-register. Lanes are
+  // independent, so any block partition yields identical per-lane results.
+  struct Unit {
+    const std::vector<std::size_t>* list;
+    std::size_t begin;
+    std::size_t end;
+  };
+  std::vector<Unit> units;
+  for (std::size_t f = 0; f < fallback.size(); ++f) {
+    units.push_back({&fallback, f, f + 1});
+  }
+  for (const auto* lanes : {&trace_lanes, &energy_lanes, &sweep_lanes}) {
+    for (std::size_t b = 0; b < lanes->size(); b += lane_block()) {
+      units.push_back({lanes, b, std::min(lanes->size(), b + lane_block())});
+    }
+  }
+  pool_.parallel_for(
+      units.size(), 1,
       [&](std::size_t begin, std::size_t end, bool stopped) {
         for (std::size_t u = begin; u < end; ++u) {
-          if (u < fallback.size()) {
-            const std::size_t i = fallback[u];
+          const auto& [list, b0, b1] = units[u];
+          if (list == &fallback) {
+            const std::size_t i = fallback[b0];
             if (stopped || gate.stopped()) {
               emit_error(i, gate.stop_error());
             } else {
               run_fallback(i);
             }
-          } else if (u < fallback.size() + sweep_blocks.size()) {
-            const auto& [b0, b1] = sweep_blocks[u - fallback.size()];
-            run_sweep_block(sweep_lanes, b0, b1, mag::TimelessJaBatch(math));
-          } else if (u < fallback.size() + sweep_blocks.size() +
-                             energy_blocks.size()) {
-            const auto& [b0, b1] =
-                energy_blocks[u - fallback.size() - sweep_blocks.size()];
-            run_sweep_block(energy_lanes, b0, b1,
-                            mag::EnergyBasedBatch(math));
+          } else if (list == &trace_lanes) {
+            run_trace_block(trace_lanes, b0, b1);
+          } else if (list == &energy_lanes) {
+            run_sweep_block(energy_lanes, b0, b1, mag::EnergyBasedBatch(math));
           } else {
-            const auto& block =
-                trace_blocks[u - fallback.size() - sweep_blocks.size() -
-                             energy_blocks.size()];
-            run_trace_block(trace_lanes, block.first, block.second);
+            run_sweep_block(sweep_lanes, b0, b1, mag::TimelessJaBatch(math));
           }
         }
-      });
+      },
+      stop);
 }
 
 std::size_t BatchRunner::queue_capacity(const StreamOptions& stream,

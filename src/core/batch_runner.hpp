@@ -1,5 +1,5 @@
 // BatchRunner — fan a vector of (model, excitation, frontend) scenarios
-// across a persistent work-stealing thread pool, either collecting BH
+// across a persistent thread pool, either collecting BH
 // curves plus loop metrics in deterministic job order or streaming them to
 // a ResultSink while workers are still computing. One entry-point family:
 // run(scenarios[, sink], RunOptions{packing, limits, stream}).
@@ -62,15 +62,22 @@
 // already mapped instead of faulting fresh ones in. Its memory is bounded
 // by the lane blocks in flight and the queue, not by the batch.
 //
-// The pool (core/thread_pool.hpp) is constructed lazily on the first
-// multi-threaded run and reused across all run variants, so sweeping many
-// batches through one runner pays thread start-up exactly once.
+// The schedule: one unit list, built in dispatch_packed and run by serial
+// and parallel runs alike, in the order the pool starts it (index order,
+// core/thread_pool.hpp): fallback jobs first, so no whole serial frontend
+// (a unit with no bound on its run time) starts last and holds the batch
+// open alone, then kAms trace blocks, energy blocks and JA sweep blocks,
+// each kind's lanes sorted longest first (ties in scenario order), so the
+// batch ends on its shortest blocks. The order is a measured throughput
+// choice (README, "Persistent pool"); no result depends on it.
+//
+// The runner owns one pool for its lifetime, shared by every run variant;
+// the pool starts its threads with its first parallel batch, so sweeping
+// many batches through one runner pays thread start-up exactly once.
 #pragma once
 
 #include <cstddef>
 #include <functional>
-#include <memory>
-#include <mutex>
 #include <vector>
 
 #include "core/cancel.hpp"
@@ -161,13 +168,6 @@ class BatchRunner {
   StreamSummary run(const std::vector<Scenario>& scenarios, ResultSink& sink,
                     const RunOptions& options = {}) const;
 
-  /// True when run() would route `scenario` to a SoA lane block:
-  /// validate_setup() accepts it and it lies in a packed executor's
-  /// bitwise-reproducible subset. The per-sample scans are not part of it:
-  /// a sweep lane with a non-finite sample is rejected by its lane block
-  /// (a kAms sweep by the planner) with validate()'s verdict.
-  [[nodiscard]] static bool packable(const Scenario& scenario);
-
   /// Lanes per packed block: one kernel tile, twice the active SIMD width,
   /// at every thread count — a worker holds one tile of curves at a time.
   [[nodiscard]] static std::size_t lane_block();
@@ -203,14 +203,10 @@ class BatchRunner {
                        Packing packing, const EmitFn& emit, RunGate& gate,
                        CurveRecycler& recycled) const;
 
-  /// The persistent pool, created on first use and reused for the runner's
-  /// lifetime. Sized from options().threads (0 = hardware concurrency),
-  /// independent of any one batch's job count.
-  [[nodiscard]] ThreadPool& pool() const;
-
   BatchOptions options_;
-  mutable std::mutex pool_mutex_;
-  mutable std::unique_ptr<ThreadPool> pool_;
+  /// Sized from options().threads (0 = hardware concurrency), independent
+  /// of any one batch's job count.
+  mutable ThreadPool pool_;
 };
 
 }  // namespace ferro::core

@@ -468,8 +468,8 @@ StreamSummary stream_to_sink(BasicResultSink<R>& sink, std::size_t jobs,
     });
 
     // The consumer MUST be closed-and-joined even if dispatch throws (e.g.
-    // lazy pool construction failing under resource exhaustion) — letting a
-    // joinable std::thread unwind calls std::terminate.
+    // planning running out of memory) — letting a joinable std::thread
+    // unwind calls std::terminate.
     try {
       dispatch(Emit([&](std::size_t index, R&& result) {
         try {

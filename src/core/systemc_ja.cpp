@@ -96,44 +96,20 @@ void JaCoreModule::integral() {
 }
 
 SystemCSweepResult run_systemc_sweep(const mag::JaParameters& params,
-                                     double dhmax, const wave::HSweep& sweep,
-                                     hdl::SimTime sample_period) {
+                                     double dhmax, const wave::HSweep& sweep) {
   SystemCSweepResult result;
   hdl::Kernel kernel;
   JaCoreModule module(kernel, "ja", params, dhmax);
-
-  // One sample per sweep entry applied, like TimelessJa counts apply()
-  // calls — the module cannot observe writes its signal deduplicates.
-  const auto finish = [&]() {
-    result.kernel_stats = kernel.stats();
-    result.stats = module.stats();
-    result.stats.samples = static_cast<std::uint64_t>(sweep.h.size());
-  };
-
-  if (sample_period > hdl::SimTime{}) {
-    // Timed testbench: write one sweep sample per period; record half a
-    // period later, after the write's delta cycles have settled.
-    const auto half = hdl::SimTime::fs(sample_period.femtoseconds() / 2);
-    for (std::size_t i = 0; i < sweep.h.size(); ++i) {
-      const double h = sweep.h[i];
-      const auto t = sample_period * static_cast<std::int64_t>(i);
-      kernel.schedule_at(t, [&module, h] { module.H.write(h); });
-      kernel.schedule_at(t + half, [&result, &module, &params, h] {
-        result.curve.append(h, params.ms * module.Msig.read(),
-                            module.Bsig.read());
-      });
-    }
-    kernel.run_until(sample_period * static_cast<std::int64_t>(sweep.h.size()));
-    finish();
-    return result;
-  }
-
   for (const double h : sweep.h) {
     module.H.write(h);
     kernel.settle();
     result.curve.append(h, params.ms * module.Msig.read(), module.Bsig.read());
   }
-  finish();
+  result.kernel_stats = kernel.stats();
+  result.stats = module.stats();
+  // One sample per sweep entry applied, like TimelessJa counts apply()
+  // calls — the module cannot observe writes its signal deduplicates.
+  result.stats.samples = static_cast<std::uint64_t>(sweep.h.size());
   return result;
 }
 

@@ -98,11 +98,7 @@ struct SystemCSweepResult {
 /// Builds a kernel + JaCoreModule, applies each sweep sample (settling all
 /// delta cycles in between, i.e. a pure timeless run), and records the
 /// published (H, M, B).
-///
-/// When `sample_period` is nonzero the samples are scheduled on the timed
-/// queue instead (one per period) — same results, exercising the timed path.
 [[nodiscard]] SystemCSweepResult run_systemc_sweep(
-    const mag::JaParameters& params, double dhmax, const wave::HSweep& sweep,
-    hdl::SimTime sample_period = hdl::SimTime{});
+    const mag::JaParameters& params, double dhmax, const wave::HSweep& sweep);
 
 }  // namespace ferro::core

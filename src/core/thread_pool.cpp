@@ -1,6 +1,8 @@
 #include "core/thread_pool.hpp"
 
 #include <algorithm>
+#include <system_error>
+#include <utility>
 
 namespace ferro::core {
 
@@ -11,21 +13,14 @@ unsigned resolve_workers(unsigned requested, std::size_t jobs) {
   return std::max(workers, 1u);
 }
 
-ThreadPool::ThreadPool(unsigned workers) {
-  const unsigned total = std::max(workers, 1u);
-  deques_.reserve(total);
-  for (unsigned i = 0; i < total; ++i) {
-    deques_.push_back(std::make_unique<WorkerDeque>());
-  }
-  threads_.reserve(total - 1);
-  for (unsigned i = 1; i < total; ++i) {
-    threads_.emplace_back([this, i] { worker_loop(i); });
-  }
+ThreadPool::ThreadPool(unsigned workers) : workers_(std::max(workers, 1u)) {
+  // Reserved, so starting a thread later never reallocates.
+  threads_.reserve(workers_ - 1);
 }
 
 ThreadPool::~ThreadPool() {
   {
-    std::lock_guard<std::mutex> lk(coord_mutex_);
+    std::lock_guard<std::mutex> lk(mutex_);
     stop_ = true;
   }
   cv_work_.notify_all();
@@ -33,8 +28,8 @@ ThreadPool::~ThreadPool() {
 }
 
 std::size_t ThreadPool::default_chunk(std::size_t n, unsigned workers) {
-  // ~4 chunks per worker: coarse enough that the two atomics per chunk are
-  // noise even for sub-microsecond jobs, fine enough to steal-balance.
+  // ~4 chunks per worker: coarse enough that one claim per chunk is noise
+  // even for sub-microsecond jobs, fine enough to balance uneven ones.
   const std::size_t target = static_cast<std::size_t>(std::max(workers, 1u)) * 4;
   return std::max<std::size_t>(1, n / target);
 }
@@ -46,57 +41,37 @@ std::size_t ThreadPool::default_chunk(std::size_t n, unsigned workers,
   return ((base + m - 1) / m) * m;
 }
 
-bool ThreadPool::try_claim(unsigned self, Chunk& out) {
-  {
-    WorkerDeque& own = *deques_[self];
-    std::lock_guard<std::mutex> lk(own.mutex);
-    if (!own.chunks.empty()) {
-      out = own.chunks.back();  // LIFO on the own deque: cache-warm ranges
-      own.chunks.pop_back();
-      unclaimed_.fetch_sub(1, std::memory_order_relaxed);
-      return true;
-    }
-  }
-  const unsigned w = static_cast<unsigned>(deques_.size());
-  for (unsigned offset = 1; offset < w; ++offset) {
-    WorkerDeque& victim = *deques_[(self + offset) % w];
-    std::lock_guard<std::mutex> lk(victim.mutex);
-    if (!victim.chunks.empty()) {
-      out = victim.chunks.front();  // FIFO steal: take the victim's coldest
-      victim.chunks.pop_front();
-      unclaimed_.fetch_sub(1, std::memory_order_relaxed);
-      return true;
-    }
-  }
-  return false;
-}
-
-void ThreadPool::drain(unsigned self) {
-  Chunk c{0, 0};
-  while (try_claim(self, c)) {
-    // One stop poll per claimed chunk: the cancellation granularity the
-    // batch layers are specified against.
-    const bool stopped = active_stop_ != nullptr && (*active_stop_)();
-    (*active_fn_)(c.begin, c.end, stopped);
-    if (completed_.fetch_add(1, std::memory_order_acq_rel) + 1 ==
-        total_.load(std::memory_order_relaxed)) {
-      // Lock-then-notify so the submitter's predicate check cannot miss it.
-      { std::lock_guard<std::mutex> lk(coord_mutex_); }
-      cv_done_.notify_all();
-    }
-  }
-}
-
-void ThreadPool::worker_loop(unsigned self) {
+void ThreadPool::run_chunks() {
   for (;;) {
-    {
-      std::unique_lock<std::mutex> lk(coord_mutex_);
-      cv_work_.wait(lk, [this] {
-        return stop_ || unclaimed_.load(std::memory_order_relaxed) > 0;
-      });
-      if (stop_) return;
+    const std::size_t c = next_.fetch_add(1, std::memory_order_relaxed);
+    if (c >= n_chunks_) return;
+    const std::size_t begin = c * chunk_;
+    const std::size_t end = begin + std::min(chunk_, n_ - begin);
+    try {
+      // One stop poll per claimed chunk: the cancellation granularity the
+      // batch layers are specified against.
+      const bool stopped = stop_query_ != nullptr && (*stop_query_)();
+      (*fn_)(begin, end, stopped);
+    } catch (...) {
+      // Kept for the caller: an exception must not end a worker thread.
+      std::lock_guard<std::mutex> lk(mutex_);
+      if (!error_) error_ = std::current_exception();
     }
-    drain(self);
+  }
+}
+
+void ThreadPool::worker_loop() {
+  std::uint64_t joined = 0;  // the last batch this worker ran
+  std::unique_lock<std::mutex> lk(mutex_);
+  for (;;) {
+    cv_work_.wait(lk, [&] { return stop_ || (open_ && batch_ != joined); });
+    if (stop_) return;
+    joined = batch_;
+    ++holders_;
+    lk.unlock();
+    run_chunks();
+    lk.lock();
+    if (--holders_ == 0) cv_done_.notify_one();
   }
 }
 
@@ -115,43 +90,44 @@ void ThreadPool::parallel_for(std::size_t n, std::size_t chunk,
   if (chunk == 0) chunk = 1;
   std::lock_guard<std::mutex> submit(submit_mutex_);
 
-  const unsigned w = workers();
-  if (w <= 1 || n <= chunk) {
+  if (workers_ <= 1 || n <= chunk) {
     fn(0, n, stop && stop());
     return;
   }
 
-  // No n + chunk sum here or in the chunk ends below: near SIZE_MAX it
-  // wraps, which queued zero chunks and skipped fn entirely.
-  const std::size_t n_chunks = n / chunk + (n % chunk != 0);
   {
-    std::lock_guard<std::mutex> lk(coord_mutex_);
-    active_fn_ = &fn;
-    active_stop_ = stop ? &stop : nullptr;
-    total_.store(n_chunks, std::memory_order_relaxed);
-    completed_.store(0, std::memory_order_relaxed);
-    // Published before any chunk is pushed: a pop (and its decrement) can
-    // only happen after the push it claims, so the counter never underflows.
-    unclaimed_.store(n_chunks, std::memory_order_relaxed);
+    std::lock_guard<std::mutex> lk(mutex_);
+    fn_ = &fn;
+    stop_query_ = stop ? &stop : nullptr;
+    n_ = n;
+    chunk_ = chunk;
+    // No n + chunk sum here or in run_chunks: near SIZE_MAX it wraps.
+    n_chunks_ = n / chunk + (n % chunk != 0);
+    next_.store(0, std::memory_order_relaxed);
+    ++batch_;
+    open_ = true;
   }
-  for (std::size_t ci = 0; ci < n_chunks; ++ci) {
-    const std::size_t begin = ci * chunk;
-    const std::size_t end = begin + std::min(chunk, n - begin);
-    WorkerDeque& d = *deques_[ci % w];
-    std::lock_guard<std::mutex> lk(d.mutex);
-    d.chunks.push_back({begin, end});
+  // Started here, after the batch is published, so a new thread finds it
+  // waiting instead of parking first. One that fails to start leaves its
+  // chunks to the others; a later batch tries again.
+  while (threads_.size() + 1 < workers_) {
+    try {
+      threads_.emplace_back([this] { worker_loop(); });
+    } catch (const std::system_error&) {
+      break;
+    }
   }
   cv_work_.notify_all();
 
-  drain(0);  // the submitting thread is worker 0
+  run_chunks();  // the calling thread is worker 0
 
-  std::unique_lock<std::mutex> lk(coord_mutex_);
-  cv_done_.wait(lk, [this] {
-    return completed_.load(std::memory_order_acquire) ==
-           total_.load(std::memory_order_relaxed);
-  });
-  active_fn_ = nullptr;
-  active_stop_ = nullptr;
+  // Every chunk is claimed now; the ones still running belong to holders.
+  std::unique_lock<std::mutex> lk(mutex_);
+  cv_done_.wait(lk, [this] { return holders_ == 0; });
+  open_ = false;
+  fn_ = nullptr;
+  stop_query_ = nullptr;
+  if (error_) std::rethrow_exception(std::exchange(error_, nullptr));
 }
 
 }  // namespace ferro::core

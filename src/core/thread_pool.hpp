@@ -1,29 +1,35 @@
-// ThreadPool — a persistent worker pool with per-worker chunk deques and
-// work-stealing, built for BatchRunner's fan-out patterns:
+// ThreadPool — a persistent worker pool that hands out contiguous index
+// chunks from one atomic cursor:
 //
-//   * workers are spawned once (constructor) and parked on a condition
-//     variable between batches — no thread creation on the hot path;
-//   * parallel_for(n, chunk, fn) splits [0, n) into contiguous chunks,
-//     deals them round-robin onto the deques, and wakes the workers;
-//   * each worker pops its own deque from the back (LIFO, cache-warm) and
-//     steals from other deques' fronts (FIFO) when dry — heterogeneous job
-//     sizes rebalance without a single contended atomic counter;
+//   * parallel_for(n, chunk, fn) splits [0, n) into contiguous chunks, and
+//     every worker claims the next one from the cursor until none is left,
+//     so chunks start in index order: a caller that lists its units
+//     longest first gets them started longest first;
 //   * the calling thread participates as worker 0, so a pool constructed
-//     with `workers = 1` spawns no threads and degenerates to a serial loop.
+//     with `workers = 1` starts no threads and degenerates to a serial loop;
+//   * the other workers - 1 threads are started by the first parallel_for
+//     that dispatches, after its batch is published, so none parks before
+//     its first batch; they then park on a condition variable between
+//     batches, so reusing a pool pays thread start-up once. A thread that
+//     cannot be started leaves its chunks to the others.
+//
+// The units this pool serves are few and coarse (lane blocks, Monte-Carlo
+// chunks, fit instance groups: at most a few hundred per batch), so one
+// cursor claimed a few hundred times a second is never contended.
 //
 // Determinism contract: fn(begin, end) receives disjoint index ranges that
 // exactly cover [0, n); which thread runs which range is unspecified, so fn
 // must only write state owned by its indices. Under that contract results
-// are bitwise independent of the worker count and of stealing order.
+// are bitwise independent of the worker count.
 #pragma once
 
 #include <atomic>
 #include <condition_variable>
 #include <cstddef>
-#include <deque>
+#include <cstdint>
+#include <exception>
 #include <functional>
 #include <limits>
-#include <memory>
 #include <mutex>
 #include <thread>
 #include <vector>
@@ -50,7 +56,8 @@ class ThreadPool {
   using StopQuery = std::function<bool()>;
 
   /// `workers` is the total worker count including the calling thread:
-  /// workers - 1 threads are spawned. 0 is treated as 1 (serial).
+  /// workers - 1 threads join the first parallel_for that dispatches. 0 is
+  /// treated as 1 (serial).
   explicit ThreadPool(unsigned workers);
   ~ThreadPool();
 
@@ -58,8 +65,11 @@ class ThreadPool {
   ThreadPool& operator=(const ThreadPool&) = delete;
 
   /// Runs fn over [0, n) in chunks of `chunk` indices (the tail chunk may be
-  /// shorter) and blocks until every chunk has finished. The calling thread
-  /// works too. Not reentrant: one parallel_for at a time per pool.
+  /// shorter), claimed in index order, and blocks until every chunk has
+  /// finished and no worker still holds the batch. The calling thread works
+  /// too. A chunk whose fn throws does not stop the others; the first
+  /// exception is rethrown here once the batch has finished. Not
+  /// reentrant: one parallel_for at a time per pool.
   void parallel_for(std::size_t n, std::size_t chunk, const RangeFn& fn);
 
   /// Cooperative cancellation: `stop` is polled once per claimed chunk, and
@@ -71,14 +81,11 @@ class ThreadPool {
   void parallel_for(std::size_t n, std::size_t chunk,
                     const StoppableRangeFn& fn, const StopQuery& stop);
 
-  /// Total worker count (spawned threads + the calling thread).
-  [[nodiscard]] unsigned workers() const {
-    return static_cast<unsigned>(threads_.size()) + 1;
-  }
+  /// Total worker count (the threads it starts + the calling thread).
+  [[nodiscard]] unsigned workers() const { return workers_; }
 
-  /// Chunk size heuristic: large enough to keep deque traffic negligible for
-  /// tiny jobs, small enough that stealing can still balance (~4 chunks per
-  /// worker).
+  /// Chunk size heuristic: large enough that claiming is negligible for
+  /// tiny jobs, small enough to balance uneven ones (~4 chunks per worker).
   [[nodiscard]] static std::size_t default_chunk(std::size_t n,
                                                  unsigned workers);
 
@@ -92,43 +99,38 @@ class ThreadPool {
                                                  std::size_t multiple);
 
  private:
-  struct Chunk {
-    std::size_t begin;
-    std::size_t end;
-  };
-  struct WorkerDeque {
-    std::mutex mutex;
-    std::deque<Chunk> chunks;
-  };
+  /// Claims chunks from the cursor and runs them until none is left.
+  void run_chunks();
+  void worker_loop();
 
-  bool try_claim(unsigned self, Chunk& out);
-  void drain(unsigned self);
-  void worker_loop(unsigned self);
+  const unsigned workers_;
 
-  std::vector<std::unique_ptr<WorkerDeque>> deques_;
-  std::vector<std::thread> threads_;
-
-  std::mutex coord_mutex_;
+  std::mutex mutex_;
   std::condition_variable cv_work_;
   std::condition_variable cv_done_;
-  /// Chunks not yet claimed from any deque. Stored before the deques fill so
-  /// a racing pop can never underflow it; parked workers' wake predicate.
-  std::atomic<std::size_t> unclaimed_{0};
-  /// Chunks fully executed; the submitting thread waits for == total_.
-  std::atomic<std::size_t> completed_{0};
-  /// Chunks in the active batch. Atomic because the worker finishing the
-  /// last chunk compares against it OUTSIDE coord_mutex_, and the submitter
-  /// can observe completion through its wait predicate (no notify needed),
-  /// return, and publish the next batch's total while that comparison is
-  /// still in flight. A stale read only mis-skips a notify the old batch no
-  /// longer needs (or fires a spurious one the predicate absorbs).
-  std::atomic<std::size_t> total_{0};
-  const StoppableRangeFn* active_fn_ = nullptr;
-  /// Stop predicate of the active batch; nullptr = never stopped.
-  const StopQuery* active_stop_ = nullptr;
+  // The active batch: written under mutex_ while no worker holds a batch,
+  // read by the workers that joined it.
+  const StoppableRangeFn* fn_ = nullptr;
+  const StopQuery* stop_query_ = nullptr;  ///< nullptr = never stopped
+  std::size_t n_ = 0;
+  std::size_t chunk_ = 0;
+  std::size_t n_chunks_ = 0;
+  /// The next chunk to claim; every claim is one fetch_add.
+  std::atomic<std::size_t> next_{0};
+  /// Counts published batches, so a worker joins each one at most once.
+  std::uint64_t batch_ = 0;
+  /// True from a batch's publication until parallel_for has seen it finish;
+  /// a worker that wakes later sleeps on.
+  bool open_ = false;
+  /// Workers that joined the open batch and have not left it.
+  unsigned holders_ = 0;
+  /// The first exception a chunk of the active batch threw.
+  std::exception_ptr error_;
   bool stop_ = false;
 
   std::mutex submit_mutex_;  ///< serialises concurrent parallel_for callers
+  /// Declared after the state its threads use; joined by the destructor.
+  std::vector<std::thread> threads_;
 };
 
 }  // namespace ferro::core

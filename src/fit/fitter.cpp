@@ -271,8 +271,9 @@ FitResult fit_ja_parameters(const FitObjective& objective,
     for (std::size_t g = begin; g < end; ++g) {
       const std::size_t first = g * per_group;
       const std::size_t count = std::min(per_group, instances.size() - first);
-      // An exception must not unwind into a pool worker (that terminates);
-      // it is rethrown to the caller once every group has returned.
+      // An exception is kept per group and rethrown to the caller once
+      // every group has returned, the lowest group's first, whatever the
+      // timing.
       try {
         outcomes[g] = run_group({instances.data() + first, count}, objective,
                                 options, enc, gate, failed);

@@ -81,26 +81,4 @@ std::size_t Kernel::settle(std::size_t max_deltas) {
   return deltas;
 }
 
-void Kernel::run_until(SimTime t_end) {
-  settle();  // anything pending at the current time runs first
-  while (!timed_queue_.empty() && timed_queue_.begin()->first <= t_end) {
-    const SimTime t = timed_queue_.begin()->first;
-    now_ = t;
-    // Execute every callback scheduled for this exact time, including ones
-    // that were added by earlier callbacks at the same time point.
-    while (!timed_queue_.empty() && timed_queue_.begin()->first == t) {
-      auto node = timed_queue_.extract(timed_queue_.begin());
-      ++stats_.timed_events;
-      node.mapped()();
-    }
-    settle();
-  }
-  if (t_end > now_) now_ = t_end;
-}
-
-void Kernel::schedule_at(SimTime t, std::function<void()> fn) {
-  if (t < now_) t = now_;  // late schedules fire as soon as possible
-  timed_queue_.emplace(t, std::move(fn));
-}
-
 }  // namespace ferro::hdl

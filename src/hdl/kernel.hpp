@@ -7,18 +7,16 @@
 //     registered as sensitive to the signal;
 //   * processes: plain callbacks with static sensitivity, run in the
 //     evaluate phase; all requested signal updates are applied together in
-//     the update phase;
-//   * timed notifications: schedule_at() queues a callback at an absolute
-//     simulated time (our testbench equivalent of a clocked driver).
+//     the update phase.
+// The model runs timeless: a testbench writes one input sample, settles its
+// delta cycles and reads the outputs, so simulated time never advances and
+// the kernel keeps none.
 #pragma once
 
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <string>
 #include <vector>
-
-#include "hdl/time.hpp"
 
 namespace ferro::hdl {
 
@@ -58,7 +56,6 @@ struct KernelStats {
   std::uint64_t delta_cycles = 0;
   std::uint64_t process_activations = 0;
   std::uint64_t signal_updates = 0;
-  std::uint64_t timed_events = 0;
 };
 
 class Kernel {
@@ -81,20 +78,12 @@ class Kernel {
   /// phase of the current delta cycle.
   void request_update(SignalBase& signal);
 
-  /// Schedules a callback at absolute time `t` (>= now).
-  void schedule_at(SimTime t, std::function<void()> fn);
-
   /// Runs delta cycles at the current time until no process is runnable.
   /// Returns the number of delta cycles executed. Throws std::runtime_error
   /// once `max_deltas` cycles have run without settling — a combinational
   /// oscillation guard (run_scenario reports it as kSolverDiverged).
   std::size_t settle(std::size_t max_deltas = 1'000'000);
 
-  /// Advances through all timed events up to and including `t_end`,
-  /// settling delta cycles at every time point.
-  void run_until(SimTime t_end);
-
-  [[nodiscard]] SimTime now() const { return now_; }
   [[nodiscard]] const KernelStats& stats() const { return stats_; }
   [[nodiscard]] const std::string& process_name(ProcessId pid) const;
 
@@ -110,8 +99,6 @@ class Kernel {
   std::vector<Process> processes_;
   std::vector<ProcessId> runnable_;
   std::vector<SignalBase*> update_queue_;
-  std::multimap<SimTime, std::function<void()>> timed_queue_;
-  SimTime now_{};
   KernelStats stats_{};
 };
 

@@ -30,6 +30,8 @@ bool BhCurve::write_csv(const std::string& path) const {
   for (const auto& p : points_) {
     writer.row({p.h, p.m, p.b});
   }
+  // The last rows are still buffered: a full disk fails only in the flush.
+  writer.flush();
   return writer.ok();
 }
 

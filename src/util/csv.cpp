@@ -48,6 +48,8 @@ void CsvWriter::row(std::initializer_list<double> values) {
   row(std::span<const double>(values.begin(), values.size()));
 }
 
+void CsvWriter::flush() { stream_.flush(); }
+
 int CsvTable::column_index(std::string_view name) const {
   for (std::size_t i = 0; i < columns.size(); ++i) {
     if (columns[i] == name) return static_cast<int>(i);

@@ -15,7 +15,8 @@
 namespace ferro::util {
 
 /// Streams numeric rows into a CSV file. The file is flushed and closed on
-/// destruction (RAII); `ok()` reports whether every write succeeded.
+/// destruction (RAII); `ok()` reports whether every write so far succeeded,
+/// and flush() first makes that cover the rows still buffered.
 class CsvWriter {
  public:
   /// Opens `path` for writing and emits the header row.
@@ -28,6 +29,11 @@ class CsvWriter {
   /// Appends one row; `values.size()` must equal the header width.
   void row(std::span<const double> values);
   void row(std::initializer_list<double> values);
+
+  /// Pushes every row written so far to the file. A write that fails here
+  /// (a full disk, say) turns ok() false, so a caller that reports a
+  /// finished file flushes before it asks ok().
+  void flush();
 
   /// True while the underlying stream is healthy and row widths matched.
   [[nodiscard]] bool ok() const { return ok_ && stream_.good(); }

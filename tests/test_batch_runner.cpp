@@ -15,6 +15,7 @@
 #include <thread>
 
 #include "core/batch_runner.hpp"
+#include "core/frontend_plan.hpp"
 #include "core/dc_sweep.hpp"
 #include "core/result_sink.hpp"
 #include "mag/ja_params.hpp"
@@ -228,13 +229,14 @@ TEST(BatchRunner, RunPackedExactMatchesRunBitwise) {
   scenarios[7].frontend = fc::Frontend::kSystemC;
   scenarios[7].ja().config.clamp_negative_slope = false;  // network clamps anyway
 
-  EXPECT_TRUE(fc::BatchRunner::packable(scenarios[0]));
-  EXPECT_TRUE(fc::BatchRunner::packable(scenarios[2]));
-  EXPECT_FALSE(fc::BatchRunner::packable(scenarios[3]));
-  EXPECT_FALSE(fc::BatchRunner::packable(scenarios[4]));
-  EXPECT_FALSE(fc::BatchRunner::packable(scenarios[5]));
-  EXPECT_TRUE(fc::BatchRunner::packable(scenarios[6]));  // sampled in block
-  EXPECT_FALSE(fc::BatchRunner::packable(scenarios[7]));
+  EXPECT_NE(fc::plan_route(scenarios[0]), fc::PlanRoute::kFallback);
+  EXPECT_NE(fc::plan_route(scenarios[2]), fc::PlanRoute::kFallback);
+  EXPECT_EQ(fc::plan_route(scenarios[3]), fc::PlanRoute::kFallback);
+  EXPECT_EQ(fc::plan_route(scenarios[4]), fc::PlanRoute::kFallback);
+  EXPECT_EQ(fc::plan_route(scenarios[5]), fc::PlanRoute::kFallback);
+  // Sampled in its block.
+  EXPECT_NE(fc::plan_route(scenarios[6]), fc::PlanRoute::kFallback);
+  EXPECT_EQ(fc::plan_route(scenarios[7]), fc::PlanRoute::kFallback);
 
   const auto plain = ts::run_each(scenarios);
   for (const unsigned threads : {1u, 3u}) {
@@ -270,7 +272,7 @@ TEST(BatchRunner, RunPackedAllFallbackMatchesRunBitwise) {
     }
   }
   for (const auto& s : scenarios) {
-    ASSERT_FALSE(fc::BatchRunner::packable(s)) << s.name;
+    ASSERT_EQ(fc::plan_route(s), fc::PlanRoute::kFallback) << s.name;
   }
 
   const auto plain = ts::run_each(scenarios);
@@ -308,7 +310,7 @@ TEST(BatchRunner, RunPackedMixedDirectAndSystemCMatchesRunBitwise) {
     if (i % 2 == 1) scenarios[i].frontend = fc::Frontend::kSystemC;
   }
   for (const auto& s : scenarios) {
-    EXPECT_TRUE(fc::BatchRunner::packable(s)) << s.name;
+    EXPECT_NE(fc::plan_route(s), fc::PlanRoute::kFallback) << s.name;
   }
 
   const auto plain = ts::run_each(scenarios);
@@ -350,7 +352,8 @@ TEST(BatchRunner, RunPackedMixedAllThreeFrontendsMatchesRunBitwise) {
         break;
       }
     }
-    EXPECT_TRUE(fc::BatchRunner::packable(scenarios[i])) << scenarios[i].name;
+    EXPECT_NE(fc::plan_route(scenarios[i]), fc::PlanRoute::kFallback)
+        << scenarios[i].name;
   }
 
   const auto plain = ts::run_each(scenarios);
@@ -833,7 +836,7 @@ TEST(BatchRunner, ValidateRejectsMalformedScenarios) {
           EXPECT_EQ(solo.error.code, fc::ErrorCode::kInvalidScenario);
           EXPECT_NE(solo.error.detail.find("n_samples"), std::string::npos)
               << solo.error;
-          EXPECT_FALSE(fc::BatchRunner::packable(s));
+          EXPECT_EQ(fc::plan_route(s), fc::PlanRoute::kFallback);
         } else {
           EXPECT_TRUE(fc::validate(s).ok());
           EXPECT_TRUE(solo.ok()) << solo.error;
@@ -1190,7 +1193,8 @@ TEST(BatchRunner, TimeDriveLanesMatchRunScenarioAtEveryWidthAndThreadCount) {
   const auto reference = ts::run_each(scenarios);
   for (std::size_t i = 0; i < scenarios.size(); ++i) {
     // Routing never samples, so the throwing lane packs like the rest.
-    EXPECT_TRUE(fc::BatchRunner::packable(scenarios[i])) << scenarios[i].name;
+    EXPECT_NE(fc::plan_route(scenarios[i]), fc::PlanRoute::kFallback)
+        << scenarios[i].name;
     if (i == kThrowAt) continue;
     ASSERT_TRUE(reference[i].ok()) << reference[i].name << ": "
                                    << reference[i].error;

@@ -51,21 +51,6 @@ TEST(SystemCModel, MatchesDirectModelExactly) {
   }
 }
 
-TEST(SystemCModel, TimedModeMatchesUntimed) {
-  const fm::JaParameters params = fm::paper_parameters();
-  const fw::HSweep sweep = fw::SweepBuilder(50.0).cycles(5e3, 1).build();
-
-  const auto untimed = fc::run_systemc_sweep(params, kDhmax, sweep);
-  const auto timed =
-      fc::run_systemc_sweep(params, kDhmax, sweep, fh::SimTime::ns(10));
-
-  ASSERT_EQ(untimed.curve.size(), timed.curve.size());
-  for (std::size_t i = 0; i < untimed.curve.size(); ++i) {
-    EXPECT_DOUBLE_EQ(untimed.curve.points()[i].b, timed.curve.points()[i].b);
-  }
-  EXPECT_GT(timed.kernel_stats.timed_events, 0u);
-}
-
 TEST(SystemCModel, KernelActivityIsEventDriven) {
   const fm::JaParameters params = fm::paper_parameters();
   const fw::HSweep sweep = test_sweep();

@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "core/batch_runner.hpp"
+#include "core/frontend_plan.hpp"
 #include "core/scenario.hpp"
 #include "fit/fitter.hpp"
 #include "fit/objective.hpp"
@@ -375,7 +376,7 @@ TEST(FitObjective, ResidualMatchesTheLerpReferenceOnStalledFallingTarget) {
 TEST(FitObjective, ScenarioIsPackable) {
   const ff::FitObjective objective(simulate(ground_truth()));
   const fc::Scenario s = objective.scenario(ground_truth());
-  EXPECT_TRUE(fc::BatchRunner::packable(s));
+  EXPECT_NE(fc::plan_route(s), fc::PlanRoute::kFallback);
 }
 
 // -------------------------------------------------- core batch helper ----
@@ -389,7 +390,7 @@ TEST(ScenariosForParameters, BuildsHomogeneousPackableBatch) {
   EXPECT_EQ(scenarios.back().name, "gen/6");
   for (const auto& s : scenarios) {
     EXPECT_EQ(s.frontend, fc::Frontend::kDirect);
-    EXPECT_TRUE(fc::BatchRunner::packable(s));
+    EXPECT_NE(fc::plan_route(s), fc::PlanRoute::kFallback);
   }
 }
 

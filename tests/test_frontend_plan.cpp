@@ -380,7 +380,6 @@ TEST(FrontendPlan, WhatValidateRejectsIsNeitherPackableNorPlanned) {
     s.ja().config.dhmax = c.dhmax;
     s.ja().config.substep_max = c.substep_max;
     EXPECT_FALSE(fc::validate(s).ok()) << c.name;
-    EXPECT_FALSE(fc::BatchRunner::packable(s)) << c.name;
     EXPECT_EQ(fc::plan_route(s), fc::PlanRoute::kFallback) << c.name;
     scenarios.push_back(std::move(s));
   }

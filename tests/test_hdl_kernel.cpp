@@ -1,6 +1,6 @@
-// Unit tests for the event kernel: delta-cycle semantics, sensitivity,
-// timed queue. These semantics are what make the SystemC-style JA
-// module equivalent to the direct TimelessJa — they must be airtight.
+// Unit tests for the event kernel: delta-cycle semantics and sensitivity.
+// These semantics are what make the SystemC-style JA module equivalent to
+// the direct TimelessJa — they must be airtight.
 #include <gtest/gtest.h>
 
 #include <stdexcept>
@@ -12,18 +12,6 @@
 #include "hdl/signal.hpp"
 
 namespace fh = ferro::hdl;
-
-TEST(SimTime, ConversionsAndArithmetic) {
-  EXPECT_EQ(fh::SimTime::ns(1).femtoseconds(), 1'000'000);
-  EXPECT_EQ(fh::SimTime::us(1).femtoseconds(), 1'000'000'000);
-  EXPECT_DOUBLE_EQ(fh::SimTime::ms(2).seconds(), 2e-3);
-  EXPECT_EQ((fh::SimTime::ns(1) + fh::SimTime::ns(2)).femtoseconds(),
-            3'000'000);
-  EXPECT_EQ((fh::SimTime::ns(5) - fh::SimTime::ns(2)), fh::SimTime::ns(3));
-  EXPECT_EQ(fh::SimTime::ns(3) * 2, fh::SimTime::ns(6));
-  EXPECT_LT(fh::SimTime::ps(999), fh::SimTime::ns(1));
-  EXPECT_EQ(fh::SimTime::from_seconds(1.5e-9).femtoseconds(), 1'500'000);
-}
 
 TEST(Signal, WriteIsDeferredToUpdatePhase) {
   fh::Kernel kernel;
@@ -124,41 +112,6 @@ TEST(Kernel, SettleReportsDeltaCountAndGuardsOscillation) {
   // reports it as an error rather than returning as if settled.
   EXPECT_THROW((void)kernel.settle(100), std::runtime_error);
   EXPECT_EQ(kernel.stats().delta_cycles, 1u + 100u);
-}
-
-TEST(Kernel, TimedEventsRunInOrder) {
-  fh::Kernel kernel;
-  std::vector<int> order;
-  kernel.schedule_at(fh::SimTime::ns(30), [&] { order.push_back(3); });
-  kernel.schedule_at(fh::SimTime::ns(10), [&] { order.push_back(1); });
-  kernel.schedule_at(fh::SimTime::ns(20), [&] { order.push_back(2); });
-  kernel.run_until(fh::SimTime::ns(100));
-  ASSERT_EQ(order.size(), 3u);
-  EXPECT_EQ(order[0], 1);
-  EXPECT_EQ(order[1], 2);
-  EXPECT_EQ(order[2], 3);
-  EXPECT_EQ(kernel.now(), fh::SimTime::ns(100));
-}
-
-TEST(Kernel, RunUntilStopsAtBoundary) {
-  fh::Kernel kernel;
-  bool late_ran = false;
-  kernel.schedule_at(fh::SimTime::ns(50), [&] { late_ran = true; });
-  kernel.run_until(fh::SimTime::ns(49));
-  EXPECT_FALSE(late_ran);
-  kernel.run_until(fh::SimTime::ns(50));
-  EXPECT_TRUE(late_ran);
-}
-
-TEST(Kernel, SameTimeCallbackScheduledDuringCallbackRuns) {
-  fh::Kernel kernel;
-  int count = 0;
-  kernel.schedule_at(fh::SimTime::ns(10), [&] {
-    ++count;
-    kernel.schedule_at(fh::SimTime::ns(10), [&] { ++count; });
-  });
-  kernel.run_until(fh::SimTime::ns(20));
-  EXPECT_EQ(count, 2);
 }
 
 TEST(Kernel, StatsAccumulate) {

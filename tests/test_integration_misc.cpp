@@ -8,15 +8,6 @@
 
 namespace fh = ferro::hdl;
 
-TEST(KernelEdges, ScheduleInThePastFiresImmediately) {
-  fh::Kernel kernel;
-  kernel.run_until(fh::SimTime::ns(100));
-  bool fired = false;
-  kernel.schedule_at(fh::SimTime::ns(10), [&] { fired = true; });  // past
-  kernel.run_until(fh::SimTime::ns(101));
-  EXPECT_TRUE(fired);
-}
-
 TEST(KernelEdges, MultipleListenersAllWake) {
   fh::Kernel kernel;
   fh::Signal<int> sig(kernel, "s", 0);

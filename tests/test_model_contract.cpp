@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "core/batch_runner.hpp"
+#include "core/frontend_plan.hpp"
 #include "core/result_sink.hpp"
 #include "core/scenario.hpp"
 #include "mag/bh.hpp"
@@ -187,7 +188,7 @@ TEST(ModelSpecContract, DynamicEnergyTermNeedsATimeDrive) {
   ASSERT_TRUE(result.ok()) << result.error.message();
   EXPECT_GT(result.energy_stats.dissipated_energy, 0.0);
   // The dynamic term needs per-sample dt, so this scenario must not pack.
-  EXPECT_FALSE(fc::BatchRunner::packable(s));
+  EXPECT_EQ(fc::plan_route(s), fc::PlanRoute::kFallback);
 }
 
 TEST(ModelSpecContract, ResultsCarryTheProducingModelTag) {
@@ -206,7 +207,8 @@ TEST(ModelSpecContract, ResultsCarryTheProducingModelTag) {
 }
 
 TEST(ModelSpecContract, QuasiStaticEnergySweepIsPackable) {
-  EXPECT_TRUE(fc::BatchRunner::packable(energy_scenario("packable")));
+  EXPECT_NE(fc::plan_route(energy_scenario("packable")),
+            fc::PlanRoute::kFallback);
 }
 
 TEST(ModelSpecContract, SpecSpanOverloadMixesBackends) {

@@ -1,13 +1,16 @@
 // ThreadPool: exact coverage of the index space, serial degeneration,
-// reuse across batches, and stress with many tiny chunks — the contracts
-// BatchRunner's determinism guarantees are built on.
+// reuse across batches, stress with many tiny chunks — the contracts
+// BatchRunner's determinism guarantees are built on — plus the order chunks
+// start in, when the threads start, and exceptions reaching the caller.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
+#include <filesystem>
 #include <limits>
 #include <mutex>
 #include <numeric>
+#include <stdexcept>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -77,7 +80,8 @@ TEST(ThreadPool, SingleWorkerSpawnsNoThreadsAndRunsInline) {
 }
 
 TEST(ThreadPool, ReusableAcrossManyBatches) {
-  // The persistent-pool property: one construction, many dispatches.
+  // The persistent-pool property: one construction, many dispatches, each
+  // woken from the same parked threads.
   fc::ThreadPool pool(4);
   std::atomic<std::int64_t> total{0};
   for (int batch = 0; batch < 200; ++batch) {
@@ -93,8 +97,8 @@ TEST(ThreadPool, ReusableAcrossManyBatches) {
 }
 
 TEST(ThreadPool, ManyTinyJobsStress) {
-  // 20k near-empty jobs across repeated batches: the chunked dispatch keeps
-  // deque traffic bounded and every index still runs exactly once.
+  // 20k near-empty jobs: the chunked dispatch keeps cursor claims to ~4 per
+  // worker and every index still runs exactly once.
   fc::ThreadPool pool(8);
   constexpr std::size_t kJobs = 20000;
   std::vector<std::atomic<int>> hits(kJobs);
@@ -109,6 +113,81 @@ TEST(ThreadPool, ManyTinyJobsStress) {
       hits.begin(), hits.end(), 0,
       [](int acc, const std::atomic<int>& h) { return acc + h.load(); });
   EXPECT_EQ(sum, static_cast<int>(kJobs));
+}
+
+TEST(ThreadPool, ChunksStartInIndexOrder) {
+  // Chunk c is claimed only after chunks 0..c-1, and each of the other
+  // three workers holds at most one claimed chunk it has not entered yet,
+  // so at least c - 3 chunks have been entered when chunk c is.
+  fc::ThreadPool pool(4);
+  constexpr std::size_t kChunks = 64;
+  std::atomic<std::size_t> entered{0};
+  std::vector<std::size_t> seen(kChunks);
+  pool.parallel_for(kChunks, 1, [&](std::size_t begin, std::size_t end) {
+    seen[begin] = entered.fetch_add(1);
+    EXPECT_EQ(end, begin + 1);
+  });
+  for (std::size_t c = 0; c < kChunks; ++c) {
+    EXPECT_GE(seen[c] + 3, c) << "chunk " << c << " entered " << seen[c]
+                              << "th";
+  }
+}
+
+TEST(ThreadPool, StartsNoThreadBeforeItsFirstParallelFor) {
+  // The threads start with the first batch, after it is published, so none
+  // exists (or parks) before there is work for it; then they persist. A
+  // thread an earlier test joined may still be leaving the task list, so
+  // the counts are bounded from above, never compared for equality.
+  if (!std::filesystem::exists("/proc/self/task")) {
+    GTEST_SKIP() << "no /proc/self/task on this platform";
+  }
+  const auto threads = [] {
+    std::size_t n = 0;
+    for (const auto& entry :
+         std::filesystem::directory_iterator("/proc/self/task")) {
+      (void)entry;
+      ++n;
+    }
+    return n;
+  };
+  const std::size_t before = threads();
+  fc::ThreadPool pool(4);
+  EXPECT_LE(threads(), before);
+  std::atomic<int> ran{0};
+  pool.parallel_for(8, 1, [&](std::size_t, std::size_t) { ran.fetch_add(1); });
+  EXPECT_EQ(ran.load(), 8);
+  const std::size_t after = threads();
+  EXPECT_LE(after, before + 3);
+  EXPECT_GE(after, 4u);  // the caller and three parked workers
+}
+
+TEST(ThreadPool, ExceptionInAChunkReachesTheCaller) {
+  // A throwing chunk neither ends a worker thread nor stops the other
+  // chunks, and the caller gets the exception. (A one-worker pool hands fn
+  // all of [0, n) in one call, which the throw ends.)
+  for (const unsigned workers : {1u, 4u}) {
+    fc::ThreadPool pool(workers);
+    constexpr std::size_t kJobs = 64;
+    constexpr std::size_t kThrowAt = 37;
+    std::vector<std::atomic<int>> hits(kJobs);
+    const auto fn = [&](std::size_t begin, std::size_t end) {
+      for (std::size_t i = begin; i < end; ++i) {
+        if (i == kThrowAt) throw std::runtime_error("index 37");
+        hits[i].fetch_add(1);
+      }
+    };
+    EXPECT_THROW(pool.parallel_for(kJobs, 1, fn), std::runtime_error);
+    for (std::size_t i = 0; i < kJobs; ++i) {
+      const int expected = i < kThrowAt || (workers > 1 && i > kThrowAt);
+      EXPECT_EQ(hits[i].load(), expected) << "workers=" << workers << " i=" << i;
+    }
+    // The pool is whole afterwards.
+    std::atomic<std::size_t> ran{0};
+    pool.parallel_for(8, 1, [&](std::size_t begin, std::size_t end) {
+      ran.fetch_add(end - begin);
+    });
+    EXPECT_EQ(ran.load(), 8u);
+  }
 }
 
 TEST(ThreadPool, StoppableOverloadKeepsCoverageExact) {

@@ -11,6 +11,7 @@
 #include <string>
 #include <vector>
 
+#include "mag/bh.hpp"
 #include "util/constants.hpp"
 #include "util/csv.hpp"
 #include "util/stream_writer.hpp"
@@ -18,6 +19,7 @@
 #include "util/stats.hpp"
 #include "util/strings.hpp"
 
+namespace fm = ferro::mag;
 namespace fu = ferro::util;
 
 TEST(Constants, Mu0MatchesFourPiTimes1e7) {
@@ -121,6 +123,24 @@ TEST(Csv, WrongRowWidthMarksNotOk) {
   writer.row({1.0});
   EXPECT_FALSE(writer.ok());
   std::filesystem::remove(path);
+}
+
+TEST(Csv, FullDiskFailsBeforeTheWriterAnswers) {
+  // /dev/full accepts the open and fails every write with ENOSPC. A few
+  // rows fit in the stream's buffer, so they fail only when flushed: a
+  // writer that answers before flushing reports a file it never finished.
+  if (!std::filesystem::exists("/dev/full")) {
+    GTEST_SKIP() << "no /dev/full on this platform";
+  }
+  fu::CsvWriter writer("/dev/full", {"a", "b"});
+  writer.row({1.0, 2.0});
+  writer.row({3.5, -4.25});
+  writer.flush();
+  EXPECT_FALSE(writer.ok());
+
+  std::vector<fm::BhPoint> points;
+  for (int i = 0; i < 10; ++i) points.push_back({i * 1.0, i * 2.0, i * 3.0});
+  EXPECT_FALSE(fm::BhCurve(std::move(points)).write_csv("/dev/full"));
 }
 
 TEST(Csv, MissingFileGivesEmptyTable) {
